@@ -1,16 +1,20 @@
 """Microbenchmarks for the vectorized columnar hot paths.
 
-Each benchmark times the scalar reference implementation against the
-NumPy-vectorized path on identical inputs and reports wall time plus the
-speedup.  Workload shape follows the paper's Index-1-style deployment: a
-3-dimensional index (address-like attribute, timestamp, scalar fanout)
-over a day of records, queried in 5-minute monitoring windows.
+Each benchmark times the scalar oracle (``tests/oracles.py`` — the same
+per-record / per-cell loops the equivalence property tests compare
+against) against the production NumPy path on identical inputs and
+reports wall time plus the speedup.  Workload shape follows the paper's
+Index-1-style deployment: a 3-dimensional index (address-like attribute,
+timestamp, scalar fanout) over a day of records, queried in 5-minute
+monitoring windows.
 """
 
+import functools
 import random
 import time
 from typing import Callable, Dict, List, Tuple
 
+from repro import checks
 from repro.core.balance import derive_cut_tree, histogram_from_records
 from repro.core.cuts import BalancedCuts
 from repro.core.embedding import Embedding
@@ -19,6 +23,12 @@ from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.net.message import ISOLATE_COPY, ISOLATE_FREEZE, ISOLATE_OFF, Message
 from repro.storage.memtable import TimePartitionedStore
+from tests.oracles import (
+    ScalarCutHistogram,
+    histogram_from_records_scalar,
+    insert_each,
+    scan_scalar,
+)
 
 DAY_S = 86400.0
 
@@ -112,11 +122,11 @@ def _entry(scalar_s: float, vectorized_s: float, **extra) -> Dict:
 # ----------------------------------------------------------------------
 def bench_insert(records: List[Record]) -> Dict:
     """Insert throughput: per-record scalar inserts vs one batched insert."""
-    scalar_store = TimePartitionedStore(SCHEMA, vectorized=False)
-    scalar_s, _ = _timed(lambda: [scalar_store.insert(r) for r in records])
-    vector_store = TimePartitionedStore(SCHEMA, vectorized=True)
+    scalar_store = TimePartitionedStore(SCHEMA)
+    scalar_s, scalar_inserted = _timed(lambda: insert_each(scalar_store, records))
+    vector_store = TimePartitionedStore(SCHEMA)
     vectorized_s, inserted = _timed(lambda: vector_store.insert_batch(records))
-    assert inserted == len(scalar_store) == len(vector_store)
+    assert inserted == scalar_inserted == len(scalar_store) == len(vector_store)
     return _entry(
         scalar_s,
         vectorized_s,
@@ -126,22 +136,14 @@ def bench_insert(records: List[Record]) -> Dict:
 
 
 def bench_query_scan(records: List[Record], queries: List[RangeQuery]) -> Dict:
-    """Rectangle-scan throughput over identical populated stores."""
-    scalar_store = TimePartitionedStore(SCHEMA, vectorized=False)
-    vector_store = TimePartitionedStore(SCHEMA, vectorized=True)
-    for r in records:
-        scalar_store.insert(r)
-    vector_store.insert_batch(records)
+    """Rectangle-scan throughput: brute-force scan vs ``store.query``."""
+    store = TimePartitionedStore(SCHEMA)
+    store.insert_batch(records)
     rects = [q.normalized_rect(SCHEMA) for q in queries]
 
-    def run(store: TimePartitionedStore) -> int:
-        hits = 0
-        for rect in rects:
-            hits += len(store.query(rect))
-        return hits
-
     scalar_s, scalar_hits, vectorized_s, vector_hits = _timed_best_pair(
-        lambda: run(scalar_store), lambda: run(vector_store)
+        lambda: sum(len(scan_scalar(store, rect)) for rect in rects),
+        lambda: sum(len(store.query(rect)) for rect in rects),
     )
     assert scalar_hits == vector_hits
     scanned = len(records) * len(queries)
@@ -158,10 +160,10 @@ def bench_query_scan(records: List[Record], queries: List[RangeQuery]) -> Dict:
 def bench_histogram_build(records: List[Record]) -> Dict:
     """Daily-histogram construction: per-record adds vs one add_batch."""
     scalar_s, scalar_hist = _timed(
-        lambda: histogram_from_records(SCHEMA, records, GRAINS, vectorized=False)
+        lambda: histogram_from_records_scalar(SCHEMA, records, GRAINS)
     )
     vectorized_s, vector_hist = _timed(
-        lambda: histogram_from_records(SCHEMA, records, GRAINS, vectorized=True)
+        lambda: histogram_from_records(SCHEMA, records, GRAINS)
     )
     assert scalar_hist.cell_counts() == vector_hist.cell_counts()
     return _entry(
@@ -175,8 +177,8 @@ def bench_histogram_build(records: List[Record]) -> Dict:
 def bench_balanced_cut(records: List[Record], depth: int = 10) -> Dict:
     """Full balanced-cut tree derivation (weighted medians per prefix)."""
     hist = histogram_from_records(SCHEMA, records, GRAINS)
-    scalar_s, scalar_cuts = _timed(lambda: derive_cut_tree(hist, depth, vectorized=False))
-    vectorized_s, vector_cuts = _timed(lambda: derive_cut_tree(hist, depth, vectorized=True))
+    scalar_s, scalar_cuts = _timed(lambda: derive_cut_tree(ScalarCutHistogram(hist), depth))
+    vectorized_s, vector_cuts = _timed(lambda: derive_cut_tree(hist, depth))
     assert scalar_cuts == vector_cuts
     return _entry(scalar_s, vectorized_s, depth=depth, cuts=len(vector_cuts))
 
@@ -188,23 +190,28 @@ def bench_fig9_workload(records: List[Record], queries: List[RangeQuery]) -> Dic
     answer the 5-minute monitoring queries against a populated store —
     the exact per-node work a cluster-level Figure 9 run multiplies out.
     """
+    time_attr = SCHEMA.attributes[SCHEMA.time_dimension()].name
+
     def run(vectorized: bool) -> int:
-        hist = histogram_from_records(SCHEMA, records, GRAINS, vectorized=vectorized)
-        embedding = Embedding(SCHEMA, BalancedCuts(hist), code_depth=12)
-        store = TimePartitionedStore(SCHEMA, vectorized=vectorized)
+        store = TimePartitionedStore(SCHEMA)
         if vectorized:
+            hist = histogram_from_records(SCHEMA, records, GRAINS)
+            embedding = Embedding(SCHEMA, BalancedCuts(hist), code_depth=12)
             embedding.preload_splits(derive_cut_tree(hist, 12))
             embedding.point_codes_batch([r.values for r in records], depth=12)
             store.insert_batch(records)
+            scan = store.query
         else:
+            hist = ScalarCutHistogram(histogram_from_records_scalar(SCHEMA, records, GRAINS))
+            embedding = Embedding(SCHEMA, BalancedCuts(hist), code_depth=12)
             for r in records:
                 embedding.point_code(r.values, depth=12)
                 store.insert(r)
+            scan = functools.partial(scan_scalar, store)
         hits = 0
-        time_attr = SCHEMA.attributes[SCHEMA.time_dimension()].name
         for query in queries:
             rect = query.normalized_rect(SCHEMA)
-            hits += len(store.query(rect, time_range=query.interval(time_attr)))
+            hits += len(scan(rect, time_range=query.interval(time_attr)))
         return hits
 
     scalar_s, scalar_hits = _timed(lambda: run(False))
@@ -270,13 +277,13 @@ def bench_schedule_fuzz_overhead(n_events: int = 50_000, num_ties: int = 50) -> 
     what ``REPRO_SCHEDULE_FUZZ`` adds per event, i.e. why timed perf
     runs keep the fuzz off.
     """
-    from repro.sim.events import EventQueue, schedule_fuzz
+    from repro.sim.events import EventQueue
 
     times = [float(i % num_ties) for i in range(n_events)]
     noop = lambda: None  # noqa: E731
 
     def run(mode: str) -> None:
-        with schedule_fuzz(mode, 1):
+        with checks.configure(fuzz=mode, fuzz_seed=1):
             queue = EventQueue()
         for t in times:
             queue.push(t, noop, ())
@@ -308,13 +315,11 @@ def bench_resource_tracking_overhead(n_messages: int = 20_000) -> Dict:
     the isolation and fuzz benches above, documentation rather than a
     gate: it records why timed perf runs keep tracking off.
     """
-    from repro.net import protocol
     from repro.net.network import SimNetwork
-    from repro.sim import resources
     from repro.sim.kernel import Simulator
 
     def run(tracked: bool) -> None:
-        with resources.tracking(tracked), protocol.validation(False):
+        with checks.configure(track_resources=tracked, validate=False):
             sim = Simulator(seed=13)
             net = SimNetwork(sim, {}, coalesce_window_s=0.05)
             net.register("a", lambda msg: None)

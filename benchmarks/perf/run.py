@@ -10,7 +10,7 @@ Usage::
 it) and gates on its wall-clock budget and completion fraction.
 
 Exits non-zero (loudly) if the vectorized path is slower than the scalar
-fallback on the query-scan microbenchmark — the core regression guard —
+oracle on the query-scan microbenchmark — the core regression guard —
 and prints per-bench speedups for the rest so trajectory changes are
 visible in CI logs.
 """
@@ -35,10 +35,8 @@ from benchmarks.perf.microbench import (  # noqa: E402
     make_records,
     run_suite,
 )
+from repro import checks  # noqa: E402
 from repro.analysis import analyze_paths  # noqa: E402
-from repro.net import message, protocol  # noqa: E402
-from repro.sim import events as sim_events  # noqa: E402
-from repro.sim import resources  # noqa: E402
 
 #: Regression gates for the full-size scale tier (1M records, 1000 nodes,
 #: seed 7).  Embedded in the BENCH_PERF.json scale block and enforced on
@@ -114,15 +112,22 @@ def main(argv=None) -> int:
                              "are skipped)")
     args = parser.parse_args(argv)
 
-    # The scale tier times the full event kernel, so it must run with the
-    # modeled system cost only: refuse a baseline while either per-message
-    # harness (isolation copy/freeze, wire validation) is switched on.
-    # Checked before the unconditional set_validation(False) below so a
-    # validation-enabled environment is refused, not silently overridden.
-    if args.scale and protocol.validation_enabled():
+    # Timed sections measure the modeled system cost only, and every
+    # runtime check (repro.checks) adds work that is not part of it:
+    # isolation deep-copies each payload at delivery, schedule fuzz changes
+    # which paths the timed scenarios take (retry counts, message
+    # volumes), the resource ledger adds a dict update per op — so a
+    # baseline recorded under any of them is not comparable to one
+    # recorded without.  Wire validation is simply forced off for the
+    # in-process benches, but the scale tier runs in a fresh interpreter
+    # that would inherit it from the environment, so there it is refused
+    # like the rest rather than silently overridden.
+    if not args.scale:
+        checks.active.validate = False
+    for variable, what in checks.armed():
         print(
-            "protocol wire validation is ON; disable it for scale perf "
-            "runs — refusing to record a scale baseline",
+            f"{what} is ON; unset {variable} for timed perf runs — "
+            "refusing to record a perf baseline",
             file=sys.stderr,
         )
         return 1
@@ -140,51 +145,6 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-
-    # Timed sections must run with by-reference delivery: the message-
-    # isolation sanitizer (REPRO_ISOLATE_MESSAGES) deep-copies every
-    # payload at delivery — a correctness harness, not part of the
-    # modeled system cost — so a baseline recorded with it on would not
-    # be comparable to one recorded without.
-    if message.isolation_level() != message.ISOLATE_OFF:
-        print(
-            "message isolation is ON "
-            f"(level={message.isolation_level()!r}); unset "
-            "REPRO_ISOLATE_MESSAGES for timed perf runs — refusing to "
-            "record a perf baseline",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Same reasoning for the schedule-fuzz sanitizer: a perturbed
-    # tie-break changes which code paths the timed scenarios take (retry
-    # counts, message volumes), so a baseline recorded under
-    # REPRO_SCHEDULE_FUZZ is not comparable to one recorded without.
-    if sim_events.schedule_fuzz_mode() != sim_events.FUZZ_OFF:
-        print(
-            "schedule fuzz is ON "
-            f"(mode={sim_events.schedule_fuzz_mode()!r}); unset "
-            "REPRO_SCHEDULE_FUZZ for timed perf runs — refusing to "
-            "record a perf baseline",
-            file=sys.stderr,
-        )
-        return 1
-
-    # And for the resource-lifecycle ledger: REPRO_TRACK_RESOURCES adds
-    # a register/release dict update per op and per coalesced delivery
-    # (plus quiescence checks at idle) — correctness bookkeeping, not
-    # modeled system cost, so timed baselines must be recorded without it.
-    if resources.tracking_enabled():
-        print(
-            "resource tracking is ON; unset REPRO_TRACK_RESOURCES for "
-            "timed perf runs — refusing to record a perf baseline",
-            file=sys.stderr,
-        )
-        return 1
-
-    # Measure with wire validation off regardless of the environment:
-    # per-message payload checks would skew the timings.
-    protocol.set_validation(False)
 
     # --profile wraps every bench in its own cProfile session and writes
     # one top-N report per bench to BENCH_PROFILE.txt next to the JSON —
@@ -316,7 +276,7 @@ def main(argv=None) -> int:
     )
 
     # At full scale the vectorized scan is several times faster than the
-    # scalar fallback, but at smoke-test scale (a few thousand records)
+    # scalar oracle, but at smoke-test scale (a few thousand records)
     # the two are break-even and a hard < 1.0 threshold flips on
     # scheduler noise.  A genuine vectorization regression lands far
     # below parity, so gate with a 10% tolerance.
@@ -324,7 +284,7 @@ def main(argv=None) -> int:
     if scan["speedup"] < 0.9 and not args.profile:
         print(
             "PERF REGRESSION: vectorized query scan is SLOWER than the "
-            f"scalar fallback ({scan['speedup']:.2f}x)",
+            f"scalar oracle ({scan['speedup']:.2f}x)",
             file=sys.stderr,
         )
         return 1

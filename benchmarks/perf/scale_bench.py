@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     import json
     import sys
 
-    from repro.net import message, protocol
+    from repro import checks
 
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--nodes", type=int, default=1000)
@@ -284,14 +284,10 @@ def main(argv=None) -> int:
                              "section to this path (skews wall timings)")
     args = parser.parse_args(argv)
 
-    if message.isolation_level() != message.ISOLATE_OFF:
-        print(
-            "message isolation is ON; unset REPRO_ISOLATE_MESSAGES for "
-            "timed scale runs",
-            file=sys.stderr,
-        )
+    checks.active.validate = False
+    for variable, what in checks.armed():
+        print(f"{what} is ON; unset {variable} for timed scale runs", file=sys.stderr)
         return 1
-    protocol.set_validation(False)
 
     profiler = None
     if args.profile_out:

@@ -50,6 +50,7 @@ or a justified entry in :mod:`repro.analysis.baseline`.
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.analysis.astutil import describe
 from repro.analysis.findings import Finding
 from repro.analysis.protocol_lint import (
     ModuleInfo,
@@ -75,15 +76,6 @@ _STORING_MUTATORS = frozenset({"append", "add", "insert", "setdefault"})
 _MUTABLE_CTORS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"})
 
 _MUTABLE_ANNOTATIONS = frozenset({"Dict", "List", "Set", "dict", "list", "set", "DefaultDict", "Deque"})
-
-
-def _describe(node: ast.AST) -> str:
-    """Short stable rendering of an expression for finding contexts."""
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse covers all real inputs
-        text = type(node).__name__
-    return text if len(text) <= 60 else text[:57] + "..."
 
 
 def _annotation_is_mutable(node: Optional[ast.AST]) -> bool:
@@ -236,9 +228,9 @@ class _HandlerScope(ast.NodeVisitor):
             self._finding(
                 "alias-payload-mutation",
                 node,
-                f"handler stores into payload-reachable {_describe(target)} "
+                f"handler stores into payload-reachable {describe(target)} "
                 "(mutates the sender's object when isolation is off)",
-                _describe(target),
+                describe(target),
             )
             return
         if value is None:
@@ -248,8 +240,8 @@ class _HandlerScope(ast.NodeVisitor):
                 "alias-payload-retention",
                 node,
                 f"payload-reachable value retained into node state "
-                f"{_describe(target)} without a copy wrap",
-                _describe(target),
+                f"{describe(target)} without a copy wrap",
+                describe(target),
             )
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -286,8 +278,8 @@ class _HandlerScope(ast.NodeVisitor):
             self._finding(
                 "alias-payload-mutation",
                 node,
-                f"aug-assign mutates payload-reachable {_describe(target)}",
-                _describe(target),
+                f"aug-assign mutates payload-reachable {describe(target)}",
+                describe(target),
             )
         self.generic_visit(node)
 
@@ -299,8 +291,8 @@ class _HandlerScope(ast.NodeVisitor):
                 self._finding(
                     "alias-payload-mutation",
                     node,
-                    f"del mutates payload-reachable {_describe(target)}",
-                    _describe(target),
+                    f"del mutates payload-reachable {describe(target)}",
+                    describe(target),
                 )
         self.generic_visit(node)
 
@@ -313,8 +305,8 @@ class _HandlerScope(ast.NodeVisitor):
             self._finding(
                 "alias-payload-mutation",
                 node,
-                f".{func.attr}() mutates payload-reachable {_describe(func.value)}",
-                f"{_describe(func.value)}.{func.attr}",
+                f".{func.attr}() mutates payload-reachable {describe(func.value)}",
+                f"{describe(func.value)}.{func.attr}",
             )
         # value-storing method call that retains a tainted value in self state
         elif (
@@ -327,8 +319,8 @@ class _HandlerScope(ast.NodeVisitor):
                 "alias-payload-retention",
                 node,
                 f".{func.attr}() retains a payload-reachable value in node "
-                f"state {_describe(func.value)} without a copy wrap",
-                f"{_describe(func.value)}.{func.attr}",
+                f"state {describe(func.value)} without a copy wrap",
+                f"{describe(func.value)}.{func.attr}",
             )
         # reflood / re-send of the received payload by reference
         payload_arg = _send_payload_arg(node)
@@ -336,9 +328,9 @@ class _HandlerScope(ast.NodeVisitor):
             self._finding(
                 "alias-send-live-state",
                 node,
-                f"send re-uses the received payload {_describe(payload_arg)} "
+                f"send re-uses the received payload {describe(payload_arg)} "
                 "by reference; wrap it in dict(...)/thaw_payload(...) first",
-                f"send:{_describe(payload_arg)}",
+                f"send:{describe(payload_arg)}",
             )
         # one level of helper propagation for tainted arguments
         callee = _attr_name(func)

@@ -58,6 +58,7 @@ line, or a justified entry in :mod:`repro.analysis.baseline`.
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.astutil import describe, self_attr
 from repro.analysis.findings import Finding
 from repro.analysis.protocol_lint import ModuleInfo, _attr_name
 
@@ -76,25 +77,6 @@ _SET_ANNOTATIONS = frozenset({"Set", "set", "FrozenSet"})
 _LIST_ANNOTATIONS = frozenset({"List", "list", "Deque", "deque"})
 
 _TEARDOWN_NAMES = ("unregister", "deregister", "remove_node", "teardown")
-
-
-def _describe(node: ast.AST) -> str:
-    try:
-        text = ast.unparse(node)
-    except Exception:  # pragma: no cover - unparse covers all real inputs
-        text = type(node).__name__
-    return text if len(text) <= 60 else text[:57] + "..."
-
-
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``attr`` when ``node`` is exactly ``self.<attr>``."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
 
 
 def _container_kind(value: Optional[ast.AST], annotation: Optional[ast.AST]) -> Optional[str]:
@@ -148,7 +130,7 @@ class _MethodScan(ast.NodeVisitor):
 
     def _resolve(self, node: ast.AST) -> Optional[str]:
         """Container attr addressed by ``node`` (``self.a`` or an alias)."""
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             return attr if attr in self.cls.containers else None
         if isinstance(node, ast.Name):
@@ -157,7 +139,7 @@ class _MethodScan(ast.NodeVisitor):
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            attr = _self_attr(target)
+            attr = self_attr(target)
             if attr is not None:
                 # wholesale reassignment — also (re)classifies the slot
                 if self.fn.name != "__init__" and attr in self.cls.containers:
@@ -188,7 +170,7 @@ class _MethodScan(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        attr = _self_attr(node.target)
+        attr = self_attr(node.target)
         if attr is not None and attr in self.cls.containers:
             if isinstance(node.op, ast.Sub):
                 self.cls.removal_evidence.add(attr)
@@ -282,7 +264,7 @@ class _ClassScan:
                 if kind is None:
                     continue
                 for target in targets:
-                    attr = _self_attr(target)
+                    attr = self_attr(target)
                     if attr is not None:
                         self.containers.setdefault(attr, kind)
 
@@ -309,7 +291,7 @@ class _ClassScan:
         """The local function/lambda a scheduler callback argument names."""
         if isinstance(node, ast.Lambda):
             return node
-        attr = _self_attr(node)
+        attr = self_attr(node)
         if attr is not None:
             return self.methods.get(attr)
         if isinstance(node, ast.Name):
@@ -366,7 +348,7 @@ class _ClassScan:
         scope = [teardown]
         for node in ast.walk(teardown):
             if isinstance(node, ast.Call):
-                attr = _self_attr(node.func)
+                attr = self_attr(node.func)
                 if attr is not None and attr in self.methods:
                     scope.append(self.methods[attr])
         return scope
@@ -378,24 +360,24 @@ class _ClassScan:
             for node in ast.walk(fn):
                 if isinstance(node, ast.Assign):
                     for target in node.targets:
-                        attr = _self_attr(target)
+                        attr = self_attr(target)
                         if attr is not None and attr in self.containers:
                             removed.add(attr)
                         elif isinstance(target, ast.Name):
-                            src = _self_attr(node.value)
+                            src = self_attr(node.value)
                             if src in self.containers:
                                 aliases[target.id] = src
                 elif isinstance(node, ast.Delete):
                     for target in node.targets:
                         if isinstance(target, ast.Subscript):
-                            attr = _self_attr(target.value)
+                            attr = self_attr(target.value)
                             if attr is None and isinstance(target.value, ast.Name):
                                 attr = aliases.get(target.value.id)
                             if attr in self.containers:
                                 removed.add(attr)
                 elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                     if node.func.attr in _REMOVAL_METHODS:
-                        attr = _self_attr(node.func.value)
+                        attr = self_attr(node.func.value)
                         if attr is None and isinstance(node.func.value, ast.Name):
                             attr = aliases.get(node.func.value.id)
                         if attr in self.containers:
@@ -472,7 +454,7 @@ class _ClassScan:
                 continue
             if self._has_staleness_guard(callback):
                 continue
-            cb_name = _describe(call.args[1])
+            cb_name = describe(call.args[1])
             add(
                 Finding(
                     path=path,

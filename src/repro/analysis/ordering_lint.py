@@ -41,8 +41,9 @@ tie-break and legitimately touch ``seq``, ``now`` and zero delays.
 """
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.astutil import self_attr
 from repro.analysis.findings import Finding
 from repro.analysis.protocol_lint import ModuleInfo
 
@@ -85,20 +86,9 @@ def _is_time_expr(node: ast.AST) -> bool:
     return False
 
 
-def _self_attr(node: ast.AST) -> Optional[str]:
-    """``self.x`` -> ``"x"``; anything else -> None."""
-    if (
-        isinstance(node, ast.Attribute)
-        and isinstance(node.value, ast.Name)
-        and node.value.id == "self"
-    ):
-        return node.attr
-    return None
-
-
 def _reads_attr(tree: ast.AST, attr: str) -> bool:
     return any(
-        _self_attr(sub) == attr and isinstance(sub.ctx, ast.Load)
+        self_attr(sub) == attr and isinstance(sub.ctx, ast.Load)
         for sub in ast.walk(tree)
         if isinstance(sub, ast.Attribute)
     )
@@ -109,23 +99,23 @@ def _rmw_sites(fn: ast.AST) -> List[Tuple[str, int]]:
     sites: List[Tuple[str, int]] = []
     for node in ast.walk(fn):
         if isinstance(node, ast.AugAssign):
-            attr = _self_attr(node.target)
+            attr = self_attr(node.target)
             if attr is None and isinstance(node.target, ast.Subscript):
-                attr = _self_attr(node.target.value)
+                attr = self_attr(node.target.value)
             if attr is not None:
                 sites.append((attr, node.lineno))
         elif isinstance(node, ast.Assign):
             for target in node.targets:
-                attr = _self_attr(target)
+                attr = self_attr(target)
                 if attr is not None and _reads_attr(node.value, attr):
                     sites.append((attr, node.lineno))
                 if isinstance(target, ast.Subscript):
-                    attr = _self_attr(target.value)
+                    attr = self_attr(target.value)
                     if attr is not None:
                         sites.append((attr, node.lineno))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
             if node.func.attr in _MUTATORS:
-                attr = _self_attr(node.func.value)
+                attr = self_attr(node.func.value)
                 if attr is not None:
                     sites.append((attr, node.lineno))
     return sites
@@ -143,7 +133,7 @@ def _plain_writes(fn: ast.AST) -> Dict[str, int]:
     for node in ast.walk(fn):
         if isinstance(node, ast.Assign):
             for target in node.targets:
-                attr = _self_attr(target)
+                attr = self_attr(target)
                 if attr is not None and not _reads_attr(node.value, attr):
                     writes.setdefault(attr, node.lineno)
     return writes
@@ -335,10 +325,3 @@ def lint_ordering(module: ModuleInfo) -> List[Finding]:
     visitor = _OrderingVisitor(module)
     visitor.visit(module.tree)
     return visitor.findings + _lint_handler_commute(module)
-
-
-def lint_ordering_many(modules: Sequence[ModuleInfo]) -> List[Finding]:
-    findings: List[Finding] = []
-    for module in modules:
-        findings.extend(lint_ordering(module))
-    return findings

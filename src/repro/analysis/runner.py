@@ -25,40 +25,29 @@ from repro.net import protocol
 #: the individual analyses ``--only`` can select
 LINTS = ("protocol", "determinism", "aliasing", "ordering", "lifecycle")
 
-#: repro subpackages whose code must be deterministic.  ``analysis`` and
-#: ``experiments`` are excluded: they run outside the simulation (the
-#: linter itself, plotting/driver scripts) and may touch the wall clock.
-DETERMINISM_SCOPE = (
-    "overlay", "core", "net", "sim", "baselines", "traffic", "anomaly", "storage",
-)
+_SIMULATION = ("overlay", "core", "net", "sim", "baselines", "traffic", "anomaly", "storage")
 
-#: files inside the scope that are allowed ambient-randomness primitives —
-#: the seeded-stream registry itself wraps ``random.Random``.
-DETERMINISM_EXEMPT = ("repro/sim/randomness.py",)
-
-#: repro subpackages subject to the cross-node aliasing rules — the code
-#: that sends or handles messages.  ``sim`` (kernel/RNG, no messages) and
-#: the offline packages are out of scope.
-ALIASING_SCOPE = ("overlay", "core", "net", "baselines")
-
-#: repro subpackages subject to the event-ordering (repro-race) rules —
-#: everything that runs inside the simulation.
-ORDERING_SCOPE = (
-    "overlay", "core", "net", "sim", "baselines", "traffic", "anomaly", "storage",
-)
-
-#: queue/kernel internals implement the tie-break itself: they own
-#: ``seq``, compare times, and schedule at ``now`` by design.
-ORDERING_EXEMPT = ("repro/sim/events.py", "repro/sim/kernel.py")
-
-#: repro subpackages subject to the resource-lifecycle (repro-leak)
-#: rules — everything that holds per-op or per-node state across events.
-#: ``storage`` is excluded by design: a store's whole job is retention
-#: (records live until the workload deletes them), so every keyed insert
-#: there would be a false positive.
-LIFECYCLE_SCOPE = (
-    "overlay", "core", "net", "sim", "baselines", "traffic", "anomaly",
-)
+#: Per-file lint -> (repro subpackages it covers, files inside them it skips).
+SCOPES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
+    # Code that must be deterministic.  ``analysis`` and ``experiments``
+    # run outside the simulation (the linter itself, plotting/driver
+    # scripts) and may touch the wall clock; the seeded-stream registry
+    # itself wraps ``random.Random``.
+    "determinism": (_SIMULATION, ("repro/sim/randomness.py",)),
+    # Cross-node aliasing: the code that sends or handles messages.
+    # ``sim`` (kernel/RNG, no messages) and the offline packages are out.
+    "aliasing": (("overlay", "core", "net", "baselines"), ()),
+    # Event ordering (repro-race): everything that runs inside the
+    # simulation, except the queue/kernel internals that implement the
+    # tie-break itself — they own ``seq``, compare times, and schedule at
+    # ``now`` by design.
+    "ordering": (_SIMULATION, ("repro/sim/events.py", "repro/sim/kernel.py")),
+    # Resource lifecycle (repro-leak): everything that holds per-op or
+    # per-node state across events.  ``storage`` is excluded by design: a
+    # store's whole job is retention (records live until the workload
+    # deletes them), so every keyed insert there would be a false positive.
+    "lifecycle": (tuple(p for p in _SIMULATION if p != "storage"), ()),
+}
 
 
 @dataclass
@@ -109,7 +98,11 @@ def discover_files(paths: Sequence[str]) -> List[str]:
     return files
 
 
-def _in_scope(rel_path: str, scope: Sequence[str]) -> bool:
+def in_scope(lint: str, rel_path: str) -> bool:
+    """Whether the per-file ``lint`` applies to ``rel_path`` (see :data:`SCOPES`)."""
+    scope, exempt = SCOPES[lint]
+    if any(rel_path.endswith(path) for path in exempt):
+        return False
     marker = "repro/"
     idx = rel_path.rfind(marker)
     if idx < 0:
@@ -118,26 +111,6 @@ def _in_scope(rel_path: str, scope: Sequence[str]) -> bool:
         return True
     remainder = rel_path[idx + len(marker):]
     return remainder.split("/", 1)[0] in scope
-
-
-def _in_determinism_scope(rel_path: str) -> bool:
-    if any(rel_path.endswith(exempt) for exempt in DETERMINISM_EXEMPT):
-        return False
-    return _in_scope(rel_path, DETERMINISM_SCOPE)
-
-
-def _in_aliasing_scope(rel_path: str) -> bool:
-    return _in_scope(rel_path, ALIASING_SCOPE)
-
-
-def _in_ordering_scope(rel_path: str) -> bool:
-    if any(rel_path.endswith(exempt) for exempt in ORDERING_EXEMPT):
-        return False
-    return _in_scope(rel_path, ORDERING_SCOPE)
-
-
-def _in_lifecycle_scope(rel_path: str) -> bool:
-    return _in_scope(rel_path, LIFECYCLE_SCOPE)
 
 
 def analyze_paths(
@@ -182,23 +155,15 @@ def analyze_paths(
     if "determinism" in selected:
         set_attrs = collect_set_attrs(tree for _, _, tree in sources)
         for rel_path, _, tree in sources:
-            if _in_determinism_scope(rel_path):
+            if in_scope("determinism", rel_path):
                 findings.extend(lint_determinism(rel_path, tree, set_attrs))
 
-    if "aliasing" in selected:
-        for module in modules:
-            if _in_aliasing_scope(module.path):
-                findings.extend(lint_aliasing(module))
-
-    if "ordering" in selected:
-        for module in modules:
-            if _in_ordering_scope(module.path):
-                findings.extend(lint_ordering(module))
-
-    if "lifecycle" in selected:
-        for module in modules:
-            if _in_lifecycle_scope(module.path):
-                findings.extend(lint_lifecycle(module))
+    per_module = {"aliasing": lint_aliasing, "ordering": lint_ordering, "lifecycle": lint_lifecycle}
+    for lint, run in per_module.items():
+        if lint in selected:
+            for module in modules:
+                if in_scope(lint, module.path):
+                    findings.extend(run(module))
 
     ignores_by_path = {rel_path: inline_ignores(source) for rel_path, source, _ in sources}
     result = AnalysisResult()

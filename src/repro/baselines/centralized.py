@@ -5,9 +5,8 @@ answered there.  Queries are cheap in nodes-visited terms (one), but the
 server and its access links carry the entire insertion volume — the
 provisioning and redundancy problem Section 2.1 raises.
 
-Local scans run on the same columnar vectorized store as MIND nodes
-(``BaselineSystem(vectorized_store=...)``), so architecture ablations
-compare routing strategies, not scan implementations.
+Local scans run on the same columnar store as MIND nodes, so architecture
+ablations compare routing strategies, not scan implementations.
 """
 
 from typing import Dict

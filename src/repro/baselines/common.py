@@ -49,13 +49,12 @@ class BaselineNode:
         network: SimNetwork,
         address: str,
         schema: IndexSchema,
-        vectorized_store: bool = True,
     ) -> None:
         self.sim = sim
         self.network = network
         self.address = address
         self.schema = schema
-        self.store = TimePartitionedStore(schema, vectorized=vectorized_store)
+        self.store = TimePartitionedStore(schema)
         self.dac = DataAccessController(sim, DacConfig())
         self.handlers: Dict[str, Callable[[Message], None]] = _HandlerRegistry(self)
         # Flat dispatch table indexed by ``Message.kind_id``; kinds outside
@@ -113,16 +112,12 @@ class BaselineSystem:
         sites: Sequence[Site],
         schema: IndexSchema,
         seed: int = 0,
-        vectorized_store: bool = True,
     ) -> None:
         self.sim = Simulator(seed)
         self.schema = schema
         self.sites = {s.name: s for s in sites}
         self.network = SimNetwork(self.sim, self.sites)
-        self.nodes = [
-            BaselineNode(self.sim, self.network, s.name, schema, vectorized_store)
-            for s in sites
-        ]
+        self.nodes = [BaselineNode(self.sim, self.network, s.name, schema) for s in sites]
         self.by_address = {n.address: n for n in self.nodes}
         self.metrics = MetricsCollector()
         self._op_counter = itertools.count(1)

@@ -7,9 +7,8 @@ contact every node.  This is the contrast that motivates MIND's
 locality-preserving embedding (Section 2.2's routing-structure decision
 and the related-work discussion of DHT-based range search).
 
-Local scans run on the same columnar vectorized store as MIND nodes
-(``BaselineSystem(vectorized_store=...)``), so architecture ablations
-compare routing strategies, not scan implementations.
+Local scans run on the same columnar store as MIND nodes, so architecture
+ablations compare routing strategies, not scan implementations.
 """
 
 import hashlib

@@ -5,9 +5,8 @@ but every query is evaluated at every node — cheap storage, expensive and
 poorly scaling queries under load, exactly the trade-off Section 2.1
 describes.
 
-Local scans run on the same columnar vectorized store as MIND nodes
-(``BaselineSystem(vectorized_store=...)``), so architecture ablations
-compare routing strategies, not scan implementations.
+Local scans run on the same columnar store as MIND nodes, so architecture
+ablations compare routing strategies, not scan implementations.
 """
 
 from typing import Dict, List

@@ -44,24 +44,17 @@ def histogram_from_records(
     schema: IndexSchema,
     records: Iterable[Record],
     granularity: Optional[Sequence[int]] = None,
-    vectorized: bool = True,
 ) -> MultiDimHistogram:
     """Histogram a record sample in the schema's normalized space.
 
-    The default path normalizes the whole sample with
-    :meth:`IndexSchema.normalize_batch` and bins it with one
-    :meth:`MultiDimHistogram.add_batch` call; ``vectorized=False`` keeps
-    the original per-record loop as the equivalence-test ground truth.
+    Normalizes the whole sample with :meth:`IndexSchema.normalize_batch`
+    and bins it with one :meth:`MultiDimHistogram.add_batch` call.
     """
     grains = tuple(granularity) if granularity is not None else recommended_granularity(schema)
-    hist = MultiDimHistogram(schema.dimensions, grains, vectorized=vectorized)
-    if vectorized:
-        values = [record.values for record in records]
-        if values:
-            hist.add_batch(schema.normalize_batch(values))
-        return hist
-    for record in records:
-        hist.add(schema.normalize(record.values))
+    hist = MultiDimHistogram(schema.dimensions, grains)
+    values = [record.values for record in records]
+    if values:
+        hist.add_batch(schema.normalize_batch(values))
     return hist
 
 
@@ -69,43 +62,36 @@ def derive_cut_tree(
     histogram: MultiDimHistogram,
     depth: int,
     rect: Optional[NormRect] = None,
-    vectorized: bool = True,
 ) -> Dict[str, float]:
     """The complete balanced-cut tree to ``depth``, keyed by code prefix.
 
     Walks the cut tree breadth-first, computing each cut as the
     histogram-weighted median of the rectangle being split (cycling
-    through the dimensions like the embedding does).  Every median is one
-    array pass over the occupied cells when ``vectorized`` is set;
-    ``vectorized=False`` forces the scalar per-cell reference path.  The
-    result can seed :meth:`Embedding.preload_splits` so repeated
-    point-code descents never recompute a cut.
+    through the dimensions like the embedding does) — one array pass over
+    the occupied cells per median.  The result can seed
+    :meth:`Embedding.preload_splits` so repeated point-code descents
+    never recompute a cut.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dims = histogram.dimensions
-    was_vectorized = histogram.vectorized
-    histogram.vectorized = vectorized
-    try:
-        cuts: Dict[str, float] = {}
-        frontier = [("", rect if rect is not None else full_rect(dims))]
-        for level in range(depth):
-            dim = level % dims
-            next_frontier = []
-            for prefix, node_rect in frontier:
-                split = histogram.split_point(node_rect, dim)
-                lo, hi = node_rect[dim]
-                if not lo < split < hi:
-                    split = (lo + hi) / 2.0
-                cuts[prefix] = split
-                left = node_rect[:dim] + ((lo, split),) + node_rect[dim + 1 :]
-                right = node_rect[:dim] + ((split, hi),) + node_rect[dim + 1 :]
-                next_frontier.append((prefix + "0", left))
-                next_frontier.append((prefix + "1", right))
-            frontier = next_frontier
-        return cuts
-    finally:
-        histogram.vectorized = was_vectorized
+    cuts: Dict[str, float] = {}
+    frontier = [("", rect if rect is not None else full_rect(dims))]
+    for level in range(depth):
+        dim = level % dims
+        next_frontier = []
+        for prefix, node_rect in frontier:
+            split = histogram.split_point(node_rect, dim)
+            lo, hi = node_rect[dim]
+            if not lo < split < hi:
+                split = (lo + hi) / 2.0
+            cuts[prefix] = split
+            left = node_rect[:dim] + ((lo, split),) + node_rect[dim + 1 :]
+            right = node_rect[:dim] + ((split, hi),) + node_rect[dim + 1 :]
+            next_frontier.append((prefix + "0", left))
+            next_frontier.append((prefix + "1", right))
+        frontier = next_frontier
+    return cuts
 
 
 def balanced_embedding(

@@ -60,10 +60,9 @@ class MindCluster:
         self,
         sites: Union[int, Sequence[Site]],
         config: Optional[ClusterConfig] = None,
-        calendar_queue: bool = True,
     ) -> None:
         self.config = config or ClusterConfig()
-        self.sim = Simulator(self.config.seed, calendar_queue=calendar_queue)
+        self.sim = Simulator(self.config.seed)
 
         if isinstance(sites, int):
             # Local-cluster deployment (the paper's robustness experiment):

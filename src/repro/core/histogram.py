@@ -22,7 +22,7 @@ Partial bin overlap is weighted fractionally assuming uniform mass within
 a bin.
 """
 
-from typing import Dict, Iterable, List, Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -34,15 +34,12 @@ Granularity = Union[int, Sequence[int]]
 class MultiDimHistogram:
     """A sparse d-dimensional histogram over [0,1)^d.
 
-    ``vectorized=False`` routes :meth:`add_batch`, :meth:`count_in_rect`
-    and :meth:`split_point` through scalar per-cell reference
-    implementations; the default vectorized paths are exercised against
-    them by the equivalence property tests.
+    :meth:`add_batch`, :meth:`count_in_rect` and :meth:`split_point` are
+    array passes over the occupied cells; the scalar per-cell references
+    they are property-tested against live in ``tests/oracles.py``.
     """
 
-    def __init__(
-        self, dimensions: int, granularity: Granularity, vectorized: bool = True
-    ) -> None:
+    def __init__(self, dimensions: int, granularity: Granularity) -> None:
         if dimensions < 1:
             raise ValueError("dimensions must be >= 1")
         if isinstance(granularity, int):
@@ -57,7 +54,6 @@ class MultiDimHistogram:
             raise ValueError("granularity must be >= 1 in every dimension")
         self.dimensions = dimensions
         self.grains: Tuple[int, ...] = grains
-        self.vectorized = vectorized
         self._cells: Dict[Tuple[int, ...], float] = {}
         self._dirty = True
         self._coords = np.zeros((0, dimensions), dtype=np.int64)
@@ -88,16 +84,12 @@ class MultiDimHistogram:
         self._cells[cell] = self._cells.get(cell, 0.0) + weight
         self._dirty = True
 
-    def add_many(self, points: Iterable[Sequence[float]]) -> None:
-        for point in points:
-            self.add(point)
-
     def add_batch(self, points, weight: float = 1.0) -> None:
         """Add many normalized points at once, each carrying ``weight``.
 
-        The vectorized path bins the whole ``(n, d)`` array with one
-        truncation + clip, collapses duplicate cells with ``np.unique``
-        and touches the sparse dict once per *occupied* cell.  With the
+        Bins the whole ``(n, d)`` array with one truncation + clip,
+        collapses duplicate cells with ``np.unique`` and touches the
+        sparse dict once per *occupied* cell.  With the
         default unit weight the resulting counts are byte-identical to
         ``n`` scalar :meth:`add` calls (integer-valued float64 sums are
         exact); for fractional weights they can differ in the last ulp
@@ -109,10 +101,6 @@ class MultiDimHistogram:
                 f"expected (n, {self.dimensions}) points, got shape {pts.shape}"
             )
         if pts.shape[0] == 0:
-            return
-        if not self.vectorized:
-            for row in pts:
-                self.add(row, weight)
             return
         grains = np.asarray(self.grains, dtype=np.float64)
         # Truncation toward zero matches the scalar int(x * k); clipping
@@ -167,7 +155,7 @@ class MultiDimHistogram:
         if not 0 <= dim < self.dimensions:
             raise IndexError(f"dimension {dim} out of range")
         offset = int(round(delta * self.grains[dim]))
-        out = MultiDimHistogram(self.dimensions, self.grains, vectorized=self.vectorized)
+        out = MultiDimHistogram(self.dimensions, self.grains)
         top = self.grains[dim] - 1
         for cell, count in self._cells.items():
             moved = min(max(cell[dim] + offset, 0), top)
@@ -228,86 +216,11 @@ class MultiDimHistogram:
             weight *= np.clip((right - left) * k, 0.0, 1.0)
         return weight
 
-    def _cell_weights_scalar(self, rect: NormRect) -> List[Tuple[Tuple[int, ...], float]]:
-        """Scalar reference for :meth:`_cell_weights`.
-
-        Walks the sorted cell dict, applying the same IEEE operations in
-        the same per-dimension order as the vectorized path so the two
-        produce identical floats cell by cell.
-        """
-        out = []
-        for cell in sorted(self._cells):
-            weight = self._cells[cell]
-            for dim, (lo, hi) in enumerate(rect):
-                k = self.grains[dim]
-                b = cell[dim]
-                left = max(b / k, lo)
-                right = min((b + 1) / k, hi)
-                frac = (right - left) * k
-                if frac < 0.0:
-                    frac = 0.0
-                elif frac > 1.0:
-                    frac = 1.0
-                weight = weight * frac
-            out.append((cell, weight))
-        return out
-
     def count_in_rect(self, rect: NormRect) -> float:
         """Approximate mass inside the rectangle."""
         if len(rect) != self.dimensions:
             raise ValueError("rect dimensionality mismatch")
-        if not self.vectorized:
-            return float(sum(w for _, w in self._cell_weights_scalar(rect)))
         return float(self._cell_weights(rect).sum())
-
-    def _split_point_scalar(self, rect: NormRect, dim: int) -> float:
-        """Scalar reference for :meth:`split_point` (same floats out)."""
-        lo, hi = rect[dim]
-        midpoint = (lo + hi) / 2.0
-        weighted = self._cell_weights_scalar(rect)
-        if not weighted:
-            return midpoint
-        k = self.grains[dim]
-        # Stable sort by the bin index along ``dim`` over the
-        # lexicographically sorted cells — the exact order np.argsort
-        # (stable) gives the vectorized path.
-        by_bin = sorted(
-            ((cell[dim], w) for cell, w in weighted), key=lambda bw: bw[0]
-        )
-        # One running sum over the live masses, recorded at each bin's
-        # last cell — the same sequential fold + adjacent-difference the
-        # vectorized path performs, so the floats match exactly.
-        bins_list: List[int] = []
-        cumulative: List[float] = []
-        running = 0.0
-        for b, mass in by_bin:
-            if mass <= 0.0:
-                continue
-            running += mass
-            if bins_list and bins_list[-1] == b:
-                cumulative[-1] = running
-            else:
-                bins_list.append(b)
-                cumulative.append(running)
-        if not bins_list:
-            return midpoint
-        total = cumulative[-1]
-        if total <= 0.0:
-            return midpoint
-        half = total / 2.0
-        idx = 0
-        while cumulative[idx] < half:
-            idx += 1
-        b = bins_list[idx]
-        before = cumulative[idx - 1] if idx > 0 else 0.0
-        mass = cumulative[idx] - before
-        bin_lo = max(b / k, lo)
-        bin_hi = min((b + 1) / k, hi)
-        if mass <= 0.0:
-            split = bin_lo
-        else:
-            split = bin_lo + (half - before) / mass * (bin_hi - bin_lo)
-        return float(min(max(split, lo + 1e-12), hi - 1e-12))
 
     def split_point(self, rect: NormRect, dim: int) -> float:
         """The balanced cut of ``rect`` along ``dim``.
@@ -318,8 +231,6 @@ class MultiDimHistogram:
         """
         if not 0 <= dim < self.dimensions:
             raise IndexError(f"dimension {dim} out of range")
-        if not self.vectorized:
-            return self._split_point_scalar(rect, dim)
         lo, hi = rect[dim]
         midpoint = (lo + hi) / 2.0
 
@@ -342,8 +253,8 @@ class MultiDimHistogram:
         # masses come from one sequential np.cumsum over the flat mass
         # array (read at each bin's last cell) and the in-bin mass is the
         # difference of adjacent cumulatives — an operation order the
-        # scalar reference path reproduces exactly, which np.add.reduceat
-        # (pairwise association) would not.
+        # scalar oracle (tests/oracles.py) reproduces exactly, which
+        # np.add.reduceat (pairwise association) would not.
         unique_bins, starts = np.unique(bins, return_index=True)
         ends = np.append(starts[1:], masses.size)
         cumulative = np.cumsum(masses)[ends - 1]

@@ -140,14 +140,8 @@ class MetricsCollector:
             if m.latency is not None and (m.complete or not complete_only)
         ]
 
-    def query_costs(self) -> List[int]:
-        return [m.cost for m in self.queries if m.end is not None]
-
     def insert_summary(self) -> LatencySummary:
         return LatencySummary.of(self.insert_latencies())
-
-    def query_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.query_latencies())
 
     def failure_handling(self) -> Dict[str, int]:
         """Aggregate retry/failover counters across all recorded ops.

@@ -58,9 +58,6 @@ class MindConfig:
     subquery_attempt_timeout_s: float = 30.0
     dac: DacConfig = field(default_factory=DacConfig)
     store_bucket_s: float = 300.0
-    #: Columnar NumPy scans in the local store and histogram collection;
-    #: turn off to run the scalar reference path end-to-end.
-    vectorized_store: bool = True
     record_wire_bytes: int = 120
     response_base_bytes: int = 150
 
@@ -335,11 +332,7 @@ class MindNode(OverlayNode):
             schema=schema,
             versions=versions,
             replication=replication,
-            store=TimePartitionedStore(
-                schema,
-                bucket_s=self.mind_config.store_bucket_s,
-                vectorized=self.mind_config.vectorized_store,
-            ),
+            store=TimePartitionedStore(schema, bucket_s=self.mind_config.store_bucket_s),
             dac=DataAccessController(self.sim, self.mind_config.dac, self.speed_factor),
         )
 
@@ -987,13 +980,6 @@ class MindNode(OverlayNode):
         if op.callback is not None:
             op.callback(op.metric)
 
-    def query_results(self, op_id: str) -> List[Record]:
-        """Records accumulated so far for an in-flight query."""
-        op = self._query_ops.get(op_id)
-        if op is None:
-            raise KeyError(f"no in-flight query {op_id}")
-        return list(op.records.values())
-
     def _arrive_subquery(self, envelope: Dict[str, Any]) -> None:
         inner = envelope["inner"]
         region = Code(envelope["target"])
@@ -1489,17 +1475,8 @@ class MindNode(OverlayNode):
         state = self._state(index)
         hist = MultiDimHistogram(state.schema.dimensions, granularity)
         lo, hi = time_range
-        time_dim = state.schema.time_dimension()
-        if self.mind_config.vectorized_store:
-            t_range = (lo, hi) if time_dim is not None else None
-            hist.add_batch(state.store.points_in_time_range(t_range))
-            return hist
-        for record in state.store.all_records():
-            if time_dim is not None:
-                t = record.values[time_dim]
-                if not lo <= t < hi:
-                    continue
-            hist.add(state.schema.normalize(record.values))
+        t_range = (lo, hi) if state.schema.time_dimension() is not None else None
+        hist.add_batch(state.store.points_in_time_range(t_range))
         return hist
 
     def _on_histo_request(self, msg: Message) -> None:

@@ -32,18 +32,18 @@ switch closes that gap at delivery time:
 * ``off`` — by-reference delivery (the perf-run default; copying would
   distort timing benchmarks).
 
-The initial level comes from ``REPRO_ISOLATE_MESSAGES`` (``1``/``copy``,
-``freeze``, or unset/``0`` for off); tests flip it with
-:func:`set_isolation` or the :func:`isolation` context manager.
+The level is the ``isolation`` field of :mod:`repro.checks`
+(``REPRO_ISOLATE_MESSAGES``), captured by each
+:class:`~repro.net.network.SimNetwork` at construction.
 """
 
 import itertools
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict
 
+from repro.checks import ISOLATE_COPY, ISOLATE_FREEZE, ISOLATE_OFF, ISOLATION_LEVELS
+from repro.checks import active as _checks
 from repro.net import protocol
 
 _MESSAGE_IDS = itertools.count(1)
@@ -56,57 +56,10 @@ _UNKNOWN_KIND_ID = protocol.UNKNOWN_KIND_ID
 #: Nominal wire overhead of a framed message (headers), in bytes.
 HEADER_BYTES = 64
 
-#: Isolation levels, weakest to strongest.
-ISOLATE_OFF = "off"
-ISOLATE_COPY = "copy"
-ISOLATE_FREEZE = "freeze"
-
-_LEVELS = (ISOLATE_OFF, ISOLATE_COPY, ISOLATE_FREEZE)
-
-
-def _level_from_env() -> str:
-    raw = os.environ.get("REPRO_ISOLATE_MESSAGES", "").strip().lower()
-    if raw in ("", "0", "off", "false", "no"):
-        return ISOLATE_OFF
-    if raw == ISOLATE_FREEZE:
-        return ISOLATE_FREEZE
-    return ISOLATE_COPY
-
-
-_isolation = _level_from_env()
-
 
 def isolation_level() -> str:
-    """The current delivery isolation level (``off``/``copy``/``freeze``)."""
-    return _isolation
-
-
-def set_isolation(level) -> str:
-    """Set the isolation level; returns the previous level.
-
-    Accepts a level string, or ``True``/``False`` as shorthand for
-    ``copy``/``off``.
-    """
-    global _isolation
-    if level is True:
-        level = ISOLATE_COPY
-    elif level in (False, None):
-        level = ISOLATE_OFF
-    if level not in _LEVELS:
-        raise ValueError(f"unknown isolation level: {level!r} (expected one of {_LEVELS})")
-    previous = _isolation
-    _isolation = level
-    return previous
-
-
-@contextmanager
-def isolation(level):
-    """Context manager scoping an isolation level change."""
-    previous = set_isolation(level)
-    try:
-        yield
-    finally:
-        set_isolation(previous)
+    """The isolation level new networks will capture."""
+    return _checks.isolation
 
 
 class FrozenListView(tuple):
@@ -243,8 +196,8 @@ class Message:
         if self.kind_id == -1:
             self.kind_id = _KIND_IDS.get(self.kind, _UNKNOWN_KIND_ID)
         # Validation stays strictly off the hot path when disabled: one
-        # module-attribute read, no function call per message.
-        if protocol._validate:
+        # attribute read, no function call per message.
+        if _checks.validate:
             protocol.validate_wire(self.kind, self.payload)
 
     @property
@@ -278,7 +231,7 @@ class Message:
         msg.size_bytes = size_bytes
         msg.msg_id = next(_MESSAGE_IDS)
         msg.kind_id = _KIND_IDS.get(kind, _UNKNOWN_KIND_ID)
-        if protocol._validate:
+        if _checks.validate:
             protocol.validate_wire(kind, payload)
         return msg
 
@@ -304,7 +257,9 @@ class Message:
         elif level == ISOLATE_OFF:
             payload = self.payload
         else:
-            raise ValueError(f"unknown isolation level: {level!r} (expected one of {_LEVELS})")
+            raise ValueError(
+                f"unknown isolation level: {level!r} (expected one of {ISOLATION_LEVELS})"
+            )
         return Message(
             src=self.src,
             dst=self.dst,

@@ -36,7 +36,8 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from repro.net import message as message_mod
+from repro import checks
+from repro.checks import ISOLATE_COPY, ISOLATE_OFF
 from repro.net.latency import LatencyModel
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.topology import Site
@@ -227,6 +228,10 @@ class SimNetwork:
         #: Resource ledger (repro-leak quiescence sanitizer); ``None``
         #: when tracking is off, leaving one identity test per guard.
         self._res: Optional[ResourceLedger] = sim.resources
+        #: Delivery isolation level (message-isolation sanitizer),
+        #: captured here so both delivery paths agree on it for the life
+        #: of the network.
+        self.isolation = checks.active.isolation
 
         self._rng = sim.rng("net.latency")
         #: Block-drawn per-message jitters (opt-in, ``draw_block`` > 0).
@@ -447,7 +452,7 @@ class SimNetwork:
         bookkeeping inside the payload) can never alias between attempts,
         and the body size the sender declared is preserved exactly.
         """
-        clone = msg.clone(level=message_mod.ISOLATE_COPY, fresh_id=True)
+        clone = msg.clone(level=ISOLATE_COPY, fresh_id=True)
         return self._transmit(clone, tuples, on_fail)
 
     def _transmit(self, msg: Message, tuples: int, on_fail: Optional[FailFn]) -> Message:
@@ -486,9 +491,9 @@ class SimNetwork:
         if start < now:
             start = now
         busy[link_id] = start + transmission
-        # Inlined _one_way: the link's latency class is interned with its
-        # id, leaving only the per-message jitter draws (same arithmetic,
-        # same RNG draw order as LatencyModel.one_way_s).
+        # The link's latency class is interned with its id, leaving only
+        # the per-message jitter draws (same arithmetic, same RNG draw
+        # order as LatencyModel.one_way_s).
         prop = self._lk_prop[link_id]
         if prop == -2.0:
             prop = self._lk_prop[link_id] = self._classify_link(src, dst)
@@ -571,7 +576,7 @@ class SimNetwork:
         """
         outbox = self._outbox
         up = self._up_endpoints
-        level = message_mod._isolation
+        level = self.isolation
         res = self._res
         # ``pop`` default: unregister may have re-homed every batch of
         # this window, leaving the already-scheduled drain event stale.
@@ -584,7 +589,7 @@ class SimNetwork:
                     self._fail(msg, "peer-down", on_fail, immediate=True)
                     continue
                 self.messages_delivered += 1
-                if level != message_mod.ISOLATE_OFF:
+                if level != ISOLATE_OFF:
                     msg = msg.clone(level=level)
                 deliver(msg)
 
@@ -654,25 +659,14 @@ class SimNetwork:
                 return self.latency.propagation_s(site_a, site_b)
         return -1.0
 
-    def _one_way(self, src: str, dst: str) -> float:
-        sites = self.sites
-        if sites:
-            site_a = sites.get(src)
-            site_b = sites.get(dst)
-            if site_a is not None and site_b is not None and site_a is not site_b:
-                return self.latency.one_way_s(site_a, site_b, self._rng)
-        # Co-located processes (robustness experiment on a local
-        # cluster): small LAN-ish delay.
-        return 0.0005 + self._rng.random() * 0.0005
-
     def _deliver(self, msg: Message, on_fail: Optional[FailFn]) -> None:
         deliver = self._up_endpoints.get(msg.dst)
         if deliver is None:
             self._fail(msg, "peer-down", on_fail, immediate=True)
             return
         self.messages_delivered += 1
-        level = message_mod.isolation_level()
-        if level != message_mod.ISOLATE_OFF:
+        level = self.isolation
+        if level != ISOLATE_OFF:
             # Message-isolation sanitizer: the real deployment serialized
             # every message over TCP, so hand the endpoint a clone whose
             # payload cannot alias the sender's objects (and, at the

@@ -21,15 +21,15 @@ the protocol a checkable artifact:
   whole codebase: unknown kinds, unhandled kinds, dead kinds, and
   undeclared payload keys are all analysis-time errors.
 
-Validation is off by default (zero overhead on the benchmark hot paths)
-and enabled by the test suite via :func:`set_validation`, or anywhere via
-the ``REPRO_PROTOCOL_VALIDATE=1`` environment variable.
+Validation is off by default (zero overhead on the benchmark hot paths);
+it is the ``validate`` field of :mod:`repro.checks`, armed suite-wide by
+the tests and anywhere via ``REPRO_PROTOCOL_VALIDATE=1``.
 """
 
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+
+from repro import checks
 
 
 class ProtocolError(ValueError):
@@ -266,37 +266,12 @@ def lookup(kind: str) -> Optional[MessageKind]:
     return REGISTRY.get(kind)
 
 
-def lookup_routed(inner_kind: str) -> Optional[MessageKind]:
-    """The declaration for a routed kind, or ``None`` if unregistered."""
-    return ROUTED.get(inner_kind)
-
-
 # ----------------------------------------------------------------------
 # Runtime validation (debug mode)
 # ----------------------------------------------------------------------
-_validate: bool = os.environ.get("REPRO_PROTOCOL_VALIDATE", "") == "1"
-
-
-def validation_enabled() -> bool:
-    return _validate
-
-
 def set_validation(enabled: bool) -> None:
-    """Globally enable or disable wire validation at Message construction."""
-    global _validate
-    _validate = enabled
-
-
-@contextmanager
-def validation(enabled: bool):
-    """Temporarily force validation on or off (tests use this)."""
-    global _validate
-    previous = _validate
-    _validate = enabled
-    try:
-        yield
-    finally:
-        _validate = previous
+    """Arm or disarm wire validation (``repro.checks.active.validate``)."""
+    checks.active.validate = enabled
 
 
 def _check_shape(decl: MessageKind, payload: Mapping[str, Any], context: str) -> None:

@@ -17,7 +17,8 @@ behind the paper's long latency tails (Figures 7, 8, 11).  Per-node
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.net import message as message_mod
+from repro import checks
+from repro.checks import ISOLATE_FREEZE
 from repro.net import protocol
 from repro.net.message import Message, thaw_payload
 from repro.net.network import SimNetwork
@@ -95,6 +96,10 @@ class OverlayNode:
         self.address = address
         self.config = config or OverlayConfig()
         self.speed_factor = speed_factor
+        #: Deliveries arrive as read-only views (``freeze`` isolation) and
+        #: must be thawed before non-routing code consumes them.  Captured
+        #: at construction, as the network captures its delivery level.
+        self._frozen_delivery = checks.active.isolation == ISOLATE_FREEZE
 
         self.code: Optional[Code] = None
         self.active = False
@@ -771,7 +776,7 @@ class OverlayNode:
         keeps handlers copy-clean) — both skip the deep thaw, which at
         terminal hops otherwise dominates routed-insert cost.
         """
-        if message_mod._isolation == message_mod.ISOLATE_FREEZE:
+        if self._frozen_delivery:
             envelope["inner"] = thaw_payload(envelope["inner"])
 
     def _route_step(self, envelope: Dict[str, Any], private_inner: bool = True) -> None:

@@ -23,7 +23,8 @@ Three things keep the per-event constant small enough for ~10^7-event runs:
   the cursor reaches it.  Far-future events (long timers) overflow to the
   binary heap.  Pop/peek take the minimum of the two heads, so ordering is
   *exactly* the global ``(time, key)`` order — seeded runs are
-  byte-identical with the calendar on or off (``num_slots=0`` disables it).
+  byte-identical with the calendar on or off (``num_slots=0`` disables
+  it; the queue-level model tests compare against that heap-only form).
 * **Heap compaction.**  Million-timer churn runs cancel most of what they
   schedule (per-attempt watchdogs, heartbeats of crashed nodes).  When
   more than half of the stored entries are dead the queue rebuilds itself,
@@ -41,31 +42,21 @@ Events at distinct times are unaffected, the heap and the calendar see
 the same keys (the two engines stay order-equivalent), and
 ``REPRO_SCHEDULE_FUZZ_SEED`` selects among shuffle orders.  Handlers
 whose outcome changes under fuzz depend on insertion order — exactly the
-latent races the ordering lint hunts statically.  The mode is captured
-per :class:`EventQueue` at construction; use :func:`schedule_fuzz` (a
-context manager) around simulator construction in tests.
+latent races the ordering lint hunts statically.  The mode and seed are
+the ``fuzz``/``fuzz_seed`` fields of :mod:`repro.checks`, captured per
+:class:`EventQueue` at construction; tests wrap simulator construction
+in ``checks.configure(fuzz=..., fuzz_seed=...)``.
 """
 
 import heapq
 import itertools
-import os
 from bisect import insort
-from contextlib import contextmanager
-from typing import Any, Callable, Iterable, List, Optional, Tuple
+from typing import Any, Callable, ContextManager, Iterable, List, Optional, Tuple
+
+from repro import checks
+from repro.checks import FUZZ_OFF, FUZZ_REVERSE
 
 _INF = float("inf")
-
-# ----------------------------------------------------------------------
-# Schedule-fuzz mode (tie-break perturbation)
-# ----------------------------------------------------------------------
-#: Tie-break equal-time events in scheduling (``seq``) order — the default.
-FUZZ_OFF = "off"
-#: Tie-break equal-time events in a seeded pseudo-random order.
-FUZZ_SHUFFLE = "shuffle"
-#: Tie-break equal-time events in reverse scheduling order (LIFO).
-FUZZ_REVERSE = "reverse"
-
-_FUZZ_MODES = (FUZZ_OFF, FUZZ_SHUFFLE, FUZZ_REVERSE)
 
 _M64 = (1 << 64) - 1
 
@@ -83,61 +74,14 @@ def _mix64(value: int) -> int:
     return value ^ (value >> 31)
 
 
-def _mode_from_env() -> str:
-    raw = os.environ.get("REPRO_SCHEDULE_FUZZ", "").strip().lower()
-    if raw in ("", "0", "false", "no"):
-        return FUZZ_OFF
-    if raw in _FUZZ_MODES:
-        return raw
-    raise ValueError(
-        f"REPRO_SCHEDULE_FUZZ={raw!r} is not one of {', '.join(_FUZZ_MODES)}"
-    )
-
-
-def _seed_from_env() -> int:
-    raw = os.environ.get("REPRO_SCHEDULE_FUZZ_SEED", "").strip()
-    return int(raw) if raw else 0
-
-
-_fuzz_mode = _mode_from_env()
-_fuzz_seed = _seed_from_env()
-
-
 def schedule_fuzz_mode() -> str:
-    """The process-wide fuzz mode new :class:`EventQueue`\\ s will capture."""
-    return _fuzz_mode
+    """The fuzz mode new :class:`EventQueue`\\ s will capture."""
+    return checks.active.fuzz
 
 
-def schedule_fuzz_seed() -> int:
-    """The seed that selects among shuffle orders."""
-    return _fuzz_seed
-
-
-def set_schedule_fuzz(mode: str, seed: Optional[int] = None) -> Tuple[str, int]:
-    """Set the fuzz mode (and optionally the seed); returns the previous pair.
-
-    Only queues constructed *after* the call observe the new mode — an
-    :class:`EventQueue` captures its tie-key function at construction so
-    the hot push path never consults module state.
-    """
-    global _fuzz_mode, _fuzz_seed
-    if mode not in _FUZZ_MODES:
-        raise ValueError(f"unknown schedule-fuzz mode {mode!r} (expected {_FUZZ_MODES})")
-    previous = (_fuzz_mode, _fuzz_seed)
-    _fuzz_mode = mode
-    if seed is not None:
-        _fuzz_seed = int(seed)
-    return previous
-
-
-@contextmanager
-def schedule_fuzz(mode: str, seed: Optional[int] = None):
-    """Context manager: run a block under the given fuzz mode/seed."""
-    previous = set_schedule_fuzz(mode, seed)
-    try:
-        yield
-    finally:
-        set_schedule_fuzz(previous[0], previous[1])
+def schedule_fuzz(mode: str, seed: Optional[int] = None) -> ContextManager:
+    """Scope a fuzz mode: ``checks.configure(fuzz=mode, fuzz_seed=seed)``."""
+    return checks.configure(fuzz=mode, fuzz_seed=seed)
 
 
 def _tie_key_fn(mode: str, seed: int) -> Optional[Callable[[int], int]]:
@@ -148,6 +92,7 @@ def _tie_key_fn(mode: str, seed: int) -> Optional[Callable[[int], int]]:
         return int.__neg__
     salt = _mix64(seed & _M64)
     return lambda seq: _mix64(seq ^ salt)
+
 
 #: Default near-future slot width in virtual seconds.  Message deliveries
 #: and CPU service completions cluster well under this; a slot therefore
@@ -220,7 +165,8 @@ class EventQueue:
     """Calendar-queue-fronted heap of :class:`Event` with stable ordering.
 
     ``num_slots=0`` disables the calendar and degrades to the plain binary
-    heap — same observable behavior, used for A/B equivalence testing.
+    heap — same observable behavior; the queue-level model tests use it as
+    the reference the calendar is compared against.
     """
 
     def __init__(
@@ -237,7 +183,7 @@ class EventQueue:
         #: ``seq -> tie key`` under schedule fuzz, ``None`` when off.
         #: Captured once so the per-push cost of the off mode is a single
         #: ``is None`` test.
-        self._tie_key = _tie_key_fn(_fuzz_mode, _fuzz_seed)
+        self._tie_key = _tie_key_fn(checks.active.fuzz, checks.active.fuzz_seed)
         #: Entries stored anywhere (heap + calendar), including cancelled.
         self._size = 0
         #: Cancelled entries still stored awaiting lazy removal.

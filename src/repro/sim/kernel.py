@@ -14,16 +14,18 @@ Design notes
 * Exceptions raised by callbacks abort the run: errors should never pass
   silently in an experiment.
 * The event queue is a calendar-queue-fronted heap (see
-  :mod:`repro.sim.events`); ``calendar_queue=False`` degrades to the plain
-  binary heap with byte-identical scheduling semantics, which the
-  equivalence tests exercise.
+  :mod:`repro.sim.events`).
+* The runtime checks (:mod:`repro.checks`) are captured here, at
+  construction: the queue takes the schedule-fuzz tie-break, the
+  simulator the resource ledger.
 """
 
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
-from repro.sim import resources
+from repro import checks
 from repro.sim.events import Event, EventQueue
 from repro.sim.randomness import RandomStreams
+from repro.sim.resources import ResourceLedger
 
 
 class SimulationError(RuntimeError):
@@ -33,14 +35,16 @@ class SimulationError(RuntimeError):
 class Simulator:
     """Virtual clock plus event queue plus named random streams."""
 
-    def __init__(self, seed: int = 0, calendar_queue: bool = True) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now: float = 0.0
         self.streams = RandomStreams(seed)
-        self._queue = EventQueue() if calendar_queue else EventQueue(num_slots=0)
+        self._queue = EventQueue()
         self._events_processed = 0
         #: Resource-lifecycle ledger (repro-leak runtime half); ``None``
-        #: unless ``REPRO_TRACK_RESOURCES`` was enabled at construction.
-        self.resources = resources.new_ledger()
+        #: unless ``track_resources`` was armed at construction.
+        self.resources: Optional[ResourceLedger] = (
+            ResourceLedger() if checks.active.track_resources else None
+        )
         #: Unchecked fast-path scheduler for per-message hot paths:
         #: ``push_at(time, callback, args_tuple)`` with no past-time
         #: validation and no ``*args`` repacking.  Callers must guarantee

@@ -17,44 +17,23 @@ hot path, so the perf runner refuses timed runs with it enabled (like
 the isolation and schedule-fuzz sanitizers).  The tests enable it
 suite-wide via a conftest fixture.
 
-Like the other sanitizers the mode is captured at Simulator
-construction: only simulators created after :func:`set_tracking` (or
-under the :func:`tracking` context manager) observe the new mode.
+It is the ``track_resources`` field of :mod:`repro.checks`, captured at
+Simulator construction: only simulators created inside a
+``checks.configure(track_resources=True)`` block (or with the variable
+set) carry a ledger.  Instrumented sites cache the (possibly ``None``)
+ledger once and guard each register/release with ``if ledger is not
+None`` — the tracking-off cost is one attribute load and an identity
+test.
 """
 
-import os
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
-
-def _enabled_from_env() -> bool:
-    return os.environ.get("REPRO_TRACK_RESOURCES", "") not in ("", "0")
-
-
-_tracking = _enabled_from_env()
+from repro import checks
 
 
 def tracking_enabled() -> bool:
     """True when newly constructed simulators will carry a ledger."""
-    return _tracking
-
-
-def set_tracking(on: bool) -> bool:
-    """Set the mode for simulators constructed from now on; returns previous."""
-    global _tracking
-    previous = _tracking
-    _tracking = bool(on)
-    return previous
-
-
-@contextmanager
-def tracking(on: bool = True) -> Iterator[None]:
-    """Scoped :func:`set_tracking` for tests."""
-    previous = set_tracking(on)
-    try:
-        yield
-    finally:
-        set_tracking(previous)
+    return checks.active.track_resources
 
 
 class ResourceLeakError(AssertionError):
@@ -120,13 +99,3 @@ class ResourceLedger:
             f"{context}: {self.live()} resource(s) still live at "
             "quiescence:\n" + "\n".join(rows)
         )
-
-
-def new_ledger() -> Optional[ResourceLedger]:
-    """A fresh ledger when tracking is enabled, else ``None``.
-
-    Instrumented sites cache the (possibly ``None``) ledger once and
-    guard each register/release with ``if ledger is not None`` — the
-    tracking-off cost is one attribute load and an identity test.
-    """
-    return ResourceLedger() if _tracking else None

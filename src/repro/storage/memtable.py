@@ -11,9 +11,10 @@ Each time bucket keeps its normalized points in a growing ``float64``
 matrix (amortized-doubling append), so rectangle containment over a bucket
 is a handful of vectorized comparisons instead of a per-record Python
 loop — the batched range-filter primitive that Skip-Webs-style distributed
-multi-dimensional indexes are built around.  The original per-record scan
-survives behind ``vectorized=False`` and serves as the ground truth for
-the equivalence property tests.
+multi-dimensional indexes are built around.  Buckets too small to repay
+NumPy's fixed cost (``_VECTOR_MIN_ROWS``) are scanned record by record;
+the brute-force scan the equivalence property tests compare against lives
+in ``tests/oracles.py``.
 """
 
 import math
@@ -27,8 +28,8 @@ from repro.core.schema import IndexSchema
 
 _INITIAL_CAPACITY = 16
 #: Below this many rows a per-record scan beats the fixed cost of building
-#: NumPy masks, so the vectorized store drops to the scalar loop per bucket
-#: (results are identical either way).
+#: NumPy masks, so the store drops to the scalar loop per bucket (results
+#: are identical either way).
 _VECTOR_MIN_ROWS = 48
 
 
@@ -98,24 +99,13 @@ def rect_mask(points: np.ndarray, rect: NormRect) -> Optional[np.ndarray]:
 
 
 class TimePartitionedStore:
-    """Stores (record, normalized point) pairs, partitioned by time.
+    """Stores (record, normalized point) pairs, partitioned by time."""
 
-    ``vectorized=True`` (the default) evaluates rectangle containment as
-    one NumPy mask per candidate bucket; ``vectorized=False`` keeps the
-    scalar per-record scan as a byte-identical reference path.
-    """
-
-    def __init__(
-        self,
-        schema: IndexSchema,
-        bucket_s: float = 300.0,
-        vectorized: bool = True,
-    ) -> None:
+    def __init__(self, schema: IndexSchema, bucket_s: float = 300.0) -> None:
         if bucket_s <= 0:
             raise ValueError("bucket_s must be positive")
         self.schema = schema
         self.bucket_s = bucket_s
-        self.vectorized = vectorized
         self._time_dim = schema.time_dimension()
         self._buckets: Dict[int, _ColumnBucket] = {}
         self._count = 0
@@ -151,12 +141,10 @@ class TimePartitionedStore:
     def insert_batch(self, records: Sequence[Record]) -> int:
         """Bulk insert; returns how many records were new.
 
-        The vectorized path normalizes the whole batch at once and appends
-        per-bucket slices; duplicates (against the store and within the
-        batch) are dropped exactly as :meth:`insert` would.
+        Normalizes the whole batch at once and appends per-bucket slices;
+        duplicates (against the store and within the batch) are dropped
+        exactly as :meth:`insert` would.
         """
-        if not self.vectorized:
-            return sum(1 for record in records if self.insert(record))
         fresh: List[Record] = []
         for record in records:
             if record.key in self._keys:
@@ -201,7 +189,7 @@ class TimePartitionedStore:
         for bucket_id in self._candidate_buckets(time_range):
             bucket = self._buckets[bucket_id]
             records = bucket.records
-            if self.vectorized and bucket.size >= _VECTOR_MIN_ROWS:
+            if bucket.size >= _VECTOR_MIN_ROWS:
                 mask = rect_mask(bucket.points, rect)
                 if mask is None:
                     out.extend(records)

@@ -125,10 +125,3 @@ class PortScanEvent(AnomalyEvent):
                 )
             )
         return flows
-
-
-def windows_of(event: AnomalyEvent, window_s: float) -> List[float]:
-    """Absolute window-start times during which the event is active."""
-    first = int(event.start // window_s)
-    last = int((event.start + event.duration - 1e-9) // window_s)
-    return [w * window_s for w in range(first, last + 1)]

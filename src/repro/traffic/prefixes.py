@@ -98,6 +98,3 @@ class PrefixPool:
             else:
                 hi = mid
         return self.prefixes[lo]
-
-    def pick_uniform(self, rng: random.Random) -> Prefix:
-        return rng.choice(self.prefixes)

@@ -1,73 +1,42 @@
-"""Suite-wide fixtures.
+"""Suite-wide fixture: the runtime checks (:mod:`repro.checks`).
 
 The whole test suite runs with wire-protocol validation ON: every
 :class:`~repro.net.message.Message` constructed anywhere — cluster
 integration tests, churn runs, baselines — is checked against the
 registry in :mod:`repro.net.protocol`, so payload drift fails loudly.
 Unit tests that deliberately send ad-hoc kinds opt out locally with
-``protocol.validation(False)``.
+``checks.configure(validate=False)``.
 
 The suite also runs with message isolation ON (``copy`` level unless
-``REPRO_ISOLATE_MESSAGES`` picks another): every delivery clones the
+``REPRO_ISOLATE_MESSAGES`` picks ``freeze``): every delivery clones the
 payload, so any handler that relied on cross-node aliasing fails here
 rather than silently diverging from the paper's TCP-serialized
 deployment.  ``REPRO_ISOLATE_MESSAGES=freeze`` hardens the whole suite
 further — delivered payloads become read-only views and mutation raises.
-Perf benchmarks opt out locally (copying would distort timings); tests
-that need a specific level use ``message.isolation(level)``.
 
 Schedule fuzz (``REPRO_SCHEDULE_FUZZ=shuffle|reverse`` plus
-``REPRO_SCHEDULE_FUZZ_SEED=N``) perturbs same-timestamp event ordering
-suite-wide: :mod:`repro.sim.events` reads the variables at import, and
-the fixture below re-applies them so a test that leaked a
-``set_schedule_fuzz`` call cannot silently change the suite's mode.
-Tests that pin a specific tie-break order (golden transcript digests,
-engine A/B equivalence) wrap simulator construction in
-``events.schedule_fuzz("off")``.
-
-Resource tracking (``REPRO_TRACK_RESOURCES=1``) arms the repro-leak
-quiescence ledger suite-wide: every pending op and per-node table entry
-registers at creation, and any simulator that reaches ``run_until_idle``
-(or a cluster that is ``close()``d) with live entries raises a
-named-owner diff.  As with schedule fuzz, the fixture re-applies the
-environment value so a leaked ``set_tracking`` call cannot silently
-change the suite's mode; tests that measure timing wrap construction in
-``resources.tracking(False)``.
+``REPRO_SCHEDULE_FUZZ_SEED=N``) and resource tracking
+(``REPRO_TRACK_RESOURCES=1``) apply suite-wide exactly as the environment
+sets them.  Tests that pin a specific tie-break order (golden transcript
+digests) wrap simulator construction in ``checks.configure(fuzz="off")``;
+tests that need a specific level of anything wrap construction in
+``checks.configure(...)``, which restores the suite's record on exit, so
+one test cannot change the mode the next one runs under.
 """
 
 import pytest
 
-from repro.net import message, protocol
-from repro.sim import events, resources
+from repro import checks
 
 
 @pytest.fixture(autouse=True, scope="session")
-def _schedule_fuzz():
-    previous = events.set_schedule_fuzz(events._mode_from_env(), events._seed_from_env())
-    yield
-    events.set_schedule_fuzz(previous[0], previous[1])
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _resource_tracking():
-    previous = resources.set_tracking(resources._enabled_from_env())
-    yield
-    resources.set_tracking(previous)
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _wire_validation():
-    previous = protocol.validation_enabled()
-    protocol.set_validation(True)
-    yield
-    protocol.set_validation(previous)
-
-
-@pytest.fixture(autouse=True, scope="session")
-def _message_isolation():
-    level = message.isolation_level()
-    if level == message.ISOLATE_OFF:
-        level = message.ISOLATE_COPY
-    previous = message.set_isolation(level)
-    yield
-    message.set_isolation(previous)
+def _runtime_checks():
+    env = checks.from_env()
+    with checks.configure(
+        validate=True,
+        isolation=env.isolation if env.isolation != checks.ISOLATE_OFF else checks.ISOLATE_COPY,
+        fuzz=env.fuzz,
+        fuzz_seed=env.fuzz_seed,
+        track_resources=env.track_resources,
+    ):
+        yield

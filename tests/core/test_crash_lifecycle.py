@@ -9,12 +9,12 @@ immediately, and leaves the per-op tables (and the resource ledger)
 empty.
 """
 
+from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.overlay.node import OverlayConfig
-from repro.sim import resources
 
 
 def make_schema():
@@ -60,7 +60,7 @@ def test_crash_fails_inflight_ops_immediately():
 
 
 def test_crash_releases_ledger_entries():
-    with resources.tracking(True):
+    with checks.configure(track_resources=True):
         cluster = build()
     origin = cluster.nodes[0]
     ledger = cluster.sim.resources

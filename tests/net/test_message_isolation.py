@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net import message as message_mod
+from repro import checks
 from repro.net import protocol
 from repro.net.message import (
     ISOLATE_COPY,
@@ -27,8 +27,6 @@ from repro.net.message import (
     MappingProxyType,
     copy_payload,
     freeze_payload,
-    isolation,
-    set_isolation,
     thaw_payload,
 )
 from repro.net.topology import Site
@@ -133,13 +131,13 @@ def deliver(kind, payload, level):
     """Send (kind, payload) a->b over a real SimNetwork; return delivery."""
     sim = Simulator(seed=3)
     sites = {"a": Site("a", 0.0, 0.0, "t"), "b": Site("b", 1.0, 1.0, "t")}
-    network = make_network(sim, sites)
+    with checks.configure(isolation=level):
+        network = make_network(sim, sites)
     received = []
     network.register("a", received.append)
     network.register("b", received.append)
-    with isolation(level):
-        network.send("a", "b", kind, payload)
-        sim.run_until_idle()
+    network.send("a", "b", kind, payload)
+    sim.run_until_idle()
     assert len(received) == 1
     return received[0]
 
@@ -262,39 +260,17 @@ def test_clone_rejects_unknown_level():
 def test_network_resend_never_aliases_between_attempts():
     sim = Simulator(seed=5)
     sites = {"a": Site("a", 0.0, 0.0, "t"), "b": Site("b", 1.0, 1.0, "t")}
-    network = make_network(sim, sites)
+    with checks.configure(isolation=ISOLATE_OFF):
+        network = make_network(sim, sites)
     received = []
     network.register("a", received.append)
     network.register("b", received.append)
-    with isolation(ISOLATE_OFF):
-        first = network.send("a", "b", "join_lookup", {"joiner": "x"}, size_bytes=99)
-        second = network.resend(first)
-        sim.run_until_idle()
+    first = network.send("a", "b", "join_lookup", {"joiner": "x"}, size_bytes=99)
+    second = network.resend(first)
+    sim.run_until_idle()
     assert second.msg_id != first.msg_id
     assert second.size_bytes == 99, "resend must preserve the declared body size"
     assert second.payload == first.payload and second.payload is not first.payload
-
-
-# ----------------------------------------------------------------------
-# Level plumbing
-# ----------------------------------------------------------------------
-def test_set_isolation_accepts_bool_shorthand():
-    previous = set_isolation(True)
-    try:
-        assert message_mod.isolation_level() == ISOLATE_COPY
-        set_isolation(False)
-        assert message_mod.isolation_level() == ISOLATE_OFF
-        with pytest.raises(ValueError):
-            set_isolation("bogus")
-    finally:
-        set_isolation(previous)
-
-
-def test_isolation_context_manager_restores_level():
-    before = message_mod.isolation_level()
-    with isolation(ISOLATE_FREEZE):
-        assert message_mod.isolation_level() == ISOLATE_FREEZE
-    assert message_mod.isolation_level() == before
 
 
 # ----------------------------------------------------------------------
@@ -317,7 +293,7 @@ def _run_seeded_workload(level):
             AttributeSpec("timestamp", 0.0, 86400.0, is_time=True),
         ],
     )
-    with isolation(level):
+    with checks.configure(isolation=level):
         cluster = MindCluster(
             ABILENE_SITES, ClusterConfig(seed=1234, track_ground_truth=True)
         )
@@ -365,22 +341,3 @@ def test_end_to_end_metrics_identical_with_isolation_on_and_off():
     assert baseline["queries"], "workload produced no queries"
     assert _run_seeded_workload(ISOLATE_COPY) == baseline
     assert _run_seeded_workload(ISOLATE_FREEZE) == baseline
-
-
-@pytest.mark.parametrize(
-    "raw,expected",
-    [
-        ("", ISOLATE_OFF),
-        ("0", ISOLATE_OFF),
-        ("off", ISOLATE_OFF),
-        ("no", ISOLATE_OFF),
-        ("false", ISOLATE_OFF),
-        ("1", ISOLATE_COPY),
-        ("copy", ISOLATE_COPY),
-        ("freeze", ISOLATE_FREEZE),
-        ("FREEZE", ISOLATE_FREEZE),
-    ],
-)
-def test_level_from_env(monkeypatch, raw, expected):
-    monkeypatch.setenv("REPRO_ISOLATE_MESSAGES", raw)
-    assert message_mod._level_from_env() == expected

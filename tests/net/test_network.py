@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.net import protocol
+from repro import checks
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.network import LinkStats, SimNetwork
 from repro.net.topology import Site
@@ -15,7 +15,7 @@ from repro.sim.kernel import Simulator
 def _adhoc_kinds():
     # These unit tests exercise the transport with ad-hoc message kinds
     # ("ping", "x", ...) that are deliberately not part of the registry.
-    with protocol.validation(False):
+    with checks.configure(validate=False):
         yield
 
 
@@ -481,9 +481,7 @@ def test_resource_ledger_drains_through_unregister():
     # With tracking on, re-homed outbox entries release their ledger slots
     # when they resolve — run_until_idle's quiescence check passes even
     # when an endpoint unregisters with traffic still coalesced.
-    from repro.sim import resources
-
-    with resources.tracking(True), protocol.validation(False):
+    with checks.configure(track_resources=True, validate=False):
         sim = Simulator(seed=1)
         net = SimNetwork(sim, {}, coalesce_window_s=0.05)
         net.register("a", lambda m: None)

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import checks
 from repro.net import protocol
 from repro.net.message import Message
 from repro.net.protocol import ProtocolError, validate_wire
@@ -65,16 +66,9 @@ def test_route_envelope_checks_inner_kind():
 
 
 def test_message_construction_validates_when_enabled():
-    with protocol.validation(True):
+    with checks.configure(validate=True):
         Message("a", "b", "heartbeat", {"code": "0"})
         with pytest.raises(ProtocolError):
             Message("a", "b", "heartbeat", {"cod": "0"})
-    with protocol.validation(False):
+    with checks.configure(validate=False):
         Message("a", "b", "totally-made-up", {"whatever": 1})
-
-
-def test_validation_toggle_restores_previous_state():
-    before = protocol.validation_enabled()
-    with protocol.validation(not before):
-        assert protocol.validation_enabled() is not before
-    assert protocol.validation_enabled() is before

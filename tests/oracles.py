@@ -1,0 +1,153 @@
+"""Scalar reference implementations of the NumPy hot paths.
+
+Production (`TimePartitionedStore`, `MultiDimHistogram`,
+`histogram_from_records`, `derive_cut_tree`) runs one array-based path;
+these per-record / per-cell loops are what that path must equal.  The
+equivalence property tests (``tests/storage/test_vectorized_equivalence.py``)
+compare the two byte for byte, and ``benchmarks/perf/microbench.py`` times
+them as the ``scalar_s`` column of ``BENCH_PERF.json``.
+
+The histogram oracles apply the same IEEE operations in the same order as
+the array code (per-dimension overlap products, one sequential running sum
+over the live masses), so cuts come out as identical floats, not merely
+close ones.
+"""
+
+from typing import Iterable, List, Optional, Sequence, Tuple
+
+from repro.core.histogram import MultiDimHistogram
+from repro.core.query import NormRect, rect_contains_point
+from repro.core.records import Record
+from repro.core.schema import IndexSchema
+from repro.storage.memtable import TimePartitionedStore
+
+
+# ----------------------------------------------------------------------
+# Store
+# ----------------------------------------------------------------------
+def insert_each(store: TimePartitionedStore, records: Iterable[Record]) -> int:
+    """Per-record inserts; returns how many were new (``insert_batch``'s twin)."""
+    return sum(1 for record in records if store.insert(record))
+
+
+def scan_scalar(
+    store: TimePartitionedStore,
+    rect: NormRect,
+    time_range: Optional[Tuple[float, float]] = None,
+) -> List[Record]:
+    """Brute-force ``store.query``: test every record of every candidate bucket."""
+    out: List[Record] = []
+    for bucket_id in store._candidate_buckets(time_range):
+        bucket = store._buckets[bucket_id]
+        for record, point in zip(bucket.records, bucket.points.tolist()):
+            if rect_contains_point(rect, point):
+                out.append(record)
+    return out
+
+
+# ----------------------------------------------------------------------
+# Histogram
+# ----------------------------------------------------------------------
+def histogram_from_records_scalar(
+    schema: IndexSchema, records: Iterable[Record], granularity: Sequence[int]
+) -> MultiDimHistogram:
+    """Per-record ``normalize`` + ``add`` (``histogram_from_records``' twin)."""
+    hist = MultiDimHistogram(schema.dimensions, tuple(granularity))
+    for record in records:
+        hist.add(schema.normalize(record.values))
+    return hist
+
+
+def cell_weights_scalar(
+    hist: MultiDimHistogram, rect: NormRect
+) -> List[Tuple[Tuple[int, ...], float]]:
+    """Per-occupied-cell ``count x fractional rect overlap``, cell by cell.
+
+    Walks the sorted cell dict — the row order of the histogram's
+    coordinate arrays.
+    """
+    out = []
+    for cell in sorted(hist._cells):
+        weight = hist._cells[cell]
+        for dim, (lo, hi) in enumerate(rect):
+            k = hist.grains[dim]
+            b = cell[dim]
+            left = max(b / k, lo)
+            right = min((b + 1) / k, hi)
+            frac = (right - left) * k
+            if frac < 0.0:
+                frac = 0.0
+            elif frac > 1.0:
+                frac = 1.0
+            weight = weight * frac
+        out.append((cell, weight))
+    return out
+
+
+def count_in_rect_scalar(hist: MultiDimHistogram, rect: NormRect) -> float:
+    """Sequential sum of the cell weights (so only ulp-close to the pairwise sum)."""
+    return float(sum(w for _, w in cell_weights_scalar(hist, rect)))
+
+
+def split_point_scalar(hist: MultiDimHistogram, rect: NormRect, dim: int) -> float:
+    """Scalar ``MultiDimHistogram.split_point`` (same floats out)."""
+    lo, hi = rect[dim]
+    midpoint = (lo + hi) / 2.0
+    weighted = cell_weights_scalar(hist, rect)
+    if not weighted:
+        return midpoint
+    k = hist.grains[dim]
+    # Stable sort by the bin index along ``dim`` over the lexicographically
+    # sorted cells — the exact order np.argsort (stable) gives the array path.
+    by_bin = sorted(((cell[dim], w) for cell, w in weighted), key=lambda bw: bw[0])
+    # One running sum over the live masses, recorded at each bin's last
+    # cell — the same sequential fold + adjacent-difference the array path
+    # performs, so the floats match exactly.
+    bins_list: List[int] = []
+    cumulative: List[float] = []
+    running = 0.0
+    for b, mass in by_bin:
+        if mass <= 0.0:
+            continue
+        running += mass
+        if bins_list and bins_list[-1] == b:
+            cumulative[-1] = running
+        else:
+            bins_list.append(b)
+            cumulative.append(running)
+    if not bins_list:
+        return midpoint
+    total = cumulative[-1]
+    if total <= 0.0:
+        return midpoint
+    half = total / 2.0
+    idx = 0
+    while cumulative[idx] < half:
+        idx += 1
+    b = bins_list[idx]
+    before = cumulative[idx - 1] if idx > 0 else 0.0
+    mass = cumulative[idx] - before
+    bin_lo = max(b / k, lo)
+    bin_hi = min((b + 1) / k, hi)
+    if mass <= 0.0:
+        split = bin_lo
+    else:
+        split = bin_lo + (half - before) / mass * (bin_hi - bin_lo)
+    return float(min(max(split, lo + 1e-12), hi - 1e-12))
+
+
+class ScalarCutHistogram:
+    """A histogram whose cuts come from :func:`split_point_scalar`.
+
+    Stands in for a :class:`MultiDimHistogram` wherever only ``dimensions``
+    and ``split_point`` are read — ``derive_cut_tree`` and
+    ``BalancedCuts`` — so the scalar column runs production's cut-tree
+    walk and point-code descent with only the median swapped out.
+    """
+
+    def __init__(self, hist: MultiDimHistogram) -> None:
+        self.hist = hist
+        self.dimensions = hist.dimensions
+
+    def split_point(self, rect: NormRect, dim: int) -> float:
+        return split_point_scalar(self.hist, rect, dim)

@@ -4,7 +4,7 @@ from typing import Any, Dict, List
 
 import pytest
 
-from repro.net import protocol
+from repro import checks
 from repro.overlay.code import Code
 from repro.overlay.node import OverlayConfig, OverlayNode
 from repro.overlay.routing import next_hop
@@ -16,7 +16,7 @@ from tests.helpers import build_overlay
 def _adhoc_routed_kinds():
     # These tests route a synthetic "probe" inner kind to exercise the
     # overlay routing machinery in isolation from the application protocol.
-    with protocol.validation(False):
+    with checks.configure(validate=False):
         yield
 
 

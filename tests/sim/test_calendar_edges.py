@@ -6,12 +6,13 @@ here asserts the same observable sequence with the calendar on and off
 the assertions hold in a schedule-fuzzed suite run too.
 """
 
-from repro.sim.events import DEFAULT_SLOT_WIDTH, EventQueue, schedule_fuzz
+from repro import checks
+from repro.sim.events import DEFAULT_SLOT_WIDTH, EventQueue
 
 
 def _pair(**kwargs):
     """A calendar-fronted queue and a plain-heap queue, fuzz pinned off."""
-    with schedule_fuzz("off"):
+    with checks.configure(fuzz="off"):
         return EventQueue(**kwargs), EventQueue(num_slots=0)
 
 

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.sim.events import EventQueue, schedule_fuzz
+from repro import checks
+from repro.sim.events import EventQueue
 from repro.sim.randomness import RandomStreams, derive_seed
 
 
@@ -19,7 +20,7 @@ def test_queue_orders_by_time():
 def test_queue_fifo_within_same_time():
     # FIFO within a timestamp is the *default* tie-break; pin schedule
     # fuzz off so the assertion holds under a fuzzed suite run too.
-    with schedule_fuzz("off"):
+    with checks.configure(fuzz="off"):
         q = EventQueue()
     events = [q.push(1.0, lambda: None, (i,)) for i in range(5)]
     popped = [q.pop().args[0] for _ in range(5)]

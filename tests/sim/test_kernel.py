@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.events import schedule_fuzz
+from repro import checks
 from repro.sim.kernel import SimulationError, Simulator
 
 
@@ -26,7 +26,7 @@ def test_schedule_and_run_order():
 def test_same_time_events_fifo():
     # FIFO within a timestamp is the *default* tie-break; pin schedule
     # fuzz off so the assertion holds under a fuzzed suite run too.
-    with schedule_fuzz("off"):
+    with checks.configure(fuzz="off"):
         sim = Simulator()
     fired = []
     for tag in range(5):

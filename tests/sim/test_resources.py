@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import resources
+from repro import checks
 from repro.sim.kernel import Simulator
 from repro.sim.resources import ResourceLeakError, ResourceLedger
 
@@ -49,19 +49,8 @@ def test_quiescence_diff_names_owners():
     assert "net:outbox 'node007' x1" in text
 
 
-def test_mode_is_captured_at_simulator_construction():
-    with resources.tracking(False):
-        untracked = Simulator(seed=1)
-        with resources.tracking(True):
-            tracked = Simulator(seed=1)
-        assert untracked.resources is None
-        assert tracked.resources is not None
-        # Flipping the mode later never retrofits an existing simulator.
-        assert untracked.resources is None
-
-
 def test_run_until_idle_raises_on_leaked_registration():
-    with resources.tracking(True):
+    with checks.configure(track_resources=True):
         sim = Simulator(seed=3)
     sim.resources.register("op:insert", "node000")
     sim.schedule(1.0, lambda: None)
@@ -73,7 +62,7 @@ def test_run_until_idle_raises_on_leaked_registration():
 
 
 def test_tracking_off_costs_nothing():
-    with resources.tracking(False):
+    with checks.configure(track_resources=False):
         sim = Simulator(seed=4)
     assert sim.resources is None
     sim.schedule(1.0, lambda: None)

@@ -7,9 +7,8 @@ perturbation is deterministic per seed, touches *only* ties, and the
 calendar and heap engines observe the identical perturbed order.
 """
 
-import pytest
-
-from repro.sim.events import EventQueue, schedule_fuzz, set_schedule_fuzz
+from repro import checks
+from repro.sim.events import EventQueue
 from repro.sim.kernel import Simulator
 
 
@@ -23,7 +22,7 @@ def _drain(queue):
 
 
 def _same_time_order(mode, seed, count=12, num_slots=None):
-    with schedule_fuzz(mode, seed):
+    with checks.configure(fuzz=mode, fuzz_seed=seed):
         queue = EventQueue() if num_slots is None else EventQueue(num_slots=num_slots)
     for i in range(count):
         queue.push(1.0, lambda: None, (i,))
@@ -57,7 +56,7 @@ def test_shuffle_seeds_select_different_orders():
 def test_distinct_times_unaffected_by_fuzz():
     times = [5.0, 1.0, 3.0, 2.0, 4.0]
     for mode, seed in (("off", 0), ("shuffle", 3), ("reverse", 0)):
-        with schedule_fuzz(mode, seed):
+        with checks.configure(fuzz=mode, fuzz_seed=seed):
             queue = EventQueue()
         for t in times:
             queue.push(t, lambda: None, (t,))
@@ -71,7 +70,7 @@ def test_heap_and_calendar_engines_agree_under_fuzz():
     for seed in range(3):
         orders = []
         for num_slots in (None, 0):
-            with schedule_fuzz("shuffle", seed):
+            with checks.configure(fuzz="shuffle", fuzz_seed=seed):
                 queue = (
                     EventQueue() if num_slots is None else EventQueue(num_slots=0)
                 )
@@ -82,17 +81,12 @@ def test_heap_and_calendar_engines_agree_under_fuzz():
 
 
 def test_mode_captured_at_queue_construction():
-    with schedule_fuzz("reverse"):
+    with checks.configure(fuzz="reverse"):
         queue = EventQueue()
     # Mode changes after construction must not affect an existing queue.
     for i in range(4):
         queue.push(1.0, lambda: None, (i,))
     assert _drain(queue) == [3, 2, 1, 0]
-
-
-def test_set_schedule_fuzz_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        set_schedule_fuzz("random")
 
 
 def test_zero_delay_push_while_draining_is_not_lost():
@@ -102,7 +96,7 @@ def test_zero_delay_push_while_draining_is_not_lost():
     # buries such an entry behind the cursor and the event never fires.
     hazard_exercised = False
     for seed in range(8):
-        with schedule_fuzz("shuffle", seed):
+        with checks.configure(fuzz="shuffle", fuzz_seed=seed):
             queue = EventQueue()
         first = [queue.push(1.0, lambda: None, ("a", i)) for i in range(3)]
         fired = [queue.pop()]
@@ -128,7 +122,7 @@ def test_zero_delay_push_while_draining_is_not_lost():
 
 def test_simulator_time_order_preserved_under_fuzz():
     for mode, seed in (("shuffle", 2), ("reverse", 0)):
-        with schedule_fuzz(mode, seed):
+        with checks.configure(fuzz=mode, fuzz_seed=seed):
             sim = Simulator(seed=9)
         seen = []
         for i in range(50):

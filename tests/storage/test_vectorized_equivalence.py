@@ -1,10 +1,10 @@
 """Property tests: the vectorized hot paths equal the scalar ground truth.
 
-Every batch/columnar path introduced by the perf work — store inserts and
-rectangle scans, histogram binning, balanced-cut derivation, batch point
-codes — must return *exactly* what the original scalar implementation
-returns for the same inputs, including the clamping of out-of-domain
-values to the top of the normalized range documented in ``memtable.py``.
+Every batch/columnar path — store inserts and rectangle scans, histogram
+binning, balanced-cut derivation, batch point codes — must return
+*exactly* what the scalar oracles in ``tests/oracles.py`` return for the
+same inputs, including the clamping of out-of-domain values to the top of
+the normalized range documented in ``memtable.py``.
 """
 
 import math
@@ -15,10 +15,17 @@ from hypothesis import strategies as st
 from repro.core.balance import derive_cut_tree, histogram_from_records
 from repro.core.cuts import BalancedCuts
 from repro.core.embedding import Embedding
-from repro.core.histogram import MultiDimHistogram
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
-from repro.storage.memtable import TimePartitionedStore
+from repro.storage.memtable import _VECTOR_MIN_ROWS, TimePartitionedStore
+from tests.oracles import (
+    ScalarCutHistogram,
+    count_in_rect_scalar,
+    histogram_from_records_scalar,
+    insert_each,
+    scan_scalar,
+    split_point_scalar,
+)
 
 SCHEMA = IndexSchema(
     "equiv",
@@ -49,22 +56,21 @@ interval_strategy = st.tuples(
 rect_strategy = st.tuples(interval_strategy, interval_strategy, interval_strategy)
 
 
-def make_stores(records):
-    scalar = TimePartitionedStore(SCHEMA, bucket_s=100.0, vectorized=False)
-    vector = TimePartitionedStore(SCHEMA, bucket_s=100.0, vectorized=True)
-    for r in records:
-        assert scalar.insert(r) == vector.insert(r)
-    return scalar, vector
+def make_store(records):
+    store = TimePartitionedStore(SCHEMA, bucket_s=100.0)
+    insert_each(store, records)
+    return store
+
+
+def keys(records):
+    return [r.key for r in records]
 
 
 @settings(max_examples=60, deadline=None)
 @given(records=records_strategy, rect=rect_strategy)
 def test_store_query_identical(records, rect):
-    scalar, vector = make_stores(records)
-    assert len(scalar) == len(vector)
-    got_scalar = scalar.query(rect)
-    got_vector = vector.query(rect)
-    assert [r.key for r in got_scalar] == [r.key for r in got_vector]
+    store = make_store(records)
+    assert keys(store.query(rect)) == keys(scan_scalar(store, rect))
 
 
 @settings(max_examples=40, deadline=None)
@@ -77,46 +83,61 @@ def test_store_query_identical(records, rect):
     ).map(lambda pair: (min(pair), max(pair))),
 )
 def test_store_query_with_time_range_identical(records, rect, t_range):
-    scalar, vector = make_stores(records)
-    got_scalar = scalar.query(rect, time_range=t_range)
-    got_vector = vector.query(rect, time_range=t_range)
-    assert [r.key for r in got_scalar] == [r.key for r in got_vector]
+    store = make_store(records)
+    assert keys(store.query(rect, time_range=t_range)) == keys(
+        scan_scalar(store, rect, time_range=t_range)
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=st.lists(values_strategy, min_size=_VECTOR_MIN_ROWS, max_size=_VECTOR_MIN_ROWS + 40),
+    rect=rect_strategy,
+)
+def test_store_query_identical_above_mask_threshold(rows, rect):
+    # One time bucket holding at least _VECTOR_MIN_ROWS rows, so the scan
+    # takes the NumPy mask branch rather than the small-bucket loop.
+    store = TimePartitionedStore(SCHEMA, bucket_s=1.0e9)
+    store.insert_batch([Record(row) for row in rows])
+    assert keys(store.query(rect)) == keys(scan_scalar(store, rect))
 
 
 @settings(max_examples=40, deadline=None)
 @given(records=records_strategy)
 def test_insert_batch_matches_scalar_inserts(records):
-    one_by_one = TimePartitionedStore(SCHEMA, vectorized=False)
-    batched = TimePartitionedStore(SCHEMA, vectorized=True)
-    inserted = sum(1 for r in records if one_by_one.insert(r))
+    one_by_one = TimePartitionedStore(SCHEMA)
+    batched = TimePartitionedStore(SCHEMA)
+    inserted = insert_each(one_by_one, records)
     assert batched.insert_batch(records) == inserted
     # Re-inserting the same batch is a no-op in both.
     assert batched.insert_batch(records) == 0
     assert len(batched) == len(one_by_one)
     full = ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0))
-    assert [r.key for r in batched.query(full)] == [
-        r.key for r in one_by_one.query(full)
-    ]
+    assert keys(batched.query(full)) == keys(scan_scalar(one_by_one, full))
 
 
 def test_clamping_edge_case_identical():
     # The documented out-of-domain behavior: values at/beyond hi land in
     # the top of the range and must match a rect whose top edge is 1.0 in
-    # both implementations.
-    records = [Record([1e9, 500.0, 0.0]), Record([-1e9, 500.0, 49.999])]
-    scalar, vector = make_stores(records)
+    # both implementations.  Padded past the mask threshold so the NumPy
+    # branch is the one under test.
+    edge = [Record([1e9, 500.0, 0.0]), Record([-1e9, 500.0, 49.999])]
+    filler = [Record([50.0, 500.0, 0.0]) for _ in range(_VECTOR_MIN_ROWS)]
+    store = make_store(edge + filler)
     top_rect = ((0.999999, 1.0), (0.0, 1.0), (0.0, 1.0))
     bottom_rect = ((0.0, 1e-9), (0.0, 1.0), (0.0, 1.0))
-    for rect in (top_rect, bottom_rect):
-        assert [r.key for r in scalar.query(rect)] == [r.key for r in vector.query(rect)]
+    assert keys(store.query(top_rect)) == keys(scan_scalar(store, top_rect)) == [edge[0].key]
+    assert keys(store.query(bottom_rect)) == keys(scan_scalar(store, bottom_rect)) == [
+        edge[1].key
+    ]
 
 
 @settings(max_examples=40, deadline=None)
 @given(records=records_strategy)
 def test_histogram_bin_counts_identical(records):
     grains = (8, 16, 4)
-    scalar = histogram_from_records(SCHEMA, records, grains, vectorized=False)
-    vector = histogram_from_records(SCHEMA, records, grains, vectorized=True)
+    scalar = histogram_from_records_scalar(SCHEMA, records, grains)
+    vector = histogram_from_records(SCHEMA, records, grains)
     assert scalar.cell_counts() == vector.cell_counts()
     assert scalar.total == vector.total
 
@@ -129,11 +150,7 @@ def test_split_point_identical(records, rect, dim):
     # Degenerate rectangles make the cut fall back to the midpoint; keep
     # them out so the weighted-median path itself is what's compared.
     rect = tuple((lo, hi if hi > lo else lo + 0.25) for lo, hi in rect)
-    hist.vectorized = True
-    vec = hist.split_point(rect, dim)
-    hist.vectorized = False
-    sca = hist.split_point(rect, dim)
-    assert vec == sca
+    assert hist.split_point(rect, dim) == split_point_scalar(hist, rect, dim)
 
 
 @settings(max_examples=30, deadline=None)
@@ -141,10 +158,8 @@ def test_split_point_identical(records, rect, dim):
 def test_count_in_rect_agrees(records, rect):
     grains = (8, 16, 4)
     hist = histogram_from_records(SCHEMA, records, grains)
-    hist.vectorized = True
     vec = hist.count_in_rect(rect)
-    hist.vectorized = False
-    sca = hist.count_in_rect(rect)
+    sca = count_in_rect_scalar(hist, rect)
     # Summation order differs (pairwise vs sequential), so allow ulps.
     assert math.isclose(vec, sca, rel_tol=1e-12, abs_tol=1e-12)
 
@@ -154,9 +169,7 @@ def test_count_in_rect_agrees(records, rect):
 def test_derived_cut_trees_identical(records, depth):
     grains = (8, 16, 4)
     hist = histogram_from_records(SCHEMA, records, grains)
-    assert derive_cut_tree(hist, depth, vectorized=True) == derive_cut_tree(
-        hist, depth, vectorized=False
-    )
+    assert derive_cut_tree(hist, depth) == derive_cut_tree(ScalarCutHistogram(hist), depth)
 
 
 @settings(max_examples=20, deadline=None)

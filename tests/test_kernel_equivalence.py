@@ -3,13 +3,11 @@
 The scale work (calendar-queue event kernel, heap compaction, array-backed
 link accounting, transmit/deliver fast paths) must not change *any*
 observable simulation output: same seeds in, byte-identical metrics out.
-Two guards enforce that:
-
-* a golden digest, captured from the pre-scale implementation (plain
-  binary heap, per-link ``LinkStats`` objects) on the same seeded
-  scenario — the new path must reproduce it exactly, and
-* an A/B run of the same scenario with the calendar queue enabled and
-  disabled — both engines must agree event for event.
+A golden digest, captured from the pre-scale implementation (plain binary
+heap, per-link ``LinkStats`` objects) on the same seeded scenario, pins
+that: the current path must reproduce it exactly.  (Pop order of the
+calendar queue against the plain heap is model-tested at the queue level
+in ``tests/sim/test_events_property.py``.)
 
 The digest covers every insert metric, every query metric (including
 record keys and failed regions), per-link counters and the full delay
@@ -22,8 +20,7 @@ behavioral change ever lands, re-capture with::
 import hashlib
 import random
 
-from repro.sim.events import schedule_fuzz
-
+from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
 from repro.core.mind_node import MindConfig
 from repro.core.query import RangeQuery
@@ -41,7 +38,7 @@ NODES = 24
 GOLDEN_DIGEST = "82e238d0855a0a820e81e2f9649ff761c28ce551bdba26af543233f873c3bfcd"
 
 
-def run_scenario(**cluster_kwargs):
+def run_scenario():
     """A seeded mixed workload: inserts + queries + a crash/restore."""
     sites = synthetic_planetlab_sites(NODES, random.Random(1840))
     config = ClusterConfig(
@@ -60,7 +57,7 @@ def run_scenario(**cluster_kwargs):
         slow_node_fraction=0.1,
         slow_factor=3.0,
     )
-    cluster = MindCluster(sites, config, **cluster_kwargs)
+    cluster = MindCluster(sites, config)
     cluster.build()
     schema = index1_schema(86400.0)
     cluster.create_index(schema, replication=1)
@@ -126,20 +123,14 @@ def canonical_transcript(cluster) -> str:
     return "\n".join(lines)
 
 
-def scenario_digest(**cluster_kwargs) -> str:
-    transcript = canonical_transcript(run_scenario(**cluster_kwargs))
+def scenario_digest() -> str:
+    transcript = canonical_transcript(run_scenario())
     return hashlib.sha256(transcript.encode()).hexdigest()
 
 
 def test_seeded_run_matches_pre_scale_golden():
     # The digest pins one specific tie-break order; keep it meaningful
     # under a schedule-fuzzed suite run by forcing the default order.
-    with schedule_fuzz("off"):
+    with checks.configure(fuzz="off"):
         digest = scenario_digest()
     assert digest == GOLDEN_DIGEST
-
-
-def test_calendar_and_heap_engines_agree():
-    with_calendar = run_scenario()
-    without = run_scenario(calendar_queue=False)
-    assert canonical_transcript(with_calendar) == canonical_transcript(without)

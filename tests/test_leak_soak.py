@@ -13,12 +13,12 @@ import tracemalloc
 
 import pytest
 
+from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.overlay.node import OverlayConfig
-from repro.sim import resources
 
 pytestmark = pytest.mark.soak
 
@@ -50,7 +50,7 @@ def test_churn_soak_ledger_and_heap_bounded():
     overlay = OverlayConfig(
         liveness_enabled=True, hb_interval_s=2.0, hb_timeout_s=7.0, adoption_delay_s=2.0
     )
-    with resources.tracking(True):
+    with checks.configure(track_resources=True):
         cluster = MindCluster(
             NODES, ClusterConfig(seed=1105, overlay=overlay, slow_node_fraction=0.0)
         )

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis import analyze_paths
 from repro.analysis import baseline as baseline_mod
-from repro.analysis.runner import _in_lifecycle_scope, main
+from repro.analysis.runner import in_scope, main
 
 pytestmark = pytest.mark.lint
 
@@ -320,12 +320,12 @@ def test_len_capped_and_trimmed_lists_are_not_flagged(tmp_path):
 # Scope, suppression, baseline
 # ----------------------------------------------------------------------
 def test_storage_is_exempt_everything_else_is_not():
-    assert not _in_lifecycle_scope("src/repro/storage/memtable.py")
-    assert _in_lifecycle_scope("src/repro/core/mind_node.py")
-    assert _in_lifecycle_scope("src/repro/net/network.py")
-    assert _in_lifecycle_scope("src/repro/sim/kernel.py")
+    assert not in_scope("lifecycle", "src/repro/storage/memtable.py")
+    assert in_scope("lifecycle", "src/repro/core/mind_node.py")
+    assert in_scope("lifecycle", "src/repro/net/network.py")
+    assert in_scope("lifecycle", "src/repro/sim/kernel.py")
     # test fixtures outside the package are always linted
-    assert _in_lifecycle_scope("tmp/fixture_mod.py")
+    assert in_scope("lifecycle", "tmp/fixture_mod.py")
 
 
 def test_repro_leak_ignore_spelling_suppresses(tmp_path):

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import analyze_paths
-from repro.analysis.runner import _in_ordering_scope, main
+from repro.analysis.runner import in_scope, main
 
 pytestmark = pytest.mark.lint
 
@@ -162,11 +162,11 @@ def test_seq_read_is_flagged(tmp_path):
 
 
 def test_queue_internals_are_exempt():
-    assert not _in_ordering_scope("src/repro/sim/events.py")
-    assert not _in_ordering_scope("src/repro/sim/kernel.py")
-    assert _in_ordering_scope("src/repro/sim/randomness.py")
-    assert _in_ordering_scope("src/repro/overlay/node.py")
-    assert _in_ordering_scope("src/repro/storage/memtable.py")
+    assert not in_scope("ordering", "src/repro/sim/events.py")
+    assert not in_scope("ordering", "src/repro/sim/kernel.py")
+    assert in_scope("ordering", "src/repro/sim/randomness.py")
+    assert in_scope("ordering", "src/repro/overlay/node.py")
+    assert in_scope("ordering", "src/repro/storage/memtable.py")
 
 
 # ----------------------------------------------------------------------
