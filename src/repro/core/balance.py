@@ -67,29 +67,29 @@ def derive_cut_tree(
 
     Walks the cut tree breadth-first, computing each cut as the
     histogram-weighted median of the rectangle being split (cycling
-    through the dimensions like the embedding does) — one array pass over
-    the occupied cells per median.  The result can seed
-    :meth:`Embedding.preload_splits` so repeated point-code descents
-    never recompute a cut.
+    through the dimensions like the embedding does).  The frontier
+    carries each node's live histogram rows to its children, so a level
+    costs about one pass over the occupied cells however many nodes it
+    has.  The result can seed :meth:`Embedding.preload_splits` so
+    repeated point-code descents never recompute a cut.
     """
     if depth < 0:
         raise ValueError("depth must be >= 0")
     dims = histogram.dimensions
+    cut = BalancedCuts(histogram).cut
     cuts: Dict[str, float] = {}
-    frontier = [("", rect if rect is not None else full_rect(dims))]
+    frontier = [("", rect if rect is not None else full_rect(dims), None)]
     for level in range(depth):
         dim = level % dims
         next_frontier = []
-        for prefix, node_rect in frontier:
-            split = histogram.split_point(node_rect, dim)
-            lo, hi = node_rect[dim]
-            if not lo < split < hi:
-                split = (lo + hi) / 2.0
+        for prefix, node_rect, rows in frontier:
+            split, rows = cut(node_rect, dim, rows)
             cuts[prefix] = split
+            lo, hi = node_rect[dim]
             left = node_rect[:dim] + ((lo, split),) + node_rect[dim + 1 :]
             right = node_rect[:dim] + ((split, hi),) + node_rect[dim + 1 :]
-            next_frontier.append((prefix + "0", left))
-            next_frontier.append((prefix + "1", right))
+            next_frontier.append((prefix + "0", left, rows))
+            next_frontier.append((prefix + "1", right, rows))
         frontier = next_frontier
     return cuts
 

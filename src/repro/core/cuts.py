@@ -13,9 +13,9 @@ Strategies must be deterministic: every node derives the same cut tree
 from the same (distributed) histogram, so no coordination is needed.
 """
 
-from typing import Dict
+from typing import Dict, Optional, Tuple
 
-from repro.core.histogram import MultiDimHistogram
+from repro.core.histogram import LiveRows, MultiDimHistogram
 from repro.core.query import NormRect
 
 
@@ -27,6 +27,9 @@ class EvenCuts:
     def split(self, rect: NormRect, dim: int) -> float:
         lo, hi = rect[dim]
         return (lo + hi) / 2.0
+
+    def cut(self, rect: NormRect, dim: int, rows=None) -> Tuple[float, None]:
+        return self.split(rect, dim), None
 
     def to_wire(self) -> Dict:
         return {"kind": self.kind}
@@ -42,6 +45,28 @@ class BalancedCuts:
 
     def split(self, rect: NormRect, dim: int) -> float:
         return self.histogram.split_point(rect, dim)
+
+    def cut(
+        self, rect: NormRect, dim: int, rows: Optional[LiveRows] = None
+    ) -> Tuple[float, Optional[LiveRows]]:
+        """The cut a tree makes of ``rect``, plus the rows to hand to cuts
+        of its sub-rectangles.
+
+        A cut tree passes each node's rows down to its children, so a cut
+        weighs the cells its parent found mass in, not the whole histogram
+        (:meth:`MultiDimHistogram.split_rows`).  A histogram that offers
+        only ``split_point`` scans itself on every cut and returns no rows.
+        """
+        split_rows = getattr(self.histogram, "split_rows", None)
+        if split_rows is None:
+            split, rows = self.histogram.split_point(rect, dim), None
+        else:
+            split, rows = split_rows(rect, dim, rows)
+        lo, hi = rect[dim]
+        if not lo < split < hi:
+            # A sliver thinner than split_point's clamp margin.
+            split = (lo + hi) / 2.0
+        return split, rows
 
     def to_wire(self) -> Dict:
         return {"kind": self.kind, "histogram": self.histogram.to_wire()}

@@ -14,8 +14,8 @@ independent of the hypercube's dimensionality and each index maps onto the
 same overlay differently.
 
 Cut positions are produced by a :class:`~repro.core.cuts.EvenCuts` or
-:class:`~repro.core.cuts.BalancedCuts` strategy and memoized per code
-prefix, which makes repeated descents cheap and guarantees every node
+:class:`~repro.core.cuts.BalancedCuts` strategy and memoized per tree
+node, which makes repeated descents cheap and guarantees every node
 derives the identical tree from the identical histogram.
 """
 
@@ -25,13 +25,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.cuts import strategy_from_wire
+from repro.core.histogram import LiveRows
 from repro.core.query import NormRect, full_rect
 from repro.core.schema import IndexSchema
 from repro.overlay.code import Code, intern_code
 
-#: point_codes_batch packs the running code of each point into an int64;
-#: deeper descents fall back to the scalar per-point path.
+#: point_codes_batch packs the running tree node of each point into an
+#: int64; deeper descents fall back to the scalar per-point path.
 _MAX_BATCH_DEPTH = 62
+
+#: A cut remembers the live histogram rows it found only if it weighed at
+#: least this many itself.  Sets that large shrink down the tree, so they
+#: are few, and they are what makes their children's cuts cheap; the first
+#: set below the threshold serves its whole subtree.  No cut then weighs
+#: more rows than its parent found live, or than this, and the deep
+#: majority of tree nodes holds no set at all.
+_KEEP_MIN_ROWS = 48
 
 #: Embeddings interned by canonical wire form.  Every node of a cluster
 #: installs the *same* index wire form, and cuts are deterministic
@@ -53,46 +62,69 @@ class Embedding:
         self.schema = schema
         self.strategy = strategy
         self.code_depth = code_depth
-        self._split_cache: Dict[str, float] = {}
-        #: Integer mirror of the cut cache, one dict per level keyed by the
-        #: prefix's int value.  The per-record descent (``point_code``) hits
-        #: a cut cache once per level; int keys hash in constant time while
-        #: the string path rebuilds and re-hashes a fresh, growing prefix
-        #: string at every level.  Kept in sync by ``_split``/``preload``.
-        self._level_caches: List[Dict[int, float]] = []
+        #: The cut tree: cut position by tree node.  Nodes are numbered as
+        #: in a binary heap — the root is 1, node ``n`` has children ``2n``
+        #: and ``2n + 1`` — so a node's number is its code prefix behind a
+        #: leading 1 bit, and the per-record descent is one int-keyed
+        #: lookup, one comparison and one shift per level.
+        self._cuts: Dict[int, float] = {}
+        #: The live histogram rows of the nodes that kept them
+        #: (``_KEEP_MIN_ROWS``), for cuts below to resume from.
+        self._live: Dict[int, LiveRows] = {}
         self._dims = schema.dimensions
 
     # ------------------------------------------------------------------
     # Cut access
     # ------------------------------------------------------------------
-    def _split(self, prefix_bits: str, rect: NormRect) -> float:
-        split = self._split_cache.get(prefix_bits)
+    def _split(self, node: int, rect: NormRect, dim: int) -> float:
+        """The cut along ``dim`` of tree node ``node``, whose rectangle is ``rect``."""
+        split = self._cuts.get(node)
         if split is None:
-            dim = len(prefix_bits) % self._dims
-            split = self.strategy.split(rect, dim)
-            lo, hi = rect[dim]
-            if not lo < split < hi:
-                split = (lo + hi) / 2.0
-            # Memo keyed by trie prefix, bounded by the reachable cuts of a
+            live = self._live
+            # The nearest ancestor that kept its live rows covers this
+            # rectangle's; with none (the root, even cuts, a preloaded
+            # tree) the strategy looks at everything.
+            up = node >> 1 if live else 0
+            while up and up not in live:
+                up >>= 1
+            rows = live.get(up)
+            split, found = self.strategy.cut(rect, dim, rows)
+            # Memo keyed by tree node, bounded by the reachable cuts of a
             # depth-capped trie; entries must never be evicted — every node
             # has to derive identical splits forever.
             # repro-leak: ignore[leak-op-state] bounded split memo, eviction would fork cuts
-            self._split_cache[prefix_bits] = split
-            self._mirror_split(prefix_bits, split)
+            self._cuts[node] = split
+            if found is not None and (rows is None or len(rows) >= _KEEP_MIN_ROWS):
+                # repro-leak: ignore[leak-op-state] at most one row set per memoised cut
+                live[node] = found
         return split
 
-    def _mirror_split(self, prefix_bits: str, split: float) -> None:
-        level = len(prefix_bits)
-        caches = self._level_caches
-        while len(caches) <= level:
-            caches.append({})
-        caches[level][int(prefix_bits, 2) if prefix_bits else 0] = split
-
     @staticmethod
-    def _narrow(rect: NormRect, dim: int, split: float, bit: str) -> NormRect:
+    def _narrow(rect: NormRect, dim: int, split: float, upper: bool) -> NormRect:
         lo, hi = rect[dim]
-        new = (lo, split) if bit == "0" else (split, hi)
+        new = (split, hi) if upper else (lo, split)
         return rect[:dim] + (new,) + rect[dim + 1 :]
+
+    def _rect(self, bits: str) -> NormRect:
+        """Walk ``bits`` down from the root, narrowing the full rectangle."""
+        dims = self._dims
+        rect = full_rect(dims)
+        node = 1
+        for level, bit in enumerate(bits):
+            dim = level % dims
+            upper = bit == "1"
+            rect = self._narrow(rect, dim, self._split(node, rect, dim), upper)
+            node = (node << 1) | upper
+        return rect
+
+    def cut_table(self) -> Dict[str, float]:
+        """Every cut drawn so far, keyed by code prefix (``derive_cut_tree``'s form)."""
+        return {bin(node)[3:]: split for node, split in self._cuts.items()}
+
+    def preload_splits(self, cuts: Dict[str, float]) -> None:
+        """Seed the memoized cut tree (e.g. from ``derive_cut_tree``)."""
+        for prefix_bits, split in cuts.items():
+            self._cuts[int("1" + prefix_bits, 2)] = split
 
     # ------------------------------------------------------------------
     # Points
@@ -101,62 +133,45 @@ class Embedding:
         """The code of a raw-valued point, descended to ``depth`` bits.
 
         The steady-state descent (every cut already memoized — true for
-        all but the first record reaching each tree node) is a cache
-        lookup and a comparison per level; rectangle narrowing happens
-        only on a cache miss, by replaying the descent to the missing
-        prefix.
+        all but the first record reaching each tree node) is a memo
+        lookup and a comparison per level; rectangles exist only on a
+        miss, from where the descent draws the remaining cuts.
         """
         depth = self.code_depth if depth is None else depth
         point = self.schema.normalize(values)
         dims = self._dims
-        caches = self._level_caches
-        known = len(caches)
-        code_int = 0
+        cuts = self._cuts
+        node = 1
         level = 0
-        # Warm path: walk the int-mirrored cuts with no rectangle (or even
-        # prefix-string) bookkeeping — int keys, one shift per level.
-        while level < depth and level < known:
-            split = caches[level].get(code_int)
+        while level < depth:
+            split = cuts.get(node)
             if split is None:
                 break
-            code_int = (code_int << 1) | (point[level % dims] >= split)
+            node = (node << 1) | (point[level % dims] >= split)
             level += 1
-        if level == depth:
-            # Depth-limited prefixes recur constantly (every record of a
-            # region maps to its owner's code); interning skips re-parsing.
-            return intern_code(format(code_int, "0%db" % depth) if depth else "")
-        prefix = format(code_int, "0%db" % level) if level else ""
         if level < depth:
-            # Cache misses are suffix-closed (an unseen prefix implies its
-            # extensions are unseen too), so rebuild the rectangle once and
-            # descend narrowing it the rest of the way.
-            rect = self._rect_for_prefix(prefix)
+            # Misses are suffix-closed (an unseen node's descendants are
+            # unseen too): rebuild the rectangle once, then narrow it the
+            # rest of the way.
+            rect = self._rect(bin(node)[3:])
             while level < depth:
                 dim = level % dims
-                split = self._split(prefix, rect)
-                bit = "1" if point[dim] >= split else "0"
-                prefix += bit
-                rect = self._narrow(rect, dim, split, bit)
+                split = self._split(node, rect, dim)
+                upper = point[dim] >= split
+                rect = self._narrow(rect, dim, split, upper)
+                node = (node << 1) | upper
                 level += 1
-        return intern_code(prefix)
-
-    def _rect_for_prefix(self, prefix: str) -> NormRect:
-        """Replay the descent to ``prefix``'s rectangle (cache-miss path)."""
-        dims = self._dims
-        rect = full_rect(dims)
-        for level, bit in enumerate(prefix):
-            dim = level % dims
-            split = self._split(prefix[:level], rect)
-            rect = self._narrow(rect, dim, split, bit)
-        return rect
+        # Depth-limited prefixes recur constantly (every record of a
+        # region maps to its owner's code); interning skips re-parsing.
+        return intern_code(bin(node)[3:])
 
     def point_codes_batch(self, values, depth: Optional[int] = None) -> List[Code]:
         """Codes for many raw-valued points at once.
 
         Descends the cut tree level by level: points are grouped by their
-        code prefix (one stable sort per level), each group's cut is
-        fetched from the shared memoized cache, and the per-point bit
-        comparisons run as one vectorized ``>=`` over the whole batch.
+        tree node (one stable sort per level), each group's cut is
+        fetched from the shared memo, and the per-point bit comparisons
+        run as one vectorized ``>=`` over the whole batch.
         Agrees bit-for-bit with :meth:`point_code` on every point.
         """
         depth = self.code_depth if depth is None else depth
@@ -168,55 +183,36 @@ class Embedding:
             return [Code("") for _ in range(n)]
         if depth > _MAX_BATCH_DEPTH:
             return [self.point_code(v, depth) for v in values]
-        dims = self.schema.dimensions
-        codes = np.zeros(n, dtype=np.int64)
+        dims = self._dims
+        nodes = np.ones(n, dtype=np.int64)
         splits = np.empty(n, dtype=np.float64)
-        groups: Dict[int, Tuple[str, NormRect]] = {0: ("", full_rect(dims))}
+        rects: Dict[int, NormRect] = {1: full_rect(dims)}
         for level in range(depth):
             dim = level % dims
-            order = np.argsort(codes, kind="stable")
-            sorted_codes = codes[order]
+            order = np.argsort(nodes, kind="stable")
+            sorted_nodes = nodes[order]
             run_starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(sorted_codes)) + 1, [n])
+                ([0], np.flatnonzero(np.diff(sorted_nodes)) + 1, [n])
             )
-            next_groups: Dict[int, Tuple[str, NormRect]] = {}
+            next_rects: Dict[int, NormRect] = {}
             for i in range(len(run_starts) - 1):
                 start, end = run_starts[i], run_starts[i + 1]
-                node = int(sorted_codes[start])
-                prefix, rect = groups[node]
-                split = self._split(prefix, rect)
+                node = int(sorted_nodes[start])
+                rect = rects[node]
+                split = self._split(node, rect, dim)
                 splits[order[start:end]] = split
-                lo, hi = rect[dim]
-                next_groups[node << 1] = (
-                    prefix + "0",
-                    rect[:dim] + ((lo, split),) + rect[dim + 1 :],
-                )
-                next_groups[(node << 1) | 1] = (
-                    prefix + "1",
-                    rect[:dim] + ((split, hi),) + rect[dim + 1 :],
-                )
-            codes = (codes << 1) | (points[:, dim] >= splits)
-            groups = next_groups
-        template = "{:0%db}" % depth
-        return [Code(template.format(c)) for c in codes.tolist()]
-
-    def preload_splits(self, cuts: Dict[str, float]) -> None:
-        """Seed the memoized cut cache (e.g. from ``derive_cut_tree``)."""
-        self._split_cache.update(cuts)
-        for prefix_bits, split in cuts.items():
-            self._mirror_split(prefix_bits, split)
+                next_rects[node << 1] = self._narrow(rect, dim, split, False)
+                next_rects[(node << 1) | 1] = self._narrow(rect, dim, split, True)
+            nodes = (nodes << 1) | (points[:, dim] >= splits)
+            rects = next_rects
+        return [Code(bin(node)[3:]) for node in nodes.tolist()]
 
     # ------------------------------------------------------------------
     # Regions
     # ------------------------------------------------------------------
     def region_rect(self, code: Code) -> NormRect:
         """The normalized hyper-rectangle owned by ``code``."""
-        rect = full_rect(self.schema.dimensions)
-        for level, bit in enumerate(code.bits):
-            dim = level % self.schema.dimensions
-            split = self._split(code.bits[:level], rect)
-            rect = self._narrow(rect, dim, split, bit)
-        return rect
+        return self._rect(code.bits)
 
     def query_prefix(self, query_rect: NormRect, max_depth: Optional[int] = None) -> Code:
         """The longest code whose region fully contains the query rectangle.
@@ -226,21 +222,22 @@ class Embedding:
         split into sub-queries at the first abutting node (Section 3.6).
         """
         max_depth = self.code_depth if max_depth is None else max_depth
-        rect = full_rect(self.schema.dimensions)
-        bits = []
+        dims = self._dims
+        rect = full_rect(dims)
+        node = 1
         for level in range(max_depth):
-            dim = level % self.schema.dimensions
-            split = self._split("".join(bits), rect)
+            dim = level % dims
+            split = self._split(node, rect, dim)
             q_lo, q_hi = query_rect[dim]
             if q_hi <= split:
-                bit = "0"
+                upper = False
             elif q_lo >= split:
-                bit = "1"
+                upper = True
             else:
                 break
-            bits.append(bit)
-            rect = self._narrow(rect, dim, split, bit)
-        return Code("".join(bits))
+            rect = self._narrow(rect, dim, split, upper)
+            node = (node << 1) | upper
+        return Code(bin(node)[3:])
 
     def region_raw_ranges(self, code: Code) -> List[Tuple[float, float]]:
         """The region rectangle in raw attribute units (for local stores)."""

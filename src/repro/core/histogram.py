@@ -22,13 +22,31 @@ Partial bin overlap is weighted fractionally assuming uniform mass within
 a bin.
 """
 
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.core.query import NormRect
 
 Granularity = Union[int, Sequence[int]]
+
+
+class LiveRows:
+    """The occupied-cell rows with mass in some rectangle.
+
+    ``index`` holds ascending row numbers into one build of the
+    histogram's cell arrays, named by ``build``; a histogram that has
+    rebuilt its arrays since ignores the set and scans every cell.
+    """
+
+    __slots__ = ("build", "index")
+
+    def __init__(self, build: int, index: np.ndarray) -> None:
+        self.build = build
+        self.index = index
+
+    def __len__(self) -> int:
+        return self.index.size
 
 
 class MultiDimHistogram:
@@ -56,8 +74,11 @@ class MultiDimHistogram:
         self.grains: Tuple[int, ...] = grains
         self._cells: Dict[Tuple[int, ...], float] = {}
         self._dirty = True
-        self._coords = np.zeros((0, dimensions), dtype=np.int64)
-        self._counts = np.zeros(0, dtype=np.float64)
+        #: Which build of the cell arrays is current; :class:`LiveRows`
+        #: index into one build only.
+        self._build = 0
+        #: Cell rows weighed by :meth:`split_rows` so far (a work count).
+        self.rows_scanned = 0
 
     @property
     def granularity(self) -> Tuple[int, ...]:
@@ -179,41 +200,48 @@ class MultiDimHistogram:
         return dict(self._cells)
 
     def _arrays(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Occupied cells as arrays, rows in lexicographic cell order."""
         if self._dirty:
-            if self._cells:
-                self._coords = np.array(sorted(self._cells), dtype=np.int64)
-                self._counts = np.array([self._cells[tuple(c)] for c in self._coords], dtype=np.float64)
-            else:
-                self._coords = np.zeros((0, self.dimensions), dtype=np.int64)
-                self._counts = np.zeros(0, dtype=np.float64)
-            # Per-dimension sort orders, computed once: split_point reuses
-            # them instead of re-sorting on every cut.
-            self._orders = [
-                np.argsort(self._coords[:, dim], kind="stable")
-                for dim in range(self.dimensions)
-            ]
+            cells = sorted(self._cells.items())
+            self._coords = np.array([cell for cell, _ in cells], dtype=np.int64).reshape(
+                len(cells), self.dimensions
+            )
+            self._counts = np.array([count for _, count in cells], dtype=np.float64)
+            # Every cell's edges in normalized units, computed once: each
+            # median otherwise re-derives them for the rows it weighs.
+            grains = np.array(self.grains, dtype=np.float64)
+            self._grains = grains
+            self._cell_lo = self._coords / grains
+            self._cell_hi = (self._coords + 1) / grains
+            self._build += 1
             self._dirty = False
         return self._coords, self._counts
 
     # ------------------------------------------------------------------
     # Rectangle queries
     # ------------------------------------------------------------------
-    def _cell_weights(self, rect: NormRect) -> np.ndarray:
-        """Per-occupied-cell weight = count x fractional rect overlap.
+    def _cell_weights(self, rect: NormRect, index: Optional[np.ndarray] = None) -> np.ndarray:
+        """Per-cell weight = count x fractional rect overlap.
 
-        Computed directly on the occupied-cell coordinate arrays (O(cells)
-        per dimension) so fine granularities stay cheap.
+        One weight per row of ``index`` (every occupied cell when None),
+        each the same chain of elementwise products whichever rows it is
+        computed beside.
         """
-        coords, counts = self._arrays()
-        if counts.size == 0:
-            return counts
-        weight = counts.copy()
-        for dim, (lo, hi) in enumerate(rect):
-            k = self.grains[dim]
-            bins = coords[:, dim]
-            left = np.maximum(bins / k, lo)
-            right = np.minimum((bins + 1) / k, hi)
-            weight *= np.clip((right - left) * k, 0.0, 1.0)
+        _, weight = self._arrays()
+        cell_lo, cell_hi = self._cell_lo, self._cell_hi
+        if index is None:
+            weight = weight.copy()
+        else:
+            cell_lo, cell_hi = cell_lo.take(index, axis=0), cell_hi.take(index, axis=0)
+            weight = weight[index]
+        bounds = np.array(rect, dtype=np.float64)
+        overlap = np.minimum(cell_hi, bounds[:, 1])
+        overlap -= np.maximum(cell_lo, bounds[:, 0])
+        overlap *= self._grains
+        np.maximum(overlap, 0.0, out=overlap)
+        np.minimum(overlap, 1.0, out=overlap)
+        for dim in range(self.dimensions):
+            weight *= overlap[:, dim]
         return weight
 
     def count_in_rect(self, rect: NormRect) -> float:
@@ -229,52 +257,58 @@ class MultiDimHistogram:
         (approximately) halved; falls back to the geometric midpoint when
         the rectangle holds no mass.
         """
+        return self.split_rows(rect, dim)[0]
+
+    def split_rows(
+        self, rect: NormRect, dim: int, rows: Optional[LiveRows] = None
+    ) -> Tuple[float, LiveRows]:
+        """:meth:`split_point`, weighing only ``rows``; also the live rows.
+
+        ``rows`` must cover every cell with mass in ``rect`` — the live
+        rows returned for any rectangle containing it do, so a cut tree
+        hands each node's set down to its children and a cut deep in the
+        tree weighs its own handful of cells instead of all of them.  The
+        split is the same float whichever covering set is given: per-cell
+        weights are elementwise, ascending rows stably sorted by bin are
+        the full stable order restricted to them, and the live masses go
+        through the same sequential ``np.cumsum`` (not a pairwise sum),
+        which the scalar oracle in ``tests/oracles.py`` reproduces.  A set
+        from before the histogram last changed is ignored.
+        """
         if not 0 <= dim < self.dimensions:
             raise IndexError(f"dimension {dim} out of range")
         lo, hi = rect[dim]
-        midpoint = (lo + hi) / 2.0
-
         coords, _ = self._arrays()
-        weights = self._cell_weights(rect)
-        if weights.size == 0 or weights.sum() <= 0.0:
-            return midpoint
+        index = rows.index if rows is not None and rows.build == self._build else None
+        weights = self._cell_weights(rect, index)
+        self.rows_scanned += weights.size
+        live = (weights > 0.0).nonzero()[0]
+        masses = weights[live]
+        if index is not None:
+            live = index[live]
+        live_rows = LiveRows(self._build, live)
+        if live.size == 0:
+            return (lo + hi) / 2.0, live_rows
 
+        bins = coords[live, dim]
+        order = bins.argsort(kind="stable")
+        bins = bins[order]
+        # Find the cell where the running mass crosses half, then
+        # interpolate inside that cell's bin: between the running mass at
+        # the end of the previous bin and at the end of this one.
+        running = masses[order].cumsum()
+        half = float(running[-1]) / 2.0
+        b = int(bins[running.searchsorted(half)])
+        first = int(bins.searchsorted(b))
+        before = float(running[first - 1]) if first > 0 else 0.0
+        mass = float(running[bins.searchsorted(b, side="right") - 1]) - before
         k = self.grains[dim]
-        order = self._orders[dim]
-        bins_all = coords[order, dim]
-        masses_all = weights[order]
-        live = masses_all > 0.0
-        bins = bins_all[live]
-        masses = masses_all[live]
-        if bins.size == 0:
-            return midpoint
-        # Collapse duplicate bins, then find the bin where the cumulative
-        # mass crosses half and interpolate inside it.  The cumulative
-        # masses come from one sequential np.cumsum over the flat mass
-        # array (read at each bin's last cell) and the in-bin mass is the
-        # difference of adjacent cumulatives — an operation order the
-        # scalar oracle (tests/oracles.py) reproduces exactly, which
-        # np.add.reduceat (pairwise association) would not.
-        unique_bins, starts = np.unique(bins, return_index=True)
-        ends = np.append(starts[1:], masses.size)
-        cumulative = np.cumsum(masses)[ends - 1]
-        total = cumulative[-1]
-        if total <= 0.0:
-            return midpoint
-        half = total / 2.0
-        idx = int(np.searchsorted(cumulative, half, side="left"))
-        b = int(unique_bins[idx])
-        before = float(cumulative[idx - 1]) if idx > 0 else 0.0
-        mass = float(cumulative[idx]) - before
         bin_lo = max(b / k, lo)
         bin_hi = min((b + 1) / k, hi)
-        if mass <= 0.0:
-            split = bin_lo
-        else:
-            split = bin_lo + (half - before) / mass * (bin_hi - bin_lo)
+        split = bin_lo + (half - before) / mass * (bin_hi - bin_lo)
         # Keep the split strictly inside the rectangle so both halves are
         # non-degenerate.
-        return float(min(max(split, lo + 1e-12), hi - 1e-12))
+        return float(min(max(split, lo + 1e-12), hi - 1e-12)), live_rows
 
     # ------------------------------------------------------------------
     # Serialization (daily histogram distribution to all nodes)

@@ -289,7 +289,9 @@ class MindNode(OverlayNode):
             strategy or EvenCuts(),
             code_depth=code_depth or self.mind_config.code_depth,
         )
-        versions = VersionedEmbedding(embedding)
+        # Install what every other node will: the instance the wire form
+        # resolves to, so the whole cluster derives one cut tree.
+        versions = VersionedEmbedding(Embedding.from_wire(embedding.to_wire()))
         payload = {
             "index": schema.name,
             "versions": versions.to_wire(),
@@ -307,8 +309,9 @@ class MindNode(OverlayNode):
     def install_version(self, index: str, valid_from: float, embedding: Embedding) -> None:
         """Install a new daily embedding version and flood it (Section 3.7)."""
         state = self._state(index)
-        state.versions.install(valid_from, embedding)
-        payload = {"index": index, "valid_from": valid_from, "embedding": embedding.to_wire()}
+        wire = embedding.to_wire()
+        state.versions.install(valid_from, Embedding.from_wire(wire))
+        payload = {"index": index, "valid_from": valid_from, "embedding": wire}
         self._flood("index_version", payload, ("version", index, valid_from))
 
     def has_index(self, name: str) -> bool:
