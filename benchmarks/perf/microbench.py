@@ -154,7 +154,6 @@ def bench_query_scan(records: List[Record], queries: List[RangeQuery]) -> Dict:
         queries=len(queries),
         hits=vector_hits,
         vectorized_scans_per_s=round(scanned / vectorized_s) if vectorized_s else None,
-        rows_per_bucket=round(len(records) * store.bucket_s / DAY_S, 1),
     )
 
 

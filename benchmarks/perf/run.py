@@ -37,7 +37,6 @@ from benchmarks.perf.microbench import (  # noqa: E402
 )
 from repro import checks  # noqa: E402
 from repro.analysis import analyze_paths  # noqa: E402
-from repro.storage.memtable import _VECTOR_MIN_ROWS  # noqa: E402
 
 #: Regression gates for the full-size scale tier (1M records, 1000 nodes,
 #: seed 7).  Embedded in the BENCH_PERF.json scale block and enforced on
@@ -276,17 +275,12 @@ def main(argv=None) -> int:
         f"  replica records {counters['replica_records']}"
     )
 
-    # At full scale the vectorized scan is several times faster than the
-    # scalar oracle.  The store masks a time bucket with NumPy only from
-    # _VECTOR_MIN_ROWS rows up, though: a smoke-sized day (a few thousand
-    # records over 288 five-minute buckets) stays below that everywhere,
-    # both sides then run the same per-record loop, and their ratio is
-    # parity plus scheduler noise (0.73-1.32 measured) — so gate only
-    # where the mask path ran.  A genuine vectorization regression lands
-    # far below parity; the 10% tolerance absorbs the rest.
+    # The store masks every scan with NumPy, whatever the size of the day,
+    # so the vectorized side has to beat the scalar oracle at smoke size
+    # too.  A genuine vectorization regression lands far below parity;
+    # the 10% tolerance absorbs scheduler noise.
     scan = benches["query_scan"]
-    masked = scan["rows_per_bucket"] >= _VECTOR_MIN_ROWS
-    if masked and scan["speedup"] < 0.9 and not args.profile:
+    if scan["speedup"] < 0.9 and not args.profile:
         print(
             "PERF REGRESSION: vectorized query scan is SLOWER than the "
             f"scalar oracle ({scan['speedup']:.2f}x)",

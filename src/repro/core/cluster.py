@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Set, Union
 
 from repro.core.metrics import InsertMetric, MetricsCollector, QueryMetric
 from repro.core.mind_node import MindConfig, MindNode
-from repro.core.query import RangeQuery
+from repro.core.query import RangeQuery, rect_contains_point
 from repro.core.records import Record
 from repro.core.schema import IndexSchema
 from repro.net.failures import FailureInjector
@@ -402,10 +402,11 @@ class MindCluster:
                 break
         if schema is None:
             raise KeyError(f"no node has index {query.index}")
+        rect = query.normalized_rect(schema)
         return {
             record.key
             for record in self.ground_truth.get(query.index, ())
-            if query.matches(schema, record)
+            if rect_contains_point(rect, schema.normalize(record.values))
         }
 
     # ------------------------------------------------------------------

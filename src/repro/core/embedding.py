@@ -20,7 +20,7 @@ derives the identical tree from the identical histogram.
 """
 
 import json
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -213,6 +213,31 @@ class Embedding:
     def region_rect(self, code: Code) -> NormRect:
         """The normalized hyper-rectangle owned by ``code``."""
         return self._rect(code.bits)
+
+    def complement_cells(self, own: Code, start: int) -> Iterator[Tuple[Code, NormRect]]:
+        """The sibling cell and its rectangle at each level ``start..len(own)-1``.
+
+        Level ``i``'s cell is ``own.prefix(i + 1).flip(i)``: together the
+        cells tile what the region ``own.prefix(start)`` holds beyond
+        ``own`` (the sub-queries a query splits into at the first abutting
+        node).  One walk down ``own``: each rectangle is the running one
+        narrowed to the other side of the same cut, so the cuts touched,
+        and their order, are those of ``region_rect(cell)`` per cell.
+        """
+        bits = own.bits
+        dims = self._dims
+        rect = self._rect(bits[:start])
+        node = int("1" + bits[:start], 2)
+        for level in range(start, len(bits)):
+            dim = level % dims
+            upper = bits[level] == "1"
+            split = self._split(node, rect, dim)
+            yield (
+                intern_code(bits[:level] + ("0" if upper else "1")),
+                self._narrow(rect, dim, split, not upper),
+            )
+            rect = self._narrow(rect, dim, split, upper)
+            node = (node << 1) | upper
 
     def query_prefix(self, query_rect: NormRect, max_depth: Optional[int] = None) -> Code:
         """The longest code whose region fully contains the query rectangle.

@@ -24,7 +24,7 @@ from repro.core.cuts import BalancedCuts, EvenCuts
 from repro.core.embedding import Embedding
 from repro.core.histogram import MultiDimHistogram
 from repro.core.metrics import InsertMetric, QueryMetric
-from repro.core.query import RangeQuery, rect_intersection
+from repro.core.query import NormRect, RangeQuery, rect_contains_point, rect_intersection
 from repro.core.records import Record
 from repro.core.replication import FULL_REPLICATION, failover_targets, replica_targets
 from repro.core.schema import IndexSchema
@@ -134,6 +134,9 @@ class _RegionState:
 class _QueryOp:
     metric: QueryMetric
     query: RangeQuery
+    #: ``query`` as a normalized rectangle, built once: every returned
+    #: record is re-checked against it.
+    rect: NormRect
     pending: Set[str]
     answered: Set[str] = field(default_factory=set)
     records: Dict[int, Record] = field(default_factory=dict)
@@ -728,6 +731,7 @@ class MindNode(OverlayNode):
         op = _QueryOp(
             metric=metric,
             query=query,
+            rect=rect,
             pending=set(),
             callback=callback,
             replication=state.replication,
@@ -1013,9 +1017,7 @@ class MindNode(OverlayNode):
             # placed by the dead node's code, not by the query rectangle,
             # so rect pruning would be wrong — the holder answers from its
             # whole local store instead.
-            for i in range(len(region), len(own)):
-                cell = own.prefix(i + 1).flip(i)
-                cell_rect = embedding.region_rect(cell)
+            for cell, cell_rect in embedding.complement_cells(own, len(region)):
                 if rect_intersection(cell_rect, qrect) is not None:
                     spawned.append(cell.bits)
                     sub_env_inner = dict(inner)
@@ -1196,9 +1198,10 @@ class MindNode(OverlayNode):
         op.metric.nodes_visited.update(payload["path"])
         op.metric.nodes_visited.add(payload["responder"])
         schema = self._state(op.query.index).schema
+        rect = op.rect
         for wire in payload["records"]:
             record = Record.from_wire(wire)
-            if op.query.matches(schema, record):
+            if rect_contains_point(rect, schema.normalize(record.values)):
                 if from_failover and record.key not in op.records:
                     op.metric.replica_records += 1
                 op.records[record.key] = record
@@ -1339,9 +1342,8 @@ class MindNode(OverlayNode):
 
         spawned: List[str] = []
         if own is not None and len(own) > len(region):
-            for i in range(len(region), len(own)):
-                cell = own.prefix(i + 1).flip(i)
-                if rect_intersection(embedding.region_rect(cell), qrect) is not None:
+            for cell, cell_rect in embedding.complement_cells(own, len(region)):
+                if rect_intersection(cell_rect, qrect) is not None:
                     spawned.append(cell.bits)
                     self.route(
                         cell,

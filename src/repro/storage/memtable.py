@@ -1,4 +1,4 @@
-"""In-memory, time-partitioned record store with a columnar hot path.
+"""In-memory, time-partitioned record store: one sorted columnar run.
 
 Records are stored with their *normalized* coordinates so that rectangle
 filtering agrees exactly with the embedding's view of the data space
@@ -7,72 +7,43 @@ Partitioning on the raw timestamp attribute prunes the scan for the
 periodic monitoring queries the paper issues (5-minute windows over a day
 of data).
 
-Each time bucket keeps its normalized points in a growing ``float64``
-matrix (amortized-doubling append), so rectangle containment over a bucket
-is a handful of vectorized comparisons instead of a per-record Python
-loop — the batched range-filter primitive that Skip-Webs-style distributed
-multi-dimensional indexes are built around.  Buckets too small to repay
-NumPy's fixed cost (``_VECTOR_MIN_ROWS``) are scanned record by record;
-the brute-force scan the equivalence property tests compare against lives
+The whole store is one run of rows held in **(time bucket ascending,
+arrival order within a bucket)**: a growing ``float64`` point matrix
+(amortized-doubling append), a parallel column of bucket ids
+(``timestamp // bucket_s``) and the record list.  A scan is two binary
+searches on the bucket column, one vectorized rectangle mask over the
+contiguous slice between them and one gather — the batched range-filter
+primitive that Skip-Webs-style distributed multi-dimensional indexes are
+built around — whatever the slice holds; there is no small-slice twin.
+The brute-force scan the equivalence property tests compare against lives
 in ``tests/oracles.py``.
+
+Appends never sort.  An arrival whose bucket is at or past the run's last
+(time-ordered arrival, the monitoring case) extends the sorted run;
+anything else marks the run unsorted and the next read folds it with one
+stable ``argsort`` of the bucket column (timsort: a long sorted run plus a
+short tail merges adaptively — ~15 us at the ~100 rows a cluster node
+holds).  The cost to know about: one out-of-order arrival into a 100k-row
+run makes the next read pay a ~7 ms fold.
+
+The bucket column is an ``array('d')`` searched with ``bisect``: a scan
+looks up two scalars, at half the cost of ``ndarray.searchsorted`` on
+them; the fold, which wants the whole column, sorts it through a NumPy
+view of the same memory.
 """
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from array import array
+from bisect import bisect_left, bisect_right
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.query import NormRect, rect_contains_point
+from repro.core.query import NormRect
 from repro.core.records import Record
 from repro.core.schema import IndexSchema
 
 _INITIAL_CAPACITY = 16
-#: Below this many rows a per-record scan beats the fixed cost of building
-#: NumPy masks, so the store drops to the scalar loop per bucket (results
-#: are identical either way).
-_VECTOR_MIN_ROWS = 48
-
-
-class _ColumnBucket:
-    """One time bucket: a record list plus a columnar point matrix."""
-
-    __slots__ = ("records", "_points", "size")
-
-    def __init__(self, dimensions: int) -> None:
-        self.records: List[Record] = []
-        self._points = np.empty((_INITIAL_CAPACITY, dimensions), dtype=np.float64)
-        self.size = 0
-
-    def append(self, record: Record, point: Sequence[float]) -> None:
-        if self.size == self._points.shape[0]:
-            grown = np.empty(
-                (self._points.shape[0] * 2, self._points.shape[1]), dtype=np.float64
-            )
-            grown[: self.size] = self._points[: self.size]
-            self._points = grown
-        self._points[self.size] = point
-        self.records.append(record)
-        self.size += 1
-
-    def extend(self, records: Sequence[Record], points: np.ndarray) -> None:
-        n = len(records)
-        if n == 0:
-            return
-        needed = self.size + n
-        if needed > self._points.shape[0]:
-            capacity = self._points.shape[0]
-            while capacity < needed:
-                capacity *= 2
-            grown = np.empty((capacity, self._points.shape[1]), dtype=np.float64)
-            grown[: self.size] = self._points[: self.size]
-            self._points = grown
-        self._points[self.size : needed] = points
-        self.records.extend(records)
-        self.size = needed
-
-    @property
-    def points(self) -> np.ndarray:
-        return self._points[: self.size]
 
 
 def rect_mask(points: np.ndarray, rect: NormRect) -> Optional[np.ndarray]:
@@ -107,21 +78,34 @@ class TimePartitionedStore:
         self.schema = schema
         self.bucket_s = bucket_s
         self._time_dim = schema.time_dimension()
-        self._buckets: Dict[int, _ColumnBucket] = {}
-        self._count = 0
+        self._records: List[Record] = []
+        self._points = np.empty((_INITIAL_CAPACITY, schema.dimensions), dtype=np.float64)
+        #: Bucket id per row.  Kept as floats (the exact result of the
+        #: float floor division): every timestamp orders correctly, where
+        #: int64 would overflow from t ~ 1e21 at the default bucket width.
+        self._bucket_ids = array("d")
+        self._sorted = True
         self._keys: set = set()
+        #: Rows handed to :func:`rect_mask` so far — the work a scan did,
+        #: for tests to bound without a clock.
+        self.rows_masked = 0
 
-    def _bucket_of(self, record: Record) -> int:
+    def _bucket_of(self, record: Record) -> float:
         if self._time_dim is None:
-            return 0
-        return int(record.values[self._time_dim] // self.bucket_s)
-
-    def _bucket(self, bucket_id: int) -> _ColumnBucket:
-        bucket = self._buckets.get(bucket_id)
-        if bucket is None:
-            bucket = _ColumnBucket(self.schema.dimensions)
-            self._buckets[bucket_id] = bucket
+            return 0.0
+        bucket = record.values[self._time_dim] // self.bucket_s
+        if bucket != bucket:
+            raise ValueError(f"record timestamp {record.values[self._time_dim]!r} is not finite")
         return bucket
+
+    def _reserve(self, rows: int) -> None:
+        """Make room for ``rows`` rows in the point matrix."""
+        capacity = self._points.shape[0]
+        if rows > capacity:
+            size = len(self._records)
+            grown = np.empty((max(rows, 2 * capacity), self._points.shape[1]), dtype=np.float64)
+            grown[:size] = self._points[:size]
+            self._points = grown
 
     # ------------------------------------------------------------------
     def insert(self, record: Record) -> bool:
@@ -133,17 +117,23 @@ class TimePartitionedStore:
         if record.key in self._keys:
             return False
         self._keys.add(record.key)
-        point = self.schema.normalize(record.values)
-        self._bucket(self._bucket_of(record)).append(record, point)
-        self._count += 1
+        bucket = self._bucket_of(record)
+        bucket_ids = self._bucket_ids
+        size = len(bucket_ids)
+        self._reserve(size + 1)
+        self._points[size] = self.schema.normalize(record.values)
+        if size and bucket < bucket_ids[-1]:
+            self._sorted = False
+        bucket_ids.append(bucket)
+        self._records.append(record)
         return True
 
     def insert_batch(self, records: Sequence[Record]) -> int:
         """Bulk insert; returns how many records were new.
 
-        Normalizes the whole batch at once and appends per-bucket slices;
-        duplicates (against the store and within the batch) are dropped
-        exactly as :meth:`insert` would.
+        Normalizes the whole batch at once and appends it in arrival
+        order; duplicates (against the store and within the batch) are
+        dropped exactly as :meth:`insert` would.
         """
         fresh: List[Record] = []
         for record in records:
@@ -154,27 +144,52 @@ class TimePartitionedStore:
         if not fresh:
             return 0
         points = self.schema.normalize_batch([r.values for r in fresh])
-        if self._time_dim is None:
-            self._bucket(0).extend(fresh, points)
-        else:
-            bucket_ids = [self._bucket_of(r) for r in fresh]
-            by_bucket: Dict[int, List[int]] = {}
-            for row, bucket_id in enumerate(bucket_ids):
-                by_bucket.setdefault(bucket_id, []).append(row)
-            for bucket_id, rows in by_bucket.items():
-                self._bucket(bucket_id).extend(
-                    [fresh[i] for i in rows], points[rows]
-                )
-        self._count += len(fresh)
+        size = len(self._records)
+        bucket_ids = self._bucket_ids
+        bucket_ids.extend([self._bucket_of(r) for r in fresh])
+        self._reserve(size + len(fresh))
+        self._points[size : size + len(fresh)] = points
+        self._records.extend(fresh)
+        # From the row before the batch on: does any bucket id step down?
+        tail = np.frombuffer(bucket_ids, dtype=np.float64)[max(size - 1, 0) :]
+        if (tail[1:] < tail[:-1]).any():
+            self._sorted = False
         return len(fresh)
 
     def __len__(self) -> int:
-        return self._count
+        return len(self._records)
 
     def __contains__(self, key: int) -> bool:
         return key in self._keys
 
     # ------------------------------------------------------------------
+    def _slice(self, time_range: Optional[Tuple[float, float]]) -> Tuple[int, int]:
+        """Row span of the buckets overlapping ``time_range`` (folding first).
+
+        Two binary searches on the bucket column, so a wide time range
+        over a sparse store costs O(log rows), not O(span / bucket_s).
+        """
+        size = len(self._records)
+        if not self._sorted:
+            # Stable, so rows of one bucket keep their arrival order.
+            bucket_ids = np.frombuffer(self._bucket_ids, dtype=np.float64)
+            order = np.argsort(bucket_ids, kind="stable")
+            bucket_ids[:] = bucket_ids[order]
+            self._points[:size] = self._points[order]
+            self._records = list(map(self._records.__getitem__, order.tolist()))
+            self._sorted = True
+        if time_range is None or self._time_dim is None:
+            return 0, size
+        lo, hi = time_range
+        first = lo // self.bucket_s
+        # The range is half-open, so the last candidate bucket is the one
+        # holding the largest representable timestamp below ``hi``.  A
+        # fixed epsilon (``hi - 1e-9``) breaks for hi in (0, epsilon): the
+        # subtraction crosses zero and prunes bucket 0 even though
+        # [lo, hi) intersects it.
+        last = max(lo, math.nextafter(hi, -math.inf)) // self.bucket_s
+        return bisect_left(self._bucket_ids, first), bisect_right(self._bucket_ids, last)
+
     def query(
         self,
         rect: NormRect,
@@ -182,53 +197,24 @@ class TimePartitionedStore:
     ) -> List[Record]:
         """All records whose normalized point lies in ``rect``.
 
-        ``time_range`` (raw units, half-open) prunes the buckets scanned;
-        the rectangle check remains authoritative.
+        ``time_range`` (raw units, half-open) prunes the rows scanned to
+        the buckets it overlaps; the rectangle check remains authoritative.
+        Results come in bucket order, arrival order within a bucket.
         """
-        out: List[Record] = []
-        for bucket_id in self._candidate_buckets(time_range):
-            bucket = self._buckets[bucket_id]
-            records = bucket.records
-            if bucket.size >= _VECTOR_MIN_ROWS:
-                mask = rect_mask(bucket.points, rect)
-                if mask is None:
-                    out.extend(records)
-                else:
-                    hits = np.flatnonzero(mask)
-                    if hits.size == len(records):
-                        out.extend(records)
-                    else:
-                        out.extend(map(records.__getitem__, hits.tolist()))
-            else:
-                for record, point in zip(records, bucket.points.tolist()):
-                    if rect_contains_point(rect, point):
-                        out.append(record)
-        return out
-
-    def _candidate_buckets(self, time_range: Optional[Tuple[float, float]]) -> Sequence[int]:
-        """Bucket ids overlapping ``time_range``, in ascending time order.
-
-        Intersects the requested span with the bucket ids that actually
-        exist, so a wide time range over a sparse store costs
-        O(buckets log buckets) rather than O(span / bucket_s).
-        """
-        if time_range is None or self._time_dim is None:
-            return sorted(self._buckets)
-        lo, hi = time_range
-        first = int(lo // self.bucket_s)
-        # The range is half-open, so the last candidate bucket is the one
-        # holding the largest representable timestamp below ``hi``.  A
-        # fixed epsilon (``hi - 1e-9``) breaks for hi in (0, epsilon): the
-        # subtraction crosses zero and prunes bucket 0 even though
-        # [lo, hi) intersects it.
-        last = int(max(lo, math.nextafter(hi, -math.inf)) // self.bucket_s)
-        span = last - first + 1
-        if span >= len(self._buckets):
-            return sorted(b for b in self._buckets if first <= b <= last)
-        return [b for b in range(first, last + 1) if b in self._buckets]
+        start, stop = self._slice(time_range)
+        if start == stop:
+            return []
+        self.rows_masked += stop - start
+        mask = rect_mask(self._points[start:stop], rect)
+        if mask is None:
+            return self._records[start:stop]
+        hits = mask.nonzero()[0]
+        hits += start
+        return list(map(self._records.__getitem__, hits.tolist()))
 
     def all_records(self) -> List[Record]:
-        return [record for b in sorted(self._buckets) for record in self._buckets[b].records]
+        start, stop = self._slice(None)
+        return self._records[start:stop]
 
     def points_in_time_range(
         self, time_range: Optional[Tuple[float, float]] = None
@@ -239,35 +225,34 @@ class TimePartitionedStore:
         add_batch``); with no time dimension or no range, returns every
         stored point.
         """
-        chunks: List[np.ndarray] = []
-        for bucket_id in self._candidate_buckets(time_range):
-            bucket = self._buckets[bucket_id]
-            points = bucket.points
-            if time_range is not None and self._time_dim is not None:
-                lo, hi = time_range
-                # Bucket pruning is coarse; filter on the raw timestamps.
-                raw = np.fromiter(
-                    (r.values[self._time_dim] for r in bucket.records),
-                    dtype=np.float64,
-                    count=bucket.size,
-                )
-                points = points[(raw >= lo) & (raw < hi)]
-            if points.size:
-                chunks.append(points)
-        if not chunks:
-            return np.empty((0, self.schema.dimensions), dtype=np.float64)
-        return np.concatenate(chunks, axis=0)
+        start, stop = self._slice(time_range)
+        points = self._points[start:stop]
+        if time_range is None or self._time_dim is None:
+            return points.copy()
+        lo, hi = time_range
+        # Bucket pruning is coarse; filter on the raw timestamps.
+        raw = np.fromiter(
+            (r.values[self._time_dim] for r in self._records[start:stop]),
+            dtype=np.float64,
+            count=stop - start,
+        )
+        return points[(raw >= lo) & (raw < hi)]
 
     def drop_before(self, cutoff: float) -> int:
         """Expire whole buckets older than ``cutoff`` (version retirement)."""
         if self._time_dim is None:
             return 0
+        _, size = self._slice(None)
+        # The run is sorted, so the expired buckets are a prefix of it.
         removed = 0
-        for bucket_id in list(self._buckets):
-            if (bucket_id + 1) * self.bucket_s <= cutoff:
-                bucket = self._buckets.pop(bucket_id)
-                removed += bucket.size
-                for record in bucket.records:
-                    self._keys.discard(record.key)
-        self._count -= removed
+        for bucket in self._bucket_ids:
+            if not (bucket + 1) * self.bucket_s <= cutoff:
+                break
+            removed += 1
+        if removed:
+            for record in self._records[:removed]:
+                self._keys.discard(record.key)
+            del self._records[:removed]
+            del self._bucket_ids[:removed]
+            self._points = self._points[removed:size].copy()
         return removed

@@ -19,7 +19,7 @@ from repro import checks
 from repro.core import embedding as embedding_module
 from repro.core.balance import derive_cut_tree, histogram_from_records
 from repro.core.cluster import ClusterConfig, MindCluster
-from repro.core.cuts import BalancedCuts, strategy_from_wire
+from repro.core.cuts import BalancedCuts, EvenCuts, strategy_from_wire
 from repro.core.embedding import Embedding
 from repro.core.histogram import MultiDimHistogram
 from repro.core.records import Record
@@ -159,6 +159,35 @@ def test_cut_table_does_not_depend_on_touch_order(records, depth, keep_min, seed
     scalar = Embedding(SCHEMA, BalancedCuts(ScalarCutHistogram(hist)), code_depth=depth)
     assert [scalar.point_code(v).bits for v in values] == codes[0]
     assert scalar.cut_table().items() <= merged.items()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    records=st.lists(values_strategy, min_size=1, max_size=60),
+    own_bits=st.text("01", max_size=14),
+    start=st.integers(0, 14),
+    balanced=st.booleans(),
+)
+def test_complement_cells_equal_region_rect_per_cell(records, own_bits, start, balanced):
+    """The one-walk split yields, per level, the cell and rectangle the
+    per-cell root walk gives — drawing the cuts itself (cold) and from the
+    memo (warm) — and touches the same tree nodes."""
+    hist = histogram_from_records(SCHEMA, [Record(v) for v in records], GRAINS)
+
+    def make():
+        return Embedding(SCHEMA, BalancedCuts(hist) if balanced else EvenCuts(), code_depth=16)
+
+    # Callers split only when ``own`` is longer than the addressed region.
+    own, start = Code(own_bits), min(start, max(len(own_bits) - 1, 0))
+    reference = make()
+    expected = []
+    for i in range(start, len(own)):
+        cell = own.prefix(i + 1).flip(i)
+        expected.append((cell, reference.region_rect(cell)))
+    walked = make()
+    assert list(walked.complement_cells(own, start)) == expected  # cold
+    assert list(walked.complement_cells(own, start)) == expected  # warm
+    assert walked.cut_table() == reference.cut_table()
 
 
 def test_degenerate_cut_hands_both_children_their_rows():

@@ -13,6 +13,7 @@ over the live masses), so cuts come out as identical floats, not merely
 close ones.
 """
 
+import math
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.histogram import MultiDimHistogram
@@ -35,13 +36,27 @@ def scan_scalar(
     rect: NormRect,
     time_range: Optional[Tuple[float, float]] = None,
 ) -> List[Record]:
-    """Brute-force ``store.query``: test every record of every candidate bucket."""
+    """Brute-force ``store.query``: test every record of every candidate bucket.
+
+    Public API only: walks ``all_records()``, keeps the records whose time
+    bucket (``timestamp // bucket_s``) overlaps the half-open
+    ``time_range``, and re-normalizes each one for the containment test.
+    """
+    schema = store.schema
+    time_dim = schema.time_dimension()
+    pruned = time_range is not None and time_dim is not None
+    if pruned:
+        lo, hi = time_range
+        first = lo // store.bucket_s
+        # Half-open: the last bucket is the one holding the largest
+        # representable timestamp below ``hi``.
+        last = max(lo, math.nextafter(hi, -math.inf)) // store.bucket_s
     out: List[Record] = []
-    for bucket_id in store._candidate_buckets(time_range):
-        bucket = store._buckets[bucket_id]
-        for record, point in zip(bucket.records, bucket.points.tolist()):
-            if rect_contains_point(rect, point):
-                out.append(record)
+    for record in store.all_records():
+        if pruned and not first <= record.values[time_dim] // store.bucket_s <= last:
+            continue
+        if rect_contains_point(rect, schema.normalize(record.values)):
+            out.append(record)
     return out
 
 

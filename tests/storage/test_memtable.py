@@ -131,9 +131,68 @@ def test_wide_time_range_intersects_existing_buckets(schema):
 
 
 def test_candidate_buckets_sorted_and_pruned(schema):
+    # Arrival order is not time order: results come back bucket-ascending,
+    # and a time range returns exactly the buckets it overlaps.
     store = TimePartitionedStore(schema, bucket_s=100.0)
+    by_bucket = {}
     for t in (950.0, 50.0, 450.0):
-        store.insert(Record([1.0, t]))
-    assert list(store._candidate_buckets(None)) == [0, 4, 9]
-    assert list(store._candidate_buckets((0.0, 500.0))) == [0, 4]
-    assert list(store._candidate_buckets((400.0, 10_000.0))) == [4, 9]
+        record = Record([1.0, t])
+        store.insert(record)
+        by_bucket[int(t // 100.0)] = record.key
+    full = ((0.0, 1.0), (0.0, 1.0))
+
+    def buckets(time_range):
+        return [int(r.values[1] // 100.0) for r in store.query(full, time_range)]
+
+    assert buckets(None) == [0, 4, 9]
+    assert buckets((0.0, 500.0)) == [0, 4]
+    assert buckets((400.0, 10_000.0)) == [4, 9]
+    assert [r.key for r in store.all_records()] == [by_bucket[b] for b in (0, 4, 9)]
+
+
+# ----------------------------------------------------------------------
+# Work bounds, without a clock: ``rows_masked`` counts the rows a scan
+# handed to the rectangle mask.
+# ----------------------------------------------------------------------
+def test_five_minute_query_masks_only_the_buckets_it_overlaps(schema):
+    rng = random.Random(3)
+    records = [Record([rng.uniform(0, 100), rng.uniform(0, 86400)]) for _ in range(100_000)]
+    store = TimePartitionedStore(schema, bucket_s=300.0)
+    store.insert_batch(records)
+    t0 = 40_000.0  # not bucket-aligned: the window straddles two buckets
+    rect = ((0.0, 1.0), (t0 / 86400.0, (t0 + 300.0) / 86400.0))
+    hits = store.query(rect, time_range=(t0, t0 + 300.0))
+    overlapped = {t0 // 300.0, (t0 + 299.0) // 300.0}
+    assert len(overlapped) == 2
+    in_buckets = sum(1 for r in records if r.values[1] // 300.0 in overlapped)
+    assert 0 < len(hits) < store.rows_masked == in_buckets < 1000
+
+
+def test_day_wide_query_is_one_mask_over_the_whole_store(schema):
+    rng = random.Random(4)
+    store = TimePartitionedStore(schema, bucket_s=300.0)
+    for _ in range(100):
+        store.insert(Record([rng.uniform(0, 100), rng.uniform(0, 86400)]))
+    store.query(((0.2, 0.7), (0.0, 1.0)), time_range=(0.0, 86400.0))
+    assert store.rows_masked == 100
+
+
+def test_empty_slice_masks_nothing(schema):
+    store = TimePartitionedStore(schema, bucket_s=300.0)
+    full = ((0.0, 1.0), (0.0, 1.0))
+    assert store.query(full) == []
+    store.insert(Record([1.0, 50.0]))
+    store.insert(Record([1.0, 5000.0]))
+    assert store.query(full, time_range=(1000.0, 2000.0)) == []
+    assert store.rows_masked == 0
+
+
+def test_non_finite_timestamp_rejected(schema):
+    # A NaN bucket id would silently break the run's sort order.
+    store = TimePartitionedStore(schema)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            store.insert(Record([1.0, bad]))
+        with pytest.raises(ValueError):
+            store.insert_batch([Record([1.0, bad])])
+    assert len(store) == 0 and store.all_records() == []

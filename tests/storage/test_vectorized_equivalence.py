@@ -18,7 +18,7 @@ from repro.core.embedding import Embedding
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.overlay.code import Code
-from repro.storage.memtable import _VECTOR_MIN_ROWS, TimePartitionedStore
+from repro.storage.memtable import TimePartitionedStore
 from tests.oracles import (
     ScalarCutHistogram,
     count_in_rect_scalar,
@@ -92,14 +92,23 @@ def test_store_query_with_time_range_identical(records, rect, t_range):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    rows=st.lists(values_strategy, min_size=_VECTOR_MIN_ROWS, max_size=_VECTOR_MIN_ROWS + 40),
+    rows=st.lists(values_strategy, min_size=0, max_size=200),
     rect=rect_strategy,
+    t_range=st.tuples(
+        st.integers(min_value=-2, max_value=22), st.integers(min_value=0, max_value=4)
+    ).map(lambda pair: (pair[0] * 100.0, (pair[0] + pair[1]) * 100.0)),
+    nudge=st.sampled_from([-1e-9, 0.0, 1e-9]),
 )
-def test_store_query_identical_above_mask_threshold(rows, rect):
-    # One time bucket holding at least _VECTOR_MIN_ROWS rows, so the scan
-    # takes the NumPy mask branch rather than the small-bucket loop.
-    store = TimePartitionedStore(SCHEMA, bucket_s=1.0e9)
+def test_store_query_identical_across_bucket_boundaries(rows, rect, t_range, nudge):
+    # 0..200 rows over ~20 buckets, so slices run from empty to the whole
+    # store, and time ranges whose ends sit on, just under and just over a
+    # bucket boundary (a range ending exactly on one excludes that bucket).
+    store = TimePartitionedStore(SCHEMA, bucket_s=100.0)
     store.insert_batch([Record(row) for row in rows])
+    t_range = (t_range[0] + nudge, t_range[1] + nudge)
+    assert keys(store.query(rect, time_range=t_range)) == keys(
+        scan_scalar(store, rect, time_range=t_range)
+    )
     assert keys(store.query(rect)) == keys(scan_scalar(store, rect))
 
 
@@ -120,10 +129,9 @@ def test_insert_batch_matches_scalar_inserts(records):
 def test_clamping_edge_case_identical():
     # The documented out-of-domain behavior: values at/beyond hi land in
     # the top of the range and must match a rect whose top edge is 1.0 in
-    # both implementations.  Padded past the mask threshold so the NumPy
-    # branch is the one under test.
+    # both implementations.
     edge = [Record([1e9, 500.0, 0.0]), Record([-1e9, 500.0, 49.999])]
-    filler = [Record([50.0, 500.0, 0.0]) for _ in range(_VECTOR_MIN_ROWS)]
+    filler = [Record([50.0, 500.0, 0.0]) for _ in range(48)]
     store = make_store(edge + filler)
     top_rect = ((0.999999, 1.0), (0.0, 1.0), (0.0, 1.0))
     bottom_rect = ((0.0, 1e-9), (0.0, 1.0), (0.0, 1.0))
