@@ -30,8 +30,7 @@ def run_failover_scenario(
     """One dead primary, replication 1: every query must still complete."""
     overlay = OverlayConfig(liveness_enabled=False)
     mind = MindConfig(
-        subquery_attempt_timeout_s=6.0,
-        insert_attempt_timeout_s=6.0,
+        attempt_timeout_s=6.0,
         retry_backoff_base_s=0.25,
         retry_backoff_max_s=2.0,
     )

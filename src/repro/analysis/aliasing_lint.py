@@ -31,8 +31,8 @@ Rules
   literal embedding one) stored into ``self.*`` state without a
   ``dict(...)``/``list(...)``/copy wrap.  ``.update(...)``/``.extend(...)``
   *into* node state are accepted: they copy elements into the receiver.
-* ``alias-send-live-state`` — a send site (``_send``/``send``/``_flood``/
-  ``route``/``Message(payload=...)``) whose payload is the received
+* ``alias-send-live-state`` — a send site
+  (:func:`repro.analysis.astutil.send_site`) whose payload is the received
   payload itself (a reflood by reference) or whose payload (value) is a
   live mutable ``self.*`` container, without a copy wrap.
 
@@ -50,14 +50,9 @@ or a justified entry in :mod:`repro.analysis.baseline`.
 import ast
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.astutil import describe
+from repro.analysis.astutil import attr_name, describe, send_site
 from repro.analysis.findings import Finding
-from repro.analysis.protocol_lint import (
-    ModuleInfo,
-    _attr_name,
-    _const_str,
-    _nested_handler,
-)
+from repro.analysis.protocol_lint import ModuleInfo, _nested_handler
 
 #: method calls that mutate their receiver in place
 _MUTATORS = frozenset(
@@ -83,7 +78,7 @@ def _annotation_is_mutable(node: Optional[ast.AST]) -> bool:
         return False
     if isinstance(node, ast.Subscript):
         return _annotation_is_mutable(node.value)
-    name = _attr_name(node)
+    name = attr_name(node)
     return name in _MUTABLE_ANNOTATIONS
 
 
@@ -117,7 +112,7 @@ def collect_mutable_attrs(tree: ast.Module) -> Set[str]:
             continue
         mutable = isinstance(
             value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
-        ) or (isinstance(value, ast.Call) and _attr_name(value.func) in _MUTABLE_CTORS)
+        ) or (isinstance(value, ast.Call) and attr_name(value.func) in _MUTABLE_CTORS)
         if not mutable:
             continue
         for target in targets:
@@ -128,33 +123,6 @@ def collect_mutable_attrs(tree: ast.Module) -> Set[str]:
             ):
                 attrs.add(target.attr)
     return attrs
-
-
-def _send_payload_arg(node: ast.Call) -> Optional[ast.AST]:
-    """The payload expression of a send-site call, if this is one.
-
-    Mirrors the send shapes :mod:`repro.analysis.protocol_lint` collects;
-    the kind need not be a constant here — aliasing is about the payload
-    object, not the kind string.
-    """
-    func_name = _attr_name(node.func)
-    if func_name == "_send" and len(node.args) > 2:
-        return node.args[2]
-    if func_name == "send":
-        if len(node.args) > 3:
-            return node.args[3]
-        if len(node.args) > 2 and _const_str(node.args[1]) is not None:
-            return node.args[2]
-        return None
-    if func_name == "_flood" and len(node.args) > 1:
-        return node.args[1]
-    if func_name == "route" and len(node.args) > 2:
-        return node.args[2]
-    if func_name == "Message":
-        for keyword in node.keywords:
-            if keyword.arg == "payload":
-                return keyword.value
-    return None
 
 
 class _HandlerScope(ast.NodeVisitor):
@@ -322,8 +290,10 @@ class _HandlerScope(ast.NodeVisitor):
                 f"state {describe(func.value)} without a copy wrap",
                 f"{describe(func.value)}.{func.attr}",
             )
-        # reflood / re-send of the received payload by reference
-        payload_arg = _send_payload_arg(node)
+        # reflood / re-send of the received payload by reference (the kind
+        # need not be a literal: aliasing is about the payload object)
+        site = send_site(node)
+        payload_arg = site[1] if site is not None else None
         if payload_arg is not None and self._is_tainted(payload_arg):
             self._finding(
                 "alias-send-live-state",
@@ -333,7 +303,7 @@ class _HandlerScope(ast.NodeVisitor):
                 f"send:{describe(payload_arg)}",
             )
         # one level of helper propagation for tainted arguments
-        callee = _attr_name(func)
+        callee = attr_name(func)
         if callee is not None and self.depth < 2:
             positions = [i for i, arg in enumerate(node.args) if self._is_tainted(arg)]
             if positions:

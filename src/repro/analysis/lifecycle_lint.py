@@ -58,9 +58,9 @@ line, or a justified entry in :mod:`repro.analysis.baseline`.
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import describe, self_attr
+from repro.analysis.astutil import attr_name, describe, self_attr
 from repro.analysis.findings import Finding
-from repro.analysis.protocol_lint import ModuleInfo, _attr_name
+from repro.analysis.protocol_lint import ModuleInfo
 
 #: scheduler entry points whose second positional argument is a callback
 _SCHEDULERS = frozenset({"schedule", "schedule_at", "call_in_slot", "_schedule_coarse"})
@@ -88,7 +88,7 @@ def _container_kind(value: Optional[ast.AST], annotation: Optional[ast.AST]) -> 
     if isinstance(value, (ast.List, ast.ListComp)):
         return "list"
     if isinstance(value, ast.Call):
-        ctor = _attr_name(value.func)
+        ctor = attr_name(value.func)
         if ctor in _DICT_CTORS:
             return "dict"
         if ctor in _SET_CTORS:
@@ -99,7 +99,7 @@ def _container_kind(value: Optional[ast.AST], annotation: Optional[ast.AST]) -> 
     if isinstance(node, ast.Subscript):
         node = node.value
     if node is not None:
-        name = _attr_name(node)
+        name = attr_name(node)
         if name in _DICT_ANNOTATIONS:
             return "dict"
         if name in _SET_ANNOTATIONS:

@@ -2,10 +2,9 @@
 
 The walk recognises the repo's messaging idioms:
 
-* send sites — ``self._send(dst, "kind", payload)``,
-  ``network.send(src, dst, "kind", payload)``, ``node.send(dst, "kind",
-  payload)``, ``self._flood("kind", payload, key)``, ``Message(kind=...)``
-  and routed sends ``self.route(target, "inner_kind", inner, ...)``;
+* send sites — the shapes :func:`repro.analysis.astutil.send_site`
+  recognises (``_send``, ``_reply``, ``send``, ``_flood``,
+  ``Message(kind=...)`` and routed ``route`` sends) with a literal kind;
 * handler registrations — the ``self._handlers = {"kind": self._on_x}``
   table, ``extra_handlers`` return dicts, baseline
   ``node.handlers["kind"] = fn`` assignments (including handler
@@ -28,25 +27,11 @@ import ast
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+from repro.analysis.astutil import attr_name, const_str, send_site
 from repro.analysis.findings import Finding
 from repro.net.protocol import ENVELOPE_KEYS, MessageKind
 
 _ENVELOPE_KEY_SET = frozenset(ENVELOPE_KEYS)
-
-
-def _const_str(node: Optional[ast.AST]) -> Optional[str]:
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        return node.value
-    return None
-
-
-def _attr_name(node: ast.AST) -> Optional[str]:
-    """``self._on_x`` / ``cls._on_x`` -> ``_on_x``; bare names pass through."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
 
 
 def _is_msg_payload(node: ast.AST, msg_names: Set[str]) -> bool:
@@ -124,7 +109,7 @@ class _Collector(ast.NodeVisitor):
     # -- handler tables -------------------------------------------------
     def _handler_dict(self, node: ast.Dict) -> None:
         for key, value in zip(node.keys, node.values):
-            kind = _const_str(key)
+            kind = const_str(key)
             if kind is None:
                 continue
             self.info.handlers.append(
@@ -133,7 +118,7 @@ class _Collector(ast.NodeVisitor):
                     routed=False,
                     path=self.info.path,
                     line=key.lineno,
-                    func_name=_attr_name(value),
+                    func_name=attr_name(value),
                     factory=False,
                     context=self._context(kind),
                 )
@@ -141,7 +126,7 @@ class _Collector(ast.NodeVisitor):
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         # self._handlers: Dict[str, Handler] = {...}
-        name = _attr_name(node.target)
+        name = attr_name(node.target)
         if name is not None and name.endswith("handlers") and isinstance(node.value, ast.Dict):
             self._handler_dict(node.value)
         self.generic_visit(node)
@@ -149,7 +134,7 @@ class _Collector(ast.NodeVisitor):
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
             # self._handlers = {...}
-            name = _attr_name(target)
+            name = attr_name(target)
             if name is not None and name.endswith("handlers") and isinstance(node.value, ast.Dict):
                 self._handler_dict(node.value)
             # node.handlers["kind"] = fn / factory(...)
@@ -158,12 +143,12 @@ class _Collector(ast.NodeVisitor):
                 and isinstance(target.value, ast.Attribute)
                 and target.value.attr == "handlers"
             ):
-                kind = _const_str(target.slice)
+                kind = const_str(target.slice)
                 if kind is not None:
-                    func_name = _attr_name(node.value)
+                    func_name = attr_name(node.value)
                     factory = False
                     if func_name is None and isinstance(node.value, ast.Call):
-                        func_name = _attr_name(node.value.func)
+                        func_name = attr_name(node.value.func)
                         factory = func_name is not None
                     self.info.handlers.append(
                         HandlerReg(
@@ -183,21 +168,21 @@ class _Collector(ast.NodeVisitor):
     def _is_inner_kind_expr(node: ast.AST) -> bool:
         if isinstance(node, ast.Name) and node.id == "inner_kind":
             return True
-        return isinstance(node, ast.Subscript) and _const_str(node.slice) == "inner_kind"
+        return isinstance(node, ast.Subscript) and const_str(node.slice) == "inner_kind"
 
     def visit_If(self, node: ast.If) -> None:
         test = node.test
         if isinstance(test, ast.Compare) and self._is_inner_kind_expr(test.left):
             kinds: List[Tuple[str, int]] = []
             for comparator in test.comparators:
-                value = _const_str(comparator)
+                value = const_str(comparator)
                 if value is not None:
                     kinds.append((value, comparator.lineno))
                 elif isinstance(comparator, (ast.Tuple, ast.List, ast.Set)):
                     kinds.extend(
                         (k, elt.lineno)
                         for elt in comparator.elts
-                        for k in (_const_str(elt),)
+                        for k in (const_str(elt),)
                         if k is not None
                     )
             # `inner_kind == "x"`: the branch body names the handler.
@@ -207,9 +192,9 @@ class _Collector(ast.NodeVisitor):
                     if (
                         isinstance(stmt, ast.Expr)
                         and isinstance(stmt.value, ast.Call)
-                        and _attr_name(stmt.value.func) is not None
+                        and attr_name(stmt.value.func) is not None
                     ):
-                        dispatch_target = _attr_name(stmt.value.func)
+                        dispatch_target = attr_name(stmt.value.func)
                         break
             for kind, line in kinds:
                 self.info.handlers.append(
@@ -227,37 +212,8 @@ class _Collector(ast.NodeVisitor):
 
     # -- send sites ------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        func_name = _attr_name(node.func)
-        kind: Optional[str] = None
-        payload: Optional[ast.AST] = None
-        routed = False
-
-        if func_name == "_send" and node.args:
-            kind = _const_str(node.args[1]) if len(node.args) > 1 else None
-            payload = node.args[2] if len(node.args) > 2 else None
-        elif func_name == "send":
-            if len(node.args) > 2 and _const_str(node.args[2]) is not None:
-                # network.send(src, dst, kind, payload)
-                kind = _const_str(node.args[2])
-                payload = node.args[3] if len(node.args) > 3 else None
-            elif len(node.args) > 1 and _const_str(node.args[1]) is not None:
-                # node.send(dst, kind, payload)
-                kind = _const_str(node.args[1])
-                payload = node.args[2] if len(node.args) > 2 else None
-        elif func_name == "_flood" and node.args:
-            kind = _const_str(node.args[0])
-            payload = node.args[1] if len(node.args) > 1 else None
-        elif func_name == "route" and len(node.args) > 1:
-            kind = _const_str(node.args[1])
-            payload = node.args[2] if len(node.args) > 2 else None
-            routed = kind is not None
-        elif func_name == "Message":
-            for keyword in node.keywords:
-                if keyword.arg == "kind":
-                    kind = _const_str(keyword.value)
-                if keyword.arg == "payload":
-                    payload = keyword.value
-
+        kind_node, payload, routed = send_site(node) or (None, None, False)
+        kind = const_str(kind_node)
         if kind is not None:
             self.info.sends.append(
                 SendSite(
@@ -333,11 +289,11 @@ class _PayloadReads(ast.NodeVisitor):
             return None
         left = test.left
         is_kind_expr = (isinstance(left, ast.Name) and left.id == "inner_kind") or (
-            isinstance(left, ast.Subscript) and _const_str(left.slice) == "inner_kind"
+            isinstance(left, ast.Subscript) and const_str(left.slice) == "inner_kind"
         )
         if not is_kind_expr:
             return None
-        return _const_str(test.comparators[0])
+        return const_str(test.comparators[0])
 
     def visit_If(self, node: ast.If) -> None:
         kind = self._guard_kind(node.test)
@@ -367,7 +323,7 @@ class _PayloadReads(ast.NodeVisitor):
         return (
             isinstance(node, ast.Subscript)
             and self._is_payload(node.value)
-            and _const_str(node.slice) == "inner"
+            and const_str(node.slice) == "inner"
         )
 
     def visit_Assign(self, node: ast.Assign) -> None:
@@ -381,7 +337,7 @@ class _PayloadReads(ast.NodeVisitor):
         self.generic_visit(node)
 
     def visit_Subscript(self, node: ast.Subscript) -> None:
-        key = _const_str(node.slice)
+        key = const_str(node.slice)
         if key is not None:
             if self._is_payload(node.value):
                 self.reads.append(self._read(key, node.lineno))
@@ -392,14 +348,14 @@ class _PayloadReads(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         if isinstance(func, ast.Attribute) and func.attr == "get" and node.args:
-            key = _const_str(node.args[0])
+            key = const_str(node.args[0])
             if key is not None:
                 if self._is_payload(func.value):
                     self.reads.append(self._read(key, node.lineno))
                 elif self._is_inner(func.value):
                     self.inner_reads.append(self._read(key, node.lineno))
         # one level of helper propagation: self._apply_x(<payload>)
-        callee = _attr_name(func)
+        callee = attr_name(func)
         if callee is not None and any(self._is_payload(arg) for arg in node.args):
             self.forwards.append((callee, node.lineno))
         self.generic_visit(node)
@@ -454,9 +410,9 @@ def _analyze_reads(
 # ----------------------------------------------------------------------
 def _dict_literal_keys(node: ast.AST) -> Optional[Tuple[Set[str], int]]:
     if isinstance(node, ast.Dict) and node.keys and all(
-        _const_str(k) is not None for k in node.keys
+        const_str(k) is not None for k in node.keys
     ):
-        return {_const_str(k) for k in node.keys}, node.lineno
+        return {const_str(k) for k in node.keys}, node.lineno
     if isinstance(node, ast.Dict) and not node.keys:
         return set(), node.lineno
     return None

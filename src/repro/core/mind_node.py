@@ -51,11 +51,11 @@ class MindConfig:
     retry_backoff_base_s: float = 0.5
     retry_backoff_max_s: float = 8.0
     #: Watchdog per attempt: re-launches an insert / sub-query whose target
-    #: died *after* arrival (so no routing failure ever comes back).  Must
-    #: comfortably exceed the ring-recovery worst case so the explicit
-    #: failure path, when there is one, wins the race.
-    insert_attempt_timeout_s: float = 30.0
-    subquery_attempt_timeout_s: float = 30.0
+    #: died *after* arrival (so no routing failure ever comes back), and
+    #: bounds a sibling fetch the same way.  Must comfortably exceed the
+    #: ring-recovery worst case so the explicit failure path, when there
+    #: is one, wins the race.
+    attempt_timeout_s: float = 30.0
     dac: DacConfig = field(default_factory=DacConfig)
     store_bucket_s: float = 300.0
     record_wire_bytes: int = 120
@@ -73,61 +73,123 @@ class IndexState:
     dac: DataAccessController
 
 
+class _RetryLadder:
+    """The retry → backoff → failover walk of one routed request.
+
+    Shared by inserts and sub-query regions: the current ``target`` — the
+    primary code, then each replica-holder region from
+    :func:`failover_targets` — gets up to ``retry_max_attempts`` routing
+    attempts with exponential backoff before the walk moves on.  The owner
+    routes each attempt and hands in the schedulers; the ladder touches
+    neither network nor clock, so it can be driven in isolation.
+    """
+
+    __slots__ = (
+        "metric", "primary", "target", "attempts", "stamp", "inflight",
+        "queue", "attempt_timer", "backoff_event",
+    )
+
+    def __init__(self, metric, primary: Code, stamp: int = 0) -> None:
+        #: The op's metric; the ladder counts its ``retries``/``failovers``.
+        self.metric = metric
+        self.primary = self.target = primary
+        #: Monotonic attempt stamp across targets; echoed by failure reports so
+        #: stale failures from superseded attempts are discarded.  A non-zero
+        #: initial stamp adopts an attempt somebody else already routed (a
+        #: responder-spawned sub-query) as the target's first.
+        self.stamp = stamp
+        self.attempts = 1 if stamp else 0
+        self.inflight = stamp > 0
+        #: Replica-holder regions still to try; ``None`` until the primary
+        #: is exhausted and they are enumerated (once).
+        self.queue: Optional[List[Code]] = None
+        self.attempt_timer: Any = None
+        self.backoff_event: Any = None
+
+    def open_attempt(self, schedule, timeout_s: float, failed, *key) -> int:
+        """Open the next attempt on the current target; the caller routes it."""
+        self.backoff_event = None
+        self.attempts += 1
+        self.stamp += 1
+        self.inflight = True
+        self.watch(schedule, timeout_s, failed, *key)
+        return self.stamp
+
+    def watch(self, schedule, timeout_s: float, failed, *key) -> None:
+        """Arm the watchdog: ``failed(*key, stamp)`` unless answered first."""
+        self.attempt_timer = schedule(timeout_s, failed, *key, self.stamp)
+
+    def current(self, stamp: int) -> bool:
+        """Is ``stamp`` the attempt in flight (not a superseded one)?"""
+        return self.inflight and stamp == self.stamp
+
+    def retry(self, cfg: MindConfig, rng, schedule, relaunch, *key) -> bool:
+        """The attempt in flight is dead: back off, then ``relaunch(*key)``;
+        ``False`` once the current target has used up its attempts."""
+        self.inflight = False
+        if self.attempt_timer is not None:
+            self.attempt_timer.cancel()
+            self.attempt_timer = None
+        if self.attempts >= cfg.retry_max_attempts:
+            return False
+        self.metric.retries += 1
+        # Exponential backoff (with a little jitter) before attempt N+1.
+        base = min(cfg.retry_backoff_base_s * (2 ** (self.attempts - 1)), cfg.retry_backoff_max_s)
+        self.backoff_event = schedule(base * (1.0 + 0.1 * rng.random()), relaunch, *key)
+        return True
+
+    def fail_over(self, replication: int, depth: Optional[int]) -> bool:
+        """Move on to the next replica-holder region; ``False`` if none is left.
+
+        ``depth`` estimates the owner's code length (:func:`failover_targets`);
+        ``None`` — an originator outside the overlay has none — enumerates nothing.
+        """
+        if self.queue is None:
+            self.queue = [] if depth is None else failover_targets(self.primary, replication, depth)
+        if not self.queue:
+            return False
+        self.target = self.queue.pop(0)
+        self.attempts = 0
+        self.metric.failovers += 1
+        return True
+
+    def cancel(self) -> None:
+        for event in (self.attempt_timer, self.backoff_event):
+            if event is not None:
+                event.cancel()
+        self.attempt_timer = self.backoff_event = None
+
+
 @dataclass
 class _InsertOp:
-    """Originator-side retry state machine for one insert.
-
-    The op walks a target list — the record's primary code, then each
-    replica-holder region from :func:`failover_targets` — giving every
-    target ``retry_max_attempts`` routing attempts with exponential
-    backoff before moving on.  Success on any target finishes the op.
-    """
+    """Originator-side state of one insert: what to store, and its ladder."""
 
     metric: InsertMetric
     callback: Optional[Callable[[InsertMetric], None]]
-    index: str = ""
-    record: Optional[Record] = None
-    primary: Optional[Code] = None
-    target: Optional[Code] = None
-    replication: int = 0
-    attempts: int = 0
-    #: Monotonic attempt stamp across targets; echoed by failure reports so
-    #: stale failures from superseded attempts are discarded.
-    total_attempts: int = 0
-    inflight: bool = False
-    failover_enumerated: bool = False
-    failover_queue: List[Code] = field(default_factory=list)
+    index: str
+    record: Record
+    replication: int
+    ladder: _RetryLadder
     timeout_event: Any = None
-    attempt_timer: Any = None
-    backoff_event: Any = None
 
 
 @dataclass
 class _RegionState:
-    """Retry/failover state for one sub-query region of a query op.
+    """One sub-query region of a query op.
 
-    ``bits`` is the region currently being targeted; it starts at
-    ``primary_bits`` and moves through the replica-holder regions when the
-    primary's attempts are exhausted.  The op's pending/answered sets are
-    keyed by ``"{valid_from}:{bits}"`` of the *current* target, so a
-    failover re-keys the region under its new target.
+    The region being targeted is ``ladder.target``; it starts at the
+    primary and moves through the replica-holder regions when the
+    primary's attempts are exhausted.  The op's region table and answered
+    set are keyed by ``"{valid_from}:{bits}"`` of the *current* target, so
+    a failover re-keys the region under its new target.
     """
 
     valid_from: float
-    bits: str
-    primary_bits: str
-    attempts: int = 0
-    total_attempts: int = 0
-    inflight: bool = False
-    on_failover: bool = False
-    failover_enumerated: bool = False
-    failover_queue: List[str] = field(default_factory=list)
+    ladder: _RetryLadder
     #: Primary regions whose failover collapsed onto this region state
     #: (two dead primaries sharing a replica holder); reported missing as
     #: a group if this state also fails permanently.
     merged_primaries: List[str] = field(default_factory=list)
-    attempt_timer: Any = None
-    backoff_event: Any = None
 
 
 @dataclass
@@ -137,11 +199,11 @@ class _QueryOp:
     #: ``query`` as a normalized rectangle, built once: every returned
     #: record is re-checked against it.
     rect: NormRect
-    pending: Set[str]
+    #: Regions still awaiting an answer; the op finishes when it empties.
+    regions: Dict[str, _RegionState] = field(default_factory=dict)
     answered: Set[str] = field(default_factory=set)
     records: Dict[int, Record] = field(default_factory=dict)
     failed_regions: Set[str] = field(default_factory=set)
-    regions: Dict[str, _RegionState] = field(default_factory=dict)
     #: Sub-query payload template per index version (keyed by valid_from),
     #: kept so any region — including responder-spawned ones — can be
     #: re-launched from the originator.
@@ -149,7 +211,16 @@ class _QueryOp:
     replication: int = 0
     callback: Optional[Callable[[QueryMetric], None]] = None
     timeout_event: Any = None
-    done: bool = False
+
+
+#: The payload key carrying each flooded kind's originator-unique id.
+_FLOOD_ID_KEY = {
+    "index_create": "flood_id",
+    "index_version": "flood_id",
+    "index_drop": "flood_id",
+    "trigger_drop": "trigger_id",
+    "histo_request": "req_id",
+}
 
 
 class MindNode(OverlayNode):
@@ -168,6 +239,9 @@ class MindNode(OverlayNode):
         self.mind_config = mind_config or MindConfig()
         self.indices: Dict[str, IndexState] = {}
         self._op_counter = itertools.count(1)
+        #: Flood ids draw from their own counter: op ids are printed in
+        #: transcripts, so floods must not consume them.
+        self._flood_counter = itertools.count(1)
         self._insert_ops: Dict[str, _InsertOp] = {}
         self._query_ops: Dict[str, _QueryOp] = {}
         #: Flood dedupe keys, insertion-ordered so the eviction in
@@ -215,21 +289,39 @@ class MindNode(OverlayNode):
     def _next_op_id(self) -> str:
         return f"{self.address}:{next(self._op_counter)}"
 
-    def _flood(self, kind: str, payload: Dict[str, Any], dedupe_key: Tuple) -> None:
-        """Deliver a control message to every overlay node via link flooding."""
-        if dedupe_key in self._seen_floods:
-            return
-        self._seen_floods[dedupe_key] = None
+    def _next_flood_id(self) -> str:
+        return f"{self.address}:{next(self._flood_counter)}"
+
+    def _reply(self, origin: str, kind: str, payload: Dict[str, Any], apply, **send_kw) -> None:
+        """Hand a result to the node that started the op: applied in place
+        when that is this node, sent as a ``kind`` message otherwise."""
+        if origin == self.address:
+            apply(payload)
+        else:
+            self._send(origin, kind, payload, **send_kw)
+
+    def _flood(self, kind: str, payload: Dict[str, Any]) -> bool:
+        """Deliver a control message to every overlay node via link flooding.
+
+        Returns whether the flood is new to this node: a handler re-floods
+        a copy of what it received and applies it only on ``True``, so a
+        duplicate is neither applied nor sent on.
+        """
+        key = (kind, payload[_FLOOD_ID_KEY[kind]])
+        if key in self._seen_floods:
+            return False
+        self._seen_floods[key] = None
         if len(self._seen_floods) > 4096:
             # Bounded memory under long churn runs: drop the oldest half
             # (dict preserves insertion order).  A re-flood of an evicted
             # key re-sends one round of control messages and stops at
             # neighbors that still remember it — duplicate-delivery safe,
             # since every flood handler is idempotent.
-            for key in list(self._seen_floods)[:2048]:
-                del self._seen_floods[key]
+            for old in list(self._seen_floods)[:2048]:
+                del self._seen_floods[old]
         for addr, _ in self.links():
             self._send(addr, kind, payload, size_bytes=self.config.control_msg_bytes * 2)
+        return True
 
     # ==================================================================
     # Fail-stop crash
@@ -249,25 +341,18 @@ class MindNode(OverlayNode):
         on.
         """
         super().crash()
-        res = self._res
         for op_id in list(self._insert_ops):
-            op = self._insert_ops.pop(op_id)
-            self._finish_insert(op, success=False, hops=None)
+            self._finish_insert(op_id)
         for op_id in list(self._query_ops):
-            op = self._query_ops.get(op_id)
-            if op is not None:
-                self._finish_query(op)
+            self._finish_query(op_id)
         for fetch_id in list(self._sibling_fetches):
-            self._finish_sibling_fetch(fetch_id)
+            self._close_sibling_fetch(fetch_id)
         for req_id in list(self._histo_collections):
             self._histo_collections.pop(req_id)
-            if res is not None:
-                res.release("op:histo", self.address)
+            if self._res is not None:
+                self._res.release("op:histo", self.address)
         for reg_id in list(self._trigger_regs):
-            reg = self._trigger_regs.get(reg_id)
-            if reg is not None:
-                reg["failed"] = True
-                self._finish_trigger_registration(reg_id)
+            self._finish_trigger_registration(reg_id, failed=True)
 
     # ==================================================================
     # Index lifecycle (create_index / drop_index)
@@ -296,26 +381,32 @@ class MindNode(OverlayNode):
         # resolves to, so the whole cluster derives one cut tree.
         versions = VersionedEmbedding(Embedding.from_wire(embedding.to_wire()))
         payload = {
+            "flood_id": self._next_flood_id(),
             "index": schema.name,
             "versions": versions.to_wire(),
             "replication": replication,
         }
         self._install_index(schema.name, versions, replication)
-        self._flood("index_create", payload, ("create", schema.name))
+        self._flood("index_create", payload)
 
     def drop_index(self, name: str) -> None:
         if name not in self.indices:
             raise KeyError(f"unknown index {name}")
         self._drop_index(name)
-        self._flood("index_drop", {"index": name}, ("drop", name))
+        self._flood("index_drop", {"flood_id": self._next_flood_id(), "index": name})
 
     def install_version(self, index: str, valid_from: float, embedding: Embedding) -> None:
         """Install a new daily embedding version and flood it (Section 3.7)."""
         state = self._state(index)
         wire = embedding.to_wire()
         state.versions.install(valid_from, Embedding.from_wire(wire))
-        payload = {"index": index, "valid_from": valid_from, "embedding": wire}
-        self._flood("index_version", payload, ("version", index, valid_from))
+        payload = {
+            "flood_id": self._next_flood_id(),
+            "index": index,
+            "valid_from": valid_from,
+            "embedding": wire,
+        }
+        self._flood("index_version", payload)
 
     def has_index(self, name: str) -> bool:
         return name in self.indices
@@ -332,6 +423,14 @@ class MindNode(OverlayNode):
             raise KeyError(f"index {index} is not installed at {self.address}")
         return state
 
+    def _install_from_wire(self, entry: Dict[str, Any]) -> None:
+        """Install an index as a flood or a split host describes it, unless
+        it is here already."""
+        if entry["index"] not in self.indices:
+            self._install_index(
+                entry["index"], VersionedEmbedding.from_wire(entry["versions"]), entry["replication"]
+            )
+
     def _install_index(self, name: str, versions: VersionedEmbedding, replication: int) -> None:
         schema = versions.latest().schema
         self.indices[name] = IndexState(
@@ -346,37 +445,23 @@ class MindNode(OverlayNode):
         self.indices.pop(name, None)
 
     def _on_index_create(self, msg: Message) -> None:
-        payload = msg.payload
-        name = payload["index"]
-        key = ("create", name)
-        if key in self._seen_floods:
-            return
-        if name not in self.indices:
-            self._install_index(
-                name, VersionedEmbedding.from_wire(payload["versions"]), payload["replication"]
-            )
         # Copy-on-send: reflooding the received payload object would share
         # one container across every node the flood reaches.
-        self._flood("index_create", dict(payload), key)
+        if self._flood("index_create", dict(msg.payload)):
+            self._install_from_wire(msg.payload)
 
     def _on_index_version(self, msg: Message) -> None:
         payload = msg.payload
         name, valid_from = payload["index"], payload["valid_from"]
-        key = ("version", name, valid_from)
-        if key in self._seen_floods:
+        if not self._flood("index_version", dict(payload)):
             return
         state = self.indices.get(name)
         if state is not None and not self.has_version_at(name, valid_from):
             state.versions.install(valid_from, Embedding.from_wire(payload["embedding"]))
-        self._flood("index_version", dict(payload), key)
 
     def _on_index_drop(self, msg: Message) -> None:
-        name = msg.payload["index"]
-        key = ("drop", name)
-        if key in self._seen_floods:
-            return
-        self._drop_index(name)
-        self._flood("index_drop", dict(msg.payload), key)
+        if self._flood("index_drop", dict(msg.payload)):
+            self._drop_index(msg.payload["index"])
 
     # ==================================================================
     # Hooks from the overlay layer
@@ -397,12 +482,7 @@ class MindNode(OverlayNode):
 
     def on_split_received_state(self, state: Dict[str, Any]) -> None:
         for entry in state.get("indices", ()):
-            if entry["index"] not in self.indices:
-                self._install_index(
-                    entry["index"],
-                    VersionedEmbedding.from_wire(entry["versions"]),
-                    entry["replication"],
-                )
+            self._install_from_wire(entry)
         for key in state.get("floods", ()):
             self._seen_floods[tuple(key)] = None
         for entry in state.get("triggers", ()):
@@ -410,14 +490,20 @@ class MindNode(OverlayNode):
 
     def on_route_arrival(self, envelope: Dict[str, Any]) -> None:
         inner_kind = envelope["inner_kind"]
-        if inner_kind == "insert":
-            self._arrive_insert(envelope)
-        elif inner_kind == "subquery":
-            self._arrive_subquery(envelope)
-        elif inner_kind == "trigger_install":
-            self._arrive_trigger_install(envelope)
-        else:
+        if inner_kind not in ("insert", "subquery", "trigger_install"):
             super().on_route_arrival(envelope)
+            return
+        state = self.indices.get(envelope["inner"]["index"])
+        if state is None:
+            # Flood race: the index is not installed here yet.  Fail the op
+            # so the originator can retry rather than silently losing data.
+            self.on_route_failed(envelope, "no-such-index")
+        elif inner_kind == "insert":
+            self._arrive_insert(envelope, state)
+        elif inner_kind == "subquery":
+            self._arrive_subquery(envelope, state)
+        elif inner_kind == "trigger_install":
+            self._arrive_trigger_install(envelope, state)
 
     def on_route_failed(self, envelope: Dict[str, Any], reason: str) -> None:
         inner_kind = envelope["inner_kind"]
@@ -425,7 +511,6 @@ class MindNode(OverlayNode):
             super().on_route_failed(envelope, reason)
             return
         inner = envelope["inner"]
-        origin = envelope["origin"]
         if inner_kind == "insert":
             payload = {
                 "kind": "insert",
@@ -446,22 +531,14 @@ class MindNode(OverlayNode):
                 "region_bits": envelope["target"],
                 "attempt": inner.get("attempt", 1),
             }
-        if origin == self.address:
-            self._apply_op_failure(payload)
-        else:
-            self._send(origin, "op_failed", payload)
+        self._reply(envelope["origin"], "op_failed", payload, self._apply_op_failure)
 
     def _on_op_failed(self, msg: Message) -> None:
         self._apply_op_failure(msg.payload)
 
     def _apply_op_failure(self, payload: Dict[str, Any]) -> None:
         if payload["kind"] == "insert":
-            op = self._insert_ops.get(payload["op_id"])
-            if op is None or not op.inflight:
-                return
-            if payload.get("attempt", op.total_attempts) != op.total_attempts:
-                return  # stale failure from a superseded attempt
-            self._insert_attempt_failed(payload["op_id"])
+            self._insert_attempt_failed(payload["op_id"], payload["attempt"])
         elif payload["kind"] == "trigger_install":
             reg = self._trigger_regs.get(payload["op_id"])
             if reg is not None:
@@ -471,33 +548,19 @@ class MindNode(OverlayNode):
                     self._finish_trigger_registration(payload["op_id"])
         else:
             op = self._query_ops.get(payload["op_id"])
-            if op is None or op.done:
-                return
             valid_from = payload["version"]
             bits = payload["region_bits"]
             key = self._region_key(valid_from, bits)
-            if key in op.answered:
+            if op is None or key in op.answered:
                 return
-            region = op.regions.get(key)
-            if region is None:
+            if key not in op.regions and valid_from in op.inner_by_version:
                 # A responder-spawned sub-query failed before the response
                 # announcing it arrived; adopt the region so the retry
                 # machinery owns it from here.
-                if valid_from not in op.inner_by_version:
-                    return
-                region = _RegionState(
-                    valid_from=valid_from,
-                    bits=bits,
-                    primary_bits=bits,
-                    attempts=1,
-                    total_attempts=payload.get("attempt", 1),
-                    inflight=True,
+                op.regions[key] = _RegionState(
+                    valid_from, _RetryLadder(op.metric, Code(bits), stamp=payload["attempt"])
                 )
-                op.regions[key] = region
-                op.pending.add(key)
-            elif not region.inflight or payload.get("attempt", region.total_attempts) != region.total_attempts:
-                return
-            self._subquery_attempt_failed(op, key)
+            self._subquery_attempt_failed(payload["op_id"], key, payload["attempt"])
 
     # ==================================================================
     # Insertion (Section 3.5)
@@ -521,12 +584,11 @@ class MindNode(OverlayNode):
             callback=callback,
             index=index,
             record=record,
-            primary=code,
-            target=code,
             replication=state.replication,
+            ladder=_RetryLadder(metric, code),
         )
         op.timeout_event = self._schedule_coarse(
-            self.mind_config.insert_timeout_s, self._insert_timed_out, op_id
+            self.mind_config.insert_timeout_s, self._finish_insert, op_id
         )
         self._insert_ops[op_id] = op
         if self._res is not None:
@@ -534,90 +596,61 @@ class MindNode(OverlayNode):
         self._launch_insert_attempt(op_id)
         return op_id
 
-    def _retry_backoff(self, attempts: int) -> float:
-        """Exponential backoff (with a little jitter) before attempt N+1."""
-        cfg = self.mind_config
-        base = min(cfg.retry_backoff_base_s * (2 ** (attempts - 1)), cfg.retry_backoff_max_s)
-        return base * (1.0 + 0.1 * self._rng.random())
-
     def _launch_insert_attempt(self, op_id: str) -> None:
         op = self._insert_ops.get(op_id)
         if op is None:
             return
-        op.backoff_event = None
-        op.attempts += 1
-        op.total_attempts += 1
-        op.inflight = True
-        op.attempt_timer = self._schedule_coarse(
-            self.mind_config.insert_attempt_timeout_s,
-            self._insert_attempt_timed_out,
+        stamp = op.ladder.open_attempt(
+            self._schedule_coarse,
+            self.mind_config.attempt_timeout_s,
+            self._insert_attempt_failed,
             op_id,
-            op.total_attempts,
         )
         inner = {
             "index": op.index,
             "record": op.record.to_wire(),
             "op_id": op_id,
-            "attempt": op.total_attempts,
+            "attempt": stamp,
         }
         self.route(
-            op.target,
+            op.ladder.target,
             "insert",
             inner,
-            op_id=("ins", op_id, op.total_attempts),
+            op_id=("ins", op_id, stamp),
             tuples=1,
-            attempt=op.total_attempts,
+            attempt=stamp,
         )
 
-    def _insert_attempt_timed_out(self, op_id: str, stamp: int) -> None:
+    def _insert_attempt_failed(self, op_id: str, stamp: int) -> None:
+        """Attempt ``stamp`` is dead (a failure report, or its watchdog):
+        back off and retry, fail over to the next replica-holder region, or
+        give up when both are exhausted."""
         op = self._insert_ops.get(op_id)
-        if op is None or not op.inflight or op.total_attempts != stamp:
+        if op is None or not op.ladder.current(stamp):
+            return  # finished, or a stale failure from a superseded attempt
+        ladder = op.ladder
+        if ladder.retry(
+            self.mind_config, self._rng, self.sim.schedule, self._launch_insert_attempt, op_id
+        ):
             return
-        self._insert_attempt_failed(op_id)
+        # The originator does not know the (dead) owner's exact code
+        # length; its own depth is the best estimate in a balanced trie,
+        # and the flips land in the takeover regions.
+        depth = min(len(self.code), len(ladder.primary)) if self.in_overlay() else None
+        if ladder.fail_over(op.replication, depth):
+            self._launch_insert_attempt(op_id)
+        else:
+            self._finish_insert(op_id)
 
-    def _insert_attempt_failed(self, op_id: str) -> None:
-        """One routing attempt is dead: back off and retry, fail over to the
-        next replica-holder region, or give up when both are exhausted."""
-        op = self._insert_ops.get(op_id)
+    def _finish_insert(self, op_id: str, success: bool = False, hops: Optional[int] = None) -> None:
+        """Resolve an insert on any exit path; with the defaults, failed
+        (the op's deadline, a crash, or every target exhausted)."""
+        op = self._insert_ops.pop(op_id, None)
         if op is None:
             return
-        op.inflight = False
-        if op.attempt_timer is not None:
-            op.attempt_timer.cancel()
-            op.attempt_timer = None
-        if op.attempts < self.mind_config.retry_max_attempts:
-            op.metric.retries += 1
-            op.backoff_event = self.sim.schedule(
-                self._retry_backoff(op.attempts), self._launch_insert_attempt, op_id
-            )
-            return
-        if not op.failover_enumerated:
-            op.failover_enumerated = True
-            if self.in_overlay():
-                # The originator does not know the (dead) owner's exact code
-                # length; its own depth is the best estimate in a balanced
-                # trie, and the flips land in the takeover regions.
-                depth = min(len(self.code), len(op.primary))
-                op.failover_queue = failover_targets(op.primary, op.replication, depth)
-        if op.failover_queue:
-            op.target = op.failover_queue.pop(0)
-            op.attempts = 0
-            op.metric.failovers += 1
-            self._launch_insert_attempt(op_id)
-            return
-        self._insert_ops.pop(op_id, None)
-        self._finish_insert(op, success=False, hops=None)
-
-    def _insert_timed_out(self, op_id: str) -> None:
-        op = self._insert_ops.pop(op_id, None)
-        if op is not None:
-            self._finish_insert(op, success=False, hops=None)
-
-    def _finish_insert(self, op: _InsertOp, success: bool, hops: Optional[int]) -> None:
-        for event in (op.timeout_event, op.attempt_timer, op.backoff_event):
-            if event is not None:
-                event.cancel()
-        op.timeout_event = op.attempt_timer = op.backoff_event = None
+        if op.timeout_event is not None:
+            op.timeout_event.cancel()
+        op.ladder.cancel()
         if self._res is not None:
             self._res.release("op:insert", self.address)
         op.metric.end = self.sim.now
@@ -626,15 +659,8 @@ class MindNode(OverlayNode):
         if op.callback is not None:
             op.callback(op.metric)
 
-    def _arrive_insert(self, envelope: Dict[str, Any]) -> None:
-        inner = envelope["inner"]
-        state = self.indices.get(inner["index"])
-        if state is None:
-            # Flood race: the index is not installed here yet.  Fail the op
-            # so the originator can retry rather than silently losing data.
-            self.on_route_failed(envelope, "no-such-index")
-            return
-        record = Record.from_wire(inner["record"])
+    def _arrive_insert(self, envelope: Dict[str, Any], state: IndexState) -> None:
+        record = Record.from_wire(envelope["inner"]["record"])
         state.dac.submit(
             state.dac.insert_cost(1), self._complete_insert_store, state, record, envelope
         )
@@ -651,12 +677,8 @@ class MindNode(OverlayNode):
         if state.store.insert(record):
             self.records_stored += 1
             self._fire_triggers(state, record)
-        origin = envelope["origin"]
         ack = {"op_id": envelope["inner"]["op_id"], "hops": envelope["hops"]}
-        if origin == self.address:
-            self._apply_insert_ack(ack)
-        else:
-            self._send(origin, "insert_ack", ack)
+        self._reply(envelope["origin"], "insert_ack", ack, self._apply_insert_ack)
         self._replicate(state, record)
 
     def _replicate(self, state: IndexState, record: Record) -> None:
@@ -702,9 +724,7 @@ class MindNode(OverlayNode):
         self._apply_insert_ack(msg.payload)
 
     def _apply_insert_ack(self, payload: Dict[str, Any]) -> None:
-        op = self._insert_ops.pop(payload["op_id"], None)
-        if op is not None:
-            self._finish_insert(op, success=True, hops=payload["hops"])
+        self._finish_insert(payload["op_id"], success=True, hops=payload["hops"])
 
     # ==================================================================
     # Query processing (Section 3.6)
@@ -732,7 +752,6 @@ class MindNode(OverlayNode):
             metric=metric,
             query=query,
             rect=rect,
-            pending=set(),
             callback=callback,
             replication=state.replication,
         )
@@ -759,10 +778,7 @@ class MindNode(OverlayNode):
                 "time_range": [seg_lo, seg_hi],
             }
             key = self._region_key(valid_from, prefix.bits)
-            op.regions[key] = _RegionState(
-                valid_from=valid_from, bits=prefix.bits, primary_bits=prefix.bits
-            )
-            op.pending.add(key)
+            op.regions[key] = _RegionState(valid_from, _RetryLadder(metric, prefix))
             self._launch_subquery(op_id, key)
         return op_id
 
@@ -798,105 +814,75 @@ class MindNode(OverlayNode):
 
     def _launch_subquery(self, op_id: str, key: str) -> None:
         op = self._query_ops.get(op_id)
-        if op is None or op.done:
+        region = op.regions.get(key) if op is not None else None
+        if region is None:
             return
-        region = op.regions.get(key)
-        if region is None or key in op.answered:
-            return
-        region.backoff_event = None
-        region.attempts += 1
-        region.total_attempts += 1
-        region.inflight = True
-        region.attempt_timer = self.sim.schedule(
-            self.mind_config.subquery_attempt_timeout_s,
-            self._subquery_attempt_timed_out,
+        ladder = region.ladder
+        stamp = ladder.open_attempt(
+            self.sim.schedule,
+            self.mind_config.attempt_timeout_s,
+            self._subquery_attempt_failed,
             op_id,
             key,
-            region.total_attempts,
         )
         inner = dict(op.inner_by_version[region.valid_from])
-        inner["attempt"] = region.total_attempts
-        if region.on_failover:
+        inner["attempt"] = stamp
+        if ladder.target is not ladder.primary:
             inner["failover"] = True
-            inner["failover_for"] = region.primary_bits
+            inner["failover_for"] = ladder.primary.bits
         self.route(
-            Code(region.bits),
+            ladder.target,
             "subquery",
             inner,
-            op_id=("sub", op_id, region.valid_from, region.bits, region.total_attempts),
-            attempt=region.total_attempts,
+            op_id=("sub", op_id, region.valid_from, ladder.target.bits, stamp),
+            attempt=stamp,
         )
 
-    def _subquery_attempt_timed_out(self, op_id: str, key: str, stamp: int) -> None:
+    def _subquery_attempt_failed(self, op_id: str, key: str, stamp: int) -> None:
+        """Attempt ``stamp`` is dead (a failure report, or its watchdog):
+        retry with backoff, fail over to a replica-holder region, or record
+        the region as missing."""
         op = self._query_ops.get(op_id)
-        if op is None or op.done or key in op.answered:
+        region = op.regions.get(key) if op is not None else None
+        if region is None or not region.ladder.current(stamp):
+            return  # answered, or a stale failure from a superseded attempt
+        ladder = region.ladder
+        if ladder.retry(
+            self.mind_config, self._rng, self.sim.schedule, self._launch_subquery, op_id, key
+        ):
             return
-        region = op.regions.get(key)
-        if region is None or not region.inflight or region.total_attempts != stamp:
-            return
-        self._subquery_attempt_failed(op, key)
-
-    def _subquery_attempt_failed(self, op: _QueryOp, key: str) -> None:
-        """One sub-query attempt is dead: retry with backoff, fail over to a
-        replica-holder region, or record the region as missing."""
-        region = op.regions[key]
-        region.inflight = False
-        if region.attempt_timer is not None:
-            region.attempt_timer.cancel()
-            region.attempt_timer = None
-        if region.attempts < self.mind_config.retry_max_attempts:
-            op.metric.retries += 1
-            region.backoff_event = self.sim.schedule(
-                self._retry_backoff(region.attempts),
-                self._launch_subquery,
-                op.metric.op_id,
-                key,
-            )
-            return
-        if not region.failover_enumerated:
-            region.failover_enumerated = True
-            # The flips assume the failed region is one dead owner's region.
-            # When it is actually a subdivided subtree the targets may not
-            # hold its replicas — the responder-side holder check
-            # (:meth:`_plausible_failover_holder`) rejects those sub-queries
-            # so a non-holder's answer can't fake completeness.
-            region.failover_queue = [
-                c.bits
-                for c in failover_targets(
-                    Code(region.primary_bits), op.replication, len(region.primary_bits)
-                )
-            ]
-        op.pending.discard(key)
-        op.regions.pop(key, None)
-        if region.failover_queue:
-            new_bits = region.failover_queue.pop(0)
-            op.metric.failovers += 1
-            new_key = self._region_key(region.valid_from, new_bits)
-            if new_key in op.answered:
-                # The replica region already answered this op from its whole
-                # local store, so the failed region's surviving copies are
-                # in the merged results; nothing left to fetch.
-                if not op.pending:
-                    self._finish_query(op)
-                return
+        del op.regions[key]
+        # The flips assume the failed region is one dead owner's region.
+        # When it is actually a subdivided subtree the targets may not
+        # hold its replicas — the responder-side holder check
+        # (:meth:`_plausible_failover_holder`) rejects those sub-queries
+        # so a non-holder's answer can't fake completeness.
+        if ladder.fail_over(op.replication, len(ladder.primary)):
+            new_key = self._region_key(region.valid_from, ladder.target.bits)
             other = op.regions.get(new_key)
             if other is not None:
                 # Another failed primary is already querying this replica
                 # region; ride along and share its fate.
-                other.merged_primaries.append(region.primary_bits)
+                other.merged_primaries.append(ladder.primary.bits)
                 other.merged_primaries.extend(region.merged_primaries)
                 return
-            region.bits = new_bits
-            region.attempts = 0
-            region.on_failover = True
-            op.regions[new_key] = region
-            op.pending.add(new_key)
-            self._launch_subquery(op.metric.op_id, new_key)
-            return
-        for primary in [region.primary_bits, *region.merged_primaries]:
+            if new_key not in op.answered:
+                op.regions[new_key] = region
+                self._launch_subquery(op_id, new_key)
+                return
+            # The replica region already answered this op from its whole
+            # local store, so the failed region's surviving copies are
+            # in the merged results; nothing left to fetch.
+        else:
+            self._report_missing(op, region)
+        if not op.regions:
+            self._finish_query(op_id)
+
+    def _report_missing(self, op: _QueryOp, region: _RegionState) -> None:
+        """Name a region that never answered by its primary identity (and
+        those merged onto it), so a degraded result says what is missing."""
+        for primary in [region.ladder.primary.bits, *region.merged_primaries]:
             op.failed_regions.add(self._region_key(region.valid_from, primary))
-        if not op.pending:
-            self._finish_query(op)
 
     @staticmethod
     def _query_time_range(schema: IndexSchema, query: RangeQuery) -> Tuple[Optional[float], Optional[float]]:
@@ -949,53 +935,71 @@ class MindNode(OverlayNode):
 
     def _query_timed_out(self, op_id: str) -> None:
         op = self._query_ops.get(op_id)
-        if op is None or op.done:
+        if op is None:
             return
-        if op.pending:
-            # Report exactly which regions never answered, by their primary
-            # identity, so a degraded result names what is missing.
-            for key in sorted(op.pending):
-                region = op.regions.get(key)
-                if region is None:
-                    op.failed_regions.add(key)
-                    continue
-                for primary in [region.primary_bits, *region.merged_primaries]:
-                    op.failed_regions.add(self._region_key(region.valid_from, primary))
-        else:
+        for region in op.regions.values():
+            self._report_missing(op, region)
+        if not op.regions:
             op.failed_regions.add("timeout")
-        self._finish_query(op)
+        self._finish_query(op_id)
 
-    def _finish_query(self, op: _QueryOp) -> None:
-        op.done = True
-        self._query_ops.pop(op.metric.op_id, None)
+    def _finish_query(self, op_id: str) -> None:
+        op = self._query_ops.pop(op_id, None)
+        if op is None:
+            return
         if self._res is not None:
             self._res.release("op:query", self.address)
         if op.timeout_event is not None:
             op.timeout_event.cancel()
         for region in op.regions.values():
-            for event in (region.attempt_timer, region.backoff_event):
-                if event is not None:
-                    event.cancel()
-            region.attempt_timer = region.backoff_event = None
+            region.ladder.cancel()
         op.metric.failed_regions = set(op.failed_regions)
         op.metric.end = self.sim.now
         op.metric.records = len(op.records)
         op.metric.record_keys = set(op.records)
         op.metric.results = list(op.records.values())
-        op.metric.complete = not op.failed_regions and not op.pending
+        op.metric.complete = not op.failed_regions and not op.regions
         op.metric.nodes_visited.discard(self.address)
         if op.callback is not None:
             op.callback(op.metric)
 
-    def _arrive_subquery(self, envelope: Dict[str, Any]) -> None:
+    def _split_to_complement(
+        self, envelope: Dict[str, Any], state: IndexState, qrect: NormRect, cell_op_id
+    ) -> List[str]:
+        """The paper's query splitting at the first abutting node.
+
+        If this node owns only a sub-region of the addressed region, route
+        the request on — same kind, same origin — to each complement cell
+        the rectangle touches, as ``cell_op_id(bits)``; returns their bits.
+        """
         inner = envelope["inner"]
         region = Code(envelope["target"])
-        state = self.indices.get(inner["index"])
-        if state is None:
-            self.on_route_failed(envelope, "no-such-index")
-            return
+        own = self._owned_region_for(region)
+        spawned: List[str] = []
+        if own is not None and len(own) > len(region):
+            embedding = state.versions.embedding_for_version(inner["version"])
+            for cell, cell_rect in embedding.complement_cells(own, len(region)):
+                if rect_intersection(cell_rect, qrect) is not None:
+                    spawned.append(cell.bits)
+                    self.route(
+                        cell,
+                        envelope["inner_kind"],
+                        dict(inner),
+                        op_id=cell_op_id(cell.bits),
+                        origin=envelope["origin"],
+                        attempt=envelope["attempt"],
+                    )
+        return spawned
 
+    def _arrive_subquery(self, envelope: Dict[str, Any], state: IndexState) -> None:
+        inner = envelope["inner"]
+        qrect = tuple((lo, hi) for lo, hi in inner["rect"])
+        spawned: List[str] = []
         if inner.get("failover"):
+            # Failed-over sub-queries skip the split: replicas are placed
+            # by the dead node's code, not by the query rectangle, so rect
+            # pruning would be wrong — the holder answers from its whole
+            # local store instead.
             failed = Code(inner.get("failover_for", envelope["target"]))
             if not self._plausible_failover_holder(failed, state.replication):
                 # We cover the flip target but never received this region's
@@ -1003,32 +1007,13 @@ class MindNode(OverlayNode):
                 # outward reach) — answering would fake completeness.
                 self.on_route_failed(envelope, "not-replica-holder")
                 return
-
-        embedding = state.versions.embedding_for_version(inner["version"])
-        qrect = tuple((lo, hi) for lo, hi in inner["rect"])
-        own = self._owned_region_for(region)
-
-        spawned: List[str] = []
-        if not inner.get("failover") and own is not None and len(own) > len(region):
-            # This node owns a sub-region of the addressed region: split the
-            # remainder into complement cells and route each as its own
-            # sub-query (the paper's query splitting at the first abutting
-            # node).  Failed-over sub-queries skip the split: replicas are
-            # placed by the dead node's code, not by the query rectangle,
-            # so rect pruning would be wrong — the holder answers from its
-            # whole local store instead.
-            for cell, cell_rect in embedding.complement_cells(own, len(region)):
-                if rect_intersection(cell_rect, qrect) is not None:
-                    spawned.append(cell.bits)
-                    sub_env_inner = dict(inner)
-                    self.route(
-                        cell,
-                        "subquery",
-                        sub_env_inner,
-                        op_id=("sub", inner["qid"], inner["version"], cell.bits, inner.get("attempt", 1)),
-                        origin=envelope["origin"],
-                        attempt=inner.get("attempt", 1),
-                    )
+        else:
+            spawned = self._split_to_complement(
+                envelope,
+                state,
+                qrect,
+                lambda bits: ("sub", inner["qid"], inner["version"], bits, envelope["attempt"]),
+            )
 
         time_range = inner.get("time_range")
         t_range = None
@@ -1075,20 +1060,14 @@ class MindNode(OverlayNode):
                 # the sub-query response never goes out.  Time out and
                 # answer with the local matches we already have.
                 "timeout_event": self._schedule_coarse(
-                    self.mind_config.subquery_attempt_timeout_s,
-                    self._sibling_fetch_timed_out,
-                    fetch_id,
+                    self.mind_config.attempt_timeout_s, self._answer_sibling_fetch, fetch_id
                 ),
             }
             if self._res is not None:
                 self._res.register("op:sibling", self.address)
 
             def fetch_failed(msg, reason, _fid=fetch_id):
-                pending = self._finish_sibling_fetch(_fid)
-                if pending is not None:
-                    self._respond_query(
-                        pending["envelope"], pending["spawned"], list(pending["matches"].values())
-                    )
+                self._answer_sibling_fetch(_fid)
 
             self._send(
                 pointer.sibling,
@@ -1126,7 +1105,7 @@ class MindNode(OverlayNode):
             + self.mind_config.record_wire_bytes * len(matches),
         )
 
-    def _finish_sibling_fetch(self, fetch_id: str) -> Optional[Dict[str, Any]]:
+    def _close_sibling_fetch(self, fetch_id: str) -> Optional[Dict[str, Any]]:
         """Close out one sibling fetch on any exit path; None if already done."""
         pending = self._sibling_fetches.pop(fetch_id, None)
         if pending is None:
@@ -1138,26 +1117,23 @@ class MindNode(OverlayNode):
             self._res.release("op:sibling", self.address)
         return pending
 
-    def _sibling_fetch_timed_out(self, fetch_id: str) -> None:
-        pending = self._finish_sibling_fetch(fetch_id)
-        if pending is not None:
-            self._respond_query(
-                pending["envelope"], pending["spawned"], list(pending["matches"].values())
-            )
-
-    def _on_sibling_data(self, msg: Message) -> None:
-        pending = self._finish_sibling_fetch(msg.payload["fetch_id"])
+    def _answer_sibling_fetch(self, fetch_id: str, records=()) -> None:
+        """Close the fetch and answer its sub-query: with the sibling's
+        ``records`` merged in, or — send failure, watchdog — with the local
+        matches alone."""
+        pending = self._close_sibling_fetch(fetch_id)
         if pending is None:
             return
-        for wire in msg.payload["records"]:
+        matches = pending["matches"]
+        for wire in records:
             record = Record.from_wire(wire)
-            pending["matches"][record.key] = record
-        self._respond_query(
-            pending["envelope"], pending["spawned"], list(pending["matches"].values())
-        )
+            matches[record.key] = record
+        self._respond_query(pending["envelope"], pending["spawned"], list(matches.values()))
+
+    def _on_sibling_data(self, msg: Message) -> None:
+        self._answer_sibling_fetch(msg.payload["fetch_id"], msg.payload["records"])
 
     def _respond_query(self, envelope: Dict[str, Any], spawned: List[str], matches: List[Record]) -> None:
-        origin = envelope["origin"]
         payload = {
             "qid": envelope["inner"]["qid"],
             "version": envelope["inner"]["version"],
@@ -1172,25 +1148,29 @@ class MindNode(OverlayNode):
             "failover": bool(envelope["inner"].get("failover", False)),
         }
         size = self.mind_config.response_base_bytes + self.mind_config.record_wire_bytes * len(matches)
-        if origin == self.address:
-            self._apply_query_response(payload)
-        else:
-            def response_failed(msg, reason):
-                # The paper saw exactly this: responders unable to reach the
-                # originator during routing outages retry the direct
-                # connection (Figure 11's spikes).  Retry until the op ages
-                # out at the originator.  Each attempt is a fresh clone, so
-                # size accounting and payload never alias between attempts.
-                self.network.resend(msg, on_fail=response_failed)
+        self._reply(
+            envelope["origin"],
+            "query_response",
+            payload,
+            self._apply_query_response,
+            size_bytes=size,
+            on_fail=self._resend_response,
+        )
 
-            self._send(origin, "query_response", payload, size_bytes=size, on_fail=response_failed)
+    def _resend_response(self, msg: Message, reason: str) -> None:
+        # The paper saw exactly this: responders unable to reach the
+        # originator during routing outages retry the direct
+        # connection (Figure 11's spikes).  Retry until the op ages
+        # out at the originator.  Each attempt is a fresh clone, so
+        # size accounting and payload never alias between attempts.
+        self.network.resend(msg, on_fail=self._resend_response)
 
     def _on_query_response(self, msg: Message) -> None:
         self._apply_query_response(msg.payload)
 
     def _apply_query_response(self, payload: Dict[str, Any]) -> None:
         op = self._query_ops.get(payload["qid"])
-        if op is None or op.done:
+        if op is None:
             return
         valid_from = payload.get("version", 0)
         key = self._region_key(valid_from, payload["region"])
@@ -1210,17 +1190,14 @@ class MindNode(OverlayNode):
             # the parent that spawned it), so track answered regions and
             # only add spawned regions not yet accounted for.
             op.answered.add(key)
-            op.pending.discard(key)
             region = op.regions.pop(key, None)
             if region is not None:
-                for event in (region.attempt_timer, region.backoff_event):
-                    if event is not None:
-                        event.cancel()
+                region.ladder.cancel()
             for spawned in payload["spawned"]:
                 self._track_spawned(op, valid_from, spawned, payload.get("attempt", 1))
             op.metric.regions += 1
-        if not op.pending:
-            self._finish_query(op)
+        if not op.regions:
+            self._finish_query(payload["qid"])
 
     def _track_spawned(self, op: _QueryOp, valid_from: float, bits: str, stamp: int) -> None:
         """Adopt a responder-spawned sub-query region into the retry machinery.
@@ -1233,23 +1210,15 @@ class MindNode(OverlayNode):
         key = self._region_key(valid_from, bits)
         if key in op.answered or key in op.regions:
             return
-        region = _RegionState(
-            valid_from=valid_from,
-            bits=bits,
-            primary_bits=bits,
-            attempts=1,
-            total_attempts=stamp,
-            inflight=True,
-        )
-        region.attempt_timer = self.sim.schedule(
-            self.mind_config.subquery_attempt_timeout_s,
-            self._subquery_attempt_timed_out,
+        ladder = _RetryLadder(op.metric, Code(bits), stamp=stamp)
+        ladder.watch(
+            self.sim.schedule,
+            self.mind_config.attempt_timeout_s,
+            self._subquery_attempt_failed,
             op.metric.op_id,
             key,
-            stamp,
         )
-        op.regions[key] = region
-        op.pending.add(key)
+        op.regions[key] = _RegionState(valid_from, ladder)
 
     def _owned_region_for(self, region: Code) -> Optional[Code]:
         """The owned region code comparable with ``region``, if any."""
@@ -1299,13 +1268,12 @@ class MindNode(OverlayNode):
             "answered": set(),
             "failed": False,
             "installed": installed,
-            "trigger_id": trigger.trigger_id,
             # Watchdog: without it a registration whose final ack is lost
             # (the installing node answered but the ack's sender died, or
             # this originator was down when it arrived) strands forever —
             # no attempt timer covers trigger installs.
             "timeout_event": self.sim.schedule(
-                self.mind_config.query_timeout_s, self._trigger_reg_timed_out, reg_id
+                self.mind_config.query_timeout_s, self._finish_trigger_registration, reg_id, True
             ),
         }
         if self._res is not None:
@@ -1324,40 +1292,17 @@ class MindNode(OverlayNode):
         """Remove a trigger everywhere (flooded, like index drops)."""
         self._trigger_subs.pop(trigger_id, None)
         self.trigger_table.remove(index, trigger_id)
-        self._flood(
-            "trigger_drop", {"index": index, "trigger_id": trigger_id},
-            ("trigdrop", trigger_id),
-        )
+        self._flood("trigger_drop", {"index": index, "trigger_id": trigger_id})
 
-    def _arrive_trigger_install(self, envelope: Dict[str, Any]) -> None:
+    def _arrive_trigger_install(self, envelope: Dict[str, Any], state: IndexState) -> None:
         inner = envelope["inner"]
-        region = Code(envelope["target"])
-        state = self.indices.get(inner["index"])
-        if state is None:
-            self.on_route_failed(envelope, "no-such-index")
-            return
-        embedding = state.versions.embedding_for_version(inner["version"])
         qrect = tuple((lo, hi) for lo, hi in inner["rect"])
-        own = self._owned_region_for(region)
-
-        spawned: List[str] = []
-        if own is not None and len(own) > len(region):
-            for cell, cell_rect in embedding.complement_cells(own, len(region)):
-                if rect_intersection(cell_rect, qrect) is not None:
-                    spawned.append(cell.bits)
-                    self.route(
-                        cell,
-                        "trigger_install",
-                        dict(inner),
-                        op_id=("trig", inner["reg_id"], cell.bits),
-                        origin=envelope["origin"],
-                    )
+        spawned = self._split_to_complement(
+            envelope, state, qrect, lambda bits: ("trig", inner["reg_id"], bits)
+        )
         self.trigger_table.install(inner["index"], Trigger.from_wire(inner["trigger"]))
         ack = {"reg_id": inner["reg_id"], "region": envelope["target"], "spawned": spawned}
-        if envelope["origin"] == self.address:
-            self._apply_trigger_installed(ack)
-        else:
-            self._send(envelope["origin"], "trigger_installed", ack)
+        self._reply(envelope["origin"], "trigger_installed", ack, self._apply_trigger_installed)
 
     def _on_trigger_installed(self, msg: Message) -> None:
         self._apply_trigger_installed(msg.payload)
@@ -1376,24 +1321,17 @@ class MindNode(OverlayNode):
         if not reg["pending"]:
             self._finish_trigger_registration(payload["reg_id"])
 
-    def _trigger_reg_timed_out(self, reg_id: str) -> None:
-        reg = self._trigger_regs.get(reg_id)
-        if reg is None:
-            return
-        reg["failed"] = True
-        reg["timeout_event"] = None
-        self._finish_trigger_registration(reg_id)
-
-    def _finish_trigger_registration(self, reg_id: str) -> None:
+    def _finish_trigger_registration(self, reg_id: str, failed: bool = False) -> None:
+        """Resolve a registration; ``failed`` is its watchdog or a crash (a
+        region's routing failure has marked ``reg["failed"]`` already)."""
         reg = self._trigger_regs.pop(reg_id, None)
         if reg is None:
             return
-        if reg["timeout_event"] is not None:
-            reg["timeout_event"].cancel()
+        reg["timeout_event"].cancel()
         if self._res is not None:
             self._res.release("op:trigger-reg", self.address)
         if reg["installed"] is not None:
-            reg["installed"](not reg["failed"])
+            reg["installed"](not (failed or reg["failed"]))
 
     def _fire_triggers(self, state: IndexState, record: Record) -> None:
         matches = self.trigger_table.matching(
@@ -1406,15 +1344,13 @@ class MindNode(OverlayNode):
                 "index": state.schema.name,
                 "record": record.to_wire(),
             }
-            if trigger.subscriber == self.address:
-                self._deliver_trigger_fire(payload)
-            else:
-                self._send(
-                    trigger.subscriber,
-                    "trigger_fire",
-                    payload,
-                    size_bytes=self.mind_config.record_wire_bytes,
-                )
+            self._reply(
+                trigger.subscriber,
+                "trigger_fire",
+                payload,
+                self._deliver_trigger_fire,
+                size_bytes=self.mind_config.record_wire_bytes,
+            )
 
     def _on_trigger_fire(self, msg: Message) -> None:
         self._deliver_trigger_fire(msg.payload)
@@ -1426,11 +1362,8 @@ class MindNode(OverlayNode):
 
     def _on_trigger_drop(self, msg: Message) -> None:
         payload = msg.payload
-        key = ("trigdrop", payload["trigger_id"])
-        if key in self._seen_floods:
-            return
-        self.trigger_table.remove(payload["index"], payload["trigger_id"])
-        self._flood("trigger_drop", dict(payload), key)
+        if self._flood("trigger_drop", dict(payload)):
+            self.trigger_table.remove(payload["index"], payload["trigger_id"])
 
     # ==================================================================
     # On-line histogram collection (Section 3.7's planned extension)
@@ -1459,7 +1392,6 @@ class MindNode(OverlayNode):
             "replies": 0,
             "expected": expected_replies,
             "callback": callback,
-            "done": False,
         }
         self._histo_collections[req_id] = collection
         if self._res is not None:
@@ -1471,7 +1403,7 @@ class MindNode(OverlayNode):
             "time_range": list(time_range),
             "collector": self.address,
         }
-        self._flood("histo_request", payload, ("histo", req_id))
+        self._flood("histo_request", payload)
         self._histo_reply_local(payload)
         self.sim.schedule(timeout_s, self._histo_finish, req_id)
         return req_id
@@ -1485,34 +1417,28 @@ class MindNode(OverlayNode):
         return hist
 
     def _on_histo_request(self, msg: Message) -> None:
-        payload = msg.payload
-        key = ("histo", payload["req_id"])
-        if key in self._seen_floods:
-            return
-        self._flood("histo_request", dict(payload), key)
-        self._histo_reply_local(payload)
+        if self._flood("histo_request", dict(msg.payload)):
+            self._histo_reply_local(msg.payload)
 
     def _histo_reply_local(self, payload: Dict[str, Any]) -> None:
         if payload["index"] not in self.indices:
             return
         hist = self._local_histogram(payload["index"], payload["granularity"], payload["time_range"])
         reply = {"req_id": payload["req_id"], "histogram": hist.to_wire()}
-        if payload["collector"] == self.address:
-            self._merge_histo_reply(reply)
-        else:
-            self._send(
-                payload["collector"],
-                "histo_reply",
-                reply,
-                size_bytes=200 + 16 * hist.occupied_cells,
-            )
+        self._reply(
+            payload["collector"],
+            "histo_reply",
+            reply,
+            self._merge_histo_reply,
+            size_bytes=200 + 16 * hist.occupied_cells,
+        )
 
     def _on_histo_reply(self, msg: Message) -> None:
         self._merge_histo_reply(msg.payload)
 
     def _merge_histo_reply(self, payload: Dict[str, Any]) -> None:
         collection = self._histo_collections.get(payload["req_id"])
-        if collection is None or collection["done"]:
+        if collection is None:
             return
         collection["merged"].merge(MultiDimHistogram.from_wire(payload["histogram"]))
         collection["replies"] += 1
@@ -1521,9 +1447,8 @@ class MindNode(OverlayNode):
 
     def _histo_finish(self, req_id: str) -> None:
         collection = self._histo_collections.pop(req_id, None)
-        if collection is None or collection["done"]:
+        if collection is None:
             return
         if self._res is not None:
             self._res.release("op:histo", self.address)
-        collection["done"] = True
         collection["callback"](collection["merged"])

@@ -163,11 +163,14 @@ REGISTRY: Dict[str, MessageKind] = dict(
         _kind("replica_store", "mind", ["index", "record"],
               doc="Owner pushes a stored record to a replica holder."),
         # -- mind: index lifecycle (flooded) ---------------------------
-        _kind("index_create", "mind", ["index", "versions", "replication"],
+        # ``flood_id`` is unique per originated flood and is what receivers
+        # dedupe on, so an index dropped and re-created under the same name
+        # floods afresh.
+        _kind("index_create", "mind", ["flood_id", "index", "versions", "replication"],
               doc="Flooded creation of an index with its version history."),
-        _kind("index_version", "mind", ["index", "valid_from", "embedding"],
+        _kind("index_version", "mind", ["flood_id", "index", "valid_from", "embedding"],
               doc="Flooded installation of a new embedding version."),
-        _kind("index_drop", "mind", ["index"],
+        _kind("index_drop", "mind", ["flood_id", "index"],
               doc="Flooded removal of an index."),
         # -- mind: histogram collection (flooded request) --------------
         _kind("histo_request", "mind",

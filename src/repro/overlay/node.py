@@ -71,7 +71,6 @@ class OverlayConfig:
     hb_suppress_s: Optional[float] = None
     sibling_pointer_ttl_s: float = 3600.0
     adoption_delay_s: float = 5.0
-    prune_tables: bool = True
     route_msg_bytes: int = 320
     control_msg_bytes: int = 180
 
@@ -534,8 +533,7 @@ class OverlayNode:
         for addr, bits in payload["neighbors"]:
             if addr != self.address:
                 self.neighbors.upsert(addr, Code(bits))
-        if self.config.prune_tables:
-            self.neighbors.prune_to_neighborhood(self.code)
+        self.neighbors.prune_to_neighborhood(self.code)
         self.sibling_pointer = SiblingPointer(
             sibling=msg.src,
             created_at=self.sim.now,
@@ -634,8 +632,7 @@ class OverlayNode:
         table.extend((addr, code.bits) for addr, code in self.neighbors.entries(alive_only=True))
         self._set_code(new_code, old_code=old_code)
         self.neighbors.upsert(state.joiner, joiner_code)
-        if self.config.prune_tables:
-            self.neighbors.prune_to_neighborhood(self.code)
+        self.neighbors.prune_to_neighborhood(self.code)
         self._send(
             state.joiner,
             "split_done",
@@ -701,7 +698,7 @@ class OverlayNode:
             self._pending_prepare = None
         self.neighbors.upsert(payload["host"], Code(payload["host_code"]))
         self.neighbors.upsert(payload["joiner"], Code(payload["joiner_code"]))
-        if self.config.prune_tables and self.code is not None:
+        if self.code is not None:
             self.neighbors.prune_to_neighborhood(self.code)
 
     def _on_code_update(self, msg: Message) -> None:

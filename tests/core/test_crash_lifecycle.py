@@ -104,7 +104,7 @@ def test_flood_dedupe_set_is_bounded():
     cluster = build(nodes=4)
     origin = cluster.nodes[0]
     for i in range(5000):
-        origin._flood("index_drop", {"index": "nope"}, ("bound-test", i))
+        origin._flood("index_drop", {"flood_id": f"bound-test:{i}", "index": "nope"})
     assert len(origin._seen_floods) <= 4096
     # Recent keys are still deduplicated after evictions.
-    assert ("bound-test", 4999) in origin._seen_floods
+    assert ("index_drop", "bound-test:4999") in origin._seen_floods

@@ -9,6 +9,7 @@ from repro.core.embedding import Embedding
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
+from repro.net.message import Message
 from repro.net.topology import ABILENE_SITES
 
 
@@ -156,6 +157,45 @@ def test_drop_index_clears_state_everywhere():
         lambda: not any(n.has_index("p") for n in cluster.nodes), timeout=60.0
     )
     assert ok
+
+
+def test_recreated_index_floods_again():
+    # Regression: flood dedupe keys were the index *name* (and, for a
+    # version, its valid_from), remembered for 4096 later floods — so
+    # create -> drop -> create was swallowed at the originator's own
+    # _flood and the re-created index never left the node that made it.
+    cluster = build(seed=82)
+    schema = make_schema()
+    origin = cluster.nodes[0]
+
+    def drop_everywhere():
+        origin.drop_index("p")
+        assert cluster.sim.run_until_predicate(
+            lambda: not any(n.has_index("p") for n in cluster.nodes), timeout=60.0
+        )
+
+    cluster.create_index(schema)
+    first_create = {
+        "flood_id": next(iter(origin._seen_floods))[1],
+        "index": "p",
+        "versions": origin.indices["p"].versions.to_wire(),
+        "replication": 0,
+    }
+    cluster.install_version("p", 86400.0, Embedding(schema, EvenCuts()))
+    drop_everywhere()
+
+    cluster.create_index(schema)
+    cluster.install_version("p", 86400.0, Embedding(schema, EvenCuts()))
+    for node in cluster.nodes:
+        assert [vf for vf, _ in node.indices["p"].versions.versions] == [float("-inf"), 86400.0]
+
+    # A second drop floods too, and a late duplicate of the *first* create
+    # arriving after it must not resurrect the index.
+    drop_everywhere()
+    victim = cluster.nodes[5]
+    victim._on_index_create(Message(origin.address, victim.address, "index_create", first_create))
+    cluster.advance(30.0)
+    assert not any(n.has_index("p") for n in cluster.nodes)
 
 
 def test_draw_block_cluster_inserts_complete():

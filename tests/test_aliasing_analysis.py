@@ -249,6 +249,23 @@ def test_reflooding_a_copy_is_clean(tmp_path):
     assert analyze_aliasing(path).active == []
 
 
+def test_replying_with_the_received_payload_is_flagged(tmp_path):
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def __init__(self):
+                self._handlers = {"probe": self._on_probe}
+
+            def _on_probe(self, msg):
+                self._reply(msg.src, "probe_ack", msg.payload, self._apply_ack)
+        """,
+    )
+    result = analyze_aliasing(path)
+    assert [f.rule for f in result.active] == ["alias-send-live-state"]
+    assert result.active[0].line == line_of(path, "self._reply(")
+
+
 def test_sending_live_self_container_as_payload_value_is_flagged(tmp_path):
     path = write_fixture(
         tmp_path,

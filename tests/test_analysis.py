@@ -75,6 +75,33 @@ def test_typoed_kind_is_flagged(tmp_path):
     assert "pnig" in finding.message
 
 
+def test_reply_and_flood_are_send_sites(tmp_path):
+    # The send shapes live in astutil.send_site; ``_reply(origin, kind,
+    # payload, apply)`` and the two-argument ``_flood(kind, payload)`` are
+    # among them, so a typo in either is caught like one in ``_send``.
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def answer(self, origin):
+                self._reply(origin, "pnog", {"seq": 1}, self._apply_pong)
+                self._flood("annuonce", {"seq": 2})
+                self._reply(origin, "pong", {"sequence": 3}, self._apply_pong)
+        """,
+    )
+    registry = {
+        "pong": kind("pong", required=["seq"]),
+        "announce": kind("announce", required=["seq"]),
+    }
+    result = analyze_fixture(path, registry)
+    assert sorted((f.line, f.rule) for f in result.active) == [
+        (line_of(path, '"pnog"'), "protocol-unknown-kind"),
+        (line_of(path, '"annuonce"'), "protocol-unknown-kind"),
+        (line_of(path, '"sequence"'), "protocol-extra-send-key"),
+        (line_of(path, '"sequence"'), "protocol-missing-send-key"),
+    ]
+
+
 def test_unhandled_kind_is_flagged(tmp_path):
     path = write_fixture(
         tmp_path,

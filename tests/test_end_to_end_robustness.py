@@ -100,8 +100,7 @@ def run_churn(replication: int, seed: int = 17, nodes: int = 16):
         liveness_enabled=True, hb_interval_s=2.0, hb_timeout_s=7.0, adoption_delay_s=2.0
     )
     mind = MindConfig(
-        subquery_attempt_timeout_s=6.0,
-        insert_attempt_timeout_s=6.0,
+        attempt_timeout_s=6.0,
         retry_backoff_base_s=0.25,
         retry_backoff_max_s=2.0,
     )

@@ -23,8 +23,7 @@ FULL_RECT = ((0.0, 1000.0), (0.0, 86400.0), (0.0, 100.0))
 def build_cluster(replication: int, seed: int = 5, nodes: int = 16) -> MindCluster:
     overlay = OverlayConfig(liveness_enabled=False)
     mind = MindConfig(
-        subquery_attempt_timeout_s=6.0,
-        insert_attempt_timeout_s=6.0,
+        attempt_timeout_s=6.0,
         retry_backoff_base_s=0.25,
         retry_backoff_max_s=2.0,
     )
