@@ -309,7 +309,7 @@ def bench_resource_tracking_overhead(n_messages: int = 20_000) -> Dict:
 
     Streams coalesced messages through a two-node :class:`SimNetwork`
     with the ledger off and on.  Every send/delivery pair crosses the
-    ``net:outbox`` register/release instrumentation — the same dict-counter
+    ``net:call-wheel`` register/release instrumentation — the same dict-counter
     pattern the per-op tables pay — so the delta is what
     ``REPRO_TRACK_RESOURCES`` adds per message on the data plane.  Like
     the isolation and fuzz benches above, documentation rather than a

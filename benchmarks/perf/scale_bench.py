@@ -75,8 +75,8 @@ def run_scale_scenario(
     failover tier doesn't already gate, and the churn variant — where
     replicas actually matter — passes ``replication=1`` explicitly.
 
-    ``coalesce_window_s`` batches same-link deliveries that land in the
-    same 1 ms arrival slot into one drain event — a bounded timing
+    ``coalesce_window_s`` batches deliveries that land in the same 1 ms
+    arrival slot into one drain event — a bounded timing
     perturbation (each delivery defers < 1 ms, far below the modeled WAN
     latencies) that cuts kernel events per message.  Pass ``0.0`` for
     bit-exact uncoalesced delivery.  ``latency_sample_cap`` bounds the

@@ -32,10 +32,10 @@ Rules
 * ``leak-op-state`` — a keyed dict/set container with add sites and *no*
   removal evidence anywhere in the class.
 * ``leak-timer-unguarded`` — a ``schedule``/``schedule_at``/
-  ``call_in_slot``/``_schedule_coarse`` call whose handle is discarded,
-  whose callback resolves locally, writes ``self.*`` state, and has no
-  early-return staleness guard — so it cannot be cancelled on node kill
-  and fires unconditionally into whatever state remains.
+  ``call_in_slot``/``_schedule_coarse``/``_defer`` call whose handle is
+  discarded, whose callback resolves locally, writes ``self.*`` state,
+  and has no early-return staleness guard — so it cannot be cancelled on
+  node kill and fires unconditionally into whatever state remains.
 * ``leak-node-retention`` — in a class with a teardown method
   (``unregister``/``deregister``/``remove_node``/``teardown``), a keyed
   container with add sites that the teardown path (including one-level
@@ -63,7 +63,7 @@ from repro.analysis.findings import Finding
 from repro.analysis.protocol_lint import ModuleInfo
 
 #: scheduler entry points whose second positional argument is a callback
-_SCHEDULERS = frozenset({"schedule", "schedule_at", "call_in_slot", "_schedule_coarse"})
+_SCHEDULERS = frozenset({"schedule", "schedule_at", "call_in_slot", "_schedule_coarse", "_defer"})
 
 _REMOVAL_METHODS = frozenset({"pop", "popitem", "remove", "discard", "clear"})
 _GROWTH_METHODS = frozenset({"append", "extend"})

@@ -26,16 +26,6 @@ def cdf_points(samples: Sequence[float], fractions: Sequence[float] = (0.1, 0.25
     return [(f, percentile(samples, f * 100)) for f in fractions]
 
 
-def failure_handling_summary(collector) -> Dict[str, int]:
-    """Retry/failover counters of a :class:`MetricsCollector`.
-
-    Thin adapter so benchmark scripts report failure handling through the
-    same module as latency stats; keys are stable and land verbatim in
-    ``BENCH_PERF.json``.
-    """
-    return collector.failure_handling()
-
-
 def format_row(values: Sequence, widths: Sequence[int]) -> str:
     cells = []
     for value, width in zip(values, widths):

@@ -250,10 +250,6 @@ class MindCluster:
         """Run the simulation forward by ``seconds`` of virtual time."""
         self.sim.run_until(self.sim.now + seconds)
 
-    def settle(self, max_events: int = 50_000_000) -> None:
-        """Run until no events remain (only safe with liveness disabled)."""
-        self.sim.run_until_idle(max_events=max_events)
-
     def close(self) -> None:
         """Tear the experiment down; a quiescence checkpoint under tracking.
 

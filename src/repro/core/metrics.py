@@ -88,31 +88,11 @@ def percentile(samples: Sequence[float], q: float) -> float:
         return ordered[0]
     if q >= 100:
         return ordered[-1]
-    rank = int(round((q / 100.0) * (len(ordered) - 1)))
+    # Round half up: ``round`` goes half to even, which put the median of
+    # an even-sized sample above the middle for n = 4, 8 and below it for
+    # n = 6, 10.
+    rank = int((q / 100.0) * (len(ordered) - 1) + 0.5)
     return ordered[rank]
-
-
-@dataclass
-class LatencySummary:
-    count: int
-    mean: float
-    median: float
-    p90: float
-    p99: float
-    maximum: float
-
-    @classmethod
-    def of(cls, samples: Sequence[float]) -> "LatencySummary":
-        if not samples:
-            raise ValueError("no samples")
-        return cls(
-            count=len(samples),
-            mean=sum(samples) / len(samples),
-            median=percentile(samples, 50),
-            p90=percentile(samples, 90),
-            p99=percentile(samples, 99),
-            maximum=max(samples),
-        )
 
 
 class MetricsCollector:
@@ -133,22 +113,12 @@ class MetricsCollector:
     def insert_hops(self) -> List[int]:
         return [m.hops for m in self.inserts if m.hops is not None]
 
-    def query_latencies(self, complete_only: bool = True) -> List[float]:
-        return [
-            m.latency
-            for m in self.queries
-            if m.latency is not None and (m.complete or not complete_only)
-        ]
-
-    def insert_summary(self) -> LatencySummary:
-        return LatencySummary.of(self.insert_latencies())
-
     def failure_handling(self) -> Dict[str, int]:
         """Aggregate retry/failover counters across all recorded ops.
 
-        Feeds ``bench.stats.failure_handling_summary`` and the perf
-        harness's ``BENCH_PERF.json`` trajectory, so regressions in
-        failure handling show up next to latency regressions.
+        Feeds the perf harness's ``BENCH_PERF.json`` trajectory, so
+        regressions in failure handling show up next to latency
+        regressions.
         """
         return {
             "insert_retries": sum(m.retries for m in self.inserts),

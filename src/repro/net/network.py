@@ -26,11 +26,11 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
   probe per side instead of separate registration and liveness checks,
   and the link-down check short-circuits on the (empty) outage table.
 * **Churn hygiene.**  :meth:`unregister` prunes every per-link entry
-  touching the departed address (busy state, outage state, accounting)
-  and re-homes any coalesced delivery batches still pending on the freed
-  link ids, so long churn runs don't accumulate state for dead links;
-  pass ``retain_stats=True`` to keep the accounting for post-run
-  reporting.
+  touching the departed address (busy state, outage state, accounting),
+  so long churn runs don't accumulate state for dead links.  In-flight
+  messages are keyed by delivery time, never by link id, so there is
+  nothing of theirs to prune: each resolves against the endpoint table
+  when it comes due.
 """
 
 from dataclasses import dataclass, field
@@ -60,7 +60,9 @@ def decimate_step(
 
     Records ``(time, delay)`` when the sampler's phase comes due; when the
     buffer reaches ``cap`` it is thinned to every other sample and the
-    stride doubles.  Returns the new ``(stride, phase)``.
+    stride doubles.  Returns the new ``(stride, phase)``.  Decimation
+    keeps the temporal *shape* of the series (Figures 8 and 12 plot delay
+    versus time), which reservoir sampling under the same bound would not.
 
     The phase is realigned on every stride doubling so retained samples
     keep the even-spacing contract the Figure 8/12 plots assume: the next
@@ -96,23 +98,6 @@ class LinkStats:
     #: doubles whenever the buffer hits the cap (half the samples are
     #: dropped), so long runs keep a bounded, evenly thinned time series.
     delay_sample_stride: int = 1
-    _delay_phase: int = 0
-
-    def record_delay(self, time: float, delay: float, cap: Optional[int]) -> None:
-        """Record a (send_time, delay) sample under the decimation budget.
-
-        Decimation preserves the temporal *shape* of the series (Figures
-        8 and 12 plot delay versus time), unlike reservoir sampling which
-        would scramble ordering guarantees for the same bound.
-        """
-        self.delay_sample_stride, self._delay_phase = decimate_step(
-            self.delay_samples,
-            self.delay_sample_stride,
-            self._delay_phase,
-            cap,
-            time,
-            delay,
-        )
 
 
 class SimNetwork:
@@ -139,18 +124,19 @@ class SimNetwork:
         cap its series is thinned to every other sample and the sampling
         stride doubles.  ``None`` disables the bound.
     coalesce_window_s:
-        Link-level delivery coalescing (0 = off, the default).  When set,
-        messages sharing a directed link whose sampled delivery times land
-        in the same window are delivered by a single drain event at the
-        window boundary instead of one event per message.  The latency and
+        Delivery coalescing (0 = off, the default).  When set, every
+        message whose sampled delivery time lands in the same window is
+        delivered by that window's single drain event at the window
+        boundary instead of one kernel event per message (see
+        :meth:`call_in_slot`, which deliveries ride).  The latency and
         bandwidth model is unchanged — each message still gets its own
         serialization slot and latency draw, and a message is never
         delivered *earlier* than its sampled delivery time; it is deferred
-        by at most one window (delivery lands at the next boundary).
-        Within a batch messages deliver in send order at one simulated
-        instant, destination liveness is re-checked per message at drain
-        time, and a destination that died before the drain fails exactly
-        the undelivered messages' ``on_fail`` callbacks.
+        by less than one window (delivery lands at the next boundary).
+        Within a slot messages deliver in send order at one simulated
+        instant, and :meth:`_deliver` re-checks destination liveness per
+        message, so a destination that died before the drain fails
+        exactly the undelivered messages' ``on_fail`` callbacks.
     """
 
     def __init__(
@@ -181,27 +167,16 @@ class SimNetwork:
         self.record_link_delays = record_link_delays
         self.link_delay_sample_cap = link_delay_sample_cap
         self.coalesce_window_s = coalesce_window_s
-        #: Pending coalesced deliveries, batched per link and arrival
-        #: window: ``(link_id, window_index) -> [(msg, on_fail), ...]``.
-        self._outbox: Dict[Tuple[int, int], List[Tuple[Message, Optional[FailFn]]]] = {}
-        #: Window index -> outbox keys with traffic in that window.  The
-        #: whole window shares ONE drain event (not one per link): at
-        #: monitoring rates most links carry at most one message per
-        #: window, so per-link drain events would re-create the
-        #: one-kernel-event-per-message regime the outbox exists to
-        #: avoid.  Links drain in first-traffic order and each batch in
-        #: send order — the exact sequence per-link drain events at the
-        #: same boundary timestamp would produce.
-        self._slot_links: Dict[int, List[Tuple[int, int]]] = {}
-        #: Window index -> deferred ``fn(arg)`` calls (``call_in_slot``).
-        #: The receive-side twin of the delivery outbox: nodes park their
-        #: post-service dispatch callbacks here so a window's worth of
-        #: handler executions shares one kernel event instead of one
-        #: per message.
+        #: Window index -> deferred ``fn(*args)`` calls (``call_in_slot``):
+        #: coalesced deliveries, and the post-service dispatches and
+        #: watchdogs nodes park here.  The whole window shares ONE drain
+        #: event: at monitoring rates most links and nodes see at most one
+        #: message per window, so an event per link or per node would
+        #: re-create the one-kernel-event-per-message regime the wheel
+        #: exists to avoid.
         self._call_wheel: Dict[int, List[Tuple[Callable[..., None], Tuple[Any, ...]]]] = {}
 
         self._endpoints: Dict[str, DeliverFn] = {}
-        self._node_up: Dict[str, bool] = {}
         #: Endpoints that are registered *and* up — the one-probe liveness
         #: lookup of the transmit/deliver fast paths.
         self._up_endpoints: Dict[str, DeliverFn] = {}
@@ -229,8 +204,7 @@ class SimNetwork:
         #: when tracking is off, leaving one identity test per guard.
         self._res: Optional[ResourceLedger] = sim.resources
         #: Delivery isolation level (message-isolation sanitizer),
-        #: captured here so both delivery paths agree on it for the life
-        #: of the network.
+        #: captured here so it holds for the life of the network.
         self.isolation = checks.active.isolation
 
         self._rng = sim.rng("net.latency")
@@ -259,89 +233,40 @@ class SimNetwork:
         if address in self._endpoints:
             raise ValueError(f"address already registered: {address}")
         self._endpoints[address] = deliver
-        self._node_up[address] = True
         self._up_endpoints[address] = deliver
 
-    def unregister(self, address: str, retain_stats: bool = False) -> None:
+    def unregister(self, address: str) -> None:
         """Detach an endpoint and prune its per-link state.
 
         Every link touching ``address`` (either direction) releases its
-        outage and busy-until state; the traffic accounting is released
-        too unless ``retain_stats=True`` keeps it for post-run reporting.
-        Without pruning, 1k-node churn accumulates link state for every
-        pairing a departed node ever had — unbounded over a long run.
+        outage state, busy-until state and traffic accounting.  Without
+        pruning, 1k-node churn accumulates link state for every pairing a
+        departed node ever had — unbounded over a long run.  Messages
+        still in flight to or from ``address`` hold no link id: they
+        resolve in :meth:`_deliver` against whoever is registered then.
         """
         self._endpoints.pop(address, None)
-        self._node_up.pop(address, None)
         self._up_endpoints.pop(address, None)
         if self._link_down_until:
             stale = [key for key in self._link_down_until if address in key]
             for key in stale:
                 del self._link_down_until[key]
-        out = self._link_ids.get(address)
-        incoming = [
-            (by_dst, address)
-            for src, by_dst in self._link_ids.items()
-            if src != address and address in by_dst
-        ]
-        if retain_stats:
-            # Keep the accounting; transient transmission state still
-            # resets so a re-registered address starts with idle links.
-            if out:
-                for link_id in out.values():
-                    self._lk_busy_until[link_id] = 0.0
-            for by_dst, dst in incoming:
-                self._lk_busy_until[by_dst[dst]] = 0.0
-            return
-        released = set()
-        if out:
-            del self._link_ids[address]
-            for link_id in out.values():
-                self._release_link(link_id)
-                released.add(link_id)
-        for by_dst, dst in incoming:
-            link_id = by_dst.pop(dst)
+        for link_id in self._link_ids.pop(address, {}).values():
             self._release_link(link_id)
-            released.add(link_id)
-        if released and self._outbox:
-            self._flush_released_links(released)
-
-    def _flush_released_links(self, released: set) -> None:
-        """Re-home pending coalesced batches whose link ids were freed.
-
-        A freed id can be re-interned by a *different* (src, dst) pair
-        before the batch's drain event fires, silently merging the dead
-        link's backlog into the new link's batch.  Each pending message
-        moves to its own plain delivery event at the same drain boundary,
-        so per-message delivery/failure semantics are preserved exactly
-        and ``unregister`` leaves no coalescing state behind.
-        """
-        window = self.coalesce_window_s
-        res = self._res
-        stale = [key for key in self._outbox if key[0] in released]
-        for key in stale:
-            slot = key[1]
-            keys = self._slot_links[slot]
-            keys.remove(key)
-            if not keys:
-                del self._slot_links[slot]
-            at = slot * window
-            for msg, on_fail in self._outbox.pop(key):
-                if res is not None:
-                    res.release("net:outbox", msg.dst)
-                self.sim.push_at(at, self._deliver, (msg, on_fail))
+        for by_dst in self._link_ids.values():
+            if address in by_dst:
+                self._release_link(by_dst.pop(address))
 
     def set_node_up(self, address: str, up: bool) -> None:
         if address not in self._endpoints:
             raise KeyError(f"unknown address: {address}")
-        self._node_up[address] = up
         if up:
             self._up_endpoints[address] = self._endpoints[address]
         else:
             self._up_endpoints.pop(address, None)
 
     def is_node_up(self, address: str) -> bool:
-        return self._node_up.get(address, False)
+        return address in self._up_endpoints
 
     def set_link_down(self, src: str, dst: str, duration_s: float, bidirectional: bool = True) -> None:
         """Take the directed link down for ``duration_s`` from now."""
@@ -413,7 +338,6 @@ class SimNetwork:
                     bytes=self._lk_bytes[link_id],
                     delay_samples=samples if samples is not None else [],
                     delay_sample_stride=self._lk_stride[link_id],
-                    _delay_phase=self._lk_phase[link_id],
                 )
         return out
 
@@ -537,28 +461,10 @@ class SimNetwork:
                 delivery_time - now,
             )
 
-        window = self.coalesce_window_s
-        if window == 0.0:
+        if self.coalesce_window_s == 0.0:
             self.sim.push_at(delivery_time, self._deliver, (msg, on_fail))
-            return msg
-        # Coalesced path: defer delivery to the end of the window the
-        # sampled delivery time falls in, sharing one drain event with
-        # every other message on this link arriving in the same window.
-        slot = int(delivery_time / window) + 1
-        key = (link_id, slot)
-        batch = self._outbox.get(key)
-        if batch is None:
-            self._outbox[key] = [(msg, on_fail)]
-            keys = self._slot_links.get(slot)
-            if keys is None:
-                self._slot_links[slot] = [key]
-                self.sim.push_at(slot * window, self._drain_slot, (slot,))
-            else:
-                keys.append(key)
         else:
-            batch.append((msg, on_fail))
-        if self._res is not None:
-            self._res.register("net:outbox", msg.dst)
+            self.call_in_slot(delivery_time, self._deliver, (msg, on_fail))
         return msg
 
     #: Hot-path entry for senders that already framed their Message (the
@@ -567,46 +473,19 @@ class SimNetwork:
     #: Callers pass ``(msg, tuples, on_fail)``.
     send_framed = _transmit
 
-    def _drain_slot(self, slot: int) -> None:
-        """Deliver one window's per-link batches; per-message failure.
-
-        A destination that died since the messages were sent fails exactly
-        the batch's undelivered messages — each message's own ``on_fail``
-        fires, mirroring the per-message delivery path.
-        """
-        outbox = self._outbox
-        up = self._up_endpoints
-        level = self.isolation
-        res = self._res
-        # ``pop`` default: unregister may have re-homed every batch of
-        # this window, leaving the already-scheduled drain event stale.
-        for key in self._slot_links.pop(slot, ()):
-            for msg, on_fail in outbox.pop(key):
-                if res is not None:
-                    res.release("net:outbox", msg.dst)
-                deliver = up.get(msg.dst)
-                if deliver is None:
-                    self._fail(msg, "peer-down", on_fail, immediate=True)
-                    continue
-                self.messages_delivered += 1
-                if level != ISOLATE_OFF:
-                    msg = msg.clone(level=level)
-                deliver(msg)
-
     def call_in_slot(self, time: float, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         """Run ``fn(*args)`` at ``time`` rounded up to the next window boundary.
 
-        The receive-side twin of delivery coalescing: nodes use this for
-        post-service dispatch callbacks and self-guarding watchdog
-        timers, so one kernel event drains a whole window's worth of
-        callbacks instead of costing one event each.  Same contract as
-        ``_transmit``'s coalesced branch — the call is deferred by
-        strictly less than one window, never runs early, and calls
-        sharing a slot run in schedule order.  There is no cancel
-        handle: the call always fires, so callbacks must tolerate being
-        stale (every kernel timer here is already written that way for
-        lazy cancellation).  Callers must only use this when
-        ``coalesce_window_s`` is non-zero.
+        The one slot wheel: coalesced deliveries (``_transmit``), nodes'
+        post-service dispatches and their self-guarding watchdog timers
+        all park here, so one kernel event drains a whole window's worth
+        of callbacks instead of costing one event each.  The call is
+        deferred by strictly less than one window, never runs early, and
+        everything sharing a slot runs in the order it was scheduled.
+        There is no cancel handle: the call always fires, so callbacks
+        must tolerate being stale (every kernel timer here is already
+        written that way for lazy cancellation).  Callers must only use
+        this when ``coalesce_window_s`` is non-zero.
         """
         window = self.coalesce_window_s
         slot = int(time / window) + 1

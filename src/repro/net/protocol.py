@@ -185,20 +185,16 @@ REGISTRY: Dict[str, MessageKind] = dict(
               doc="A matching insert fires a standing query."),
         _kind("trigger_drop", "mind", ["index", "trigger_id"],
               doc="Flooded removal of a trigger."),
-        # -- baselines: query flooding ---------------------------------
+        # -- baselines: query flooding (and the DHT's query half) -------
         _kind("flood_query", "baseline", ["qid", "query", "origin"],
               doc="Query-flooding baseline: evaluate at every monitor."),
         _kind("flood_reply", "baseline", ["qid", "responder", "records"],
               doc="Monitor's local matches, returned to the originator."),
-        # -- baselines: uniform-hash DHT -------------------------------
+        # -- baselines: uniform-hash DHT (placement) --------------------
         _kind("h_store", "baseline", ["op_id", "origin", "record"],
               doc="DHT baseline: store a record at its hash owner."),
         _kind("h_store_ack", "baseline", ["op_id"],
               doc="DHT baseline: hash owner acknowledges the store."),
-        _kind("h_query", "baseline", ["qid", "origin", "query"],
-              doc="DHT baseline: range queries broadcast to every node."),
-        _kind("h_reply", "baseline", ["qid", "responder", "records"],
-              doc="DHT baseline: per-node matches."),
         # -- baselines: centralized ------------------------------------
         _kind("c_insert", "baseline", ["op_id", "origin", "record"],
               doc="Centralized baseline: ship a record to the server."),

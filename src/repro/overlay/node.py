@@ -99,6 +99,11 @@ class OverlayNode:
         #: must be thawed before non-routing code consumes them.  Captured
         #: at construction, as the network captures its delivery level.
         self._frozen_delivery = checks.active.isolation == ISOLATE_FREEZE
+        #: ``(time, fn, args)`` scheduler for dispatches and coarse
+        #: watchdogs, chosen once: the network's slot wheel when it
+        #: coalesces (returns ``None``), else an exact kernel event
+        #: (returns the cancellable ``Event``).
+        self._defer = network.call_in_slot if network.coalesce_window_s else sim.push_at
 
         self.code: Optional[Code] = None
         self.active = False
@@ -383,14 +388,8 @@ class OverlayNode:
         else:
             jitter = self._refill_service_jitter()
         self._cpu_busy_until = start + self._service_scale * jitter
-        if self.network.coalesce_window_s:
-            # Receive-side coalescing: park the dispatch on the network's
-            # call wheel so a window's worth of handler runs shares one
-            # kernel event.  Same bounded-deferral contract as delivery
-            # coalescing; per-node FIFO holds because busy times increase.
-            self.network.call_in_slot(self._cpu_busy_until, self._dispatch, (msg,))
-        else:
-            self.sim.push_at(self._cpu_busy_until, self._dispatch, (msg,))
+        # Per-node FIFO holds on the wheel too: busy times increase.
+        self._defer(self._cpu_busy_until, self._dispatch, (msg,))
 
     def _schedule_coarse(self, delay: float, fn: Callable[..., None], *args: Any):
         """Schedule a *self-guarding* callback, coarsely when coalescing is on.
@@ -404,11 +403,7 @@ class OverlayNode:
         cancellation imposes the same discipline).  Without coalescing
         this is an exact kernel timer and returns its cancellable Event.
         """
-        net = self.network
-        if net.coalesce_window_s:
-            net.call_in_slot(self.sim.now + delay, fn, args)
-            return None
-        return self.sim.schedule(delay, fn, *args)
+        return self._defer(self.sim.now + delay, fn, args)
 
     def _refill_service_jitter(self) -> float:
         buf = self._np_service.lognormal(

@@ -44,8 +44,8 @@ class ResourceLedger:
     """Counts live resources keyed by ``(category, owner)``.
 
     ``category`` names the resource class (``"op:insert"``,
-    ``"net:outbox"``, ...) and ``owner`` the holder (a node address, a
-    link key) — together they name the leaking table entry in the
+    ``"net:call-wheel"``, ...) and ``owner`` the holder (a node address,
+    a callback name) — together they name the leaking table entry in the
     quiescence diff.  Multiple registrations of the same pair are
     counted, so N leaked entries show as ``xN`` rather than hiding
     behind set semantics.

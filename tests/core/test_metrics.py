@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.bench.stats import summarize
 from repro.core.metrics import (
     InsertMetric,
-    LatencySummary,
     MetricsCollector,
     QueryMetric,
     percentile,
@@ -28,12 +28,21 @@ def test_percentile_empty_rejected():
         percentile([], 50)
 
 
+def test_percentile_rounds_half_up_on_even_samples():
+    # Regression: int(round(...)) rounds half to even, so the median of an
+    # even-sized sample was the upper middle for n = 4, 8, 12 and the
+    # lower middle for n = 2, 6, 10.
+    for n in range(2, 13, 2):
+        assert percentile(list(range(1, n + 1)), 50) == n // 2 + 1, n
+
+
 def test_latency_summary():
-    s = LatencySummary.of([1.0, 2.0, 3.0, 10.0])
-    assert s.count == 4
-    assert s.mean == 4.0
-    assert s.median in (2.0, 3.0)
-    assert s.maximum == 10.0
+    # ``summarize`` is the one latency summary (every figure bench uses it).
+    s = summarize([1.0, 2.0, 3.0, 10.0])
+    assert s["count"] == 4
+    assert s["mean"] == 4.0
+    assert s["median"] == 3.0
+    assert s["max"] == 10.0
 
 
 def test_insert_metric_latency():
@@ -83,6 +92,6 @@ def test_collector_summaries():
     c = MetricsCollector()
     for i in range(10):
         c.inserts.append(InsertMetric(str(i), "i", "a", 0.0, end=float(i + 1), success=True))
-    s = c.insert_summary()
-    assert s.count == 10
-    assert s.maximum == 10.0
+    s = summarize(c.insert_latencies())
+    assert s["count"] == 10
+    assert s["max"] == 10.0

@@ -6,7 +6,7 @@ import pytest
 
 from repro import checks
 from repro.net.message import HEADER_BYTES, Message
-from repro.net.network import LinkStats, SimNetwork
+from repro.net.network import SimNetwork, decimate_step
 from repro.net.topology import Site
 from repro.sim.kernel import Simulator
 
@@ -283,6 +283,38 @@ def test_coalesced_batch_delivers_all_messages_at_window_boundary():
     assert next(iter(times)) == pytest.approx(0.05)
 
 
+def test_coalesced_slot_delivers_across_links_in_send_order():
+    # Two links into one destination, sends interleaved inside one window:
+    # the slot runs in the order it was scheduled, not link by link (the
+    # per-link batches this replaced delivered a1, a2, b1).
+    sim, net = make_net(coalesce_window_s=0.05)
+    arrivals = []
+    net.register("a", lambda m: None)
+    net.register("b", lambda m: None)
+    net.register("d", lambda m: arrivals.append(m.kind))
+    net.send("a", "d", "a1")
+    net.send("b", "d", "b1")
+    net.send("a", "d", "a2")
+    sim.run_until_idle()
+    assert arrivals == ["a1", "b1", "a2"]
+
+
+def test_slot_shares_one_kernel_event_between_deliveries_and_calls():
+    sim, net = make_net(coalesce_window_s=0.05)
+    order = []
+    net.register("a", lambda m: None)
+    net.register("b", lambda m: order.append(m.kind))
+    net.send("a", "b", "first")
+    net.call_in_slot(0.01, order.append, ("call",))
+    net.send("a", "b", "second")
+    net.call_in_slot(0.04, order.append, ("late-call",))
+    before = sim.events_processed
+    sim.run_until_idle()
+    assert order == ["first", "call", "second", "late-call"]
+    assert sim.events_processed - before == 1
+    assert sim.now == pytest.approx(0.05)
+
+
 def test_coalescing_batches_only_same_link_and_window():
     sim, net = make_net(coalesce_window_s=0.05)
     arrivals = []
@@ -301,8 +333,8 @@ def test_coalescing_batches_only_same_link_and_window():
 def test_coalesced_drain_fails_exactly_the_undelivered_messages():
     # Satellite: the destination dies between two windows of a stream.
     # The already-drained window's messages were delivered; every message
-    # still in the outbox fails with its *own* on_fail — per message, not
-    # per batch, and nothing on other links is touched.
+    # still in a slot fails with its *own* on_fail — per message, not
+    # per slot, and nothing on other links is touched.
     sim, net = make_net(coalesce_window_s=0.05)
     delivered = []
     failures = []
@@ -369,27 +401,6 @@ def test_unregister_prunes_link_state():
     assert len(net._free_ids) == 2
 
 
-def test_unregister_retain_stats_keeps_accounting():
-    sim, net = make_net()
-    net.register("a", lambda m: None)
-    net.register("b", lambda m: None)
-    net.send("a", "b", "ping", size_bytes=1000, tuples=3)
-    sim.run_until_idle()
-    before = net.link_stats[("a", "b")]
-    assert before.messages == 1 and before.tuples == 3
-
-    net.unregister("b", retain_stats=True)
-
-    after = net.link_stats[("a", "b")]
-    assert after.messages == before.messages
-    assert after.bytes == before.bytes
-    assert after.tuples == before.tuples
-    # Transmission state still resets: a re-registered "b" starts with
-    # idle links instead of inheriting a stale busy-until horizon.
-    link_id = net._link_ids["a"]["b"]
-    assert net._lk_busy_until[link_id] == 0.0
-
-
 def test_unregister_freed_link_ids_are_reused():
     sim, net = make_net()
     for name in ("a", "b", "c"):
@@ -411,11 +422,11 @@ def test_unregister_freed_link_ids_are_reused():
 
 
 def test_unregister_flushes_pending_coalesced_batches():
-    # Regression: unregister freed a departed node's link ids but left its
-    # pending coalesced batches in _outbox/_slot_links, keyed by the freed
-    # ids.  Batches must be re-homed at unregister time: the outbox holds
-    # nothing for freed links, each message still resolves individually at
-    # the same drain boundary, and the stale drain event no-ops.
+    # Regression, from when pending deliveries were batched under
+    # (link id, window) keys that unregister freed.  Pending deliveries now
+    # sit on the time-keyed call wheel and hold no link id, so there is
+    # nothing to re-home; what must still hold is the outcome: each message
+    # resolves individually at the same drain boundary.
     sim, net = make_net(coalesce_window_s=0.05)
     delivered = []
     failures = []
@@ -423,13 +434,11 @@ def test_unregister_flushes_pending_coalesced_batches():
     net.register("b", lambda m: delivered.append(m.kind))
     net.send("a", "b", "to-b", on_fail=lambda m, r: failures.append((m.kind, r)))
     net.send("b", "a", "from-b")
-    assert net._outbox  # both sends are pending in the first window
 
     net.unregister("b")
 
-    assert net._outbox == {}
-    assert net._slot_links == {}
-    sim.run_until_idle()  # the already-scheduled drain event must no-op
+    sim.run_until_idle()
+    assert sim.now == pytest.approx(0.05)
     assert delivered == ["from-b"]  # in-flight traffic *from* b still lands
     assert failures == [("to-b", "peer-down")]
     assert net.messages_delivered == 1
@@ -439,8 +448,10 @@ def test_unregister_flushes_pending_coalesced_batches():
 def test_reinterned_link_does_not_inherit_stale_batches():
     # Regression: a freed link id re-interned by a new (src, dst) pair in
     # the same window used to find the dead link's batch under its own
-    # (link_id, slot) key and merge into it.  The new link must start with
-    # a batch of its own messages only.
+    # (link_id, slot) key and merge into it.  That hazard cannot be
+    # expressed any more (a pending delivery carries its Message, not a
+    # link id); the observable half stays: the dead link's message fails,
+    # the re-interned link's is delivered.
     sim, net = make_net(coalesce_window_s=0.05)
     delivered = []
     failures = []
@@ -449,18 +460,38 @@ def test_reinterned_link_does_not_inherit_stale_batches():
     net.send("a", "b", "stale", on_fail=lambda m, r: failures.append((m.kind, r)))
     net.unregister("b")
     net.register("d", lambda m: delivered.append(m.kind))
-    net.send("a", "d", "fresh")
-    # (a, d) reuses the freed id and its first window is the stale batch's
-    # slot; post-flush it must be the only pending batch, of one message.
-    assert len(net._outbox) == 1
-    ((batch),) = net._outbox.values()
-    assert [m.kind for m, _ in batch] == ["fresh"]
+    net.send("a", "d", "fresh")  # (a, d) reuses the freed id, same window
+    assert net._link_ids["a"] == {"d": 0}
 
     sim.run_until_idle()
     assert delivered == ["fresh"]
     assert failures == [("stale", "peer-down")]
     assert net.messages_delivered == 1
     assert net.messages_failed == 1
+
+
+def test_coalesced_delivery_resolves_against_the_endpoint_at_the_boundary():
+    # Liveness is decided when the slot drains, not when the message was
+    # sent: gone by then -> peer-down; gone and back -> the new endpoint.
+    sim, net = make_net(coalesce_window_s=0.05)
+    old, new, failures = [], [], []
+    net.register("a", lambda m: None)
+    net.register("b", old.append)
+    net.register("c", old.append)
+
+    def fail(m, reason):
+        failures.append((m.kind, reason))
+
+    net.send("a", "b", "to-b", on_fail=fail)
+    net.send("a", "c", "to-c", on_fail=fail)
+    net.unregister("b")
+    net.unregister("c")
+    net.register("c", new.append)
+    sim.run_until_idle()
+    assert old == []
+    assert [m.kind for m in new] == ["to-c"]
+    assert failures == [("to-b", "peer-down")]
+    assert (net.messages_delivered, net.messages_failed) == (1, 1)
 
 
 def test_call_wheel_drains_after_unregister():
@@ -478,9 +509,9 @@ def test_call_wheel_drains_after_unregister():
 
 
 def test_resource_ledger_drains_through_unregister():
-    # With tracking on, re-homed outbox entries release their ledger slots
-    # when they resolve — run_until_idle's quiescence check passes even
-    # when an endpoint unregisters with traffic still coalesced.
+    # With tracking on, parked deliveries release their ledger slots when
+    # they resolve — run_until_idle's quiescence check passes even when an
+    # endpoint unregisters with traffic still coalesced.
     with checks.configure(track_resources=True, validate=False):
         sim = Simulator(seed=1)
         net = SimNetwork(sim, {}, coalesce_window_s=0.05)
@@ -488,7 +519,7 @@ def test_resource_ledger_drains_through_unregister():
         net.register("b", lambda m: None)
         net.send("a", "b", "ping")
         net.send("b", "a", "pong")
-        assert sim.resources.live() == 2  # both outbox entries registered
+        assert sim.resources.live() == 2  # both parked deliveries registered
         net.unregister("b")
         sim.run_until_idle()  # would raise ResourceLeakError on residue
         assert sim.resources.live() == 0
@@ -500,18 +531,17 @@ def test_resource_ledger_drains_through_unregister():
 
 
 def test_decimation_realigns_phase_on_stride_doubling():
-    # Regression: when cap-thinning doubled the stride, _delay_phase was
+    # Regression: when cap-thinning doubled the stride, the phase was
     # left counting from the pre-thinning grid, so the first sample after
     # a doubling drifted off the even-spacing grid the Fig 8/12 plots
     # assume.  Feed sends at t = send index; retained times must stay an
     # arithmetic progression at the current stride, for both parities of
     # the just-appended sample surviving the thinning (cap even/odd).
     for cap in (7, 8):
-        stats = LinkStats()
+        samples, stride, phase = [], 1, 0
         for send in range(100):
-            stats.record_delay(float(send), 0.001, cap)
-        times = [t for t, _ in stats.delay_samples]
-        stride = stats.delay_sample_stride
+            stride, phase = decimate_step(samples, stride, phase, cap, float(send), 0.001)
+        times = [t for t, _ in samples]
         diffs = [b - a for a, b in zip(times, times[1:])]
         assert times[0] == 0.0
         assert diffs and all(d == stride for d in diffs), (cap, stride, times)
@@ -525,11 +555,10 @@ def test_decimation_spacing_property():
     @settings(max_examples=60, deadline=None)
     @given(cap=st.integers(2, 33), n=st.integers(1, 400))
     def check(cap, n):
-        stats = LinkStats()
+        samples, stride, phase = [], 1, 0
         for send in range(n):
-            stats.record_delay(float(send), 0.001, cap)
-        times = [t for t, _ in stats.delay_samples]
-        stride = stats.delay_sample_stride
+            stride, phase = decimate_step(samples, stride, phase, cap, float(send), 0.001)
+        times = [t for t, _ in samples]
         diffs = [b - a for a, b in zip(times, times[1:])]
         assert all(d == stride for d in diffs), (cap, n, stride, times)
         assert len(times) <= cap

@@ -11,15 +11,15 @@ def test_register_release_round_trip():
     ledger = ResourceLedger()
     ledger.register("op:insert", "node001")
     ledger.register("op:insert", "node001")
-    ledger.register("net:outbox", "node002")
+    ledger.register("net:call-wheel", "node002")
     assert ledger.live() == 3
     assert ledger.snapshot() == [
-        ("net:outbox", "node002", 1),
+        ("net:call-wheel", "node002", 1),
         ("op:insert", "node001", 2),
     ]
     ledger.release("op:insert", "node001")
     ledger.release("op:insert", "node001")
-    ledger.release("net:outbox", "node002")
+    ledger.release("net:call-wheel", "node002")
     assert ledger.live() == 0
     ledger.assert_quiescent("test")  # empty: no raise
 
@@ -40,13 +40,13 @@ def test_quiescence_diff_names_owners():
     ledger = ResourceLedger()
     ledger.register("op:trigger-reg", "node004")
     ledger.register("op:trigger-reg", "node004")
-    ledger.register("net:outbox", "node007")
+    ledger.register("net:call-wheel", "node007")
     with pytest.raises(ResourceLeakError) as excinfo:
         ledger.assert_quiescent("run_until_idle")
     text = str(excinfo.value)
     assert "run_until_idle: 3 resource(s) still live" in text
     assert "op:trigger-reg 'node004' x2" in text
-    assert "net:outbox 'node007' x1" in text
+    assert "net:call-wheel 'node007' x1" in text
 
 
 def test_run_until_idle_raises_on_leaked_registration():

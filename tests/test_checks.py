@@ -184,9 +184,10 @@ def test_simulator_and_network_keep_what_they_captured():
 
 
 def test_both_delivery_paths_honour_the_captured_isolation():
-    # _deliver (uncoalesced) and _drain_slot (coalesced) read the same
-    # per-network snapshot: delivery copies even though the live record
-    # has gone back to ``off`` by the time the messages arrive.
+    # _deliver serves both engines (push_at uncoalesced, the slot wheel
+    # coalesced) and reads the per-network snapshot: delivery copies even
+    # though the live record has gone back to ``off`` by the time the
+    # messages arrive.
     for window in (0.0, 0.05):
         with checks.configure(isolation=ISOLATE_COPY, validate=False):
             sim = Simulator(seed=2)

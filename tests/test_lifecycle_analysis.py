@@ -166,6 +166,25 @@ def test_discarded_timer_writing_state_is_flagged(tmp_path):
     assert "staleness guard" in finding.message
 
 
+def test_defer_alias_is_a_scheduler(tmp_path):
+    # OverlayNode picks its scheduler once (``self._defer``: the slot wheel
+    # or ``push_at``); a call through it is a timer like any other.
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def arm(self, t):
+                self._defer(t, self._cb, ())
+
+            def _cb(self):
+                self.fired = True
+        """,
+    )
+    result = analyze_lifecycle(path)
+    assert [f.rule for f in result.active] == ["leak-timer-unguarded"]
+    assert result.active[0].context == "arm:self._cb"
+
+
 def test_guarded_timer_is_not_flagged(tmp_path):
     path = write_fixture(
         tmp_path,
