@@ -415,3 +415,7 @@ class MindCluster:
             state = node.indices.get(index)
             out[node.address] = len(state.store) if state else 0
         return out
+
+    def sibling_fetches(self) -> int:
+        """Sub-queries, cluster-wide, that fetched through a sibling pointer."""
+        return sum(node.sibling_fetches for node in self.nodes)

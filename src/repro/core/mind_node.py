@@ -31,7 +31,7 @@ from repro.core.schema import IndexSchema
 from repro.core.triggers import Trigger, TriggerTable, new_trigger_id
 from repro.core.versioning import VersionedEmbedding
 from repro.net.message import Message
-from repro.overlay.code import Code
+from repro.overlay.code import Code, intern_code
 from repro.overlay.node import OverlayConfig, OverlayNode
 from repro.storage.dac import DacConfig, DataAccessController
 from repro.storage.memtable import TimePartitionedStore
@@ -255,6 +255,7 @@ class MindNode(OverlayNode):
         self._trigger_regs: Dict[str, Dict[str, Any]] = {}
         self.records_stored = 0
         self.replicas_stored = 0
+        self.sibling_fetches = 0
         self.triggers_fired = 0
         #: Replica destination memo: the addresses depend only on the
         #: link set, own code, and replication degree — not on the record
@@ -473,6 +474,10 @@ class MindNode(OverlayNode):
                     "index": name,
                     "versions": state.versions.to_wire(),
                     "replication": state.replication,
+                    # What the joiner's sibling pointer points at: every row
+                    # here predates the split (a later arrival for the
+                    # joiner's half is routed on, not stored).
+                    "held_until": state.store.newest_bucket_end(),
                 }
                 for name, state in self.indices.items()
             ],
@@ -483,6 +488,8 @@ class MindNode(OverlayNode):
     def on_split_received_state(self, state: Dict[str, Any]) -> None:
         for entry in state.get("indices", ()):
             self._install_from_wire(entry)
+            if entry["held_until"] is not None:
+                self.sibling_pointer.held_until[entry["index"]] = entry["held_until"]
         for key in state.get("floods", ()):
             self._seen_floods[tuple(key)] = None
         for entry in state.get("triggers", ()):
@@ -673,6 +680,13 @@ class MindNode(OverlayNode):
             # insert timeout.  (A *crashed* node can't send; the
             # originator's attempt watchdog covers that case.)
             self.on_route_failed(envelope, "left-overlay")
+            return
+        if not self.covers(intern_code(envelope["target"])):
+            # A split committed while the insert waited in the DAC and the
+            # record's half went to the joiner: route it on.  Storing it
+            # here would put a post-split row where only the sibling
+            # pointer's pre-split bound could reach it.
+            self._route_step(envelope)
             return
         if state.store.insert(record):
             self.records_stored += 1
@@ -1046,9 +1060,12 @@ class MindNode(OverlayNode):
         if not self.in_overlay():
             return
         pointer = self.sibling_pointer
-        if pointer is not None and pointer.live(self.sim.now):
-            # Pre-split data for our region still lives at the split host;
-            # fetch it before responding (Section 3.4's sibling pointer).
+        held_until = pointer.held_until.get(envelope["inner"]["index"]) if pointer else None
+        if held_until is not None and (t_range is None or t_range[0] < held_until):
+            # Pre-split data for our region still lives at the split host,
+            # in buckets this sub-query reaches: fetch it before responding
+            # (Section 3.4's sibling pointer).
+            self.sibling_fetches += 1
             fetch_id = self._next_op_id()
             self._sibling_fetches[fetch_id] = {
                 "envelope": envelope,

@@ -21,7 +21,7 @@ bootstrap after a randomized backoff.
 """
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.overlay.code import Code
 
@@ -95,13 +95,13 @@ class SiblingPointer:
 
     When a node joins and takes over half of its host's region, existing
     index data is *not* moved; the joiner forwards matching queries to the
-    host until the data has aged out (the paper drops the pointer "once
-    the data have aged").
+    host "until the data have aged".  The pointer says what it points at:
+    the host reports, per index, the raw-time end of the newest time bucket
+    it held at the split, and a query whose time range starts at or after
+    that bound has nothing to find there.
     """
 
     sibling: str
-    created_at: float
-    expires_at: float
-
-    def live(self, now: float) -> bool:
-        return now < self.expires_at
+    #: Index name -> that bound (``inf`` for an index without a time
+    #: dimension); an index the host held no row of has no entry.
+    held_until: Dict[str, float] = field(default_factory=dict)

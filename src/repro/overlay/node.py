@@ -69,7 +69,6 @@ class OverlayConfig:
     #: also delays code-change announcements to active neighbors, so it is
     #: meant for stable-topology runs (the scale perf tier), not churn.
     hb_suppress_s: Optional[float] = None
-    sibling_pointer_ttl_s: float = 3600.0
     adoption_delay_s: float = 5.0
     route_msg_bytes: int = 320
     control_msg_bytes: int = 180
@@ -529,11 +528,7 @@ class OverlayNode:
             if addr != self.address:
                 self.neighbors.upsert(addr, Code(bits))
         self.neighbors.prune_to_neighborhood(self.code)
-        self.sibling_pointer = SiblingPointer(
-            sibling=msg.src,
-            created_at=self.sim.now,
-            expires_at=self.sim.now + self.config.sibling_pointer_ttl_s,
-        )
+        self.sibling_pointer = SiblingPointer(sibling=msg.src)
         self.on_split_received_state(payload.get("state", {}))
         self._notify_joined()
         self._start_heartbeats()

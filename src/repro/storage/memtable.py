@@ -162,6 +162,25 @@ class TimePartitionedStore:
     def __contains__(self, key: int) -> bool:
         return key in self._keys
 
+    def newest_bucket_end(self) -> Optional[float]:
+        """Raw-time end of the newest bucket held; ``None`` when empty.
+
+        The least ``t`` such that no ``time_range`` starting at or after
+        ``t`` selects a row — what a split host reports to its joiner.
+        Unbounded (``inf``) for a schema without a time dimension.
+        """
+        if not self._records:
+            return None
+        if self._time_dim is None:
+            return math.inf
+        newest = self._bucket_ids[-1] if self._sorted else max(self._bucket_ids)
+        end = (newest + 1) * self.bucket_s
+        # The product rounds; step up until ``_slice``'s own floor division
+        # puts ``end`` past the newest bucket.
+        while end // self.bucket_s <= newest:
+            end = math.nextafter(end, math.inf)
+        return end
+
     # ------------------------------------------------------------------
     def _slice(self, time_range: Optional[Tuple[float, float]]) -> Tuple[int, int]:
         """Row span of the buckets overlapping ``time_range`` (folding first).

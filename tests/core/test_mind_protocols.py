@@ -109,6 +109,19 @@ def test_sibling_pointer_serves_presplit_data():
     assert metric.complete
     assert metric.record_keys == cluster.reference_answer(query)
 
+    # The pointer lasts as long as the host holds the rows, not for a
+    # fixed simulated hour.  The full-range query also reaches the host,
+    # which answers from its whole store; a query confined to the joiner's
+    # region has only the pointer.
+    x_range, t_range = late.indices["p"].versions.latest().region_raw_ranges(late.code)
+    confined = RangeQuery("p", {"x": x_range, "timestamp": t_range})
+    assert cluster.reference_answer(confined)
+    cluster.advance(3700.0)
+    for q in (query, confined):
+        metric = cluster.query_now(q, origin=late.address)
+        assert metric.complete
+        assert metric.record_keys == cluster.reference_answer(q)
+
 
 def test_online_histogram_collection():
     cluster = build(count=8, seed=77)

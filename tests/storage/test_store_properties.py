@@ -141,6 +141,8 @@ op_st = st.one_of(
     st.tuples(st.just("all_records")),
     st.tuples(st.just("points_in_time_range"), time_range_st),
     st.tuples(st.just("drop_before"), time_st),
+    st.tuples(st.just("newest_bucket_end"), st.floats(min_value=0.0, max_value=1e4),
+              st.floats(min_value=0.0, max_value=1e4)),
 )
 
 
@@ -188,6 +190,10 @@ class ListModel:
             rows = [r for r in rows if lo <= r.values[self.time_dim] < hi]
         return [self.schema.normalize(r.values) for r in rows]
 
+    def holds_from(self, lo):
+        """Is any row in ``lo``'s bucket or a newer one?"""
+        return any(self.bucket(r) >= int(lo // self.bucket_s) for r in self.arrived)
+
     def drop_before(self, cutoff):
         if self.time_dim is None:
             return 0
@@ -225,6 +231,19 @@ def run_ops(schema, bucket_s, ops):
             got = store.points_in_time_range(op[1])
             assert got.shape[1] == dims
             assert [tuple(row) for row in got.tolist()] == model.points_in_time_range(op[1])
+        elif op[0] == "newest_bucket_end":
+            # What a split host reports: no time range starting at or after
+            # it selects a row, and it is the least such bound.
+            end = store.newest_bucket_end()
+            if not model.arrived:
+                assert end is None
+            elif model.time_dim is None:
+                assert end == math.inf
+            else:
+                assert model.holds_from(math.nextafter(end, -math.inf))
+                lo = end + op[1]
+                assert not model.holds_from(lo)
+                assert store.query((FULL,) * dims, (lo, lo + op[2])) == []
         else:
             assert store.drop_before(op[1]) == model.drop_before(op[1])
         assert len(store) == len(model.arrived)

@@ -32,10 +32,10 @@ from repro.traffic.indices import index1_schema
 NODES = 24
 
 #: sha256 of the canonical run transcript (see module docstring).  Last
-#: re-captured for the stale-neighbor-code healing change: heartbeats now
-#: echo the receiver's believed code and trigger corrective beacons, which
-#: shifts message counts and per-link stats.
-GOLDEN_DIGEST = "82e238d0855a0a820e81e2f9649ff761c28ce551bdba26af543233f873c3bfcd"
+#: re-captured for the sibling-pointer change: a joiner fetches from its
+#: split host only where the host held pre-split rows, so sub-queries that
+#: used to pay an always-empty round trip no longer send it.
+GOLDEN_DIGEST = "dd23644a693728ed6eb720e3280418b4c9cf393e00beddf07d5985211a8b2c29"
 
 
 def run_scenario():
