@@ -419,3 +419,11 @@ class MindCluster:
     def sibling_fetches(self) -> int:
         """Sub-queries, cluster-wide, that fetched through a sibling pointer."""
         return sum(node.sibling_fetches for node in self.nodes)
+
+    def ring_recoveries(self) -> int:
+        """Expanding-ring searches started, cluster-wide."""
+        return sum(node.ring_recoveries for node in self.nodes)
+
+    def ring_waits(self) -> int:
+        """Routed ops, cluster-wide, that parked on a ring already in flight."""
+        return sum(node.ring_waits for node in self.nodes)

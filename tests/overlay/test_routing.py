@@ -32,7 +32,7 @@ class RecordingNode(OverlayNode):
         self.arrivals.append(envelope)
 
     def on_route_failed(self, envelope, reason):
-        self.failures.append({"envelope": envelope, "reason": reason})
+        self.failures.append({"envelope": envelope, "reason": reason, "at": self.sim.now})
 
 
 def find_owner(nodes, target: Code):
@@ -163,6 +163,130 @@ def test_stale_link_cycle_falls_back_to_ring_recovery():
         f"message never escaped the stale cycle (failures: {reasons})"
     )
     assert a.ring_recoveries + c.ring_recoveries >= 1
+
+
+def test_ring_finds_an_owner_whose_code_is_shorter_than_the_best_match():
+    # Regression: "o" holds a stale fallback adoption of 0010111 (the
+    # region of the dead "d"), which lifts its match with target 0010110
+    # to six bits.  The target's real owner "w" took the region over under
+    # the shorter code 00101 (match 5).  "o" has no link into 00101, so
+    # greedy dead-ends and the ring reaches "w" through "r".  Pre-fix "w"
+    # never answered (5 < 6): every round exhausted although the owner
+    # was two hops away.
+    sim, network, nodes = _rig(
+        {"o": "0010011", "r": "0000", "q": "0011", "w": "00101", "d": "0010111"}
+    )
+    o, r, w = nodes["o"], nodes["r"], nodes["w"]
+    network.set_node_up("d", False)
+    o.adopted.add(Code("0010111"))
+    o.neighbors.upsert("r", Code("0000"))
+    o.neighbors.upsert("q", Code("0011"))
+    r.neighbors.upsert("w", Code("00101"))
+
+    o.route(Code("0010110"), "probe", {"short": 1}, op_id="short-owner")
+    sim.run_until(sim.now + 60.0)
+
+    assert [f["reason"] for n in nodes.values() for f in n.failures] == []
+    assert any(env["inner"].get("short") == 1 for env in w.arrivals)
+
+
+def _dead_end_rig(codes):
+    """``o`` links only to ``r``, and ``r`` knows nobody: no op leaving ``o``
+    for a subtree ``o`` has no link into can be found."""
+    sim, network, nodes = _rig(codes)
+    nodes["o"].neighbors.upsert("r", Code(codes["r"]))
+    return sim, nodes["o"]
+
+
+def test_shared_ring_keeps_each_waiters_deadline():
+    sim, o = _dead_end_rig({"o": "00", "r": "01"})
+    cfg = o.config
+    budget = cfg.ring_max_ttl * cfg.ring_step_timeout_s
+    starts = {}
+    for n, (delay, bits) in enumerate(((0.0, "10"), (3.0, "1011"), (5.5, "11"))):
+        starts[n] = sim.now + delay
+        sim.schedule(delay, o.route, Code(bits), "probe", {"n": n}, f"late-{n}")
+    sim.run_until(sim.now + 60.0)
+
+    assert (o.ring_recoveries, o.ring_waits) == (1, 2)
+    failed = {f["envelope"]["inner"]["n"]: f for f in o.failures}
+    assert sorted(failed) == [0, 1, 2]
+    for n, f in failed.items():
+        assert f["reason"] == "ring-exhausted"
+        # Never earlier than the op's own budget, at most one round later.
+        assert starts[n] + budget <= f["at"] < starts[n] + budget + cfg.ring_step_timeout_s
+
+
+def test_op_into_a_different_subtree_runs_its_own_ring():
+    sim, o = _dead_end_rig({"o": "000", "r": "001"})
+    o.route(Code("10"), "probe", {"n": 0}, op_id="one")  # subtree 1
+    o.route(Code("11"), "probe", {"n": 1}, op_id="two")  # subtree 1: waits
+    o.route(Code("010"), "probe", {"n": 2}, op_id="three")  # subtree 01
+    sim.run_until(sim.now + 60.0)
+
+    assert (o.ring_recoveries, o.ring_waits) == (2, 1)
+    assert sorted(f["envelope"]["inner"]["n"] for f in o.failures) == [0, 1, 2]
+
+
+def test_one_ring_found_forwards_every_waiter_to_its_own_owner():
+    sim, network, nodes = _rig({"o": "00", "r": "01", "a": "10", "b": "11"})
+    o, r, a, b = (nodes[k] for k in "orab")
+    o.neighbors.upsert("r", Code("01"))
+    r.neighbors.upsert("b", Code("11"))
+    b.neighbors.upsert("a", Code("10"))
+
+    for n, bits in enumerate(("100", "1011", "110")):
+        o.route(Code(bits), "probe", {"n": n}, op_id=f"fwd-{n}")
+    sim.run_until(sim.now + 30.0)
+
+    # "r" answers the first round; all three ops go to it and route on.
+    assert (o.ring_recoveries, o.ring_waits) == (1, 2)
+    assert sorted(env["inner"]["n"] for env in a.arrivals) == [0, 1]
+    assert [env["inner"]["n"] for env in b.arrivals] == [2]
+    assert not any(n.failures for n in nodes.values())
+
+
+def test_takeover_at_the_origin_delivers_every_waiter_locally():
+    sim, network, nodes = _rig({"o": "00", "d": "01"})
+    o = nodes["o"]
+    network.set_node_up("d", False)
+    o.neighbors.upsert("d", Code("01"), alive=False)
+
+    for n, bits in enumerate(("010", "0111")):
+        o.route(Code(bits), "probe", {"n": n}, op_id=f"local-{n}")
+    sim.schedule(3.0, o._declare_dead, "d")  # o is d's sibling: takeover
+    sim.run_until(sim.now + 30.0)
+
+    assert o.code == Code("0")
+    assert (o.ring_recoveries, o.ring_waits) == (1, 1)
+    assert sorted(env["inner"]["n"] for env in o.arrivals) == [0, 1]
+    assert o.failures == []
+
+
+def test_restored_node_never_reuses_a_ring_id_its_peers_still_dedupe():
+    # "r" dedupes probes by (probe id, origin).  Before the crash it saw
+    # rounds 1 and 2 of o's first ring; had the restored "o" numbered its
+    # rings from 1 again, "r" would drop the new ring's first two rounds
+    # and answer only the third, four seconds late.
+    sim, network, nodes = _rig({"o": "00", "r": "01", "b": "11"})
+    o, r, b = (nodes[k] for k in "orb")
+    step = o.config.ring_step_timeout_s
+    o.neighbors.upsert("r", Code("01"))
+    o.route(Code("11"), "probe", {"n": 0}, op_id="before-crash")
+    sim.run_until(sim.now + 1.5 * step)
+    o.crash()
+    # Back under the same code (the rig has no join protocol); "r" can now
+    # make progress into subtree 1.
+    o.active = True
+    o._set_code(Code("00"))
+    o.neighbors.upsert("r", Code("01"))
+    r.neighbors.upsert("b", Code("11"))
+
+    o.route(Code("11"), "probe", {"n": 1}, op_id="after-crash")
+    sim.run_until(sim.now + 0.5 * step)
+
+    assert o.ring_recoveries == 2
+    assert [env["inner"]["n"] for env in b.arrivals] == [1]
 
 
 def test_sibling_takeover_after_node_death():

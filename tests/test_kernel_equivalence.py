@@ -32,10 +32,10 @@ from repro.traffic.indices import index1_schema
 NODES = 24
 
 #: sha256 of the canonical run transcript (see module docstring).  Last
-#: re-captured for the sibling-pointer change: a joiner fetches from its
-#: split host only where the host held pre-split rows, so sub-queries that
-#: used to pay an always-empty round trip no longer send it.
-GOLDEN_DIGEST = "dd23644a693728ed6eb720e3280418b4c9cf393e00beddf07d5985211a8b2c29"
+#: re-captured for the shared expanding ring: ops that dead-end on the same
+#: unreachable subtree at one node share one flood, and a node covering
+#: the subtree answers a probe even when its code is short.
+GOLDEN_DIGEST = "cafa7f5c3874f43caaabd6d94480851297ba830f58c79dc29f49eb4c0b8867ff"
 
 
 def run_scenario():
