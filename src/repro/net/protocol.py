@@ -103,6 +103,8 @@ REGISTRY: Dict[str, MessageKind] = dict(
               doc="Joiner asks the chosen host to split its region."),
         _kind("join_reject", "overlay", ["reason"],
               doc="Host refuses (busy / preempted / timeout)."),
+        _kind("join_cancel", "overlay",
+              doc="Joiner gave up on its host; the host drops or reclaims the split."),
         _kind("split_prepare", "overlay", ["host", "host_code", "joiner", "round"],
               doc="Host asks its neighbors to freeze for a split round."),
         _kind("split_ack", "overlay", ["round"],
