@@ -1,7 +1,5 @@
-"""Performance microbenchmarks and the perf-regression harness.
+"""The 1000-node / 1M-record scale tier, run on mindbench's workload base.
 
-Run ``PYTHONPATH=src python benchmarks/perf/run.py`` to execute the suite
-and write ``BENCH_PERF.json``; every future PR compares against that
-trajectory.  The runner exits non-zero if the vectorized columnar paths
-ever fall behind the scalar reference on the query-scan microbenchmark.
+``python -m benchmarks.perf.run`` runs it and appends one line to
+``BENCH_HISTORY.jsonl``; ``--smoke`` checks the same path in seconds.
 """

@@ -116,9 +116,8 @@ class MetricsCollector:
     def failure_handling(self) -> Dict[str, int]:
         """Aggregate retry/failover counters across all recorded ops.
 
-        Feeds the perf harness's ``BENCH_PERF.json`` trajectory, so
-        regressions in failure handling show up next to latency
-        regressions.
+        Reported by the churn harness (``MindCluster.run_churn_experiment``),
+        so regressions in failure handling show up next to recall ones.
         """
         return {
             "insert_retries": sum(m.retries for m in self.inserts),

@@ -4,8 +4,8 @@ Production (`TimePartitionedStore`, `MultiDimHistogram`,
 `histogram_from_records`, `derive_cut_tree`) runs one array-based path;
 these per-record / per-cell loops are what that path must equal.  The
 equivalence property tests (``tests/storage/test_vectorized_equivalence.py``)
-compare the two byte for byte, and ``benchmarks/perf/microbench.py`` times
-them as the ``scalar_s`` column of ``BENCH_PERF.json``.
+compare the two byte for byte.  The production paths are timed by
+mindbench's per-layer ledger; these loops are not timed anywhere.
 
 The histogram oracles apply the same IEEE operations in the same order as
 the array code (per-dimension overlap products, one sequential running sum
