@@ -13,8 +13,10 @@ Design notes
   time explicitly (the storage DAC and node CPU models do).
 * Exceptions raised by callbacks abort the run: errors should never pass
   silently in an experiment.
-* The event queue is a calendar-queue-fronted heap (see
-  :mod:`repro.sim.events`).
+* The event queue is one binary heap (see :mod:`repro.sim.events`).
+  With delivery coalescing on, the network's slot wheel
+  (:meth:`repro.net.network.SimNetwork.call_in_slot`) bins near-future
+  message work in front of it.
 * The runtime checks (:mod:`repro.checks`) are captured here, at
   construction: the queue takes the schedule-fuzz tie-break, the
   simulator the resource ledger.
@@ -80,14 +82,14 @@ class Simulator:
         virtual times (as in :meth:`schedule_at`).
         """
         now = self.now
-        batch = []
-        for time, callback, args in items:
+        batch = list(items)
+        for time, _, _ in batch:
             if time < now:
                 raise SimulationError(
                     f"cannot schedule at t={time:.6f} (now is {now:.6f})"
                 )
-            batch.append((time, callback, args))
-        return self._queue.push_many(batch)
+        push = self._queue.push
+        return [push(time, callback, args) for time, callback, args in batch]
 
     def rng(self, name: str):
         """Return the named deterministic random stream."""

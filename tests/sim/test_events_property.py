@@ -1,28 +1,21 @@
 """Property tests: EventQueue vs a naive sorted-list model.
 
-The queue is a calendar-fronted binary heap with lazy cancellation and
-periodic compaction; the model is a plain list of ``(time, key, event)``
-tuples ordered by ``min()`` — ``key`` is the tie-break key, which equals
-``seq`` unless schedule fuzz is on, so the same model checks the fuzzed
-orders too.  Any sequence of push/cancel/pop/pop_due/peek operations
-must be observationally identical between the two — including pushes
-behind the calendar cursor, duplicate times (tie-break), cancels of
+The queue is a binary heap with lazy cancellation and periodic
+compaction; the model is a plain list of ``(time, key, event)`` tuples
+ordered by ``min()`` — ``key`` is the tie-break key, which equals ``seq``
+unless schedule fuzz is on, so the same model checks the fuzzed orders
+too.  Any sequence of push/cancel/pop/pop_due/peek operations must be
+observationally identical between the two — including pushes earlier
+than already-popped times, duplicate times (tie-break), cancels of
 already-popped events, and compaction rebuilds.
 """
 
 import random
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim.events import EventQueue
-
-QUEUE_VARIANTS = [
-    pytest.param({"num_slots": 0}, id="heap-only"),
-    pytest.param({}, id="calendar"),
-    pytest.param({"slot_width": 0.5, "num_slots": 4}, id="tiny-calendar"),
-]
 
 _TIMES = st.integers(0, 2000).map(lambda i: i / 8.0)
 _OPS = st.lists(
@@ -36,11 +29,10 @@ def _noop():  # events are never fired by these tests
     raise AssertionError("queue tests never run callbacks")
 
 
-@pytest.mark.parametrize("kwargs", QUEUE_VARIANTS)
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_event_queue_matches_sorted_model(kwargs, data):
-    queue = EventQueue(**kwargs)
+def test_event_queue_matches_sorted_model(data):
+    queue = EventQueue()
     model = []  # live (time, key, event) tuples; min() is the next pop
     created = []  # every event ever pushed, for cancel-after-pop ops
 
@@ -92,13 +84,12 @@ def test_event_queue_matches_sorted_model(kwargs, data):
     assert queue.peek_time() is None
 
 
-@pytest.mark.parametrize("kwargs", QUEUE_VARIANTS)
-def test_event_queue_compaction_matches_model(kwargs):
+def test_event_queue_compaction_matches_model():
     # Long seeded run with a heavy cancel mix: drives _dead past the
     # compaction threshold many times so the rebuild path itself is
     # exercised, which short hypothesis sequences rarely reach.
     rng = random.Random(42)
-    queue = EventQueue(**kwargs)
+    queue = EventQueue()
     model = []
     for _ in range(6000):
         r = rng.random()
@@ -116,7 +107,7 @@ def test_event_queue_compaction_matches_model(kwargs):
         assert len(queue) == len(model)
     # ~1800 cancels happened while the live size stayed ~1000, so only
     # compaction can have kept the dead count under its trigger bound.
-    assert queue._dead < 64 or queue._dead * 2 < queue._size
+    assert queue._dead < 64 or queue._dead * 2 < len(queue._heap)
     drained = []
     while True:
         event = queue.pop()

@@ -27,6 +27,32 @@ def test_queue_fifo_within_same_time():
     assert popped == [0, 1, 2, 3, 4]
 
 
+def test_cancel_ahead_during_same_time_drain():
+    # Cancel not-yet-fired entries of a partially drained timestamp: the
+    # live remainder comes out in order and the live length is exact.
+    with checks.configure(fuzz="off"):
+        q = EventQueue()
+    events = [q.push(1.0, lambda: None, (i,)) for i in range(6)]
+    assert q.pop().args == (0,)
+    events[2].cancel()
+    events[4].cancel()
+    assert len(q) == 3
+    assert [e.args[0] for e in iter(q.pop, None)] == [1, 3, 5]
+    assert len(q) == 0 and q.pop() is None
+
+
+def test_same_time_push_mid_drain_fires_after_earlier():
+    # A zero-delay push during a same-time drain fires after everything
+    # already scheduled at that time (FIFO keys).
+    with checks.configure(fuzz="off"):
+        q = EventQueue()
+    for i in range(4):
+        q.push(1.0, lambda: None, (i,))
+    assert q.pop().args == (0,)
+    q.push(1.0, lambda: None, (99,))
+    assert [e.args[0] for e in iter(q.pop, None)] == [1, 2, 3, 99]
+
+
 def test_cancelled_events_skipped():
     q = EventQueue()
     keep = q.push(2.0, lambda: None, ())

@@ -3,8 +3,8 @@
 The runtime half of repro-race: ``REPRO_SCHEDULE_FUZZ=shuffle|reverse``
 replaces the FIFO tie-break among equal-time events with a seeded
 pseudo-random (or reversed) one.  These tests pin the contract: the
-perturbation is deterministic per seed, touches *only* ties, and the
-calendar and heap engines observe the identical perturbed order.
+perturbation is deterministic per seed, touches *only* ties, and loses
+no event.
 """
 
 from repro import checks
@@ -21,9 +21,9 @@ def _drain(queue):
         tags.append(event.args[0])
 
 
-def _same_time_order(mode, seed, count=12, num_slots=None):
+def _same_time_order(mode, seed, count=12):
     with checks.configure(fuzz=mode, fuzz_seed=seed):
-        queue = EventQueue() if num_slots is None else EventQueue(num_slots=num_slots)
+        queue = EventQueue()
     for i in range(count):
         queue.push(1.0, lambda: None, (i,))
     return _drain(queue)
@@ -63,23 +63,6 @@ def test_distinct_times_unaffected_by_fuzz():
         assert _drain(queue) == sorted(times), mode
 
 
-def test_heap_and_calendar_engines_agree_under_fuzz():
-    # The tie key is part of the stored entry, so the calendar-fronted
-    # queue and the plain heap must produce the identical perturbed order.
-    schedule = [(0.001 * (i % 5), i) for i in range(40)]  # dense ties
-    for seed in range(3):
-        orders = []
-        for num_slots in (None, 0):
-            with checks.configure(fuzz="shuffle", fuzz_seed=seed):
-                queue = (
-                    EventQueue() if num_slots is None else EventQueue(num_slots=0)
-                )
-            for t, tag in schedule:
-                queue.push(t, lambda: None, (tag,))
-            orders.append(_drain(queue))
-        assert orders[0] == orders[1], f"engines diverge under shuffle seed {seed}"
-
-
 def test_mode_captured_at_queue_construction():
     with checks.configure(fuzz="reverse"):
         queue = EventQueue()
@@ -90,10 +73,9 @@ def test_mode_captured_at_queue_construction():
 
 
 def test_zero_delay_push_while_draining_is_not_lost():
-    # Regression for the cursor-slot insort clamp: once a slot is sorted
-    # and partially consumed, a same-timestamp push may draw a shuffled
-    # tie key *below* an already-fired entry's.  An unclamped insort
-    # buries such an entry behind the cursor and the event never fires.
+    # Once a timestamp is partially drained, a same-timestamp push may
+    # draw a shuffled tie key *below* an already-fired entry's; it must
+    # still fire, exactly once, and the rest in tie-key order.
     hazard_exercised = False
     for seed in range(8):
         with checks.configure(fuzz="shuffle", fuzz_seed=seed):
@@ -109,9 +91,8 @@ def test_zero_delay_push_while_draining_is_not_lost():
             if event is None:
                 break
             fired.append(event)
-        # Identity, not count: the unclamped-insort failure mode fires the
-        # already-consumed entry a second time in place of the lost push,
-        # so a bare length check would not catch it.
+        # Identity, not count: a queue that fires a consumed entry a
+        # second time in place of a lost push keeps the length right.
         tags = sorted(e.args for e in fired)
         expected = sorted(e.args for e in first + late)
         assert tags == expected, f"lost/duplicated events under shuffle seed {seed}"

@@ -1,13 +1,13 @@
 """Seeded end-to-end equivalence of the scaled event/delivery path.
 
-The scale work (calendar-queue event kernel, heap compaction, array-backed
-link accounting, transmit/deliver fast paths) must not change *any*
+The scale work (tuple-backed heap with compaction, array-backed link
+accounting, transmit/deliver fast paths) must not change *any*
 observable simulation output: same seeds in, byte-identical metrics out.
 A golden digest, captured from the pre-scale implementation (plain binary
 heap, per-link ``LinkStats`` objects) on the same seeded scenario, pins
-that: the current path must reproduce it exactly.  (Pop order of the
-calendar queue against the plain heap is model-tested at the queue level
-in ``tests/sim/test_events_property.py``.)
+that: the current path must reproduce it exactly.  (The queue's pop order
+is model-tested at the queue level in
+``tests/sim/test_events_property.py``.)
 
 The digest covers every insert metric, every query metric (including
 record keys and failed regions), per-link counters and the full delay

@@ -20,18 +20,18 @@ import random
 
 import pytest
 
+from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
 from repro.core.mind_node import MindConfig
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.net.latency import LatencyModel
 from repro.overlay.node import OverlayConfig
-from repro.sim.events import schedule_fuzz
 from repro.traffic.indices import index1_schema
 
 
 def _run(mode, seed=0, horizon=90.0):
-    with schedule_fuzz(mode, seed):
+    with checks.configure(fuzz=mode, fuzz_seed=seed):
         config = ClusterConfig(
             seed=77,
             overlay=OverlayConfig(
