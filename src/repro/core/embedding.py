@@ -14,9 +14,13 @@ independent of the hypercube's dimensionality and each index maps onto the
 same overlay differently.
 
 Cut positions are produced by a :class:`~repro.core.cuts.EvenCuts` or
-:class:`~repro.core.cuts.BalancedCuts` strategy and memoized per tree
-node, which makes repeated descents cheap and guarantees every node
-derives the identical tree from the identical histogram.
+:class:`~repro.core.cuts.BalancedCuts` strategy.  Balanced cuts are
+memoized per tree node, which makes repeated descents cheap and
+guarantees every node derives the identical tree from the identical
+histogram.  Even cuts need no tree: every cut on a dimension's k-th level
+is a dyadic m/2^k, so a point's code is the bit-interleave of its
+quantised coordinates ``floor(x * 2^k)`` (the Z-order curve), computed
+in closed form.
 """
 
 import json
@@ -24,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.cuts import strategy_from_wire
+from repro.core.cuts import EvenCuts, strategy_from_wire
 from repro.core.histogram import LiveRows
 from repro.core.query import NormRect, full_rect
 from repro.core.schema import IndexSchema
@@ -33,6 +37,11 @@ from repro.overlay.code import Code, intern_code
 #: point_codes_batch packs the running tree node of each point into an
 #: int64; deeper descents fall back to the scalar per-point path.
 _MAX_BATCH_DEPTH = 62
+
+#: Even cuts halve a dimension exactly only while its cut positions are
+#: dyadics a float64 holds: past 53 cuts ``(lo + hi) / 2`` rounds, and a
+#: descent would hand out regions of zero width.
+_MAX_EVEN_CUTS_PER_DIM = 53
 
 #: A cut remembers the live histogram rows it found only if it weighed at
 #: least this many itself.  Sets that large shrink down the tree, so they
@@ -45,12 +54,50 @@ _KEEP_MIN_ROWS = 48
 #: Embeddings interned by canonical wire form.  Every node of a cluster
 #: installs the *same* index wire form, and cuts are deterministic
 #: functions of (schema, strategy) — so all nodes can share one instance
-#: and, crucially, one memoized cut tree.  Without sharing, each of 1000
-#: nodes re-derives and re-warms its own ~2^depth-leaf tree, and every
-#: node's descents stay permanently cold.  Bounded FIFO: eviction only
-#: stops *sharing*, never breaks correctness.
+#: and one memoized cut tree.  That matters for balanced cuts: without
+#: sharing, each of 1000 nodes re-derives and re-warms its own
+#: ~2^depth-leaf tree, and every node's descents stay permanently cold.
+#: (Even cuts keep no tree; sharing only saves their plan's tables.)
+#: Bounded FIFO: eviction only stops *sharing*, never breaks correctness.
 _WIRE_INTERN: Dict[str, "Embedding"] = {}
 _WIRE_INTERN_MAX = 256
+
+
+#: One dimension's share of an even-cut code: the quantiser's scale
+#: (2^cuts), its top value (2^cuts - 1), and per byte of the quantised
+#: coordinate a table from the byte's values to its bits placed at their
+#: code positions.
+_DimPlan = Tuple[float, int, List[List[int]]]
+
+
+def _even_plan(dims: int, depth: int) -> Tuple[int, List[_DimPlan]]:
+    """How to interleave ``depth`` bits of even-cut code over ``dims`` dimensions.
+
+    Level ``l`` cuts dimension ``l % dims`` for its ``l // dims``-th time,
+    so a dimension cut ``b`` times owns every ``dims``-th code bit and
+    contributes the ``b`` bits of ``floor(x * 2^b)``, most significant
+    first.  Returns the leading 1 bit of the heap-numbered node (as in
+    the balanced cut tree) and one :data:`_DimPlan` per dimension.
+    """
+    per_dim = -(-depth // dims)
+    if per_dim > _MAX_EVEN_CUTS_PER_DIM:
+        raise ValueError(
+            f"even cuts halve a dimension exactly at most {_MAX_EVEN_CUTS_PER_DIM} "
+            f"times; code depth {depth} over {dims} dimensions needs {per_dim}"
+        )
+    # spread[v]: the bits of byte v, dims positions apart.
+    spread = [sum(((v >> i) & 1) << (i * dims) for i in range(8)) for v in range(256)]
+    plan = []
+    for dim in range(dims):
+        cuts = len(range(dim, depth, dims))
+        # The coordinate's lowest bit lands on the dimension's last level.
+        shift = depth - 1 - dim - (cuts - 1) * dims
+        tables = [
+            [s << (shift + 8 * byte * dims) for s in spread[: 1 << min(8, cuts - 8 * byte)]]
+            for byte in range(-(-cuts // 8))
+        ]
+        plan.append((float(1 << cuts), (1 << cuts) - 1, tables))
+    return 1 << depth, plan
 
 
 class Embedding:
@@ -62,28 +109,39 @@ class Embedding:
         self.schema = schema
         self.strategy = strategy
         self.code_depth = code_depth
-        #: The cut tree: cut position by tree node.  Nodes are numbered as
-        #: in a binary heap — the root is 1, node ``n`` has children ``2n``
-        #: and ``2n + 1`` — so a node's number is its code prefix behind a
-        #: leading 1 bit, and the per-record descent is one int-keyed
-        #: lookup, one comparison and one shift per level.
+        self._dims = schema.dimensions
+        #: Even cuts: the closed-form code plan for ``code_depth``
+        #: (:func:`_even_plan`).  ``None`` for balanced cuts.
+        self._plan = (
+            _even_plan(self._dims, code_depth) if isinstance(strategy, EvenCuts) else None
+        )
+        #: Balanced cuts: the cut tree, cut position by tree node.  Nodes
+        #: are numbered as in a binary heap — the root is 1, node ``n`` has
+        #: children ``2n`` and ``2n + 1`` — so a node's number is its code
+        #: prefix behind a leading 1 bit, and the per-record descent is one
+        #: int-keyed lookup, one comparison and one shift per level.
         self._cuts: Dict[int, float] = {}
         #: The live histogram rows of the nodes that kept them
         #: (``_KEEP_MIN_ROWS``), for cuts below to resume from.
         self._live: Dict[int, LiveRows] = {}
-        self._dims = schema.dimensions
 
     # ------------------------------------------------------------------
     # Cut access
     # ------------------------------------------------------------------
     def _split(self, node: int, rect: NormRect, dim: int) -> float:
-        """The cut along ``dim`` of tree node ``node``, whose rectangle is ``rect``."""
+        """The cut along ``dim`` of tree node ``node``, whose rectangle is ``rect``.
+
+        An even cut is the rectangle's midpoint, cheaper to redraw than to
+        remember; only balanced cuts go through the memo.
+        """
+        if self._plan is not None:
+            return self.strategy.split(rect, dim)
         split = self._cuts.get(node)
         if split is None:
             live = self._live
             # The nearest ancestor that kept its live rows covers this
-            # rectangle's; with none (the root, even cuts, a preloaded
-            # tree) the strategy looks at everything.
+            # rectangle's; with none (the root, a preloaded tree) the
+            # strategy looks at everything.
             up = node >> 1 if live else 0
             while up and up not in live:
                 up >>= 1
@@ -123,6 +181,8 @@ class Embedding:
 
     def preload_splits(self, cuts: Dict[str, float]) -> None:
         """Seed the memoized cut tree (e.g. from ``derive_cut_tree``)."""
+        if self._plan is not None:
+            raise ValueError("even cuts keep no cut tree to seed")
         for prefix_bits, split in cuts.items():
             self._cuts[int("1" + prefix_bits, 2)] = split
 
@@ -132,13 +192,31 @@ class Embedding:
     def point_code(self, values: Sequence[float], depth: Optional[int] = None) -> Code:
         """The code of a raw-valued point, descended to ``depth`` bits.
 
-        The steady-state descent (every cut already memoized — true for
-        all but the first record reaching each tree node) is a memo
-        lookup and a comparison per level; rectangles exist only on a
-        miss, from where the descent draws the remaining cuts.
+        Even cuts: each coordinate is quantised to its dimension's number
+        of cuts and the bits interleaved, a table lookup per byte.  The
+        clamp to the top cell covers x = 1.0, which every cut sends upper.
+
+        Balanced cuts: the steady-state descent (every cut already
+        memoized — true for all but the first record reaching each tree
+        node) is a memo lookup and a comparison per level; rectangles
+        exist only on a miss, from where the descent draws the remaining
+        cuts.
         """
-        depth = self.code_depth if depth is None else depth
         point = self.schema.normalize(values)
+        plan = self._plan
+        if plan is not None:
+            if depth is not None and depth != self.code_depth:
+                plan = _even_plan(self._dims, depth)
+            node, dim_plans = plan
+            for x, (scale, top, tables) in zip(point, dim_plans):
+                q = int(x * scale)
+                if q > top:
+                    q = top
+                for table in tables:
+                    node |= table[q & 255]
+                    q >>= 8
+            return intern_code(bin(node)[3:])
+        depth = self.code_depth if depth is None else depth
         dims = self._dims
         cuts = self._cuts
         node = 1
@@ -168,8 +246,10 @@ class Embedding:
     def point_codes_batch(self, values, depth: Optional[int] = None) -> List[Code]:
         """Codes for many raw-valued points at once.
 
-        Descends the cut tree level by level: points are grouped by their
-        tree node (one stable sort per level), each group's cut is
+        Even cuts: :meth:`point_code`'s quantise-and-interleave, as one
+        shift-or per table over the batch's int64 columns.  Balanced
+        cuts: descends the cut tree level by level: points are grouped by
+        their tree node (one stable sort per level), each group's cut is
         fetched from the shared memo, and the per-point bit comparisons
         run as one vectorized ``>=`` over the whole batch.
         Agrees bit-for-bit with :meth:`point_code` on every point.
@@ -183,6 +263,18 @@ class Embedding:
             return [Code("") for _ in range(n)]
         if depth > _MAX_BATCH_DEPTH:
             return [self.point_code(v, depth) for v in values]
+        plan = self._plan
+        if plan is not None:
+            if depth != self.code_depth:
+                plan = _even_plan(self._dims, depth)
+            lead, dim_plans = plan
+            nodes = np.full(n, lead, dtype=np.int64)
+            for column, (scale, top, tables) in zip(points.T, dim_plans):
+                q = np.minimum((column * scale).astype(np.int64), top)
+                for table in tables:
+                    nodes |= np.array(table, dtype=np.int64)[q & 255]
+                    q >>= 8
+            return [Code(bin(node)[3:]) for node in nodes.tolist()]
         dims = self._dims
         nodes = np.ones(n, dtype=np.int64)
         splits = np.empty(n, dtype=np.float64)
