@@ -32,7 +32,8 @@ Rules
 * ``leak-op-state`` — a keyed dict/set container with add sites and *no*
   removal evidence anywhere in the class.
 * ``leak-timer-unguarded`` — a ``schedule``/``schedule_at``/
-  ``call_in_slot``/``_schedule_coarse``/``_defer`` call whose handle is
+  ``call_in_slot``/``timer_in_slot``/``_schedule_coarse``/``_defer``/
+  ``_defer_timer`` call whose handle is
   discarded, whose callback resolves locally, writes ``self.*`` state,
   and has no early-return staleness guard — so it cannot be cancelled on
   node kill and fires unconditionally into whatever state remains.
@@ -63,7 +64,10 @@ from repro.analysis.findings import Finding
 from repro.analysis.protocol_lint import ModuleInfo
 
 #: scheduler entry points whose second positional argument is a callback
-_SCHEDULERS = frozenset({"schedule", "schedule_at", "call_in_slot", "_schedule_coarse", "_defer"})
+_SCHEDULERS = frozenset({
+    "schedule", "schedule_at", "call_in_slot", "timer_in_slot", "_schedule_coarse", "_defer",
+    "_defer_timer",
+})
 
 _REMOVAL_METHODS = frozenset({"pop", "popitem", "remove", "discard", "clear"})
 _GROWTH_METHODS = frozenset({"append", "extend"})

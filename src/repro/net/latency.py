@@ -68,31 +68,18 @@ class LatencyModel:
         self.pathology_prob = pathology_prob
         self.pathology_scale_s = pathology_scale_s
         self.pathology_alpha = pathology_alpha
-        #: Memoized deterministic propagation delay per site pair: the
-        #: haversine distance is pure geometry, and every message between
-        #: the same pair of sites recomputing it dominates the latency
-        #: model's cost at cluster scale.
-        self._propagation_cache: dict = {}
 
     def propagation_s(self, src: Site, dst: Site) -> float:
-        """Deterministic propagation component of the one-way delay."""
-        # Keyed by site names (unique per deployment): string hashes are
-        # cached by the interpreter, while a frozen-dataclass hash is
-        # recomputed on every lookup.
-        key = (src.name, dst.name)
-        cached = self._propagation_cache.get(key)
-        if cached is None:
-            distance = great_circle_km(src, dst)
-            cached = distance * ROUTE_FACTOR / FIBER_KM_PER_S
-            # repro-leak: ignore[leak-op-state] memo bounded by site pairs
-            self._propagation_cache[key] = cached
-        return cached
+        """Deterministic propagation component of the one-way delay.
+
+        Not memoised: the network computes it once per link and keeps it
+        with the link (``SimNetwork._lk_prop``).
+        """
+        return great_circle_km(src, dst) * ROUTE_FACTOR / FIBER_KM_PER_S
 
     def one_way_s(self, src: Site, dst: Site, rng: random.Random) -> float:
         """Sample a one-way delay for a message from ``src`` to ``dst``."""
-        propagation = self._propagation_cache.get((src.name, dst.name))
-        if propagation is None:
-            propagation = self.propagation_s(src, dst)
+        propagation = self.propagation_s(src, dst)
         jitter = rng.lognormvariate(0.0, self.jitter_sigma)
         delay = self.base_s + propagation * jitter
         if rng.random() < self.pathology_prob:

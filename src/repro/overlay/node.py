@@ -31,7 +31,7 @@ from repro.overlay.join import (
     choose_split_host,
     host_priority,
 )
-from repro.overlay.routing import RouteDecision, next_hop
+from repro.overlay.routing import RouteDecision, next_hop, route_rows, table_next_hop
 from repro.overlay.neighbors import NeighborTable
 from repro.sim.kernel import Simulator
 
@@ -111,11 +111,14 @@ class OverlayNode:
         #: must be thawed before non-routing code consumes them.  Captured
         #: at construction, as the network captures its delivery level.
         self._frozen_delivery = checks.active.isolation == ISOLATE_FREEZE
-        #: ``(time, fn, args)`` scheduler for dispatches and coarse
-        #: watchdogs, chosen once: the network's slot wheel when it
-        #: coalesces (returns ``None``), else an exact kernel event
-        #: (returns the cancellable ``Event``).
-        self._defer = network.call_in_slot if network.coalesce_window_s else sim.push_at
+        #: ``(time, fn, args)`` schedulers, chosen once: the network's slot
+        #: wheel when it coalesces, else exact kernel events.  ``_defer``
+        #: parks dispatches; ``_defer_timer`` parks coarse watchdogs and
+        #: returns a cancel handle (a ``SlotCall`` or the kernel ``Event``).
+        if network.coalesce_window_s:
+            self._defer, self._defer_timer = network.call_in_slot, network.timer_in_slot
+        else:
+            self._defer = self._defer_timer = sim.push_at
 
         self.code: Optional[Code] = None
         self.active = False
@@ -220,12 +223,12 @@ class OverlayNode:
         # kinds) keep working via the string-keyed overflow dict.
         self._dispatch_table: Optional[List[Optional[Callable[[Message], None]]]] = None
         self._dispatch_overflow: Dict[str, Callable[[Message], None]] = {}
-        # Routing-decision memo, keyed by target bits and valid only for
-        # the link list it was computed against (identity-checked: links()
-        # returns a new list object whenever the link set changes).
-        self._route_memo: Dict[str, "RouteDecision"] = {}
-        self._route_memo_links: Optional[List[Tuple[str, Code]]] = None
-        self._route_memo_depth = 0
+        # Greedy candidates per bit of the code (``route_rows``), valid
+        # only for the link list they were built from (identity-checked:
+        # links() returns a new list object whenever the link set or the
+        # code changes).
+        self._route_rows: List[List[RouteDecision]] = []
+        self._route_links: Optional[List[Tuple[str, Code]]] = None
         network.register(address, self._deliver)
 
     # ==================================================================
@@ -295,6 +298,8 @@ class OverlayNode:
         # links() cache never matches across the crash.
         self._links_key = None
         self._links_memo = []
+        self._route_links = None
+        self._route_rows = []
         self.adopted = set()
         self.sibling_pointer = None
         self._host_join = None
@@ -420,15 +425,15 @@ class OverlayNode:
         """Schedule a *self-guarding* callback, coarsely when coalescing is on.
 
         For per-operation watchdogs that are almost always cancelled: with
-        coalescing enabled the callback rides the network call wheel —
-        no kernel event of its own, no cancel handle (returns ``None``),
-        and it fires unconditionally up to one window late, so the
-        callback's own staleness guard must absorb spurious fires.  Every
-        timer routed here is already written that way (lazy kernel
-        cancellation imposes the same discipline).  Without coalescing
-        this is an exact kernel timer and returns its cancellable Event.
+        coalescing enabled the callback rides the network call wheel — no
+        kernel event of its own, up to one window late — and returns a
+        ``SlotCall`` whose ``cancel()`` frees the entry.  Without
+        coalescing this is an exact kernel timer and returns its Event.
+        Either way a cancel can lose the race with the firing (a wheel
+        call whose slot is already draining runs), so the callback keeps
+        its own staleness guard.
         """
-        return self._defer(self.sim.now + delay, fn, args)
+        return self._defer_timer(self.sim.now + delay, fn, args)
 
     def _refill_service_jitter(self) -> float:
         buf = self._np_service.lognormal(
@@ -861,12 +866,12 @@ class OverlayNode:
         if exclude:
             decision = next_hop(self.code, target, links, exclude=exclude, visited=path)
         else:
-            # The memoized decision ignores ``visited``: when the global
+            # The table decision ignores ``visited``: when the global
             # winner is not on the message's path the restricted
             # (fresh-candidates-first) scan picks the same winner, so the
-            # memo is exact; otherwise fall back to the full scan.
+            # table is exact; otherwise fall back to the full scan.
             # ``visited`` never removes candidates — it only deprioritizes
-            # them — so a memoized "dead end" is a dead end for every
+            # them — so a table "dead end" is a dead end for every
             # message.
             decision = self._greedy_decision(target, links)
             if decision.next_hop is not None and decision.next_hop in path:
@@ -892,26 +897,12 @@ class OverlayNode:
         self._forward(envelope, decision.next_hop, private_inner)
 
     def _greedy_decision(self, target: Code, links: List[Tuple[str, Code]]) -> RouteDecision:
-        """``next_hop(self.code, target, links)``, memoized per link list."""
-        memo = self._route_memo
-        if links is not self._route_memo_links:
-            memo.clear()
-            self._route_memo_links = links
-            # Every prefix comparison in next_hop is capped by the shorter
-            # operand, so targets agreeing on the first ``depth`` bits are
-            # indistinguishable to the scan — key the memo on that prefix,
-            # not the full target.
-            depth = self.code._len
-            for _, c in links:
-                if c._len > depth:
-                    depth = c._len
-            self._route_memo_depth = depth
-        key = target.bits[: self._route_memo_depth]
-        decision = memo.get(key)
-        if decision is None:
-            decision = next_hop(self.code, target, links)
-            memo[key] = decision
-        return decision
+        """``next_hop(self.code, target, links)`` through the per-dimension
+        rows, rebuilt whenever ``links()`` hands out a new list."""
+        if links is not self._route_links:
+            self._route_rows = route_rows(self.code, links)
+            self._route_links = links
+        return table_next_hop(self.code, self._route_rows, target)
 
     def _forward(self, envelope: Dict[str, Any], nxt: str, private_inner: bool = True) -> None:
         envelope["hops"] += 1

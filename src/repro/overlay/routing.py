@@ -14,10 +14,15 @@ message toward target ``t``:
 
 When no live peer covers the required subtree the caller falls back to the
 expanding-ring recovery implemented in :mod:`repro.overlay.node`.
+
+The candidate set depends on the target only through ``i``, so a node
+keeps one row of candidates per bit of its code (:func:`route_rows`) and
+a hop looks its row up (:func:`table_next_hop`); :func:`next_hop` is the
+full scan, kept for hops that must skip excluded or visited peers.
 """
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 from repro.overlay.code import Code
 
@@ -29,10 +34,11 @@ class RouteDecision:
     ``arrived`` — this node owns (part of) the target region.
     ``next_hop`` — forward to this address, or ``None`` on a dead end.
 
-    Treated as immutable by every caller (decisions are memoized and the
-    two constant outcomes below are shared); not ``frozen=True`` because
-    the frozen ``__init__`` pays an ``object.__setattr__`` per field and
-    this constructor runs once per unmemoized routing decision.
+    Treated as immutable by every caller (route rows share one decision
+    per link, and the two constant outcomes below are shared); not
+    ``frozen=True`` because the frozen ``__init__`` pays an
+    ``object.__setattr__`` per field and :func:`next_hop` builds one per
+    call.
     """
 
     arrived: bool
@@ -41,7 +47,7 @@ class RouteDecision:
 
 
 #: The two constant outcomes, shared — safe to reuse since decisions are
-#: never mutated, and ``next_hop`` runs once per unmemoized decision.
+#: never mutated.
 _ARRIVED = RouteDecision(arrived=True)
 _DEAD_END = RouteDecision(arrived=False, next_hop=None)
 
@@ -115,3 +121,66 @@ def next_hop(
     if best_addr is None:
         return _DEAD_END
     return RouteDecision(arrived=False, next_hop=best_addr, next_code=best_code)
+
+
+def route_rows(my_code: Code, links: Iterable[Tuple[str, Code]]) -> List[List[RouteDecision]]:
+    """One row of greedy candidates per bit of ``my_code``.
+
+    Row ``i`` serves every target that first leaves ``my_code`` at bit
+    ``i``: it holds the links prefix-comparable with ``my_code[:i]`` plus
+    the flipped bit ``i`` — exactly the candidates :func:`next_hop`
+    admits for such a target — as one shared decision per link, sorted
+    by code.  The sort is stable, so links sharing a code keep their
+    link order, which is :func:`next_hop`'s tie rule among equals.
+    """
+    decisions = [
+        RouteDecision(arrived=False, next_hop=addr, next_code=code)
+        for addr, code in sorted(links, key=lambda link: link[1].bits)
+    ]
+    num, length = my_code._num, my_code._len
+    rows = []
+    for i in range(length):
+        req_len = i + 1
+        required = (num >> (length - req_len)) ^ 1
+        row = []
+        for decision in decisions:
+            code = decision.next_code
+            c_len = code._len
+            m = c_len if c_len < req_len else req_len
+            if (code._num >> (c_len - m)) == (required >> (req_len - m)):
+                row.append(decision)
+        rows.append(row)
+    return rows
+
+
+def table_next_hop(
+    my_code: Code, rows: Sequence[Sequence[RouteDecision]], target: Code
+) -> RouteDecision:
+    """:func:`next_hop` without ``exclude``/``visited``, through ``rows``
+    (:func:`route_rows` of ``my_code`` and the same links).
+
+    The xor of the two codes gives the row; a one-candidate row is the
+    decision.  Otherwise the first candidate with the longest common
+    prefix with ``target`` wins: rows are sorted by code, so ties go to
+    the smallest code, as in the full scan.
+    """
+    t_num = target._num
+    t_len = target._len
+    my_len = my_code._len
+    n = my_len if my_len < t_len else t_len
+    diff = n - ((my_code._num >> (my_len - n)) ^ (t_num >> (t_len - n))).bit_length() if n else 0
+    if diff == n:
+        return _ARRIVED
+    row = rows[diff]
+    if len(row) == 1:
+        return row[0]
+    best = _DEAD_END
+    best_len = -1
+    for decision in row:
+        code = decision.next_code
+        c_len = code._len
+        m = c_len if c_len < t_len else t_len
+        cpl = m - ((code._num >> (c_len - m)) ^ (t_num >> (t_len - m))).bit_length() if m else 0
+        if cpl > best_len:
+            best, best_len = decision, cpl
+    return best

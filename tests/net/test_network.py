@@ -525,6 +525,30 @@ def test_resource_ledger_drains_through_unregister():
         assert sim.resources.live() == 0
 
 
+def test_cancelled_wheel_call_never_runs_and_leaves_the_ledger_balanced():
+    # A timer_in_slot handle's cancel() frees its entry at once: the call
+    # never runs, its ledger slot is released at cancel (not at the drain),
+    # and the slot's other calls still run in order.  A second cancel, or
+    # one after the slot drained, is a no-op.
+    with checks.configure(track_resources=True, validate=False):
+        sim = Simulator(seed=1)
+        net = SimNetwork(sim, {}, coalesce_window_s=0.05)
+        fired = []
+        net.call_in_slot(0.01, fired.append, ("before",))
+        handle = net.timer_in_slot(0.02, fired.append, ("cancelled",))
+        kept = net.timer_in_slot(0.03, fired.append, ("kept",))
+        assert sim.resources.live() == 3
+        handle.cancel()
+        assert sim.resources.live() == 2
+        handle.cancel()
+        assert sim.resources.live() == 2
+        sim.run_until_idle()  # would raise ResourceLeakError on residue
+        kept.cancel()
+        assert fired == ["before", "kept"]
+        assert sim.resources.live() == 0
+        assert net._call_wheel == {}
+
+
 # ----------------------------------------------------------------------
 # Delay-sample decimation
 # ----------------------------------------------------------------------

@@ -5,9 +5,12 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.network import SimNetwork
 from repro.overlay.code import Code
 from repro.overlay.neighbors import NeighborTable
+from repro.overlay.node import OverlayNode
 from repro.overlay.routing import next_hop
+from repro.sim.kernel import Simulator
 
 
 def random_cover(rng: random.Random, splits: int):
@@ -63,6 +66,40 @@ def test_greedy_routing_always_converges(seed, splits):
         assert hops <= max_len, "routing exceeded the code-length bound"
     assert current.comparable(deep_target)
     assert current == target
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32), st.integers(min_value=0, max_value=40))
+def test_route_table_equals_next_hop(seed, splits):
+    # The per-dimension rows behind ``_greedy_decision`` must reproduce
+    # the full scan's candidate filter and tie rule for every node and
+    # target: targets shorter and longer than the codes (the empty one
+    # included), a stale ancestor code, two addresses sharing a code, and
+    # the empty code among the links.
+    rng = random.Random(seed)
+    leaves = random_cover(rng, splits)
+    tables = build_tables(leaves)
+    sim = Simulator(seed=1)
+    node = OverlayNode(sim, SimNetwork(sim, {}), "me")
+    targets = [Code("")]
+    for leaf in leaves:
+        extra = "".join(rng.choice("01") for _ in range(rng.randint(0, 4)))
+        targets += [Code(leaf.bits + extra), leaf.prefix(rng.randint(0, len(leaf)))]
+    for code in leaves:
+        links = list(tables[code].hypercube_neighbors(code))
+        if links:
+            addr, twin = rng.choice(links)
+            links.insert(rng.randint(0, len(links)), (addr + "-twin", twin))
+        if len(code):
+            links.append(("stale", code.prefix(rng.randint(0, len(code) - 1))))
+        links.insert(rng.randint(0, len(links)), ("root", Code("")))
+        rng.shuffle(links)
+        node.code = code
+        for target in targets:
+            assert node._greedy_decision(target, links) == next_hop(code, target, links), (
+                code, target, links,
+            )
+        assert len(node._route_rows) == len(code)
 
 
 @settings(max_examples=25, deadline=None)
