@@ -147,7 +147,7 @@ def test_fig14_scale_thousand_nodes():
     assert m["insert_p50_s"] < 1.5, m
     # log2(1000)-ish greedy paths; the mean stays well under the diameter.
     assert m["mean_hops"] < 9, m
-    verdict = gates(m)
+    verdict = gates(m, result["sim_digest"])
     assert all(verdict["passed"].values()), verdict
 
 
