@@ -6,14 +6,12 @@ Five linters guard the invariants the paper's protocols rest on:
 * the **protocol linter** (:mod:`repro.analysis.protocol_lint`)
   cross-checks every send site and handler registration in the code
   against the wire-protocol registry in :mod:`repro.net.protocol` —
-  unknown kinds, kinds nobody handles, handlers nobody sends to, and
-  payload keys that drifted from their declaration are all analysis-time
-  errors;
+  kinds nobody handles, handlers nobody sends to, handlers for
+  undeclared kinds and payload keys a handler reads but the kind does
+  not declare are all analysis-time errors;
 * the **determinism linter** (:mod:`repro.analysis.determinism_lint`)
-  forbids ambient randomness and wall-clock time in the simulated
-  subsystems — every draw must come from the seeded streams of
-  :mod:`repro.sim.randomness` and every timestamp from the sim clock, so
-  a single master seed reproduces an entire experiment;
+  forbids hash-ordered set iteration in the simulated subsystems, so a
+  single master seed reproduces an entire experiment;
 * the **aliasing analyzer** (:mod:`repro.analysis.aliasing_lint`, aka
   *repro-san*) proves message handlers never mutate, retain, or re-send
   payload objects by reference — the cross-node aliasing the paper's
@@ -33,6 +31,11 @@ Five linters guard the invariants the paper's protocols rest on:
   owns — backstopped at runtime by the ``REPRO_TRACK_RESOURCES``
   quiescence ledger in :mod:`repro.sim.resources`.
 
+All five read one module model (:mod:`repro.analysis.model`: each file
+parsed and walked once), report to one :class:`~repro.analysis.findings.Sink`,
+and name containers and their mutators with one vocabulary
+(:mod:`repro.analysis.astutil`).
+
 Run it as ``python -m repro.analysis [paths...]`` (``--only`` selects one
 analysis, ``--format=json`` emits machine-readable findings,
 ``--fail-on-new`` gates only findings absent from the baseline) or
@@ -41,7 +44,8 @@ findings can be suppressed with a ``# repro-lint: ignore[rule]`` (or
 ``# repro-san: ignore[rule]``, ``# repro-race: ignore[rule]``,
 ``# repro-leak: ignore[rule]``) comment on (or above) the offending line;
 repo-wide accepted findings live, with justification, in
-:mod:`repro.analysis.baseline`.
+:mod:`repro.analysis.baseline`.  A full run fails on a suppression of
+either kind that no longer matches a finding.
 """
 
 from repro.analysis.findings import Finding, RULES

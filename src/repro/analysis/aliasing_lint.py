@@ -11,8 +11,8 @@ impossible.  This pass proves the absence of those idioms statically.
 Taint model
 -----------
 Within a registered handler (``self._handlers``/``extra_handlers``/
-``node.handlers[...] = fn`` registrations, reusing the recognizers of
-:mod:`repro.analysis.protocol_lint`) the message parameter's ``.payload``
+``node.handlers[...] = fn`` registrations, as :mod:`repro.analysis.model`
+collects them) the message parameter's ``.payload``
 is the taint source.  Taint flows through name bindings, subscript reads
 (``payload["rect"]``), and ``.get(...)`` calls — i.e. through everything
 *reachable* from the payload — and stops at any other call: ``dict(...)``,
@@ -48,81 +48,22 @@ or a justified entry in :mod:`repro.analysis.baseline`.
 """
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
-from repro.analysis.astutil import attr_name, describe, send_site
-from repro.analysis.findings import Finding
-from repro.analysis.protocol_lint import ModuleInfo, _nested_handler
-
-#: method calls that mutate their receiver in place
-_MUTATORS = frozenset(
-    {
-        "append", "extend", "insert", "remove", "pop", "clear", "update",
-        "setdefault", "popitem", "add", "discard", "sort", "reverse",
-    }
+from repro.analysis.astutil import (
+    MUTABLE,
+    MUTATORS,
+    STORING,
+    attr_name,
+    container_bindings,
+    describe,
+    is_msg_payload,
+    root_name,
+    self_attr,
+    send_site,
 )
-
-#: receiver methods that *store* an argument into the receiver (the value
-#: becomes reachable from the receiver afterwards)
-_STORING_MUTATORS = frozenset({"append", "add", "insert", "setdefault"})
-
-#: constructors whose results are freshly allocated mutable containers —
-#: ``self.x = set()`` marks ``x`` as live mutable node state
-_MUTABLE_CTORS = frozenset({"dict", "list", "set", "defaultdict", "OrderedDict", "Counter", "deque"})
-
-_MUTABLE_ANNOTATIONS = frozenset({"Dict", "List", "Set", "dict", "list", "set", "DefaultDict", "Deque"})
-
-
-def _annotation_is_mutable(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, ast.Subscript):
-        return _annotation_is_mutable(node.value)
-    name = attr_name(node)
-    return name in _MUTABLE_ANNOTATIONS
-
-
-def collect_mutable_attrs(tree: ast.Module) -> Set[str]:
-    """Names of ``self.<attr>`` slots holding mutable containers.
-
-    An attribute counts when any ``self.x = ...`` assignment (or
-    annotation) in the module gives it a dict/list/set literal,
-    comprehension, or container constructor — those are the "live
-    containers" the send-side rule refuses to see in payloads.
-    """
-    attrs: Set[str] = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign):
-            targets = node.targets
-            value = node.value
-        elif isinstance(node, ast.AnnAssign):
-            targets = [node.target]
-            value = node.value
-            if _annotation_is_mutable(node.annotation):
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                    ):
-                        attrs.add(target.attr)
-        else:
-            continue
-        if value is None:
-            continue
-        mutable = isinstance(
-            value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
-        ) or (isinstance(value, ast.Call) and attr_name(value.func) in _MUTABLE_CTORS)
-        if not mutable:
-            continue
-        for target in targets:
-            if (
-                isinstance(target, ast.Attribute)
-                and isinstance(target.value, ast.Name)
-                and target.value.id == "self"
-            ):
-                attrs.add(target.attr)
-    return attrs
+from repro.analysis.findings import Sink
+from repro.analysis.model import Module
 
 
 class _HandlerScope(ast.NodeVisitor):
@@ -150,11 +91,7 @@ class _HandlerScope(ast.NodeVisitor):
         if isinstance(node, ast.Name):
             return node.id in self.tainted
         if isinstance(node, ast.Attribute):
-            return (
-                node.attr == "payload"
-                and isinstance(node.value, ast.Name)
-                and node.value.id in self.msg_names
-            )
+            return is_msg_payload(node, self.msg_names)
         if isinstance(node, ast.Subscript):
             return self._is_tainted(node.value)
         if isinstance(node, ast.Call):
@@ -173,21 +110,13 @@ class _HandlerScope(ast.NodeVisitor):
         return False
 
     def _is_self_rooted(self, node: ast.AST) -> bool:
-        while isinstance(node, (ast.Attribute, ast.Subscript)):
-            node = node.value
-        return isinstance(node, ast.Name) and (
-            node.id == "self" or node.id in self.self_aliases
-        )
+        root = root_name(node)
+        return root == "self" or root in self.self_aliases
 
     def _finding(self, rule: str, node: ast.AST, message: str, detail: str) -> None:
-        self.lint.add(
-            Finding(
-                path=self.lint.module.path,
-                line=node.lineno,
-                rule=rule,
-                message=message,
-                context=f"{self.fn.name}:{detail}",
-            )
+        self.lint.sink.report(
+            self.lint.module.path, node.lineno, rule, message, f"{self.fn.name}:{detail}",
+            node.col_offset,
         )
 
     # -- statements ----------------------------------------------------
@@ -220,11 +149,7 @@ class _HandlerScope(ast.NodeVisitor):
                     self.tainted.add(target.id)
                 else:
                     self.tainted.discard(target.id)
-                    if (
-                        isinstance(node.value, ast.Attribute)
-                        and isinstance(node.value.value, ast.Name)
-                        and node.value.value.id == "self"
-                    ):
+                    if self_attr(node.value) is not None:
                         self.self_aliases.add(target.id)
                     else:
                         self.self_aliases.discard(target.id)
@@ -267,7 +192,7 @@ class _HandlerScope(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         func = node.func
         # mutating method on a payload-reachable receiver
-        if isinstance(func, ast.Attribute) and func.attr in _MUTATORS and self._is_tainted(
+        if isinstance(func, ast.Attribute) and func.attr in MUTATORS and self._is_tainted(
             func.value
         ):
             self._finding(
@@ -279,7 +204,7 @@ class _HandlerScope(ast.NodeVisitor):
         # value-storing method call that retains a tainted value in self state
         elif (
             isinstance(func, ast.Attribute)
-            and func.attr in _STORING_MUTATORS
+            and func.attr in STORING
             and self._is_self_rooted(func.value)
             and any(self._contains_tainted(arg) for arg in node.args)
         ):
@@ -319,13 +244,13 @@ class _HandlerScope(ast.NodeVisitor):
 
 
 class _AliasingLint:
-    def __init__(self, module: ModuleInfo) -> None:
+    def __init__(self, module: Module, sink: Sink) -> None:
         self.module = module
-        self.mutable_attrs = collect_mutable_attrs(module.tree)
-        self._findings: Dict[Tuple[str, int, str], Finding] = {}
-
-    def add(self, finding: Finding) -> None:
-        self._findings.setdefault((finding.rule, finding.line, finding.message), finding)
+        self.sink = sink
+        #: ``self.<attr>`` slots that hold mutable containers anywhere in the module
+        self.mutable_attrs = {
+            attr for attr, kind in container_bindings([module.tree]) if kind in MUTABLE
+        }
 
     # -- handler-side taint analysis -----------------------------------
     def analyze_function(
@@ -354,33 +279,19 @@ class _AliasingLint:
             scope.visit(stmt)
 
     def run_handlers(self) -> None:
-        for reg in self.module.handlers:
-            if reg.routed:
-                # Routed arrival handlers receive a private envelope: the
-                # "route" handler is itself checked by the mutation rule,
-                # which forces it to thaw msg.payload before routing.
-                continue
-            if reg.func_name is None:
-                continue
-            fn = self.module.functions.get(reg.func_name)
-            if fn is None:
-                continue
-            if reg.factory:
-                fn = _nested_handler(fn)
-                if fn is None:
-                    continue
-            self.analyze_function(fn, as_msg=True)
+        for reg, fn in self.module.handler_functions():
+            # Routed arrival handlers receive a private envelope: the
+            # "route" handler is itself checked by the mutation rule,
+            # which forces it to thaw msg.payload before routing.
+            if not reg.routed:
+                self.analyze_function(fn, as_msg=True)
 
     # -- send-side live-state analysis ---------------------------------
     def _live_self_container(self, node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
         """The mutable attr name if ``node`` is a live ``self.<attr>``."""
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and node.attr in self.mutable_attrs
-        ):
-            return node.attr
+        attr = self_attr(node)
+        if attr in self.mutable_attrs:
+            return attr
         if isinstance(node, ast.Name) and node.id in aliases:
             return aliases[node.id]
         return None
@@ -398,15 +309,8 @@ class _AliasingLint:
                 for target in stmt.targets:
                     if not isinstance(target, ast.Name):
                         continue
-                    attr = None
-                    if (
-                        isinstance(stmt.value, ast.Attribute)
-                        and isinstance(stmt.value.value, ast.Name)
-                        and stmt.value.value.id == "self"
-                        and stmt.value.attr in self.mutable_attrs
-                    ):
-                        attr = stmt.value.attr
-                    if attr is not None:
+                    attr = self_attr(stmt.value)
+                    if attr in self.mutable_attrs:
                         aliases[target.id] = attr
                     if (
                         isinstance(payload, ast.Name)
@@ -425,27 +329,17 @@ class _AliasingLint:
                 attr = self._live_self_container(expr, aliases)
                 if attr is None:
                     continue
-                self.add(
-                    Finding(
-                        path=self.module.path,
-                        line=expr.lineno,
-                        rule="alias-send-live-state",
-                        message=(
-                            f"payload for {site.kind!r} carries the live "
-                            f"container self.{attr}; send a dict(...)/list(...) "
-                            "copy so later local mutation cannot leak across nodes"
-                        ),
-                        context=f"{site.context}:self.{attr}",
-                    )
+                self.sink.report(
+                    self.module.path, expr.lineno, "alias-send-live-state",
+                    f"payload for {site.kind!r} carries the live container "
+                    f"self.{attr}; send a dict(...)/list(...) copy so later local "
+                    "mutation cannot leak across nodes",
+                    f"{site.context}:self.{attr}",
                 )
 
-    def findings(self) -> List[Finding]:
-        return list(self._findings.values())
 
-
-def lint_aliasing(module: ModuleInfo) -> List[Finding]:
-    """Run the aliasing rules over one collected module."""
-    lint = _AliasingLint(module)
+def lint_aliasing(module: Module, sink: Sink) -> None:
+    """Run the aliasing rules over one module."""
+    lint = _AliasingLint(module, sink)
     lint.run_handlers()
     lint.run_sends()
-    return lint.findings()

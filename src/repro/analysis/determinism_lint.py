@@ -1,281 +1,77 @@
-"""Forbid ambient nondeterminism in the simulated subsystems.
+"""Forbid hash-ordered iteration in the simulated subsystems.
 
-Every experiment must replay bit-identically from one master seed, so
-inside ``src/repro/{overlay,core,net,sim,baselines}`` the linter rejects:
+Every experiment must replay bit-identically from one master seed.  Bare
+iteration over a ``set`` in a ``for`` loop or list comprehension visits
+elements in an order that depends on ``PYTHONHASHSEED``, and that order
+leaks straight into message send order, so the linter asks for
+``sorted(...)``.  Set-typed *attributes* are recognised across the whole
+analyzed tree: a field declared ``Set[str]`` in one module is still
+flagged when iterated in another.  Order-insensitive reductions
+(``any``/``all``/``sum``/``len``/``min``/``max``/``sorted``/``set``/
+``frozenset``) and set comprehensions are deliberately not flagged.
 
-* the process-global ``random`` module (``random.random()``,
-  ``from random import choice``, ...) — draws must come from the named,
-  seeded streams of :mod:`repro.sim.randomness`.  Constructing an
-  explicitly seeded ``random.Random(seed)`` instance is allowed; that is
-  exactly what the randomness registry does;
-* wall-clock time (``time.time``, ``datetime.now``, ...) — timestamps
-  must come from the simulation clock;
-* OS entropy (``os.urandom``, ``uuid.uuid4``, ``secrets.*``);
-* numpy's process-global RNG (``np.random.random()`` etc.); seeded
-  constructions — ``default_rng(seed)``, ``Generator``, ``SeedSequence``,
-  ``RandomState(seed)`` with at least one argument — are allowed;
-* bare iteration over a ``set`` in a ``for`` loop or list comprehension,
-  whose order depends on ``PYTHONHASHSEED``.  Order leaks straight into
-  message send order, so wrap the set in ``sorted(...)``.  Set-typed
-  *attributes* are recognised across the whole analyzed tree: a field
-  declared ``Set[str]`` in one module is still flagged when iterated in
-  another.  Order-insensitive reductions (``any``/``all``/``sum``/
-  ``len``/``min``/``max``/``sorted``/``set``/``frozenset``) and set
-  comprehensions are deliberately not flagged.
+Ambient randomness, the wall clock and OS entropy have no rule here:
+any of them breaks the pinned run digests that tier-1 compares
+(``GOLDEN_DIGEST``, the mindbench smoke digests), which catch them on
+every path a seeded test runs.
 """
 
 import ast
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set
 
-from repro.analysis.findings import Finding
-
-_WALL_CLOCK = {
-    ("time", "time"),
-    ("time", "time_ns"),
-    ("time", "monotonic"),
-    ("time", "perf_counter"),
-    ("datetime", "now"),
-    ("datetime", "utcnow"),
-    ("datetime", "today"),
-    ("date", "today"),
-}
-_OS_ENTROPY = {("os", "urandom"), ("uuid", "uuid1"), ("uuid", "uuid4")}
-_NUMPY_SEEDED = {"default_rng", "Generator", "SeedSequence", "RandomState"}
-_SET_ANNOTATIONS = {"Set", "set", "FrozenSet", "frozenset", "MutableSet"}
-_ORDER_INSENSITIVE_CALLS = {
-    "any", "all", "sum", "len", "min", "max", "sorted", "set", "frozenset",
-}
+from repro.analysis.astutil import UNORDERED, attr_name, container_bindings, container_kind
+from repro.analysis.findings import Sink
+from repro.analysis.model import FunctionScoped, Module
 
 
-def _call_path(func: ast.AST) -> Tuple[str, ...]:
-    """Dotted path of a call target: ``np.random.random`` -> its parts."""
-    parts: List[str] = []
-    node = func
-    while isinstance(node, ast.Attribute):
-        parts.append(node.attr)
-        node = node.value
-    if isinstance(node, ast.Name):
-        parts.append(node.id)
-    else:
-        return ()
-    return tuple(reversed(parts))
-
-
-def _annotation_is_set(node: Optional[ast.AST]) -> bool:
-    if node is None:
-        return False
-    if isinstance(node, ast.Name):
-        return node.id in _SET_ANNOTATIONS
-    if isinstance(node, ast.Subscript):
-        return _annotation_is_set(node.value)
-    if isinstance(node, ast.Attribute):
-        return node.attr in _SET_ANNOTATIONS
-    if isinstance(node, ast.Constant) and isinstance(node.value, str):
-        head = node.value.split("[", 1)[0].strip()
-        return head.split(".")[-1] in _SET_ANNOTATIONS
-    return False
-
-
-def _value_is_set(node: ast.AST) -> bool:
-    if isinstance(node, ast.SetComp) or isinstance(node, ast.Set):
-        return True
-    if isinstance(node, ast.Call):
-        path = _call_path(node.func)
-        return bool(path) and path[-1] in ("set", "frozenset")
-    return False
-
-
-# ----------------------------------------------------------------------
-# Cross-module pass: which attribute names are set-typed anywhere?
-# ----------------------------------------------------------------------
-def collect_set_attrs(trees: Iterable[ast.Module]) -> Set[str]:
-    """Attribute names assigned or annotated as sets in any module.
+def set_attributes(modules: Iterable[Module]) -> Set[str]:
+    """Attribute names bound to a set anywhere in the analyzed modules.
 
     Name-based, not type-based: a field called ``acked`` declared
     ``Set[str]`` in ``join.py`` marks every ``*.acked`` iteration in the
     tree.  Collisions are possible but have not occurred; a false match
     can always be annotated inline.
     """
-    attrs: Set[str] = set()
-    for tree in trees:
-        for node in ast.walk(tree):
-            if isinstance(node, ast.AnnAssign) and _annotation_is_set(node.annotation):
-                if isinstance(node.target, ast.Attribute):
-                    attrs.add(node.target.attr)
-                elif isinstance(node.target, ast.Name):
-                    attrs.add(node.target.id)
-            elif isinstance(node, ast.Assign) and _value_is_set(node.value):
-                for target in node.targets:
-                    if isinstance(target, ast.Attribute):
-                        attrs.add(target.attr)
-    return attrs
+    return {
+        name
+        for name, kind in container_bindings((m.tree for m in modules), self_only=False)
+        if kind in UNORDERED
+    }
 
 
-# ----------------------------------------------------------------------
-# Per-module visitor
-# ----------------------------------------------------------------------
-class DeterminismVisitor(ast.NodeVisitor):
-    def __init__(self, path: str, set_attrs: Set[str]) -> None:
-        self.path = path
+class _SetIteration(FunctionScoped):
+    def __init__(self, module: Module, sink: Sink, set_attrs: Set[str]) -> None:
+        super().__init__(module, sink)
         self.set_attrs = set_attrs
-        self.findings: List[Finding] = []
-        #: local alias -> canonical module name ("random", "numpy", ...)
-        self.module_aliases: Dict[str, str] = {}
-        #: bare name -> (module, original name) for ``from x import y``
-        self.from_imports: Dict[str, Tuple[str, str]] = {}
-        self._func_stack: List[str] = []
         #: per-function names known to hold sets (stack of scopes)
         self._set_locals: List[Set[str]] = [set()]
 
-    # -- bookkeeping -----------------------------------------------------
-    def _context(self, detail: str) -> str:
-        func = self._func_stack[-1] if self._func_stack else "<module>"
-        return f"{func}:{detail}"
-
-    def _add(self, node: ast.AST, rule: str, message: str, detail: str) -> None:
-        self.findings.append(
-            Finding(
-                path=self.path,
-                line=node.lineno,
-                rule=rule,
-                message=message,
-                context=self._context(detail),
-            )
-        )
-
-    def visit_Import(self, node: ast.Import) -> None:
-        for alias in node.names:
-            self.module_aliases[alias.asname or alias.name.split(".")[0]] = (
-                alias.name.split(".")[0]
-            )
-
-    def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
-        if node.module is None:
-            return
-        root = node.module.split(".")[0]
-        for alias in node.names:
-            self.from_imports[alias.asname or alias.name] = (root, alias.name)
-
     def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._func_stack.append(node.name)
-        scope: Set[str] = set()
-        for arg in list(node.args.args) + list(node.args.kwonlyargs):
-            if _annotation_is_set(arg.annotation):
-                scope.add(arg.arg)
-        self._set_locals.append(scope)
-        self.generic_visit(node)
+        self._set_locals.append({
+            arg.arg
+            for arg in node.args.args + node.args.kwonlyargs
+            if container_kind(None, arg.annotation) in UNORDERED
+        })
+        super().visit_FunctionDef(node)
         self._set_locals.pop()
-        self._func_stack.pop()
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
     def visit_Assign(self, node: ast.Assign) -> None:
-        if _value_is_set(node.value):
+        if container_kind(node.value) in UNORDERED:
             for target in node.targets:
                 if isinstance(target, ast.Name):
                     self._set_locals[-1].add(target.id)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if _annotation_is_set(node.annotation) and isinstance(node.target, ast.Name):
+        if (
+            container_kind(None, node.annotation) in UNORDERED
+            and isinstance(node.target, ast.Name)
+        ):
             self._set_locals[-1].add(node.target.id)
         self.generic_visit(node)
 
-    # -- randomness / clock / entropy ------------------------------------
-    def visit_Call(self, node: ast.Call) -> None:
-        path = _call_path(node.func)
-        if path:
-            self._check_call(node, path)
-        self.generic_visit(node)
-
-    def _resolve_root(self, name: str) -> Optional[str]:
-        return self.module_aliases.get(name)
-
-    def _check_call(self, node: ast.Call, path: Tuple[str, ...]) -> None:
-        head = path[0]
-        # from-imported bare names: choice(...), time(...), urandom(...)
-        if len(path) == 1 and head in self.from_imports:
-            module, original = self.from_imports[head]
-            path = (module, original)
-            head = module
-            if module == "random" and original == "Random":
-                if not (node.args or node.keywords):
-                    self._add(
-                        node, "det-global-random",
-                        "unseeded random.Random(); pass an explicit seed",
-                        "Random",
-                    )
-                return
-        root = self._resolve_root(head)
-
-        if root == "random" or (head == "random" and root is None and len(path) > 1):
-            if len(path) > 1:
-                if path[1] == "Random":
-                    if not (node.args or node.keywords):
-                        self._add(
-                            node, "det-global-random",
-                            "unseeded random.Random(); pass an explicit seed",
-                            "Random",
-                        )
-                else:
-                    self._add(
-                        node, "det-global-random",
-                        f"call to process-global random.{path[1]}(); draw "
-                        "from a named stream via repro.sim.randomness",
-                        path[1],
-                    )
-            return
-        if path[-2:] in _WALL_CLOCK or (
-            len(path) == 2 and root in ("time", "datetime") and path[-2:] in _WALL_CLOCK
-        ):
-            # `datetime.datetime.now()` has path ("datetime","datetime","now")
-            self._add(
-                node, "det-wall-clock",
-                f"wall-clock call {'.'.join(path)}(); use the simulation clock",
-                path[-1],
-            )
-            return
-        if path[-2:] in _OS_ENTROPY or (
-            len(path) == 1 and head in self.from_imports
-            and self.from_imports[head] in _OS_ENTROPY
-        ):
-            self._add(
-                node, "det-os-entropy",
-                f"OS entropy call {'.'.join(path)}(); derive from seeded "
-                "streams or counters",
-                path[-1],
-            )
-            return
-        if root == "secrets" or (
-            head in self.from_imports and self.from_imports[head][0] == "secrets"
-        ):
-            self._add(
-                node, "det-os-entropy",
-                "the secrets module is OS entropy by design; use seeded streams",
-                path[-1],
-            )
-            return
-        if len(path) >= 3 and self._resolve_root(path[0]) == "numpy" and path[1] == "random":
-            fn = path[2]
-            if fn not in _NUMPY_SEEDED or not (node.args or node.keywords):
-                self._add(
-                    node, "det-numpy-global-rng",
-                    f"numpy global/unseeded RNG {'.'.join(path)}(); use a "
-                    "seeded Generator",
-                    fn,
-                )
-            return
-        if len(path) == 1 and head in self.from_imports:
-            module, original = self.from_imports[head]
-            if module == "numpy" and original in _NUMPY_SEEDED:
-                if not (node.args or node.keywords):
-                    self._add(
-                        node, "det-numpy-global-rng",
-                        f"unseeded numpy {original}(); pass a seed",
-                        original,
-                    )
-
-    # -- set iteration ----------------------------------------------------
     def _set_expr_detail(self, node: ast.AST) -> Optional[str]:
         """A short description if ``node`` is known to evaluate to a set."""
         if isinstance(node, ast.Name):
@@ -287,9 +83,9 @@ class DeterminismVisitor(ast.NodeVisitor):
         if isinstance(node, (ast.Set, ast.SetComp)):
             return "<set literal>"
         if isinstance(node, ast.Call):
-            path = _call_path(node.func)
-            if path and path[-1] in ("set", "frozenset"):
-                return path[-1]
+            name = attr_name(node.func)
+            if name in ("set", "frozenset"):
+                return name
             if (
                 isinstance(node.func, ast.Attribute)
                 and node.func.attr in (
@@ -311,7 +107,7 @@ class DeterminismVisitor(ast.NodeVisitor):
     def _flag_set_iter(self, iterable: ast.AST) -> None:
         detail = self._set_expr_detail(iterable)
         if detail is not None:
-            self._add(
+            self.report(
                 iterable, "det-set-iteration",
                 f"iteration over set {detail!r}: order depends on "
                 "PYTHONHASHSEED; wrap in sorted(...)",
@@ -328,9 +124,5 @@ class DeterminismVisitor(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def lint_determinism(
-    path: str, tree: ast.Module, set_attrs: Set[str]
-) -> List[Finding]:
-    visitor = DeterminismVisitor(path, set_attrs)
-    visitor.visit(tree)
-    return visitor.findings
+def lint_determinism(module: Module, sink: Sink, set_attrs: Set[str]) -> None:
+    _SetIteration(module, sink, set_attrs).visit(module.tree)

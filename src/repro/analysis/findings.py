@@ -1,14 +1,14 @@
-"""Finding records and the rule catalog."""
+"""Finding records, the rule catalog and the sink every lint reports to."""
 
 from dataclasses import dataclass, field
+from typing import Dict, List, Tuple
 
 #: Rule id -> one-line description.  The ids double as suppression tags:
-#: ``# repro-lint: ignore[det-set-iteration]``.
+#: ``# repro-lint: ignore[det-set-iteration]``.  A rule earns its place
+#: by what it has caught in the repo's own code (DESIGN.md §7 keeps the
+#: record); one that never fires outside its fixtures is a deletion
+#: candidate.
 RULES = {
-    "protocol-unknown-kind": (
-        "a send site uses a message kind that is not declared in "
-        "repro.net.protocol (typo'd kinds diverge peers silently)"
-    ),
     "protocol-unhandled-kind": (
         "a message kind is sent but no handler for it is registered "
         "anywhere in the analyzed code"
@@ -26,30 +26,6 @@ RULES = {
     "protocol-undeclared-key": (
         "a handler reads a payload key the kind's declaration does not "
         "list as required or optional"
-    ),
-    "protocol-extra-send-key": (
-        "a send site's payload literal carries a key the kind's "
-        "declaration does not list"
-    ),
-    "protocol-missing-send-key": (
-        "a send site's payload literal omits a key the kind's "
-        "declaration requires"
-    ),
-    "det-global-random": (
-        "call into the process-global random module; draw from a named "
-        "stream via sim.rng(...) / repro.sim.randomness instead"
-    ),
-    "det-wall-clock": (
-        "wall-clock time (time.time, datetime.now, ...); use the "
-        "simulation clock (sim.now) instead"
-    ),
-    "det-os-entropy": (
-        "OS entropy (os.urandom, uuid.uuid4, secrets); derive ids from "
-        "seeded streams or counters instead"
-    ),
-    "det-numpy-global-rng": (
-        "numpy's process-global RNG; use a seeded numpy Generator or a "
-        "named random stream instead"
     ),
     "det-set-iteration": (
         "iteration over a set, whose order depends on PYTHONHASHSEED; "
@@ -131,3 +107,25 @@ class Finding:
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
+
+
+class Sink:
+    """Where every lint reports.
+
+    A finding repeated at one source position — a helper reached from two
+    handlers, say — is kept once, with the first context.
+    """
+
+    def __init__(self) -> None:
+        self._findings: Dict[Tuple[Finding, int], Finding] = {}
+
+    def report(
+        self, path: str, line: int, rule: str, message: str, context: str, col: int = 0
+    ) -> None:
+        if rule not in RULES:
+            raise ValueError(f"rule {rule!r} is not in the catalog")
+        finding = Finding(path, line, rule, message, context)
+        self._findings.setdefault((finding, col), finding)
+
+    def findings(self) -> List[Finding]:
+        return sorted(self._findings.values())

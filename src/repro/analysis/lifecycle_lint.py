@@ -59,9 +59,18 @@ line, or a justified entry in :mod:`repro.analysis.baseline`.
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import attr_name, describe, self_attr
-from repro.analysis.findings import Finding
-from repro.analysis.protocol_lint import ModuleInfo
+from repro.analysis.astutil import (
+    GROWTH,
+    MUTABLE,
+    MUTATORS,
+    REMOVALS,
+    container_bindings,
+    describe,
+    root_name,
+    self_attr,
+)
+from repro.analysis.findings import Sink
+from repro.analysis.model import Module
 
 #: scheduler entry points whose second positional argument is a callback
 _SCHEDULERS = frozenset({
@@ -69,48 +78,7 @@ _SCHEDULERS = frozenset({
     "_defer_timer",
 })
 
-_REMOVAL_METHODS = frozenset({"pop", "popitem", "remove", "discard", "clear"})
-_GROWTH_METHODS = frozenset({"append", "extend"})
-
-_DICT_CTORS = frozenset({"dict", "defaultdict", "OrderedDict", "Counter"})
-_SET_CTORS = frozenset({"set", "frozenset"})
-_LIST_CTORS = frozenset({"list", "deque"})
-
-_DICT_ANNOTATIONS = frozenset({"Dict", "dict", "DefaultDict", "OrderedDict"})
-_SET_ANNOTATIONS = frozenset({"Set", "set", "FrozenSet"})
-_LIST_ANNOTATIONS = frozenset({"List", "list", "Deque", "deque"})
-
 _TEARDOWN_NAMES = ("unregister", "deregister", "remove_node", "teardown")
-
-
-def _container_kind(value: Optional[ast.AST], annotation: Optional[ast.AST]) -> Optional[str]:
-    """'dict' | 'set' | 'list' for a ``self.x = ...`` / annotated slot."""
-    if isinstance(value, (ast.Dict, ast.DictComp)):
-        return "dict"
-    if isinstance(value, (ast.Set, ast.SetComp)):
-        return "set"
-    if isinstance(value, (ast.List, ast.ListComp)):
-        return "list"
-    if isinstance(value, ast.Call):
-        ctor = attr_name(value.func)
-        if ctor in _DICT_CTORS:
-            return "dict"
-        if ctor in _SET_CTORS:
-            return "set"
-        if ctor in _LIST_CTORS:
-            return "list"
-    node = annotation
-    if isinstance(node, ast.Subscript):
-        node = node.value
-    if node is not None:
-        name = attr_name(node)
-        if name in _DICT_ANNOTATIONS:
-            return "dict"
-        if name in _SET_ANNOTATIONS:
-            return "set"
-        if name in _LIST_ANNOTATIONS:
-            return "list"
-    return None
 
 
 def _is_constant_key(node: ast.AST) -> bool:
@@ -147,7 +115,7 @@ class _MethodScan(ast.NodeVisitor):
             if attr is not None:
                 # wholesale reassignment — also (re)classifies the slot
                 if self.fn.name != "__init__" and attr in self.cls.containers:
-                    self.cls.removal_evidence.add(attr)
+                    self.cls.note_removal(attr, self.fn.name)
                 continue
             if isinstance(target, ast.Name):
                 source = self._resolve(node.value)
@@ -177,7 +145,7 @@ class _MethodScan(ast.NodeVisitor):
         attr = self_attr(node.target)
         if attr is not None and attr in self.cls.containers:
             if isinstance(node.op, ast.Sub):
-                self.cls.removal_evidence.add(attr)
+                self.cls.note_removal(attr, self.fn.name)
             elif isinstance(node.op, ast.Add) and self.fn.name != "__init__":
                 self.cls.note_growth(attr, self.fn.name, node, f"self.{attr} += ...")
         self.generic_visit(node)
@@ -187,7 +155,7 @@ class _MethodScan(ast.NodeVisitor):
             if isinstance(target, ast.Subscript):
                 attr = self._resolve(target.value)
                 if attr is not None:
-                    self.cls.removal_evidence.add(attr)
+                    self.cls.note_removal(attr, self.fn.name)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -196,8 +164,8 @@ class _MethodScan(ast.NodeVisitor):
             attr = self._resolve(func.value)
             if attr is not None:
                 method = func.attr
-                if method in _REMOVAL_METHODS:
-                    self.cls.removal_evidence.add(attr)
+                if method in REMOVALS:
+                    self.cls.note_removal(attr, self.fn.name)
                 elif self.fn.name != "__init__":
                     if method == "setdefault":
                         self.cls.note_add(
@@ -205,7 +173,7 @@ class _MethodScan(ast.NodeVisitor):
                         )
                     elif method == "add" and node.args and not _is_constant_key(node.args[0]):
                         self.cls.note_add(attr, self.fn.name, node, f"self.{attr}.add")
-                    elif method in _GROWTH_METHODS:
+                    elif method in GROWTH:
                         self.cls.note_growth(
                             attr, self.fn.name, node, f"self.{attr}.{method}"
                         )
@@ -226,51 +194,38 @@ class _MethodScan(ast.NodeVisitor):
 class _ClassScan:
     """Lifecycle facts for one class."""
 
-    def __init__(self, lint: "_LifecycleLint", node: ast.ClassDef) -> None:
-        self.lint = lint
+    def __init__(self, module: Module, node: ast.ClassDef) -> None:
+        self.module = module
         self.node = node
         self.methods: Dict[str, ast.FunctionDef] = {
             stmt.name: stmt
             for stmt in node.body
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
         }
-        #: attr -> 'dict' | 'set' | 'list'
+        #: attr -> 'dict' | 'set' | 'list'; the first binding decides
         self.containers: Dict[str, str] = {}
+        for attr, kind in container_bindings(self.methods.values()):
+            self.containers.setdefault(attr, kind)
+        for attr in [a for a, kind in self.containers.items() if kind not in MUTABLE]:
+            del self.containers[attr]
         #: attr -> first (method, lineno, detail) keyed-add site
         self.add_sites: Dict[str, Tuple[str, int, str]] = {}
         #: methods contributing add sites per attr (teardown exemption)
         self.add_methods: Dict[str, Set[str]] = {}
         #: attr -> first (method, lineno, detail) list-growth site
         self.growth_sites: Dict[str, Tuple[str, int, str]] = {}
-        self.removal_evidence: Set[str] = set()
+        #: attr -> methods that remove from it
+        self.removed_in: Dict[str, Set[str]] = {}
         self.bound_evidence: Set[str] = set()
         #: discarded-handle scheduler calls: (method, call node)
         self.timer_sites: List[Tuple[ast.FunctionDef, ast.Call]] = []
         self._discarded_calls: Set[int] = set()
 
-        self._classify_containers()
         for fn in self.methods.values():
             for stmt in ast.walk(fn):
                 if isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call):
                     self._discarded_calls.add(id(stmt.value))
             _MethodScan(self, fn).visit(fn)
-
-    def _classify_containers(self) -> None:
-        for fn in self.methods.values():
-            for stmt in ast.walk(fn):
-                if isinstance(stmt, ast.Assign):
-                    targets, value, annotation = stmt.targets, stmt.value, None
-                elif isinstance(stmt, ast.AnnAssign):
-                    targets, value, annotation = [stmt.target], stmt.value, stmt.annotation
-                else:
-                    continue
-                kind = _container_kind(value, annotation)
-                if kind is None:
-                    continue
-                for target in targets:
-                    attr = self_attr(target)
-                    if attr is not None:
-                        self.containers.setdefault(attr, kind)
 
     def note_add(self, attr: str, method: str, node: ast.AST, detail: str) -> None:
         if self.containers.get(attr) in ("dict", "set"):
@@ -280,6 +235,9 @@ class _ClassScan:
     def note_growth(self, attr: str, method: str, node: ast.AST, detail: str) -> None:
         if self.containers.get(attr) == "list":
             self.growth_sites.setdefault(attr, (method, node.lineno, detail))
+
+    def note_removal(self, attr: str, method: str) -> None:
+        self.removed_in.setdefault(attr, set()).add(method)
 
     # -- timers --------------------------------------------------------
     def note_scheduler_call(self, fn: ast.FunctionDef, node: ast.Call) -> None:
@@ -299,33 +257,28 @@ class _ClassScan:
         if attr is not None:
             return self.methods.get(attr)
         if isinstance(node, ast.Name):
-            return self.lint.module.functions.get(node.id)
+            return self.module.functions.get(node.id)
         return None
 
     @staticmethod
     def _writes_self_state(fn: ast.AST) -> bool:
         body = fn.body if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) else [fn]
         for node in ast.walk(ast.Module(body=body, type_ignores=[])):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    root = target
-                    while isinstance(root, (ast.Attribute, ast.Subscript)):
-                        root = root.value
-                    if isinstance(root, ast.Name) and root.id == "self" and target is not root:
-                        return True
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                receiver = node.func.value
-                root = receiver
-                while isinstance(root, (ast.Attribute, ast.Subscript)):
-                    root = root.value
-                if (
-                    isinstance(root, ast.Name)
-                    and root.id == "self"
-                    and node.func.attr
-                    in (_REMOVAL_METHODS | _GROWTH_METHODS | {"add", "setdefault", "update", "insert"})
-                ):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, ast.AugAssign):
+                targets = [node.target]
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr in MUTATORS and root_name(node.func.value) == "self":
                     return True
+                continue
+            else:
+                continue
+            if any(
+                isinstance(t, (ast.Attribute, ast.Subscript)) and root_name(t) == "self"
+                for t in targets
+            ):
+                return True
         return False
 
     @staticmethod
@@ -347,153 +300,77 @@ class _ClassScan:
                 return fn
         return None
 
-    def _teardown_scope(self, teardown: ast.FunctionDef) -> List[ast.FunctionDef]:
+    def _teardown_scope(self, teardown: ast.FunctionDef) -> Set[str]:
         """The teardown method plus its one-level ``self._helper()`` callees."""
-        scope = [teardown]
+        scope = {teardown.name}
         for node in ast.walk(teardown):
             if isinstance(node, ast.Call):
                 attr = self_attr(node.func)
                 if attr is not None and attr in self.methods:
-                    scope.append(self.methods[attr])
+                    scope.add(attr)
         return scope
 
-    def _removals_within(self, fns: List[ast.FunctionDef]) -> Set[str]:
-        removed: Set[str] = set()
-        for fn in fns:
-            aliases: Dict[str, str] = {}
-            for node in ast.walk(fn):
-                if isinstance(node, ast.Assign):
-                    for target in node.targets:
-                        attr = self_attr(target)
-                        if attr is not None and attr in self.containers:
-                            removed.add(attr)
-                        elif isinstance(target, ast.Name):
-                            src = self_attr(node.value)
-                            if src in self.containers:
-                                aliases[target.id] = src
-                elif isinstance(node, ast.Delete):
-                    for target in node.targets:
-                        if isinstance(target, ast.Subscript):
-                            attr = self_attr(target.value)
-                            if attr is None and isinstance(target.value, ast.Name):
-                                attr = aliases.get(target.value.id)
-                            if attr in self.containers:
-                                removed.add(attr)
-                elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-                    if node.func.attr in _REMOVAL_METHODS:
-                        attr = self_attr(node.func.value)
-                        if attr is None and isinstance(node.func.value, ast.Name):
-                            attr = aliases.get(node.func.value.id)
-                        if attr in self.containers:
-                            removed.add(attr)
-        return removed
-
-    def findings(self) -> None:
-        add = self.lint.add
-        path = self.lint.module.path
-        flagged_op_state: Set[str] = set()
+    def report(self, sink: Sink) -> None:
+        path = self.module.path
+        cls = self.node.name
         for attr, (method, lineno, detail) in sorted(self.add_sites.items()):
-            if attr in self.removal_evidence:
-                continue
-            flagged_op_state.add(attr)
-            add(
-                Finding(
-                    path=path,
-                    line=lineno,
-                    rule="leak-op-state",
-                    message=(
-                        f"{self.node.name}.{attr} gains per-key entries here "
-                        f"({detail}) but no method of the class ever removes "
-                        "them; ops that die mid-flight leak their entry"
-                    ),
-                    context=f"{method}:self.{attr}",
+            if attr not in self.removed_in:
+                sink.report(
+                    path, lineno, "leak-op-state",
+                    f"{cls}.{attr} gains per-key entries here ({detail}) but no "
+                    "method of the class ever removes them; ops that die "
+                    "mid-flight leak their entry",
+                    f"{method}:self.{attr}",
                 )
-            )
 
         teardown = self.teardown_method()
         if teardown is not None:
-            torn_down = self._removals_within(self._teardown_scope(teardown))
+            scope = self._teardown_scope(teardown)
             for attr, (method, lineno, detail) in sorted(self.add_sites.items()):
-                if attr in flagged_op_state or attr in torn_down:
+                removed_in = self.removed_in.get(attr)
+                if not removed_in or removed_in & scope:
                     continue
-                add_methods = self.add_methods.get(attr, set())
-                if add_methods <= {teardown.name}:
+                if self.add_methods.get(attr, set()) <= {teardown.name}:
                     continue
-                add(
-                    Finding(
-                        path=path,
-                        line=lineno,
-                        rule="leak-node-retention",
-                        message=(
-                            f"{self.node.name}.{attr} accumulates keyed entries "
-                            f"({detail}) that {teardown.name}() never removes; "
-                            "entries for departed nodes are retained"
-                        ),
-                        context=f"{teardown.name}:self.{attr}",
-                    )
+                sink.report(
+                    path, lineno, "leak-node-retention",
+                    f"{cls}.{attr} accumulates keyed entries ({detail}) that "
+                    f"{teardown.name}() never removes; entries for departed nodes "
+                    "are retained",
+                    f"{teardown.name}:self.{attr}",
                 )
 
         for attr, (method, lineno, detail) in sorted(self.growth_sites.items()):
-            if attr in self.removal_evidence or attr in self.bound_evidence:
+            if attr in self.removed_in or attr in self.bound_evidence:
                 continue
-            add(
-                Finding(
-                    path=path,
-                    line=lineno,
-                    rule="leak-unbounded-growth",
-                    message=(
-                        f"{self.node.name}.{attr} grows here ({detail}) with no "
-                        "bound, eviction, or consumption anywhere in the class; "
-                        "memory grows with run length"
-                    ),
-                    context=f"{method}:self.{attr}",
-                )
+            sink.report(
+                path, lineno, "leak-unbounded-growth",
+                f"{cls}.{attr} grows here ({detail}) with no bound, eviction, or "
+                "consumption anywhere in the class; memory grows with run length",
+                f"{method}:self.{attr}",
             )
 
         for fn, call in self.timer_sites:
             callback = self._resolve_callback(call.args[1])
-            if callback is None:
-                continue
-            if not self._writes_self_state(callback):
-                continue
-            if self._has_staleness_guard(callback):
+            if (
+                callback is None
+                or not self._writes_self_state(callback)
+                or self._has_staleness_guard(callback)
+            ):
                 continue
             cb_name = describe(call.args[1])
-            add(
-                Finding(
-                    path=path,
-                    line=call.lineno,
-                    rule="leak-timer-unguarded",
-                    message=(
-                        f"scheduled callback {cb_name} writes self.* state but "
-                        "the handle is discarded and the callback has no "
-                        "early-return staleness guard; it fires after a crash "
-                        "or completion and resurrects torn-down state"
-                    ),
-                    context=f"{fn.name}:{cb_name}",
-                )
+            sink.report(
+                path, call.lineno, "leak-timer-unguarded",
+                f"scheduled callback {cb_name} writes self.* state but the handle "
+                "is discarded and the callback has no early-return staleness "
+                "guard; it fires after a crash or completion and resurrects "
+                "torn-down state",
+                f"{fn.name}:{cb_name}",
             )
 
 
-class _LifecycleLint:
-    def __init__(self, module: ModuleInfo) -> None:
-        self.module = module
-        self._findings: Dict[Tuple[str, int, str], Finding] = {}
-
-    def add(self, finding: Finding) -> None:
-        self._findings.setdefault((finding.rule, finding.line, finding.message), finding)
-
-    def run(self) -> None:
-        for node in ast.walk(self.module.tree):
-            if isinstance(node, ast.ClassDef):
-                _ClassScan(self, node).findings()
-
-    def findings(self) -> List[Finding]:
-        return list(self._findings.values())
-
-
-def lint_lifecycle(module: ModuleInfo) -> List[Finding]:
-    """Run the resource-lifecycle rules over one collected module."""
-    lint = _LifecycleLint(module)
-    lint.run()
-    return lint.findings()
+def lint_lifecycle(module: Module, sink: Sink) -> None:
+    """Run the resource-lifecycle rules over every class of one module."""
+    for node in ast.walk(module.tree):
+        if isinstance(node, ast.ClassDef):
+            _ClassScan(module, node).report(sink)

@@ -33,7 +33,7 @@ ways the tree can smuggle in an ordering assumption:
   plain overwrite makes the attribute last-writer-wins.  Commutative
   updates (``+=`` on counters, ``.add`` on sets) are not flagged —
   only the write/write race where the final value depends on the tie.
-  Handler tables are taken from the protocol linter's registry walk.
+  Handler tables are taken from the module model's registry walk.
 
 Scope (see :mod:`repro.analysis.runner`): the simulated subsystems,
 minus the event queue and kernel themselves — they implement the
@@ -43,15 +43,9 @@ tie-break and legitimately touch ``seq``, ``now`` and zero delays.
 import ast
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.analysis.astutil import self_attr
-from repro.analysis.findings import Finding
-from repro.analysis.protocol_lint import ModuleInfo
-
-#: container methods that mutate in place — an RMW when called on state
-_MUTATORS = {
-    "append", "extend", "insert", "add", "update", "remove", "discard",
-    "pop", "popitem", "clear", "setdefault", "appendleft",
-}
+from repro.analysis.astutil import MUTATORS, self_attr
+from repro.analysis.findings import Sink
+from repro.analysis.model import FunctionScoped, Module
 
 #: names an event object usually travels under; ``.time`` reads on these
 #: are treated as event timestamps
@@ -114,7 +108,7 @@ def _rmw_sites(fn: ast.AST) -> List[Tuple[str, int]]:
                     if attr is not None:
                         sites.append((attr, node.lineno))
         elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
-            if node.func.attr in _MUTATORS:
+            if node.func.attr in MUTATORS:
                 attr = self_attr(node.func.value)
                 if attr is not None:
                     sites.append((attr, node.lineno))
@@ -139,35 +133,7 @@ def _plain_writes(fn: ast.AST) -> Dict[str, int]:
     return writes
 
 
-class _OrderingVisitor(ast.NodeVisitor):
-    def __init__(self, module: ModuleInfo) -> None:
-        self.module = module
-        self.findings: List[Finding] = []
-        self._func_stack: List[ast.FunctionDef] = []
-
-    # -- bookkeeping -----------------------------------------------------
-    def _context(self, detail: str) -> str:
-        func = self._func_stack[-1].name if self._func_stack else "<module>"
-        return f"{func}:{detail}"
-
-    def _add(self, line: int, rule: str, message: str, detail: str) -> None:
-        self.findings.append(
-            Finding(
-                path=self.module.path,
-                line=line,
-                rule=rule,
-                message=message,
-                context=self._context(detail),
-            )
-        )
-
-    def visit_FunctionDef(self, node: ast.FunctionDef) -> None:
-        self._func_stack.append(node)
-        self.generic_visit(node)
-        self._func_stack.pop()
-
-    visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
-
+class _OrderingVisitor(FunctionScoped):
     # -- order-zero-delay ------------------------------------------------
     def _delay_can_be_zero(self, node: ast.AST) -> bool:
         if _const_zero(node):
@@ -176,8 +142,8 @@ class _OrderingVisitor(ast.NodeVisitor):
             return self._delay_can_be_zero(node.body) or self._delay_can_be_zero(
                 node.orelse
             )
-        if isinstance(node, ast.Name) and self._func_stack:
-            for stmt in ast.walk(self._func_stack[-1]):
+        if isinstance(node, ast.Name) and self.func_stack:
+            for stmt in ast.walk(self.func_stack[-1]):
                 if isinstance(stmt, ast.Assign) and any(
                     isinstance(t, ast.Name) and t.id == node.id for t in stmt.targets
                 ):
@@ -222,8 +188,8 @@ class _OrderingVisitor(ast.NodeVisitor):
             if self._delay_can_be_zero(node.args[0]):
                 why = self._callback_verdict(node.args[1])
                 if why is not None:
-                    self._add(
-                        node.lineno, "order-zero-delay",
+                    self.report(
+                        node, "order-zero-delay",
                         f"zero-delay schedule creates a same-timestamp tie and {why}; "
                         "the callback's effect depends on tie-break order",
                         f"schedule:{_cb_detail(node.args[1])}",
@@ -232,8 +198,8 @@ class _OrderingVisitor(ast.NodeVisitor):
             if _contains_now(node.args[0]):
                 why = self._callback_verdict(node.args[1])
                 if why is not None:
-                    self._add(
-                        node.lineno, "order-zero-delay",
+                    self.report(
+                        node, "order-zero-delay",
                         f"schedule_at(now) creates a same-timestamp tie and {why}; "
                         "the callback's effect depends on tie-break order",
                         f"schedule_at:{_cb_detail(node.args[1])}",
@@ -251,8 +217,8 @@ class _OrderingVisitor(ast.NodeVisitor):
             )
             if timeish is not None:
                 detail = timeish.attr  # type: ignore[union-attr]
-                self._add(
-                    node.lineno, "order-float-time-eq",
+                self.report(
+                    timeish, "order-float-time-eq",
                     f"float equality against {detail!r}: same-timestamp is a "
                     "race, not a state; compare with tolerance or restructure",
                     detail,
@@ -262,8 +228,8 @@ class _OrderingVisitor(ast.NodeVisitor):
     # -- order-seq-dependence --------------------------------------------
     def visit_Attribute(self, node: ast.Attribute) -> None:
         if node.attr == "seq" and isinstance(node.ctx, ast.Load):
-            self._add(
-                node.lineno, "order-seq-dependence",
+            self.report(
+                node, "order-seq-dependence",
                 "read of .seq observes event insertion order, which the "
                 "deployed WAN does not provide; key on explicit state instead",
                 "seq",
@@ -281,16 +247,10 @@ def _cb_detail(callback: ast.AST) -> str:
     return "<dynamic>"
 
 
-def _lint_handler_commute(module: ModuleInfo) -> List[Finding]:
-    findings: List[Finding] = []
+def _lint_handler_commute(module: Module, sink: Sink) -> None:
     # handler kind -> (function name, plain writes) for resolvable handlers
     resolved: Dict[str, Tuple[str, Dict[str, int]]] = {}
-    for reg in module.handlers:
-        if reg.func_name is None:
-            continue
-        fn = module.functions.get(reg.func_name)
-        if fn is None:
-            continue
+    for reg, fn in module.handler_functions():
         resolved.setdefault(reg.kind, (reg.func_name, _plain_writes(fn)))
     pairs_seen: Set[Tuple[str, str, str]] = set()
     kinds = sorted(resolved)
@@ -305,23 +265,15 @@ def _lint_handler_commute(module: ModuleInfo) -> List[Finding]:
                 if pair in pairs_seen:
                     continue
                 pairs_seen.add(pair)
-                findings.append(
-                    Finding(
-                        path=module.path,
-                        line=writes_a[attr],
-                        rule="order-handler-commute",
-                        message=(
-                            f"handlers {fn_a!r} ({kind_a!r}) and {fn_b!r} "
-                            f"({kind_b!r}) both overwrite self.{attr}; two "
-                            "same-timestamp messages make it last-writer-wins"
-                        ),
-                        context=f"{pair[0]}~{pair[1]}:{attr}",
-                    )
+                sink.report(
+                    module.path, writes_a[attr], "order-handler-commute",
+                    f"handlers {fn_a!r} ({kind_a!r}) and {fn_b!r} ({kind_b!r}) both "
+                    f"overwrite self.{attr}; two same-timestamp messages make it "
+                    "last-writer-wins",
+                    f"{pair[0]}~{pair[1]}:{attr}",
                 )
-    return findings
 
 
-def lint_ordering(module: ModuleInfo) -> List[Finding]:
-    visitor = _OrderingVisitor(module)
-    visitor.visit(module.tree)
-    return visitor.findings + _lint_handler_commute(module)
+def lint_ordering(module: Module, sink: Sink) -> None:
+    _OrderingVisitor(module, sink).visit(module.tree)
+    _lint_handler_commute(module, sink)

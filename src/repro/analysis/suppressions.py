@@ -2,9 +2,9 @@
 
 Two escape hatches, both explicit and reviewable:
 
-* an inline comment ``# repro-lint: ignore[rule-a,rule-b] reason`` on the
-  flagged line (or on the line directly above it) suppresses those rules
-  at that site; ``ignore[*]`` suppresses every rule.  The aliasing rules
+* a comment that starts ``# repro-lint: ignore[rule-a,rule-b] reason``
+  on the flagged line (or on the line directly above it) suppresses
+  those rules at that site; ``ignore[*]`` suppresses every rule.  The aliasing rules
   spell the tag ``# repro-san: ignore[...]``, the event-ordering rules
   ``# repro-race: ignore[...]``, and the lifecycle rules
   ``# repro-leak: ignore[...]`` — all four spellings are accepted for
@@ -15,11 +15,14 @@ Two escape hatches, both explicit and reviewable:
   (e.g. generated or idiom-critical lines).
 
 Anything not covered by either mechanism is a hard failure of the
-analysis gate.
+analysis gate, and so is, on a full run, a suppression of either kind
+that matched no finding.
 """
 
+import io
 import re
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+import tokenize
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis.findings import Finding
 
@@ -27,24 +30,27 @@ _IGNORE_RE = re.compile(r"#\s*repro-(?:lint|san|race|leak):\s*ignore\[([^\]]+)\]
 
 
 def inline_ignores(source: str) -> Dict[int, Set[str]]:
-    """Map 1-based line number -> rule ids suppressed on that line."""
+    """Map 1-based line number -> rule ids an ignore comment suppresses there.
+
+    Only comments count: a docstring that quotes the syntax suppresses nothing.
+    """
     ignores: Dict[int, Set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        match = _IGNORE_RE.search(line)
+    for token in tokenize.generate_tokens(io.StringIO(source).readline):
+        match = _IGNORE_RE.match(token.string) if token.type == tokenize.COMMENT else None
         if match:
             rules = {part.strip() for part in match.group(1).split(",") if part.strip()}
             if rules:
-                ignores[lineno] = rules
+                ignores[token.start[0]] = rules
     return ignores
 
 
-def is_inline_suppressed(finding: Finding, ignores: Dict[int, Set[str]]) -> bool:
-    """True if an ignore comment on the line (or the line above) covers it."""
+def suppressing_line(finding: Finding, ignores: Dict[int, Set[str]]) -> Optional[int]:
+    """The line whose ignore comment covers ``finding``: its own, or the one above."""
     for lineno in (finding.line, finding.line - 1):
         rules = ignores.get(lineno)
         if rules and (finding.rule in rules or "*" in rules):
-            return True
-    return False
+            return lineno
+    return None
 
 
 def split_baselined(
