@@ -1038,7 +1038,7 @@ class MindNode(OverlayNode):
         # resident replicas and not-yet-migrated data too.  The originator
         # deduplicates by record key, and failed-over regions are served
         # from whichever replica holder the sub-query lands on.
-        matches = state.store.query(qrect, t_range)
+        matches = state.store.query(qrect, t_range, wire=True)
         state.dac.submit(
             state.dac.query_cost(len(matches)),
             self._after_query_dac,
@@ -1053,7 +1053,7 @@ class MindNode(OverlayNode):
         self,
         envelope: Dict[str, Any],
         spawned: List[str],
-        matches: List[Record],
+        matches: List[Dict[str, Any]],
         effective,
         t_range,
     ) -> None:
@@ -1070,7 +1070,7 @@ class MindNode(OverlayNode):
             self._sibling_fetches[fetch_id] = {
                 "envelope": envelope,
                 "spawned": spawned,
-                "matches": {r.key: r for r in matches},
+                "matches": {row["key"]: row for row in matches},
                 # Watchdog: a sibling that received the fetch but died (or
                 # left the overlay) before replying sends neither data nor
                 # a failure — without a timer this entry lives forever and
@@ -1108,16 +1108,13 @@ class MindNode(OverlayNode):
             return
         rect = tuple((lo, hi) for lo, hi in payload["rect"])
         t_range = tuple(payload["time_range"]) if payload["time_range"] else None
-        matches = state.store.query(rect, t_range)
+        matches = state.store.query(rect, t_range, wire=True)
         state.dac.submit(
             state.dac.query_cost(len(matches)),
             self._send,
             msg.src,
             "sibling_data",
-            {
-                "fetch_id": payload["fetch_id"],
-                "records": [r.to_wire() for r in matches],
-            },
+            {"fetch_id": payload["fetch_id"], "records": matches},
             self.mind_config.response_base_bytes
             + self.mind_config.record_wire_bytes * len(matches),
         )
@@ -1142,21 +1139,23 @@ class MindNode(OverlayNode):
         if pending is None:
             return
         matches = pending["matches"]
-        for wire in records:
-            record = Record.from_wire(wire)
-            matches[record.key] = record
+        for row in records:
+            matches[row["key"]] = row
         self._respond_query(pending["envelope"], pending["spawned"], list(matches.values()))
 
     def _on_sibling_data(self, msg: Message) -> None:
         self._answer_sibling_fetch(msg.payload["fetch_id"], msg.payload["records"])
 
-    def _respond_query(self, envelope: Dict[str, Any], spawned: List[str], matches: List[Record]) -> None:
+    def _respond_query(
+        self, envelope: Dict[str, Any], spawned: List[str], matches: List[Dict[str, Any]]
+    ) -> None:
+        """Answer a sub-query with ``matches``, rows in ``Record.to_wire`` form."""
         payload = {
             "qid": envelope["inner"]["qid"],
             "version": envelope["inner"]["version"],
             "region": envelope["target"],
             "spawned": spawned,
-            "records": [r.to_wire() for r in matches],
+            "records": matches,
             # Copy-on-send: the envelope's path list stays live in retained
             # state (sibling fetches hold the envelope), so ship a snapshot.
             "path": list(envelope["path"]),

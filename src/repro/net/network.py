@@ -17,10 +17,14 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
 
 * **Array-backed link accounting.**  Each directed link is interned once
   into an integer id (``src -> dst -> id`` nested dicts, no per-send tuple
-  key allocation); messages/bytes/tuples/busy-until live in flat lists
-  indexed by that id.  The public :attr:`link_stats` mapping of
-  :class:`LinkStats` objects is materialized on demand — experiment
-  read-out, not the send path.
+  key allocation).  Busy-until and the latency class live in
+  ``array('d')`` columns and the message/byte/tuple counters in
+  ``array('q')`` columns indexed by that id: 40 bytes a link beside its
+  id-map entry, with no boxed number and no ``(src, dst)`` key tuple.
+  Delay samples, when recorded, sit in a dict by id.  The public
+  :attr:`link_stats` mapping of :class:`LinkStats` objects is
+  materialized on demand, its keys rebuilt from the nested id map —
+  experiment read-out, not the send path.
 * **One-lookup liveness.**  ``_up_endpoints`` holds exactly the endpoints
   that are registered *and* up, so the no-failure path does a single dict
   probe per side instead of separate registration and liveness checks,
@@ -33,6 +37,7 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
   when it comes due.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -218,23 +223,22 @@ class SimNetwork:
         self._up_endpoints: Dict[str, DeliverFn] = {}
         self._link_down_until: Dict[Tuple[str, str], float] = {}
 
-        # Array-backed per-link accounting, indexed by interned link id.
+        # Typed per-link columns, indexed by interned link id.
         self._link_ids: Dict[str, Dict[str, int]] = {}
-        self._link_key: List[Optional[Tuple[str, str]]] = []
         self._free_ids: List[int] = []
-        self._lk_busy_until: List[float] = []
-        self._lk_messages: List[int] = []
-        self._lk_bytes: List[int] = []
-        self._lk_tuples: List[int] = []
-        self._lk_samples: List[Optional[List[Tuple[float, float]]]] = []
-        self._lk_stride: List[int] = []
-        self._lk_phase: List[int] = []
+        self._lk_busy_until = array("d")
+        self._lk_messages = array("q")
+        self._lk_bytes = array("q")
+        self._lk_tuples = array("q")
         #: Deterministic latency class per link id: propagation seconds
         #: for a WAN pair, -1.0 for the LAN fallback, -2.0 unclassified.
         #: A link's class never changes while its id is bound (sites are
         #: fixed at construction), so the per-message site lookups and
         #: pair-key hashing collapse to one float read.
-        self._lk_prop: List[float] = []
+        self._lk_prop = array("d")
+        #: Link id -> ``[samples, stride, phase]`` of its delay sampler
+        #: (:func:`decimate_step`); only with ``record_link_delays``.
+        self._lk_sampler: Dict[int, List[Any]] = {}
 
         #: Resource ledger (repro-leak quiescence sanitizer); ``None``
         #: when tracking is off, leaving one identity test per guard.
@@ -246,12 +250,12 @@ class SimNetwork:
         self._rng = sim.rng("net.latency")
         #: Block-drawn per-message jitters (opt-in, ``draw_block`` > 0).
         #: The stdlib ``lognormvariate`` costs a Python-level rejection
-        #: loop per draw; a vectorized block amortizes it to a list pop.
+        #: loop per draw; a vectorized block amortizes it to an array pop.
         #: Same distributions, different (still deterministic) stream —
         #: default off, so seeded experiments keep their exact draws.
         self._draw_block = draw_block
-        self._jit_buf: List[float] = []
-        self._uni_buf: List[float] = []
+        self._jit_buf = array("d")
+        self._uni_buf = array("d")
         self._np_gen = None
         if draw_block:
             import numpy as _np
@@ -327,31 +331,23 @@ class SimNetwork:
         if link_id is None:
             if self._free_ids:
                 link_id = self._free_ids.pop()
-                self._link_key[link_id] = (src, dst)
             else:
-                link_id = len(self._link_key)
-                self._link_key.append((src, dst))
+                link_id = len(self._lk_busy_until)
                 self._lk_busy_until.append(0.0)
                 self._lk_messages.append(0)
                 self._lk_bytes.append(0)
                 self._lk_tuples.append(0)
-                self._lk_samples.append(None)
-                self._lk_stride.append(1)
-                self._lk_phase.append(0)
                 self._lk_prop.append(-2.0)
             by_dst[dst] = link_id
         return link_id
 
     def _release_link(self, link_id: int) -> None:
-        self._link_key[link_id] = None
         self._lk_busy_until[link_id] = 0.0
         self._lk_messages[link_id] = 0
         self._lk_bytes[link_id] = 0
         self._lk_tuples[link_id] = 0
-        self._lk_samples[link_id] = None
-        self._lk_stride[link_id] = 1
-        self._lk_phase[link_id] = 0
         self._lk_prop[link_id] = -2.0
+        self._lk_sampler.pop(link_id, None)
         self._free_ids.append(link_id)
 
     @property
@@ -364,16 +360,15 @@ class SimNetwork:
         mid-run shows samples accumulate, like the pre-array behavior.
         """
         out: Dict[Tuple[str, str], LinkStats] = {}
-        for by_dst in self._link_ids.values():
-            for link_id in by_dst.values():
-                key = self._link_key[link_id]
-                samples = self._lk_samples[link_id]
-                out[key] = LinkStats(
+        for src, by_dst in self._link_ids.items():
+            for dst, link_id in by_dst.items():
+                samples, stride, _ = self._lk_sampler.get(link_id, ([], 1, 0))
+                out[(src, dst)] = LinkStats(
                     tuples=self._lk_tuples[link_id],
                     messages=self._lk_messages[link_id],
                     bytes=self._lk_bytes[link_id],
-                    delay_samples=samples if samples is not None else [],
-                    delay_sample_stride=self._lk_stride[link_id],
+                    delay_samples=samples,
+                    delay_sample_stride=stride,
                 )
         return out
 
@@ -485,16 +480,11 @@ class SimNetwork:
         self._lk_bytes[link_id] += wire
         self._lk_tuples[link_id] += tuples
         if self.record_link_delays:
-            samples = self._lk_samples[link_id]
-            if samples is None:
-                samples = self._lk_samples[link_id] = []
-            self._lk_stride[link_id], self._lk_phase[link_id] = decimate_step(
-                samples,
-                self._lk_stride[link_id],
-                self._lk_phase[link_id],
-                self.link_delay_sample_cap,
-                now,
-                delivery_time - now,
+            sampler = self._lk_sampler.get(link_id)
+            if sampler is None:
+                sampler = self._lk_sampler[link_id] = [[], 1, 0]
+            sampler[1], sampler[2] = decimate_step(
+                sampler[0], sampler[1], sampler[2], self.link_delay_sample_cap, now, delivery_time - now
             )
 
         if self.coalesce_window_s == 0.0:
@@ -557,17 +547,16 @@ class SimNetwork:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    # Refills run on an empty buffer; draws are popped from the block's end.
     def _refill_jitter(self) -> float:
-        buf = self._np_gen.lognormal(0.0, self.latency.jitter_sigma, self._draw_block).tolist()
-        last = buf.pop()
-        self._jit_buf = buf
-        return last
+        self._jit_buf.frombytes(
+            self._np_gen.lognormal(0.0, self.latency.jitter_sigma, self._draw_block).tobytes()
+        )
+        return self._jit_buf.pop()
 
     def _refill_uniform(self) -> float:
-        buf = self._np_gen.random(self._draw_block).tolist()
-        last = buf.pop()
-        self._uni_buf = buf
-        return last
+        self._uni_buf.frombytes(self._np_gen.random(self._draw_block).tobytes())
+        return self._uni_buf.pop()
 
     def _classify_link(self, src: str, dst: str) -> float:
         """Deterministic latency class of a directed link (memoized per id).

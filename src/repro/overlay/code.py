@@ -130,9 +130,13 @@ class Code:
 
 
 #: Shared instances for the routing hot path.  Codes are immutable values,
-#: so per-hop reconstruction from wire bits is pure overhead; the universe
-#: of codes is bounded by the cut-tree depth (2^depth+1 strings), which
-#: keeps the cache small.
+#: so per-hop reconstruction from wire bits is pure overhead.  The table is
+#: not small: it keeps one entry per distinct code ever interned, and every
+#: routed insert interns its record's point code, so it holds up to
+#: 2^(depth+1) entries (2^17 at the default depth 16) for the life of the
+#: process.  After one ``insert_steady`` replica (256 nodes, seed 1) it held
+#: 21,768 entries, about 3.65 MB (168 B each: the bit string, the ``Code``
+#: and its integer mirror).
 _INTERNED: dict = {}
 
 

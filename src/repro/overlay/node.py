@@ -14,6 +14,7 @@ behind the paper's long latency tails (Figures 7, 8, 11).  Per-node
 ``speed_factor`` models slow PlanetLab machines.
 """
 
+from array import array
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
@@ -180,14 +181,15 @@ class OverlayNode:
         #: factors are fixed at construction.
         self._service_scale = self.config.service_time_s * self.speed_factor
         #: Block-drawn service jitters (``None`` = per-message stdlib
-        #: draws; a list when ``config.service_draw_block`` opts in).
-        self._jitter_buf: Optional[List[float]] = None
+        #: draws; an ``array('d')`` when ``config.service_draw_block``
+        #: opts in).
+        self._jitter_buf: Optional[array] = None
         self._np_service = None
         if self.config.service_draw_block:
             import numpy as _np
 
             self._np_service = _np.random.default_rng(self._rng.randrange(2**63))
-            self._jitter_buf = []
+            self._jitter_buf = array("d")
         self._handlers: Dict[str, Callable[[Message], None]] = {
             "join_lookup": self._on_join_lookup,
             "join_neighborhood": self._on_join_neighborhood,
@@ -436,12 +438,13 @@ class OverlayNode:
         return self._defer_timer(self.sim.now + delay, fn, args)
 
     def _refill_service_jitter(self) -> float:
-        buf = self._np_service.lognormal(
-            0.0, self.config.service_jitter_sigma, self.config.service_draw_block
-        ).tolist()
-        last = buf.pop()
-        self._jitter_buf = buf
-        return last
+        """Refill the empty jitter buffer with a block; draws pop from its end."""
+        self._jitter_buf.frombytes(
+            self._np_service.lognormal(
+                0.0, self.config.service_jitter_sigma, self.config.service_draw_block
+            ).tobytes()
+        )
+        return self._jitter_buf.pop()
 
     def _build_dispatch_table(self) -> List[Optional[Callable[[Message], None]]]:
         """Flatten ``_handlers`` + ``extra_handlers()`` into a kind-id table."""
@@ -1057,6 +1060,13 @@ class OverlayNode:
             return
         now = self.sim.now
         suppress = self.config.hb_suppress_s
+        if suppress is not None:
+            # An entry this old no longer suppresses anything, which is
+            # exactly what a missing one does: drop it, so the table holds
+            # the peers sent to within one window, not every peer ever.
+            self._last_sent = {
+                addr: sent for addr, sent in self._last_sent.items() if now - sent < suppress
+            }
         for addr, code in self.links():
             if suppress is None or now - self._last_sent.get(addr, -1e18) >= suppress:
                 # ``peer_code`` echoes what *we* think the receiver's code

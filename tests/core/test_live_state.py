@@ -57,3 +57,43 @@ def test_coalescing_cluster_keeps_only_live_state():
         routed += bool(node._route_rows)
     assert routed > 0
     cluster.close()
+
+
+def test_heartbeat_suppression_table_holds_one_window():
+    # Acks go straight to each insert's origin, so a node sends to peers
+    # that are not its links; an entry older than ``hb_suppress_s``
+    # suppresses nothing, and each heartbeat tick drops it.
+    suppress = 10.0
+    config = ClusterConfig(
+        seed=7, overlay=OverlayConfig(liveness_enabled=True, hb_suppress_s=suppress)
+    )
+    cluster = MindCluster(16, config)
+    cluster.build()
+    cluster.create_index(index1_schema(86400.0), replication=0)
+    ticks = []
+
+    def watch(node):
+        tick = node._heartbeat_tick
+
+        def checked():
+            tick()
+            now = cluster.sim.now
+            assert all(now - sent < suppress for sent in node._last_sent.values())
+            ticks.append(node.address)
+
+        node._heartbeat_tick = checked
+
+    for node in cluster.nodes:
+        watch(node)
+    rng = random.Random(4)
+    addresses = [node.address for node in cluster.nodes]
+    base = cluster.sim.now
+    for i in range(200):
+        record = Record(
+            [rng.uniform(0, 2**32), rng.uniform(0, 86400), rng.uniform(0, 5024)], key=i + 1
+        )
+        cluster.schedule_insert("index1", record, rng.choice(addresses), base + i * 0.1)
+    cluster.advance(60.0)
+    assert all(metric.success for metric in cluster.metrics.inserts)
+    assert len(set(ticks)) == len(cluster.nodes)
+    cluster.close()

@@ -118,6 +118,23 @@ def test_many_records_query_consistency(schema):
     assert got == expected
 
 
+def test_duplicates_found_in_the_key_index_and_among_recent_keys(schema):
+    # Keys live in a sorted index plus a set of recent ones merged into it
+    # every so often; a duplicate is dropped wherever its first copy sits.
+    store = TimePartitionedStore(schema, bucket_s=300.0)
+    rng = random.Random(1)
+    keys = rng.sample(range(-10**12, 10**12), 3000)
+    for i, key in enumerate(keys):
+        assert store.insert(Record([1.0, i * 10.0], key=key))
+        assert store.insert_batch([Record([2.0, i * 10.0], key=k) for k in keys[: i + 1 : 97]]) == 0
+    assert len(store) == len(keys) and all(key in store for key in keys)
+    assert not any(key + 1 in store for key in keys if key + 1 not in set(keys))
+    assert store.insert_batch([Record([1.0, 5.0], key=k) for k in keys]) == 0
+    assert store.drop_before(15000.0) == 1500
+    assert all((key in store) == (i >= 1500) for i, key in enumerate(keys))
+    assert store.insert(Record([1.0, 20.0], key=keys[0]))
+
+
 def test_wide_time_range_intersects_existing_buckets(schema):
     # A huge requested span must cost O(buckets), not O(span / bucket_s):
     # with the old range() materialization this query would build a

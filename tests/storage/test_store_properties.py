@@ -123,8 +123,16 @@ model_value_st = st.tuples(
 )
 # Few distinct keys, so duplicates arrive within a batch and across calls.
 KEYS = range(41)
+# Empty (as in most simulated traffic) or not: the store keeps only
+# non-empty payloads, so both kinds must come back as they went in.
+payload_st = st.one_of(
+    st.none(),
+    st.dictionaries(st.sampled_from(["node", "source_prefix", "dst_port"]), st.integers(0, 9),
+                    min_size=1, max_size=2),
+)
 model_record_st = st.builds(
-    lambda values, key: Record(list(values), key=key), model_value_st, st.sampled_from(KEYS)
+    lambda values, payload, key: Record(list(values), payload, key=key),
+    model_value_st, payload_st, st.sampled_from(KEYS),
 )
 time_range_st = st.one_of(
     st.none(),
@@ -205,8 +213,8 @@ class ListModel:
 
 def identities(records):
     # Record equality is by key alone; a duplicate key with other values
-    # must not have replaced the first arrival.
-    return [(r.key, r.values) for r in records]
+    # or another payload must not have replaced the first arrival.
+    return [(r.key, r.values, r.payload) for r in records]
 
 
 def run_ops(schema, bucket_s, ops):
@@ -215,16 +223,17 @@ def run_ops(schema, bucket_s, ops):
     dims = schema.dimensions
     for op in ops:
         if op[0] == "insert":
-            record = Record(op[1].values[:dims], key=op[1].key)
+            record = Record(op[1].values[:dims], op[1].payload, key=op[1].key)
             assert store.insert(record) == model.insert(record)
         elif op[0] == "insert_batch":
-            batch = [Record(r.values[:dims], key=r.key) for r in op[1]]
+            batch = [Record(r.values[:dims], r.payload, key=r.key) for r in op[1]]
             assert store.insert_batch(batch) == sum(model.insert(r) for r in batch)
         elif op[0] == "query":
             rect, time_range = op[1][:dims], op[2]
-            assert identities(store.query(rect, time_range)) == identities(
-                model.query(rect, time_range)
-            )
+            expected = model.query(rect, time_range)
+            assert identities(store.query(rect, time_range)) == identities(expected)
+            # The answer path's rows, built from the columns without a Record.
+            assert store.query(rect, time_range, wire=True) == [r.to_wire() for r in expected]
         elif op[0] == "all_records":
             assert identities(store.all_records()) == identities(model.ordered())
         elif op[0] == "points_in_time_range":
