@@ -28,9 +28,6 @@ class EvenCuts:
         lo, hi = rect[dim]
         return (lo + hi) / 2.0
 
-    def cut(self, rect: NormRect, dim: int, rows=None) -> Tuple[float, None]:
-        return self.split(rect, dim), None
-
     def to_wire(self) -> Dict:
         return {"kind": self.kind}
 

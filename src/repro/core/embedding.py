@@ -19,11 +19,13 @@ memoized per tree node, which makes repeated descents cheap and
 guarantees every node derives the identical tree from the identical
 histogram.  Even cuts need no tree: every cut on a dimension's k-th level
 is a dyadic m/2^k, so a point's code is the bit-interleave of its
-quantised coordinates ``floor(x * 2^k)`` (the Z-order curve), computed
-in closed form.
+quantised coordinates ``floor(x * 2^k)`` (the Z-order curve), and a
+code's rectangle, complement cells and a query's prefix follow from the
+code bits and the query's quantised corners, all in closed form.
 """
 
 import json
+import math
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -70,6 +72,31 @@ _WIRE_INTERN_MAX = 256
 _DimPlan = Tuple[float, int, List[List[int]]]
 
 
+def _check_even_depth(dims: int, depth: int) -> None:
+    per_dim = -(-depth // dims)
+    if per_dim > _MAX_EVEN_CUTS_PER_DIM:
+        raise ValueError(
+            f"even cuts halve a dimension exactly at most {_MAX_EVEN_CUTS_PER_DIM} "
+            f"times; code depth {depth} over {dims} dimensions needs {per_dim}"
+        )
+
+
+def _even_rect(bits: str, dims: int) -> List[Tuple[float, float]]:
+    """The even-cut rectangle of code ``bits``, one dyadic interval per dimension.
+
+    A dimension owns every ``dims``-th bit; its ``c`` bits, read as the
+    integer ``m``, place it in ``[m / 2^c, (m + 1) / 2^c)``.  Both ends are
+    exact below the cut cap (callers check it), so they equal the
+    midpoints a walk would draw.
+    """
+    rect = []
+    for dim in range(dims):
+        own = bits[dim::dims]
+        m, scale = int("0" + own, 2), 1 << len(own)
+        rect.append((m / scale, (m + 1) / scale))
+    return rect
+
+
 def _even_plan(dims: int, depth: int) -> Tuple[int, List[_DimPlan]]:
     """How to interleave ``depth`` bits of even-cut code over ``dims`` dimensions.
 
@@ -79,12 +106,7 @@ def _even_plan(dims: int, depth: int) -> Tuple[int, List[_DimPlan]]:
     first.  Returns the leading 1 bit of the heap-numbered node (as in
     the balanced cut tree) and one :data:`_DimPlan` per dimension.
     """
-    per_dim = -(-depth // dims)
-    if per_dim > _MAX_EVEN_CUTS_PER_DIM:
-        raise ValueError(
-            f"even cuts halve a dimension exactly at most {_MAX_EVEN_CUTS_PER_DIM} "
-            f"times; code depth {depth} over {dims} dimensions needs {per_dim}"
-        )
+    _check_even_depth(dims, depth)
     # spread[v]: the bits of byte v, dims positions apart.
     spread = [sum(((v >> i) & 1) << (i * dims) for i in range(8)) for v in range(256)]
     plan = []
@@ -129,13 +151,9 @@ class Embedding:
     # Cut access
     # ------------------------------------------------------------------
     def _split(self, node: int, rect: NormRect, dim: int) -> float:
-        """The cut along ``dim`` of tree node ``node``, whose rectangle is ``rect``.
-
-        An even cut is the rectangle's midpoint, cheaper to redraw than to
-        remember; only balanced cuts go through the memo.
-        """
-        if self._plan is not None:
-            return self.strategy.split(rect, dim)
+        """The balanced cut along ``dim`` of tree node ``node``, whose
+        rectangle is ``rect``, drawn once and memoised.  (Even cuts never
+        walk: their codes and rectangles are closed forms.)"""
         split = self._cuts.get(node)
         if split is None:
             live = self._live
@@ -303,7 +321,14 @@ class Embedding:
     # Regions
     # ------------------------------------------------------------------
     def region_rect(self, code: Code) -> NormRect:
-        """The normalized hyper-rectangle owned by ``code``."""
+        """The normalized hyper-rectangle owned by ``code``.
+
+        Even cuts read it off the code's bits (:func:`_even_rect`);
+        balanced cuts walk the cut tree.
+        """
+        if self._plan is not None:
+            _check_even_depth(self._dims, len(code))
+            return tuple(_even_rect(code.bits, self._dims))
         return self._rect(code.bits)
 
     def complement_cells(self, own: Code, start: int) -> Iterator[Tuple[Code, NormRect]]:
@@ -312,12 +337,28 @@ class Embedding:
         Level ``i``'s cell is ``own.prefix(i + 1).flip(i)``: together the
         cells tile what the region ``own.prefix(start)`` holds beyond
         ``own`` (the sub-queries a query splits into at the first abutting
-        node).  One walk down ``own``: each rectangle is the running one
-        narrowed to the other side of the same cut, so the cuts touched,
-        and their order, are those of ``region_rect(cell)`` per cell.
+        node).  Each rectangle is the running one, ``own.prefix(i)``'s,
+        with the level's dimension narrowed to the other side of its cut.
+        Even cuts start from the closed-form rectangle of
+        ``own.prefix(start)`` and halve inline, exact below the cut cap;
+        balanced cuts walk down ``own``, touching the cuts, and in the
+        order, that ``region_rect(cell)`` per cell would.
         """
         bits = own.bits
         dims = self._dims
+        if self._plan is not None:
+            _check_even_depth(dims, len(bits))
+            rect = _even_rect(bits[:start], dims)
+            for level in range(start, len(bits)):
+                dim = level % dims
+                lo, hi = rect[dim]
+                mid = (lo + hi) / 2.0
+                halves = ((lo, mid), (mid, hi))
+                upper = bits[level] == "1"
+                rect[dim] = halves[not upper]
+                yield intern_code(bits[:level] + ("0" if upper else "1")), tuple(rect)
+                rect[dim] = halves[upper]
+            return
         rect = self._rect(bits[:start])
         node = int("1" + bits[:start], 2)
         for level in range(start, len(bits)):
@@ -337,9 +378,41 @@ class Embedding:
         This is the routing target for a query: small queries descend deep
         (often to a single node's region), large queries stop early and get
         split into sub-queries at the first abutting node (Section 3.6).
+        A level goes lower when the query ends at or below its cut
+        (``q_hi <= split``), else upper when it starts at or above it
+        (``q_lo >= split``), and the descent stops where the query
+        straddles the cut.
+
+        Even cuts, per dimension of ``N`` cuts: the descent follows
+        ``h``, the cell whose scaled interval ``(h, h + 1]`` holds
+        ``q_hi * 2^N`` (where ``q_hi <= split`` leads), and stops where
+        ``h`` goes upper but ``l = floor(q_lo * 2^N)`` lower: at the first
+        bit in which ``l < h`` differ.  The code is ``h``'s bits
+        interleaved (the :func:`_even_plan` tables), cut at the earliest
+        stop over the dimensions.  Balanced cuts walk the cut tree.
         """
         max_depth = self.code_depth if max_depth is None else max_depth
         dims = self._dims
+        plan = self._plan
+        if plan is not None:
+            if max_depth != self.code_depth:
+                plan = _even_plan(dims, max_depth)
+            node, dim_plans = plan
+            depth = max_depth
+            for dim, ((q_lo, q_hi), (scale, top, tables)) in enumerate(zip(query_rect, dim_plans)):
+                y = q_hi * scale
+                h = top if y >= scale else math.ceil(y) - 1 if y > 0.0 else 0
+                x = q_lo * scale
+                low = top if x >= scale else int(x) if x > 0.0 else 0
+                if low < h:
+                    cuts = top.bit_length()
+                    stop = (cuts - (low ^ h).bit_length()) * dims + dim
+                    if stop < depth:
+                        depth = stop
+                for table in tables:
+                    node |= table[h & 255]
+                    h >>= 8
+            return intern_code(bin(node)[3 : 3 + depth])
         rect = full_rect(dims)
         node = 1
         for level in range(max_depth):
@@ -354,7 +427,7 @@ class Embedding:
                 break
             rect = self._narrow(rect, dim, split, upper)
             node = (node << 1) | upper
-        return Code(bin(node)[3:])
+        return intern_code(bin(node)[3:])
 
     def region_raw_ranges(self, code: Code) -> List[Tuple[float, float]]:
         """The region rectangle in raw attribute units (for local stores)."""

@@ -24,7 +24,7 @@ from repro.core.cuts import BalancedCuts, EvenCuts
 from repro.core.embedding import Embedding
 from repro.core.histogram import MultiDimHistogram
 from repro.core.metrics import InsertMetric, QueryMetric
-from repro.core.query import NormRect, RangeQuery, rect_contains_point, rect_intersection
+from repro.core.query import NormRect, RangeQuery, rect_contains_point
 from repro.core.records import Record
 from repro.core.replication import FULL_REPLICATION, failover_targets, replica_targets
 from repro.core.schema import IndexSchema
@@ -565,7 +565,7 @@ class MindNode(OverlayNode):
                 # announcing it arrived; adopt the region so the retry
                 # machinery owns it from here.
                 op.regions[key] = _RegionState(
-                    valid_from, _RetryLadder(op.metric, Code(bits), stamp=payload["attempt"])
+                    valid_from, _RetryLadder(op.metric, intern_code(bits), stamp=payload["attempt"])
                 )
             self._subquery_attempt_failed(payload["op_id"], key, payload["attempt"])
 
@@ -987,34 +987,56 @@ class MindNode(OverlayNode):
         the rectangle touches, as ``cell_op_id(bits)``; returns their bits.
         """
         inner = envelope["inner"]
-        region = Code(envelope["target"])
-        own = self._owned_region_for(region)
+        start = len(envelope["target"])
+        own = self._owned_region_for(intern_code(envelope["target"]))
         spawned: List[str] = []
-        if own is not None and len(own) > len(region):
-            embedding = state.versions.embedding_for_version(inner["version"])
-            for cell, cell_rect in embedding.complement_cells(own, len(region)):
-                if rect_intersection(cell_rect, qrect) is not None:
-                    spawned.append(cell.bits)
-                    self.route(
-                        cell,
-                        envelope["inner_kind"],
-                        dict(inner),
-                        op_id=cell_op_id(cell.bits),
-                        origin=envelope["origin"],
-                        attempt=envelope["attempt"],
-                    )
+        if own is None or len(own.bits) <= start:
+            return spawned
+        embedding = state.versions.embedding_for_version(inner["version"])
+        dims = len(qrect)
+        # A cell is the running rectangle (``own``'s prefix) with the
+        # level's side swapped for the other half of its cut, so of its
+        # sides only that one and the one narrowed a level earlier are
+        # new; the first cell brings all of them.  Each side is tested as
+        # ``rect_intersection`` does, its ``min``/``max`` written out:
+        # empty where ``min(hi, q_hi) <= max(lo, q_lo)``.  Cuts only
+        # narrow, so once a running side misses the query every later
+        # cell misses it too.
+        fresh = range(dims)
+        for level, (cell, cell_rect) in enumerate(embedding.complement_cells(own, start), start):
+            dim = level % dims
+            for side in fresh:
+                if side != dim:
+                    lo, hi = cell_rect[side]
+                    q_lo, q_hi = qrect[side]
+                    if (q_hi if q_hi < hi else hi) <= (q_lo if q_lo > lo else lo):
+                        return spawned
+            fresh = (dim,)
+            lo, hi = cell_rect[dim]
+            q_lo, q_hi = qrect[dim]
+            if (q_hi if q_hi < hi else hi) <= (q_lo if q_lo > lo else lo):
+                continue
+            spawned.append(cell.bits)
+            self.route(
+                cell,
+                envelope["inner_kind"],
+                dict(inner),
+                op_id=cell_op_id(cell.bits),
+                origin=envelope["origin"],
+                attempt=envelope["attempt"],
+            )
         return spawned
 
     def _arrive_subquery(self, envelope: Dict[str, Any], state: IndexState) -> None:
         inner = envelope["inner"]
-        qrect = tuple((lo, hi) for lo, hi in inner["rect"])
+        qrect = tuple(map(tuple, inner["rect"]))
         spawned: List[str] = []
         if inner.get("failover"):
             # Failed-over sub-queries skip the split: replicas are placed
             # by the dead node's code, not by the query rectangle, so rect
             # pruning would be wrong — the holder answers from its whole
             # local store instead.
-            failed = Code(inner.get("failover_for", envelope["target"]))
+            failed = intern_code(inner.get("failover_for", envelope["target"]))
             if not self._plausible_failover_holder(failed, state.replication):
                 # We cover the flip target but never received this region's
                 # replicas (it was subdivided past the replication level's
@@ -1106,7 +1128,7 @@ class MindNode(OverlayNode):
         if state is None:
             self._send(msg.src, "sibling_data", {"fetch_id": payload["fetch_id"], "records": []})
             return
-        rect = tuple((lo, hi) for lo, hi in payload["rect"])
+        rect = tuple(map(tuple, payload["rect"]))
         t_range = tuple(payload["time_range"]) if payload["time_range"] else None
         matches = state.store.query(rect, t_range, wire=True)
         state.dac.submit(
@@ -1193,14 +1215,16 @@ class MindNode(OverlayNode):
         from_failover = bool(payload.get("failover"))
         op.metric.nodes_visited.update(payload["path"])
         op.metric.nodes_visited.add(payload["responder"])
-        schema = self._state(op.query.index).schema
+        normalize = self._state(op.query.index).schema.normalize
         rect = op.rect
+        records = op.records
         for wire in payload["records"]:
-            record = Record.from_wire(wire)
-            if rect_contains_point(rect, schema.normalize(record.values)):
-                if from_failover and record.key not in op.records:
+            values = wire["values"]
+            if rect_contains_point(rect, normalize(values)):
+                record_key = wire["key"]
+                if from_failover and record_key not in records:
                     op.metric.replica_records += 1
-                op.records[record.key] = record
+                records[record_key] = Record(values, wire["payload"], record_key)
         if key not in op.answered:
             # Responses can arrive out of order (a child sub-query may beat
             # the parent that spawned it), so track answered regions and
@@ -1226,7 +1250,7 @@ class MindNode(OverlayNode):
         key = self._region_key(valid_from, bits)
         if key in op.answered or key in op.regions:
             return
-        ladder = _RetryLadder(op.metric, Code(bits), stamp=stamp)
+        ladder = _RetryLadder(op.metric, intern_code(bits), stamp=stamp)
         ladder.watch(
             self.sim.schedule,
             self.mind_config.attempt_timeout_s,
@@ -1238,9 +1262,10 @@ class MindNode(OverlayNode):
 
     def _owned_region_for(self, region: Code) -> Optional[Code]:
         """The owned region code comparable with ``region``, if any."""
-        candidates = []
-        if self.code is not None and self.code.comparable(region):
-            candidates.append(self.code)
+        own = self.code if self.code is not None and self.code.comparable(region) else None
+        if not self.adopted:
+            return own
+        candidates = [] if own is None else [own]
         for adopted in sorted(self.adopted):
             if adopted.comparable(region):
                 candidates.append(adopted)
@@ -1312,7 +1337,7 @@ class MindNode(OverlayNode):
 
     def _arrive_trigger_install(self, envelope: Dict[str, Any], state: IndexState) -> None:
         inner = envelope["inner"]
-        qrect = tuple((lo, hi) for lo, hi in inner["rect"])
+        qrect = tuple(map(tuple, inner["rect"]))
         spawned = self._split_to_complement(
             envelope, state, qrect, lambda bits: ("trig", inner["reg_id"], bits)
         )

@@ -22,8 +22,8 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
   ``array('q')`` columns indexed by that id: 40 bytes a link beside its
   id-map entry, with no boxed number and no ``(src, dst)`` key tuple.
   Delay samples, when recorded, sit in a dict by id.  The public
-  :attr:`link_stats` mapping of :class:`LinkStats` objects is
-  materialized on demand, its keys rebuilt from the nested id map —
+  :attr:`link_stats` mapping is a read-only view over the nested id
+  map that builds a :class:`LinkStats` for each link it is asked for —
   experiment read-out, not the send path.
 * **One-lookup liveness.**  ``_up_endpoints`` holds exactly the endpoints
   that are registered *and* up, so the no-failure path does a single dict
@@ -38,8 +38,9 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
 """
 
 from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import checks
 from repro.checks import ISOLATE_COPY, ISOLATE_OFF
@@ -139,6 +140,45 @@ class LinkStats:
     #: doubles whenever the buffer hits the cap (half the samples are
     #: dropped), so long runs keep a bounded, evenly thinned time series.
     delay_sample_stride: int = 1
+
+
+class LinkStatsView(Mapping):
+    """A network's per-link accounting as a read-only mapping.
+
+    Keys are the directed ``(src, dst)`` links in the network's id map;
+    a value is a :class:`LinkStats` snapshot built when it is read, so
+    indexing one link costs one snapshot, not one per link.  Snapshots
+    share the live ``delay_samples`` list, so one taken mid-run sees
+    samples accumulate.  Experiment read-out, not the send path.
+    """
+
+    __slots__ = ("_net",)
+
+    def __init__(self, net: "SimNetwork") -> None:
+        self._net = net
+
+    def __getitem__(self, key: Tuple[str, str]) -> LinkStats:
+        net = self._net
+        by_dst = net._link_ids.get(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
+        if by_dst is None or key[1] not in by_dst:
+            raise KeyError(key)
+        link_id = by_dst[key[1]]
+        samples, stride, _ = net._lk_sampler.get(link_id, ([], 1, 0))
+        return LinkStats(
+            tuples=net._lk_tuples[link_id],
+            messages=net._lk_messages[link_id],
+            bytes=net._lk_bytes[link_id],
+            delay_samples=samples,
+            delay_sample_stride=stride,
+        )
+
+    def __iter__(self) -> Iterator[Tuple[str, str]]:
+        for src, by_dst in self._net._link_ids.items():
+            for dst in by_dst:
+                yield (src, dst)
+
+    def __len__(self) -> int:
+        return sum(map(len, self._net._link_ids.values()))
 
 
 class SimNetwork:
@@ -351,26 +391,10 @@ class SimNetwork:
         self._free_ids.append(link_id)
 
     @property
-    def link_stats(self) -> Dict[Tuple[str, str], LinkStats]:
-        """Per-link traffic accounting as :class:`LinkStats` snapshots.
-
-        Materialized from the array-backed accounting on access — an
-        experiment read-out API, not part of the send path.  Snapshots
-        share the live ``delay_samples`` list, so accessing this property
-        mid-run shows samples accumulate, like the pre-array behavior.
-        """
-        out: Dict[Tuple[str, str], LinkStats] = {}
-        for src, by_dst in self._link_ids.items():
-            for dst, link_id in by_dst.items():
-                samples, stride, _ = self._lk_sampler.get(link_id, ([], 1, 0))
-                out[(src, dst)] = LinkStats(
-                    tuples=self._lk_tuples[link_id],
-                    messages=self._lk_messages[link_id],
-                    bytes=self._lk_bytes[link_id],
-                    delay_samples=samples,
-                    delay_sample_stride=stride,
-                )
-        return out
+    def link_stats(self) -> "LinkStatsView":
+        """Per-link traffic accounting: a read-only ``(src, dst) ->``
+        :class:`LinkStats` mapping over the array-backed columns."""
+        return LinkStatsView(self)
 
     # ------------------------------------------------------------------
     # Sending

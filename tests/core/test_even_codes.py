@@ -1,11 +1,13 @@
-"""Even-cut codes in closed form equal the even-cut tree walk.
+"""Even-cut codes and regions in closed form equal the even-cut tree walk.
 
 Under even cuts every cut on a dimension's k-th level is the dyadic
 m/2^k, so ``Embedding`` computes a code as the bit-interleave of the
-quantised coordinates instead of descending a memoized cut tree.  The
-walk it replaced is ``tests.oracles.even_code_walk``; both code paths
-must agree with it bit for bit, up to the 53 cuts per dimension a
-float64 midpoint stays exact for.
+quantised coordinates, and a region's side as the dyadic interval its
+bits name, instead of descending a memoized cut tree.  The walks they
+replaced are ``tests.oracles``' ``even_code_walk``, ``even_rect_walk``,
+``even_complement_walk`` and ``even_query_prefix_walk``; the closed
+forms must agree with them bit for bit, up to the 53 cuts per dimension
+a float64 midpoint stays exact for.
 """
 
 import random
@@ -21,7 +23,13 @@ from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.net.topology import ABILENE_SITES
-from tests.oracles import even_code_walk
+from repro.overlay.code import Code
+from tests.oracles import (
+    even_code_walk,
+    even_complement_walk,
+    even_query_prefix_walk,
+    even_rect_walk,
+)
 
 CAP = 53
 TOP = 1.0 - 1e-9
@@ -69,6 +77,43 @@ def test_codes_equal_the_walk(case):
     assert [c.bits for c in deepest.point_codes_batch(points, depth)] == expected
 
 
+@st.composite
+def region_cases(draw):
+    """A code, a split level in ``0..len(code)`` and a query rectangle whose
+    sides often end exactly on one of the code's cuts (the walk's
+    ``q_hi <= split`` / ``q_lo >= split`` ties); sides may be empty or
+    reversed."""
+    dims = draw(st.integers(1, 4))
+    own = draw(st.text("01", max_size=CAP * dims))
+    start = draw(st.integers(0, len(own)))
+    cuts = sorted({x for side in even_rect_walk(dims, own) for x in side})
+    edge = st.one_of(coordinates, st.sampled_from(cuts))
+    qrect = tuple(draw(st.tuples(edge, edge)) for _ in range(dims))
+    depth = draw(st.integers(0, CAP * dims))
+    return dims, own, start, qrect, depth
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=region_cases())
+@example(case=(1, "0110", 0, ((0.5, 0.5),), 8))  # an empty side on a cut
+@example(case=(2, "0110", 2, ((0.25, 0.5), (0.5, 0.75)), 10))  # both ends on cuts
+@example(case=(2, "", 0, ((0.75, 0.25), (0.0, 0.5)), 6))  # a reversed side
+@example(case=(3, "101", 3, ((-1.0, 2.0), (0.5, 1.0), (0.0, 5e-324)), 9))
+@example(case=(1, "1" * CAP, CAP, ((TOP, 1.0),), CAP))
+@example(case=(4, "01" * (2 * CAP), 7, ((2.0**-53, 0.5),) * 4, CAP * 4))
+def test_regions_equal_the_walk(case):
+    dims, own, start, qrect, depth = case
+    emb = Embedding(unit_schema(dims), EvenCuts(), code_depth=max(depth, 1))
+    assert emb.region_rect(Code(own)) == even_rect_walk(dims, own)
+    cells = [(cell.bits, rect) for cell, rect in emb.complement_cells(Code(own), start)]
+    assert cells == even_complement_walk(dims, own, start)
+    for max_depth in (None, depth, len(own) // dims):
+        expected = even_query_prefix_walk(
+            dims, qrect, emb.code_depth if max_depth is None else max_depth
+        )
+        assert emb.query_prefix(qrect, max_depth).bits == expected
+
+
 @pytest.mark.parametrize("dims", [1, 3])
 def test_more_than_53_cuts_per_dimension_is_refused(dims):
     """Past 53 halvings the walk's float midpoint no longer halves: at
@@ -80,6 +125,14 @@ def test_more_than_53_cuts_per_dimension_is_refused(dims):
     assert len(emb.point_code([0.3] * dims)) == CAP * dims
     with pytest.raises(ValueError, match="53"):
         emb.point_code([0.5] * dims, CAP * dims + 1)
+    too_deep = Code("1" * (CAP * dims + 1))
+    for regions in (
+        lambda: emb.region_rect(too_deep),
+        lambda: list(emb.complement_cells(too_deep, 0)),
+        lambda: emb.query_prefix(((0.25, 0.25),) * dims, CAP * dims + 1),
+    ):
+        with pytest.raises(ValueError, match="53"):
+            regions()
 
 
 def test_an_even_cluster_draws_no_cut_tree():

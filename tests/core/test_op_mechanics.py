@@ -9,15 +9,22 @@ cluster with ``route`` stubbed out.
 import random
 from types import SimpleNamespace
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.balance import histogram_from_records
 from repro.core.cluster import ClusterConfig, MindCluster
-from repro.core.mind_node import MindConfig, _RetryLadder
+from repro.core.cuts import BalancedCuts, EvenCuts
+from repro.core.embedding import Embedding
+from repro.core.mind_node import MindConfig, MindNode, _RetryLadder
+from repro.core.query import rect_intersection
+from repro.core.records import Record
 from repro.core.replication import FULL_REPLICATION, failover_targets
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.net.topology import ABILENE_SITES
 from repro.overlay.code import Code
+from tests.storage.test_vectorized_equivalence import SCHEMA, values_strategy
 
 WATCHDOG_S = 7.0
 
@@ -217,3 +224,71 @@ def test_split_is_one_mechanism_for_subqueries_and_trigger_installs():
         for rect, expected in cases:
             assert split("subquery", region, rect) == expected
             assert split("trigger_install", region, rect) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    records=st.lists(values_strategy, min_size=1, max_size=40),
+    own_bits=st.text("01", min_size=1, max_size=16),
+    start=st.integers(0, 15),
+    balanced=st.booleans(),
+    data=st.data(),
+)
+def test_split_spawns_the_cells_the_query_meets(records, own_bits, start, balanced, data):
+    """The split tests each cell on the sides that changed since the last
+    one; it must spawn, in order, exactly the cells ``rect_intersection``
+    finds non-empty, ties on a cut (``hi <= lo``) included."""
+    hist = histogram_from_records(SCHEMA, [Record(v) for v in records], (8, 16, 4))
+    emb = Embedding(SCHEMA, BalancedCuts(hist) if balanced else EvenCuts(), code_depth=16)
+    own, start = Code(own_bits), min(start, len(own_bits) - 1)
+    cells = list(emb.complement_cells(own, start))
+    cuts = sorted({x for _, rect in cells for side in rect for x in side})
+    edge = st.one_of(st.sampled_from(cuts), st.floats(-0.25, 1.25, allow_nan=False))
+    # Sides open to one end, or to both, let the query meet a cell on
+    # every side but the one a tie decides.
+    side = st.one_of(
+        st.tuples(edge, edge), st.tuples(st.just(0.0), edge), st.tuples(edge, st.just(1.0)),
+        st.just((0.0, 1.0)),
+    )
+    qrect = tuple(data.draw(side) for _ in range(SCHEMA.dimensions))
+    expected = [cell.bits for cell, rect in cells if rect_intersection(rect, qrect) is not None]
+    assert split_alone(emb, own, start, qrect) == expected
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_split_drops_the_cells_the_query_only_touches(balanced):
+    """A query that ends exactly on a level's cut meets the running
+    rectangle but not that level's cell: the cell is not spawned."""
+    hist = histogram_from_records(
+        SCHEMA, [Record((i * 7.0, i * 13.0, i - 30.0)) for i in range(60)], (8, 16, 4)
+    )
+    emb = Embedding(SCHEMA, BalancedCuts(hist) if balanced else EvenCuts(), code_depth=16)
+    own = Code("011010")
+    cells = list(emb.complement_cells(own, 0))
+    for level, (cell, rect) in enumerate(cells):
+        dim = level % SCHEMA.dimensions
+        lo, hi = rect[dim]
+        touch = (0.0, lo) if own.bits[level] == "0" else (hi, 1.0)
+        qrect = tuple(touch if side == dim else (0.0, 1.0) for side in range(SCHEMA.dimensions))
+        spawned = split_alone(emb, own, 0, qrect)
+        assert cell.bits not in spawned
+        assert spawned == [c.bits for c, r in cells if rect_intersection(r, qrect) is not None]
+
+
+def split_alone(emb, own, start, qrect):
+    """``MindNode._split_to_complement`` on a node that owns ``own``,
+    for a sub-query addressed to ``own``'s first ``start`` bits; returns
+    the spawned bits after checking they were routed, in order."""
+    routed = []
+    node = SimpleNamespace(
+        _owned_region_for=lambda region: own,
+        route=lambda cell, kind, inner, **kw: routed.append(cell.bits),
+    )
+    state = SimpleNamespace(versions=SimpleNamespace(embedding_for_version=lambda version: emb))
+    envelope = {
+        "target": own.bits[:start], "inner_kind": "subquery", "inner": {"version": 0.0},
+        "origin": "elsewhere", "attempt": 1,
+    }
+    spawned = MindNode._split_to_complement(node, envelope, state, qrect, lambda bits: bits)
+    assert spawned == routed
+    return spawned

@@ -6,7 +6,8 @@ import pytest
 
 from repro import checks
 from repro.net.message import HEADER_BYTES, Message
-from repro.net.network import SimNetwork, decimate_step
+from repro.net import network
+from repro.net.network import LinkStats, SimNetwork, decimate_step
 from repro.net.topology import Site
 from repro.sim.kernel import Simulator
 
@@ -156,6 +157,53 @@ def test_link_stats_accumulate():
     assert stats.tuples == 5
     assert stats.bytes == 2 * (100 + HEADER_BYTES)
     assert len(stats.delay_samples) == 2
+
+
+def _materialized_link_stats(net):
+    """Every link's snapshot at once: what ``link_stats`` used to rebuild
+    on each access."""
+    out = {}
+    for src, by_dst in net._link_ids.items():
+        for dst, link_id in by_dst.items():
+            samples, stride, _ = net._lk_sampler.get(link_id, ([], 1, 0))
+            out[(src, dst)] = LinkStats(
+                tuples=net._lk_tuples[link_id],
+                messages=net._lk_messages[link_id],
+                bytes=net._lk_bytes[link_id],
+                delay_samples=samples,
+                delay_sample_stride=stride,
+            )
+    return out
+
+
+def test_link_stats_view_reads_like_the_materialized_dict(monkeypatch):
+    sim, net = make_net(record_link_delays=True)
+    for name in "abc":
+        net.register(name, lambda m: None)
+    for src, dst in ("ab", "ba", "ac", "ab", "cb"):
+        net.send(src, dst, "x", tuples=2, size_bytes=50)
+    sim.run_until_idle()
+    view = net.link_stats
+    expected = _materialized_link_stats(net)
+    assert dict(view) == expected and list(view) == list(expected)
+    assert view == expected and len(view) == 4
+    assert [stats.messages for stats in view.values()] == [2, 1, 1, 1]
+    assert ("a", "b") in view and ("b", "c") not in view and "ab" not in view
+    with pytest.raises(KeyError):
+        view[("a", "z")]
+    with pytest.raises(TypeError):
+        view[("a", "b")] = LinkStats()
+
+    built = []
+
+    class CountingStats(LinkStats):
+        def __init__(self, **fields):
+            built.append(fields)
+            super().__init__(**fields)
+
+    monkeypatch.setattr(network, "LinkStats", CountingStats)
+    assert view[("a", "b")].messages == 2
+    assert len(built) == 1
 
 
 def test_colocated_nodes_lan_latency():

@@ -2,7 +2,8 @@
 
 Production (`TimePartitionedStore`, `MultiDimHistogram`,
 `histogram_from_records`, `derive_cut_tree`, the closed-form even-cut
-`Embedding.point_code`) runs one array-based or arithmetic path; these
+`Embedding.point_code`, `region_rect`, `complement_cells` and
+`query_prefix`) runs one array-based or arithmetic path; these
 per-record / per-cell / per-cut loops are what that path must equal.  The
 equivalence property tests (``tests/storage/test_vectorized_equivalence.py``,
 ``tests/core/test_even_codes.py``) compare the two byte for byte.  The
@@ -163,15 +164,63 @@ def even_code_walk(schema: IndexSchema, values: Sequence[float], depth: int) -> 
     """
     point = schema.normalize(values)
     dims = schema.dimensions
-    cuts = EvenCuts()
     rect = full_rect(dims)
     bits = []
     for level in range(depth):
         dim = level % dims
-        lo, hi = rect[dim]
-        split = cuts.split(rect, dim)
-        upper = point[dim] >= split
-        rect = rect[:dim] + (((split, hi) if upper else (lo, split)),) + rect[dim + 1 :]
+        upper = point[dim] >= EvenCuts().split(rect, dim)
+        rect = _even_narrow(rect, dim, upper)
+        bits.append("1" if upper else "0")
+    return "".join(bits)
+
+
+def _even_narrow(rect: NormRect, dim: int, upper: bool) -> NormRect:
+    """``rect`` with side ``dim`` halved at ``EvenCuts``' midpoint."""
+    lo, hi = rect[dim]
+    split = EvenCuts().split(rect, dim)
+    return rect[:dim] + (((split, hi) if upper else (lo, split)),) + rect[dim + 1 :]
+
+
+def even_rect_walk(dims: int, bits: str) -> NormRect:
+    """The even-cut rectangle of a code by descent (``Embedding.region_rect``'s twin)."""
+    rect = full_rect(dims)
+    for level, bit in enumerate(bits):
+        rect = _even_narrow(rect, level % dims, bit == "1")
+    return rect
+
+
+def even_complement_walk(dims: int, own_bits: str, start: int) -> List[Tuple[str, NormRect]]:
+    """The complement cells of ``own_bits`` below ``start`` by descent
+    (``Embedding.complement_cells``' twin): per level, the sibling's bits
+    and the running rectangle narrowed to the other side of the cut."""
+    rect = even_rect_walk(dims, own_bits[:start])
+    out = []
+    for level in range(start, len(own_bits)):
+        upper = own_bits[level] == "1"
+        out.append(
+            (own_bits[:level] + ("0" if upper else "1"), _even_narrow(rect, level % dims, not upper))
+        )
+        rect = _even_narrow(rect, level % dims, upper)
+    return out
+
+
+def even_query_prefix_walk(dims: int, query_rect: NormRect, depth: int) -> str:
+    """The longest even-cut code whose region holds ``query_rect``, by descent
+    (``Embedding.query_prefix``'s twin): lower where the query ends at or
+    below the cut, upper where it starts at or above it, else stop."""
+    rect = full_rect(dims)
+    bits = []
+    for level in range(depth):
+        dim = level % dims
+        split = EvenCuts().split(rect, dim)
+        q_lo, q_hi = query_rect[dim]
+        if q_hi <= split:
+            upper = False
+        elif q_lo >= split:
+            upper = True
+        else:
+            break
+        rect = _even_narrow(rect, dim, upper)
         bits.append("1" if upper else "0")
     return "".join(bits)
 
