@@ -6,7 +6,7 @@ cost comparisons are apples-to-apples.
 """
 
 import itertools
-from typing import Callable, Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.metrics import InsertMetric, MetricsCollector, QueryMetric
 from repro.core.query import RangeQuery
@@ -19,25 +19,6 @@ from repro.net.topology import Site
 from repro.sim.kernel import Simulator
 from repro.storage.dac import DacConfig, DataAccessController
 from repro.storage.memtable import TimePartitionedStore
-
-
-class _HandlerRegistry(Dict[str, Callable[[Message], None]]):
-    """``kind -> handler`` mapping that also maintains the owner's flat table.
-
-    Keeps the ``node.handlers["kind"] = fn`` registration idiom (which the
-    protocol linter walks) while every write lands in the dispatch table
-    the per-message delivery path actually indexes.
-    """
-
-    __slots__ = ("_owner",)
-
-    def __init__(self, owner: "BaselineNode") -> None:
-        super().__init__()
-        self._owner = owner
-
-    def __setitem__(self, kind: str, handler: Callable[[Message], None]) -> None:
-        super().__setitem__(kind, handler)
-        self._owner._register(kind, handler)
 
 
 class BaselineNode:
@@ -56,27 +37,20 @@ class BaselineNode:
         self.schema = schema
         self.store = TimePartitionedStore(schema)
         self.dac = DataAccessController(sim, DacConfig())
-        self.handlers: Dict[str, Callable[[Message], None]] = _HandlerRegistry(self)
-        # Flat dispatch table indexed by ``Message.kind_id``; kinds outside
-        # the wire registry fall back to the string-keyed overflow dict.
-        self._dispatch_table: List[Callable[[Message], None]] = [None] * (protocol.NUM_KINDS + 1)
-        self._dispatch_overflow: Dict[str, Callable[[Message], None]] = {}
+        #: ``kind -> handler``, filled in by the system that wires the node.
+        self.handlers: Dict[str, Callable[[Message], None]] = {}
+        #: Flat table indexed by ``Message.kind_id``, built from
+        #: ``handlers`` on the first delivery.
+        self._dispatch_table: Optional[List[Optional[Callable[[Message], None]]]] = None
         network.register(address, self._deliver)
 
-    def _register(self, kind: str, handler: Callable[[Message], None]) -> None:
-        kid = protocol.KIND_IDS.get(kind)
-        if kid is None:
-            # repro-leak: ignore[leak-op-state] bounded by registered kinds
-            self._dispatch_overflow[kind] = handler
-        else:
-            self._dispatch_table[kid] = handler
-
     def _deliver(self, msg: Message) -> None:
-        handler = self._dispatch_table[msg.kind_id]
+        table = self._dispatch_table
+        if table is None:
+            table = self._dispatch_table = protocol.dispatch_table(self.handlers)
+        handler = table[msg.kind_id]
         if handler is None:
-            handler = self._dispatch_overflow.get(msg.kind)
-            if handler is None:
-                raise ValueError(f"{self.address}: unhandled baseline message {msg.kind!r}")
+            raise ValueError(f"{self.address}: unhandled baseline message {msg.kind!r}")
         handler(msg)
 
     def send(self, dst: str, kind: str, payload, size_bytes: int = 256) -> None:

@@ -33,7 +33,6 @@ class ClusterConfig:
     overlay: OverlayConfig = field(default_factory=OverlayConfig)
     mind: MindConfig = field(default_factory=MindConfig)
     latency: LatencyModel = field(default_factory=LatencyModel)
-    bandwidth_bps: float = 10e6
     record_link_delays: bool = False
     #: Per-link bound on retained delay samples (None = unbounded).
     link_delay_sample_cap: Optional[int] = 8192
@@ -77,7 +76,6 @@ class MindCluster:
             self.sim,
             self.sites,
             latency_model=self.config.latency,
-            bandwidth_bps=self.config.bandwidth_bps,
             record_link_delays=self.config.record_link_delays,
             link_delay_sample_cap=self.config.link_delay_sample_cap,
             draw_block=self.config.latency_draw_block,
@@ -219,7 +217,8 @@ class MindCluster:
         ok = self.sim.run_until_predicate(lambda: bool(merged), timeout=timeout_s)
         if not ok:
             raise RuntimeError(f"histogram collection for {index} did not complete")
-        embedding = next_day_embedding(schema, merged[0])
+        depth = node.indices[index].versions.latest().code_depth
+        embedding = next_day_embedding(schema, merged[0], code_depth=depth)
         self.install_version(index, day_start, embedding, origin=node.address)
 
     # ------------------------------------------------------------------

@@ -18,7 +18,7 @@ the paper's application machinery:
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, ClassVar, Dict, List, Optional, Set, Tuple
 
 from repro.core.cuts import BalancedCuts, EvenCuts
 from repro.core.embedding import Embedding
@@ -32,7 +32,7 @@ from repro.core.triggers import Trigger, TriggerTable, new_trigger_id
 from repro.core.versioning import VersionedEmbedding
 from repro.net.message import Message
 from repro.overlay.code import Code, intern_code
-from repro.overlay.node import OverlayConfig, OverlayNode
+from repro.overlay.node import CONTROL_MSG_BYTES, OverlayConfig, OverlayNode
 from repro.storage.dac import DacConfig, DataAccessController
 from repro.storage.memtable import TimePartitionedStore
 
@@ -57,9 +57,12 @@ class MindConfig:
     #: is one, wins the race.
     attempt_timeout_s: float = 30.0
     dac: DacConfig = field(default_factory=DacConfig)
-    store_bucket_s: float = 300.0
-    record_wire_bytes: int = 120
-    response_base_bytes: int = 150
+
+
+#: Wire size of one record (an insert, replica or trigger fire), and the
+#: fixed part of a sub-query answer or sibling fetch carrying rows.
+RECORD_WIRE_BYTES = 120
+RESPONSE_BASE_BYTES = 150
 
 
 @dataclass
@@ -160,17 +163,43 @@ class _RetryLadder:
         self.attempt_timer = self.backoff_event = None
 
 
+class _Op:
+    """The lifecycle every originator-side op shares.
+
+    :meth:`MindNode._open` files an op in its table with a ``deadline``
+    (the cancel handle of the timer that ends it) and holds a ledger entry
+    under ``tag``; :meth:`MindNode._close` undoes all three, and
+    :meth:`MindNode._end` closes the op and calls :meth:`finish`.
+    """
+
+    tag: ClassVar[str]
+    deadline: Any = None
+
+    def finish(self, now: float) -> None:
+        """Tell the caller how the closed op stands."""
+
+
 @dataclass
-class _InsertOp:
+class _InsertOp(_Op):
     """Originator-side state of one insert: what to store, and its ladder."""
 
+    tag = "op:insert"
     metric: InsertMetric
     callback: Optional[Callable[[InsertMetric], None]]
     index: str
     record: Record
     replication: int
     ladder: _RetryLadder
-    timeout_event: Any = None
+
+    def finish(self, now: float, success: bool = False, hops: Optional[int] = None) -> None:
+        """With the defaults, failed (the deadline, a crash, or every
+        target exhausted)."""
+        self.ladder.cancel()
+        self.metric.end = now
+        self.metric.success = success
+        self.metric.hops = hops
+        if self.callback is not None:
+            self.callback(self.metric)
 
 
 @dataclass
@@ -193,7 +222,8 @@ class _RegionState:
 
 
 @dataclass
-class _QueryOp:
+class _QueryOp(_Op):
+    tag = "op:query"
     metric: QueryMetric
     query: RangeQuery
     #: ``query`` as a normalized rectangle, built once: every returned
@@ -210,7 +240,68 @@ class _QueryOp:
     inner_by_version: Dict[float, Dict[str, Any]] = field(default_factory=dict)
     replication: int = 0
     callback: Optional[Callable[[QueryMetric], None]] = None
-    timeout_event: Any = None
+
+    def finish(self, now: float) -> None:
+        """Complete when every region answered, else degraded."""
+        for region in self.regions.values():
+            region.ladder.cancel()
+        metric = self.metric
+        metric.failed_regions = set(self.failed_regions)
+        metric.end = now
+        metric.records = len(self.records)
+        metric.record_keys = set(self.records)
+        metric.results = list(self.records.values())
+        metric.complete = not self.failed_regions and not self.regions
+        metric.nodes_visited.discard(metric.origin)
+        if self.callback is not None:
+            self.callback(metric)
+
+
+@dataclass
+class _SiblingFetch(_Op):
+    """A sub-query answer held back while the split host's pre-split rows
+    are fetched (Section 3.4's sibling pointer)."""
+
+    tag = "op:sibling"
+    envelope: Dict[str, Any]
+    spawned: List[str]
+    #: The local matches by key, which the sibling's rows join.
+    matches: Dict[int, Dict[str, Any]]
+
+
+@dataclass
+class _TriggerReg(_Op):
+    """One trigger registration: the regions that have not acknowledged."""
+
+    tag = "op:trigger-reg"
+    pending: Set[str]
+    installed: Optional[Callable[[bool], None]]
+    answered: Set[str] = field(default_factory=set)
+    #: A region's routing failed.
+    failed: bool = False
+
+    def finish(self, now: float) -> None:
+        """Installed once every region acknowledged and none failed.  An
+        open registration always has a pending region, so its deadline
+        and a crash report ``False``."""
+        if self.installed is not None:
+            self.installed(not (self.failed or self.pending))
+
+
+@dataclass
+class _HistoCollection(_Op):
+    """One on-line histogram collection at its collector."""
+
+    tag = "op:histo"
+    merged: MultiDimHistogram
+    expected: int
+    callback: Callable[[MultiDimHistogram], None]
+    replies: int = 0
+
+    def finish(self, now: float) -> None:
+        """Hand over what merged: every expected reply, or those that beat
+        the deadline."""
+        self.callback(self.merged)
 
 
 #: The payload key carrying each flooded kind's originator-unique id.
@@ -242,17 +333,18 @@ class MindNode(OverlayNode):
         #: Flood ids draw from their own counter: op ids are printed in
         #: transcripts, so floods must not consume them.
         self._flood_counter = itertools.count(1)
+        #: Open ops by id, one table per kind (:meth:`_open`/:meth:`_close`).
         self._insert_ops: Dict[str, _InsertOp] = {}
         self._query_ops: Dict[str, _QueryOp] = {}
+        self._sibling_fetches: Dict[str, _SiblingFetch] = {}
+        self._histo_collections: Dict[str, _HistoCollection] = {}
+        self._trigger_regs: Dict[str, _TriggerReg] = {}
         #: Flood dedupe keys, insertion-ordered so the eviction in
         #: :meth:`_flood` can drop the oldest half at the cap (a dict
         #: used as an ordered set, like the overlay's ``_ring_seen``).
         self._seen_floods: Dict[Tuple, None] = {}
-        self._sibling_fetches: Dict[str, Dict[str, Any]] = {}
-        self._histo_collections: Dict[str, Dict[str, Any]] = {}
         self.trigger_table = TriggerTable()
         self._trigger_subs: Dict[str, Callable[[Record], None]] = {}
-        self._trigger_regs: Dict[str, Dict[str, Any]] = {}
         self.records_stored = 0
         self.replicas_stored = 0
         self.sibling_fetches = 0
@@ -321,8 +413,33 @@ class MindNode(OverlayNode):
             for old in list(self._seen_floods)[:2048]:
                 del self._seen_floods[old]
         for addr, _ in self.links():
-            self._send(addr, kind, payload, size_bytes=self.config.control_msg_bytes * 2)
+            self._send(addr, kind, payload, size_bytes=CONTROL_MSG_BYTES * 2)
         return True
+
+    def _open(self, table: Dict[str, _Op], op_id: str, op: _Op, deadline) -> None:
+        """Start an op: file it under ``op_id`` with its ``deadline``
+        handle, and hold a ledger entry for it."""
+        op.deadline = deadline
+        table[op_id] = op
+        if self._res is not None:
+            self._res.register(op.tag, self.address)
+
+    def _close(self, table: Dict[str, _Op], op_id: str) -> Optional[_Op]:
+        """End an op on any exit path: pop it, cancel its deadline and
+        release its ledger entry.  ``None`` if it was closed already."""
+        op = table.pop(op_id, None)
+        if op is not None:
+            op.deadline.cancel()
+            if self._res is not None:
+                self._res.release(op.tag, self.address)
+        return op
+
+    def _end(self, table: Dict[str, _Op], op_id: str, *args: Any) -> None:
+        """Close an op and tell its caller how it stands (``args`` go to
+        its :meth:`_Op.finish`); nothing if it was closed already."""
+        op = self._close(table, op_id)
+        if op is not None:
+            op.finish(self.sim.now, *args)
 
     # ==================================================================
     # Fail-stop crash
@@ -334,49 +451,36 @@ class MindNode(OverlayNode):
         this override they survived ``crash()`` — insert retry timers
         kept churning against the dead node (firing completion callbacks
         minutes late once attempts exhausted) and trigger registrations
-        stranded forever.  In-flight ops finish *failed* so harness
-        callbacks resolve honestly; sibling fetches and histogram
-        collections are dropped (their originator-side watchdogs cover
-        them).  Durable state — stores, indices, installed triggers —
-        survives like the prototype's MySQL, which churn recall depends
+        stranded forever.  Every open op is closed.  Inserts, queries and
+        trigger registrations also finish *failed*, so harness callbacks
+        resolve honestly; sibling fetches and histogram collections are
+        dropped unanswered.  Durable state — stores, indices, installed triggers
+        — survives like the prototype's MySQL, which churn recall depends
         on.
         """
         super().crash()
-        for op_id in list(self._insert_ops):
-            self._finish_insert(op_id)
-        for op_id in list(self._query_ops):
-            self._finish_query(op_id)
-        for fetch_id in list(self._sibling_fetches):
-            self._close_sibling_fetch(fetch_id)
-        for req_id in list(self._histo_collections):
-            self._histo_collections.pop(req_id)
-            if self._res is not None:
-                self._res.release("op:histo", self.address)
-        for reg_id in list(self._trigger_regs):
-            self._finish_trigger_registration(reg_id, failed=True)
+        for table in (self._insert_ops, self._query_ops, self._trigger_regs):
+            for op_id in list(table):
+                self._end(table, op_id)
+        for table in (self._sibling_fetches, self._histo_collections):
+            for op_id in list(table):
+                self._close(table, op_id)
 
     # ==================================================================
     # Index lifecycle (create_index / drop_index)
     # ==================================================================
-    def create_index(
-        self,
-        schema: IndexSchema,
-        strategy=None,
-        replication: int = 0,
-        code_depth: Optional[int] = None,
-    ) -> None:
+    def create_index(self, schema: IndexSchema, strategy=None, replication: int = 0) -> None:
         """Create and flood a new index from this node.
 
         ``strategy`` defaults to even cuts; pass a
         :class:`~repro.core.cuts.BalancedCuts` built from a histogram for
-        the load-balanced embedding.
+        the load-balanced embedding.  Codes are ``mind_config.code_depth``
+        bits deep.
         """
         if schema.name in self.indices:
             raise ValueError(f"index {schema.name} already exists")
         embedding = Embedding(
-            schema,
-            strategy or EvenCuts(),
-            code_depth=code_depth or self.mind_config.code_depth,
+            schema, strategy or EvenCuts(), code_depth=self.mind_config.code_depth
         )
         # Install what every other node will: the instance the wire form
         # resolves to, so the whole cluster derives one cut tree.
@@ -438,7 +542,7 @@ class MindNode(OverlayNode):
             schema=schema,
             versions=versions,
             replication=replication,
-            store=TimePartitionedStore(schema, bucket_s=self.mind_config.store_bucket_s),
+            store=TimePartitionedStore(schema),
             dac=DataAccessController(self.sim, self.mind_config.dac, self.speed_factor),
         )
 
@@ -549,10 +653,10 @@ class MindNode(OverlayNode):
         elif payload["kind"] == "trigger_install":
             reg = self._trigger_regs.get(payload["op_id"])
             if reg is not None:
-                reg["failed"] = True
-                reg["pending"].discard(payload["region"])
-                if not reg["pending"]:
-                    self._finish_trigger_registration(payload["op_id"])
+                reg.failed = True
+                reg.pending.discard(payload["region"])
+                if not reg.pending:
+                    self._end(self._trigger_regs, payload["op_id"])
         else:
             op = self._query_ops.get(payload["op_id"])
             valid_from = payload["version"]
@@ -594,12 +698,10 @@ class MindNode(OverlayNode):
             replication=state.replication,
             ladder=_RetryLadder(metric, code),
         )
-        op.timeout_event = self._schedule_coarse(
-            self.mind_config.insert_timeout_s, self._finish_insert, op_id
+        deadline = self._schedule_coarse(
+            self.mind_config.insert_timeout_s, self._end, self._insert_ops, op_id
         )
-        self._insert_ops[op_id] = op
-        if self._res is not None:
-            self._res.register("op:insert", self.address)
+        self._open(self._insert_ops, op_id, op, deadline)
         self._launch_insert_attempt(op_id)
         return op_id
 
@@ -647,24 +749,7 @@ class MindNode(OverlayNode):
         if ladder.fail_over(op.replication, depth):
             self._launch_insert_attempt(op_id)
         else:
-            self._finish_insert(op_id)
-
-    def _finish_insert(self, op_id: str, success: bool = False, hops: Optional[int] = None) -> None:
-        """Resolve an insert on any exit path; with the defaults, failed
-        (the op's deadline, a crash, or every target exhausted)."""
-        op = self._insert_ops.pop(op_id, None)
-        if op is None:
-            return
-        if op.timeout_event is not None:
-            op.timeout_event.cancel()
-        op.ladder.cancel()
-        if self._res is not None:
-            self._res.release("op:insert", self.address)
-        op.metric.end = self.sim.now
-        op.metric.success = success
-        op.metric.hops = hops
-        if op.callback is not None:
-            op.callback(op.metric)
+            self._end(self._insert_ops, op_id)
 
     def _arrive_insert(self, envelope: Dict[str, Any], state: IndexState) -> None:
         record = Record.from_wire(envelope["inner"]["record"])
@@ -717,7 +802,7 @@ class MindNode(OverlayNode):
                 addr,
                 "replica_store",
                 wire,
-                size_bytes=self.mind_config.record_wire_bytes,
+                size_bytes=RECORD_WIRE_BYTES,
                 tuples=1,
             )
 
@@ -738,7 +823,7 @@ class MindNode(OverlayNode):
         self._apply_insert_ack(msg.payload)
 
     def _apply_insert_ack(self, payload: Dict[str, Any]) -> None:
-        self._finish_insert(payload["op_id"], success=True, hops=payload["hops"])
+        self._end(self._insert_ops, payload["op_id"], True, payload["hops"])
 
     # ==================================================================
     # Query processing (Section 3.6)
@@ -769,12 +854,8 @@ class MindNode(OverlayNode):
             callback=callback,
             replication=state.replication,
         )
-        op.timeout_event = self.sim.schedule(
-            self.mind_config.query_timeout_s, self._query_timed_out, op_id
-        )
-        self._query_ops[op_id] = op
-        if self._res is not None:
-            self._res.register("op:query", self.address)
+        deadline = self.sim.schedule(self.mind_config.query_timeout_s, self._query_timed_out, op_id)
+        self._open(self._query_ops, op_id, op, deadline)
 
         time_dim = state.schema.time_dimension()
         for version_idx, seg_lo, seg_hi in segments:
@@ -890,7 +971,7 @@ class MindNode(OverlayNode):
         else:
             self._report_missing(op, region)
         if not op.regions:
-            self._finish_query(op_id)
+            self._end(self._query_ops, op_id)
 
     def _report_missing(self, op: _QueryOp, region: _RegionState) -> None:
         """Name a region that never answered by its primary identity (and
@@ -955,27 +1036,7 @@ class MindNode(OverlayNode):
             self._report_missing(op, region)
         if not op.regions:
             op.failed_regions.add("timeout")
-        self._finish_query(op_id)
-
-    def _finish_query(self, op_id: str) -> None:
-        op = self._query_ops.pop(op_id, None)
-        if op is None:
-            return
-        if self._res is not None:
-            self._res.release("op:query", self.address)
-        if op.timeout_event is not None:
-            op.timeout_event.cancel()
-        for region in op.regions.values():
-            region.ladder.cancel()
-        op.metric.failed_regions = set(op.failed_regions)
-        op.metric.end = self.sim.now
-        op.metric.records = len(op.records)
-        op.metric.record_keys = set(op.records)
-        op.metric.results = list(op.records.values())
-        op.metric.complete = not op.failed_regions and not op.regions
-        op.metric.nodes_visited.discard(self.address)
-        if op.callback is not None:
-            op.callback(op.metric)
+        self._end(self._query_ops, op_id)
 
     def _split_to_complement(
         self, envelope: Dict[str, Any], state: IndexState, qrect: NormRect, cell_op_id
@@ -1089,21 +1150,15 @@ class MindNode(OverlayNode):
             # (Section 3.4's sibling pointer).
             self.sibling_fetches += 1
             fetch_id = self._next_op_id()
-            self._sibling_fetches[fetch_id] = {
-                "envelope": envelope,
-                "spawned": spawned,
-                "matches": {row["key"]: row for row in matches},
-                # Watchdog: a sibling that received the fetch but died (or
-                # left the overlay) before replying sends neither data nor
-                # a failure — without a timer this entry lives forever and
-                # the sub-query response never goes out.  Time out and
-                # answer with the local matches we already have.
-                "timeout_event": self._schedule_coarse(
-                    self.mind_config.attempt_timeout_s, self._answer_sibling_fetch, fetch_id
-                ),
-            }
-            if self._res is not None:
-                self._res.register("op:sibling", self.address)
+            fetch = _SiblingFetch(envelope, spawned, {row["key"]: row for row in matches})
+            # Deadline: a sibling that received the fetch but died (or left
+            # the overlay) before replying sends neither data nor a
+            # failure, so without it the sub-query response never goes
+            # out.  It answers with the local matches we already have.
+            deadline = self._schedule_coarse(
+                self.mind_config.attempt_timeout_s, self._answer_sibling_fetch, fetch_id
+            )
+            self._open(self._sibling_fetches, fetch_id, fetch, deadline)
 
             def fetch_failed(msg, reason, _fid=fetch_id):
                 self._answer_sibling_fetch(_fid)
@@ -1137,33 +1192,20 @@ class MindNode(OverlayNode):
             msg.src,
             "sibling_data",
             {"fetch_id": payload["fetch_id"], "records": matches},
-            self.mind_config.response_base_bytes
-            + self.mind_config.record_wire_bytes * len(matches),
+            RESPONSE_BASE_BYTES + RECORD_WIRE_BYTES * len(matches),
         )
-
-    def _close_sibling_fetch(self, fetch_id: str) -> Optional[Dict[str, Any]]:
-        """Close out one sibling fetch on any exit path; None if already done."""
-        pending = self._sibling_fetches.pop(fetch_id, None)
-        if pending is None:
-            return None
-        event = pending["timeout_event"]
-        if event is not None:
-            event.cancel()
-        if self._res is not None:
-            self._res.release("op:sibling", self.address)
-        return pending
 
     def _answer_sibling_fetch(self, fetch_id: str, records=()) -> None:
         """Close the fetch and answer its sub-query: with the sibling's
-        ``records`` merged in, or — send failure, watchdog — with the local
+        ``records`` merged in, or — send failure, deadline — with the local
         matches alone."""
-        pending = self._close_sibling_fetch(fetch_id)
-        if pending is None:
+        fetch = self._close(self._sibling_fetches, fetch_id)
+        if fetch is None:
             return
-        matches = pending["matches"]
+        matches = fetch.matches
         for row in records:
             matches[row["key"]] = row
-        self._respond_query(pending["envelope"], pending["spawned"], list(matches.values()))
+        self._respond_query(fetch.envelope, fetch.spawned, list(matches.values()))
 
     def _on_sibling_data(self, msg: Message) -> None:
         self._answer_sibling_fetch(msg.payload["fetch_id"], msg.payload["records"])
@@ -1185,7 +1227,7 @@ class MindNode(OverlayNode):
             "attempt": envelope["inner"].get("attempt", 1),
             "failover": bool(envelope["inner"].get("failover", False)),
         }
-        size = self.mind_config.response_base_bytes + self.mind_config.record_wire_bytes * len(matches)
+        size = RESPONSE_BASE_BYTES + RECORD_WIRE_BYTES * len(matches)
         self._reply(
             envelope["origin"],
             "query_response",
@@ -1237,7 +1279,7 @@ class MindNode(OverlayNode):
                 self._track_spawned(op, valid_from, spawned, payload.get("attempt", 1))
             op.metric.regions += 1
         if not op.regions:
-            self._finish_query(payload["qid"])
+            self._end(self._query_ops, payload["qid"])
 
     def _track_spawned(self, op: _QueryOp, valid_from: float, bits: str, stamp: int) -> None:
         """Adopt a responder-spawned sub-query region into the retry machinery.
@@ -1304,21 +1346,14 @@ class MindNode(OverlayNode):
         embedding = state.versions.latest()
         prefix = embedding.query_prefix(rect)
         reg_id = self._next_op_id()
-        self._trigger_regs[reg_id] = {
-            "pending": {prefix.bits},
-            "answered": set(),
-            "failed": False,
-            "installed": installed,
-            # Watchdog: without it a registration whose final ack is lost
-            # (the installing node answered but the ack's sender died, or
-            # this originator was down when it arrived) strands forever —
-            # no attempt timer covers trigger installs.
-            "timeout_event": self.sim.schedule(
-                self.mind_config.query_timeout_s, self._finish_trigger_registration, reg_id, True
-            ),
-        }
-        if self._res is not None:
-            self._res.register("op:trigger-reg", self.address)
+        # Deadline: without it a registration whose final ack is lost (the
+        # installing node answered but the ack's sender died, or this
+        # originator was down when it arrived) strands forever — no
+        # attempt timer covers trigger installs.
+        deadline = self.sim.schedule(
+            self.mind_config.query_timeout_s, self._end, self._trigger_regs, reg_id
+        )
+        self._open(self._trigger_regs, reg_id, _TriggerReg({prefix.bits}, installed), deadline)
         inner = {
             "index": query.index,
             "reg_id": reg_id,
@@ -1353,26 +1388,14 @@ class MindNode(OverlayNode):
         if reg is None:
             return
         region = payload["region"]
-        if region not in reg["answered"]:
-            reg["answered"].add(region)
-            reg["pending"].discard(region)
+        if region not in reg.answered:
+            reg.answered.add(region)
+            reg.pending.discard(region)
             for spawned in payload["spawned"]:
-                if spawned not in reg["answered"]:
-                    reg["pending"].add(spawned)
-        if not reg["pending"]:
-            self._finish_trigger_registration(payload["reg_id"])
-
-    def _finish_trigger_registration(self, reg_id: str, failed: bool = False) -> None:
-        """Resolve a registration; ``failed`` is its watchdog or a crash (a
-        region's routing failure has marked ``reg["failed"]`` already)."""
-        reg = self._trigger_regs.pop(reg_id, None)
-        if reg is None:
-            return
-        reg["timeout_event"].cancel()
-        if self._res is not None:
-            self._res.release("op:trigger-reg", self.address)
-        if reg["installed"] is not None:
-            reg["installed"](not (failed or reg["failed"]))
+                if spawned not in reg.answered:
+                    reg.pending.add(spawned)
+        if not reg.pending:
+            self._end(self._trigger_regs, payload["reg_id"])
 
     def _fire_triggers(self, state: IndexState, record: Record) -> None:
         matches = self.trigger_table.matching(
@@ -1390,7 +1413,7 @@ class MindNode(OverlayNode):
                 "trigger_fire",
                 payload,
                 self._deliver_trigger_fire,
-                size_bytes=self.mind_config.record_wire_bytes,
+                size_bytes=RECORD_WIRE_BYTES,
             )
 
     def _on_trigger_fire(self, msg: Message) -> None:
@@ -1427,16 +1450,11 @@ class MindNode(OverlayNode):
         """
         state = self._state(index)
         req_id = self._next_op_id()
-        merged = MultiDimHistogram(state.schema.dimensions, granularity)
-        collection = {
-            "merged": merged,
-            "replies": 0,
-            "expected": expected_replies,
-            "callback": callback,
-        }
-        self._histo_collections[req_id] = collection
-        if self._res is not None:
-            self._res.register("op:histo", self.address)
+        collection = _HistoCollection(
+            MultiDimHistogram(state.schema.dimensions, granularity), expected_replies, callback
+        )
+        deadline = self.sim.schedule(timeout_s, self._end, self._histo_collections, req_id)
+        self._open(self._histo_collections, req_id, collection, deadline)
         payload = {
             "req_id": req_id,
             "index": index,
@@ -1446,7 +1464,6 @@ class MindNode(OverlayNode):
         }
         self._flood("histo_request", payload)
         self._histo_reply_local(payload)
-        self.sim.schedule(timeout_s, self._histo_finish, req_id)
         return req_id
 
     def _local_histogram(self, index: str, granularity: int, time_range) -> MultiDimHistogram:
@@ -1481,15 +1498,7 @@ class MindNode(OverlayNode):
         collection = self._histo_collections.get(payload["req_id"])
         if collection is None:
             return
-        collection["merged"].merge(MultiDimHistogram.from_wire(payload["histogram"]))
-        collection["replies"] += 1
-        if collection["replies"] >= collection["expected"]:
-            self._histo_finish(payload["req_id"])
-
-    def _histo_finish(self, req_id: str) -> None:
-        collection = self._histo_collections.pop(req_id, None)
-        if collection is None:
-            return
-        if self._res is not None:
-            self._res.release("op:histo", self.address)
-        collection["callback"](collection["merged"])
+        collection.merged.merge(MultiDimHistogram.from_wire(payload["histogram"]))
+        collection.replies += 1
+        if collection.replies >= collection.expected:
+            self._end(self._histo_collections, payload["req_id"])

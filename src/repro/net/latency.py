@@ -24,6 +24,9 @@ EARTH_RADIUS_KM = 6371.0
 FIBER_KM_PER_S = 200_000.0
 #: Real paths are not great circles; 1.6 is a common empirical inflation.
 ROUTE_FACTOR = 1.6
+#: Pareto shape of a pathological event's extra delay.  At 1.5 the tail
+#: has infinite variance: rare messages take tens of seconds.
+PATHOLOGY_ALPHA = 1.5
 
 
 def great_circle_km(a: Site, b: Site) -> float:
@@ -50,7 +53,8 @@ class LatencyModel:
         Probability that a message hits a PlanetLab-style pathology (swapped
         out VM, overloaded host) and picks up a Pareto-tailed extra delay.
     pathology_scale_s:
-        Minimum extra delay of a pathological event.
+        Minimum extra delay of a pathological event; the extra delay is
+        Pareto with shape :data:`PATHOLOGY_ALPHA`.
     """
 
     def __init__(
@@ -59,7 +63,6 @@ class LatencyModel:
         jitter_sigma: float = 0.15,
         pathology_prob: float = 0.003,
         pathology_scale_s: float = 0.4,
-        pathology_alpha: float = 1.5,
     ) -> None:
         if not 0.0 <= pathology_prob <= 1.0:
             raise ValueError("pathology_prob must be a probability")
@@ -67,7 +70,6 @@ class LatencyModel:
         self.jitter_sigma = jitter_sigma
         self.pathology_prob = pathology_prob
         self.pathology_scale_s = pathology_scale_s
-        self.pathology_alpha = pathology_alpha
 
     def propagation_s(self, src: Site, dst: Site) -> float:
         """Deterministic propagation component of the one-way delay.
@@ -83,5 +85,5 @@ class LatencyModel:
         jitter = rng.lognormvariate(0.0, self.jitter_sigma)
         delay = self.base_s + propagation * jitter
         if rng.random() < self.pathology_prob:
-            delay += self.pathology_scale_s * rng.paretovariate(self.pathology_alpha)
+            delay += self.pathology_scale_s * rng.paretovariate(PATHOLOGY_ALPHA)
         return delay

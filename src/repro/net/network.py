@@ -44,7 +44,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import checks
 from repro.checks import ISOLATE_COPY, ISOLATE_OFF
-from repro.net.latency import LatencyModel
+from repro.net.latency import PATHOLOGY_ALPHA, LatencyModel
 from repro.net.message import HEADER_BYTES, Message
 from repro.net.topology import Site
 from repro.sim.kernel import Simulator
@@ -52,6 +52,9 @@ from repro.sim.resources import ResourceLedger
 
 DeliverFn = Callable[[Message], None]
 FailFn = Callable[[Message, str], None]
+
+#: Time for a sender to learn that a connection attempt failed.
+FAIL_DETECT_S = 1.0
 
 
 def decimate_step(
@@ -196,8 +199,6 @@ class SimNetwork:
     bandwidth_bps:
         Per-directed-link bandwidth for transmission-time serialization.
         PlanetLab slices in 2004 were commonly capped around 10 Mbit/s.
-    fail_detect_s:
-        Time for a sender to learn that a connection attempt failed.
     record_link_delays:
         Keep (time, delay) samples per link (Figure 8 / 12 benches).
     link_delay_sample_cap:
@@ -226,7 +227,6 @@ class SimNetwork:
         sites: Dict[str, Site],
         latency_model: Optional[LatencyModel] = None,
         bandwidth_bps: float = 10e6,
-        fail_detect_s: float = 1.0,
         record_link_delays: bool = False,
         link_delay_sample_cap: Optional[int] = 8192,
         draw_block: int = 0,
@@ -244,7 +244,6 @@ class SimNetwork:
         self.sites = dict(sites)
         self.latency = latency_model or LatencyModel()
         self.bandwidth_bps = bandwidth_bps
-        self.fail_detect_s = fail_detect_s
         self.record_link_delays = record_link_delays
         self.link_delay_sample_cap = link_delay_sample_cap
         self.coalesce_window_s = coalesce_window_s
@@ -486,16 +485,14 @@ class SimNetwork:
                 jitter = jbuf.pop() if jbuf else self._refill_jitter()
                 latency = model.base_s + prop * jitter
                 if u < model.pathology_prob:
-                    latency += model.pathology_scale_s * rng.paretovariate(
-                        model.pathology_alpha
-                    )
+                    latency += model.pathology_scale_s * rng.paretovariate(PATHOLOGY_ALPHA)
             else:
                 latency = 0.0005 + u * 0.0005
         elif prop >= 0.0:
             model = self.latency
             latency = model.base_s + prop * rng.lognormvariate(0.0, model.jitter_sigma)
             if rng.random() < model.pathology_prob:
-                latency += model.pathology_scale_s * rng.paretovariate(model.pathology_alpha)
+                latency += model.pathology_scale_s * rng.paretovariate(PATHOLOGY_ALPHA)
         else:
             latency = 0.0005 + rng.random() * 0.0005
         delivery_time = start + transmission + latency
@@ -615,7 +612,7 @@ class SimNetwork:
         self.messages_failed += 1
         if on_fail is None:
             return
-        delay = 0.0 if immediate else self.fail_detect_s
+        delay = 0.0 if immediate else FAIL_DETECT_S
         # The zero-delay branch fires the failure continuation at the send
         # instant itself: the sender already *knows* the peer is down, so
         # there is no transmission to wait out.  ``on_fail`` is the

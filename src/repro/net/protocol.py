@@ -13,6 +13,8 @@ the protocol a checkable artifact:
 * :data:`ROUTED` declares the *routed* kinds carried inside a ``route``
   envelope's ``inner_kind``/``inner`` fields and dispatched by
   ``on_route_arrival``.
+* :func:`dispatch_table` builds each endpoint's kind-id handler table and
+  refuses a handler for a kind the registry does not declare.
 * :func:`validate_wire` checks a (kind, payload) pair against the registry;
   :class:`~repro.net.message.Message` calls it at construction time when
   validation is enabled (the "debug mode" used by the test suite), so any
@@ -27,7 +29,7 @@ the tests and anywhere via ``REPRO_PROTOCOL_VALIDATE=1``.
 """
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
 
 from repro import checks
 
@@ -260,6 +262,21 @@ ROUTED_IDS: Dict[str, int] = {name: i for i, name in enumerate(ROUTED)}
 def kind_id(kind: str) -> int:
     """The dense id of a direct kind (:data:`UNKNOWN_KIND_ID` if absent)."""
     return KIND_IDS.get(kind, UNKNOWN_KIND_ID)
+
+
+def dispatch_table(handlers: Mapping[str, Callable[..., None]]) -> List[Optional[Callable[..., None]]]:
+    """The flat handler table of one endpoint, indexed by kind id.
+
+    Raises :class:`ProtocolError` for a kind :data:`REGISTRY` does not
+    declare: a handler the table has no slot for could never be reached.
+    """
+    table: List[Optional[Callable[..., None]]] = [None] * (NUM_KINDS + 1)
+    for kind, handler in handlers.items():
+        kid = KIND_IDS.get(kind)
+        if kid is None:
+            raise ProtocolError(f"handler for unregistered message kind {kind!r}")
+        table[kid] = handler
+    return table
 
 
 def lookup(kind: str) -> Optional[MessageKind]:

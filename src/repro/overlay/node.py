@@ -36,6 +36,22 @@ from repro.overlay.routing import RouteDecision, next_hop, route_rows, table_nex
 from repro.overlay.neighbors import NeighborTable
 from repro.sim.kernel import Simulator
 
+#: A joiner (or a host waiting on split acks) gives up on a join round
+#: after this long, and a joiner backs off 1-2x ``JOIN_BACKOFF_S`` before
+#: its next round.
+JOIN_TIMEOUT_S = 8.0
+JOIN_BACKOFF_S = 1.0
+#: Expanding-ring recovery: probe floods grow one hop per round up to
+#: ``RING_MAX_TTL``, one round every ``RING_STEP_TIMEOUT_S``.
+RING_MAX_TTL = 6
+RING_STEP_TIMEOUT_S = 2.0
+#: Routed messages die after this many hops (covers pathological
+#: bouncing between stale-coded nodes during recovery transients).
+ROUTE_TTL = 24
+#: Wire size of one routing hop, and of a control message by default.
+ROUTE_MSG_BYTES = 320
+CONTROL_MSG_BYTES = 180
+
 
 @dataclass
 class OverlayConfig:
@@ -53,16 +69,9 @@ class OverlayConfig:
     #: deterministic — stream; default off so seeded experiments keep
     #: their exact per-draw sequence.  The scale perf tier opts in.
     service_draw_block: int = 0
-    join_timeout_s: float = 8.0
-    join_backoff_s: float = 1.0
     hb_interval_s: float = 10.0
     hb_timeout_s: float = 35.0
     liveness_enabled: bool = False
-    ring_max_ttl: int = 6
-    ring_step_timeout_s: float = 2.0
-    #: Routed messages die after this many hops (covers pathological
-    #: bouncing between stale-coded nodes during recovery transients).
-    route_ttl: int = 24
     #: Heartbeat piggybacking: skip the periodic heartbeat to a neighbor
     #: this node has sent *any* message within the window (every delivery
     #: refreshes the receiver's liveness clock, so the data traffic itself
@@ -71,8 +80,6 @@ class OverlayConfig:
     #: meant for stable-topology runs (the scale perf tier), not churn.
     hb_suppress_s: Optional[float] = None
     adoption_delay_s: float = 5.0
-    route_msg_bytes: int = 320
-    control_msg_bytes: int = 180
 
 
 @dataclass
@@ -215,16 +222,10 @@ class OverlayNode:
             "adopt_probe_ack": self._on_adopt_probe_ack,
             "adopt_probe_dead": self._on_adopt_probe_dead,
         }
-        # Flat dispatch table indexed by ``Message.kind_id``, built once on
-        # the first dispatch (``extra_handlers()`` needs the subclass
-        # __init__ to have finished) from ``_handlers`` + ``extra_handlers()``.
-        # A table index replaces two string dict probes per received
-        # message.  Slot ``UNKNOWN_KIND_ID`` (the last one) stays ``None``
-        # so unregistered kinds fall into the error path without a bounds
-        # check; handlers for kinds outside the wire registry (test-only
-        # kinds) keep working via the string-keyed overflow dict.
+        # Flat dispatch table indexed by ``Message.kind_id``
+        # (:func:`protocol.dispatch_table`), built on the first dispatch:
+        # ``extra_handlers()`` needs the subclass __init__ to have finished.
         self._dispatch_table: Optional[List[Optional[Callable[[Message], None]]]] = None
-        self._dispatch_overflow: Dict[str, Callable[[Message], None]] = {}
         # Greedy candidates per bit of the code (``route_rows``), valid
         # only for the link list they were built from (identity-checked:
         # links() returns a new list object whenever the link set or the
@@ -399,7 +400,7 @@ class OverlayNode:
         tuples: int = 0,
         on_fail=None,
     ) -> None:
-        size = size_bytes if size_bytes is not None else self.config.control_msg_bytes
+        size = size_bytes if size_bytes is not None else CONTROL_MSG_BYTES
         if self.config.hb_suppress_s is not None:
             self._last_sent[dst] = self.sim.now
         # Frame here and skip network.send's wrapper frame: this path runs
@@ -446,21 +447,6 @@ class OverlayNode:
         )
         return self._jitter_buf.pop()
 
-    def _build_dispatch_table(self) -> List[Optional[Callable[[Message], None]]]:
-        """Flatten ``_handlers`` + ``extra_handlers()`` into a kind-id table."""
-        table: List[Optional[Callable[[Message], None]]] = [None] * (protocol.NUM_KINDS + 1)
-        kind_ids = protocol.KIND_IDS
-        for source in (self._handlers, self.extra_handlers()):
-            for kind, handler in source.items():
-                kid = kind_ids.get(kind)
-                if kid is None:
-                    # repro-leak: ignore[leak-op-state] bounded by registered kinds
-                    self._dispatch_overflow[kind] = handler
-                else:
-                    table[kid] = handler
-        self._dispatch_table = table
-        return table
-
     def _dispatch(self, msg: Message) -> None:
         if not self.active:
             return
@@ -472,12 +458,12 @@ class OverlayNode:
             self._declared_dead.discard(msg.src)
         table = self._dispatch_table
         if table is None:
-            table = self._build_dispatch_table()
+            table = self._dispatch_table = protocol.dispatch_table(
+                {**self._handlers, **self.extra_handlers()}
+            )
         handler = table[msg.kind_id]
         if handler is None:
-            handler = self._dispatch_overflow.get(msg.kind)
-            if handler is None:
-                raise ValueError(f"{self.address}: no handler for message kind {msg.kind!r}")
+            raise ValueError(f"{self.address}: no handler for message kind {msg.kind!r}")
         handler(msg)
 
     # ==================================================================
@@ -493,7 +479,7 @@ class OverlayNode:
         if state is None:
             return
         state.clear_timeout()
-        state.timeout_event = self.sim.schedule(self.config.join_timeout_s, self._join_timed_out, state.attempt)
+        state.timeout_event = self.sim.schedule(JOIN_TIMEOUT_S, self._join_timed_out, state.attempt)
 
     def _join_timed_out(self, attempt: int) -> None:
         state = self._joiner_state
@@ -511,7 +497,7 @@ class OverlayNode:
             # whose split_done is slower than our timeout; tell it we left.
             self._send(state.host, "join_cancel", {})
             state.host = None
-        backoff = self.config.join_backoff_s * (1.0 + self._rng.random())
+        backoff = JOIN_BACKOFF_S * (1.0 + self._rng.random())
         self.sim.schedule(backoff, self._restart_join, state.attempt)
 
     def _restart_join(self, prev_attempt: int) -> None:
@@ -601,7 +587,7 @@ class OverlayNode:
         for addr in live_links:
             self._send(addr, "split_prepare", prepare)
         state.timeout_event = self.sim.schedule(
-            self.config.join_timeout_s, self._host_join_timed_out, state.round_id
+            JOIN_TIMEOUT_S, self._host_join_timed_out, state.round_id
         )
 
     def _host_join_timed_out(self, round_id: int) -> None:
@@ -689,7 +675,7 @@ class OverlayNode:
             state.joiner,
             "split_done",
             {"code": joiner_code.bits, "neighbors": table, "state": app_state},
-            size_bytes=self.config.control_msg_bytes * 4,
+            size_bytes=CONTROL_MSG_BYTES * 4,
         )
 
     # ==================================================================
@@ -858,46 +844,31 @@ class OverlayNode:
                 self._privatize_inner(envelope)
             self.on_route_arrival(envelope)
             return
-        if envelope["hops"] >= self.config.route_ttl:
+        if envelope["hops"] >= ROUTE_TTL:
             if not private_inner:
                 self._privatize_inner(envelope)
             self.on_route_failed(envelope, "ttl-exceeded")
             return
         links = self.links()
+        nxt = self._greedy_decision(target, links).next_hop
         exclude = envelope["exclude"]
         path = envelope["path"]
-        if exclude:
-            decision = next_hop(self.code, target, links, exclude=exclude, visited=path)
-        else:
-            # The table decision ignores ``visited``: when the global
-            # winner is not on the message's path the restricted
-            # (fresh-candidates-first) scan picks the same winner, so the
-            # table is exact; otherwise fall back to the full scan.
-            # ``visited`` never removes candidates — it only deprioritizes
-            # them — so a table "dead end" is a dead end for every
-            # message.
-            decision = self._greedy_decision(target, links)
-            if decision.next_hop is not None and decision.next_hop in path:
-                decision = next_hop(self.code, target, links, visited=path)
-        if decision.next_hop is None:
+        if nxt is not None and (nxt in path or (exclude and nxt in exclude)):
+            # Peers known to be unreachable and peers already on the path
+            # are both excluded.  A revisit would replay the same cycle
+            # until the TTL dies: a stale link entry (the peer crashed and
+            # rejoined under another code) bounces the message straight
+            # back.  The table winner is the best of the whole row, so
+            # only when it is excluded does the scan need the rest.
+            nxt = next_hop(self.code, target, links, exclude=exclude + path).next_hop
+        if nxt is None:
+            # Greedy dead end: expanding-ring recovery can escape through
+            # nodes outside the excluded set.
             if not private_inner:
                 self._privatize_inner(envelope)
             self._start_ring_recovery(envelope)
             return
-        if decision.next_hop in path:
-            # Every candidate toward the target's subtree is already on
-            # this message's path: the greedy scan fell back to a visited
-            # node, and with unchanged link tables re-forwarding replays
-            # the exact cycle until the TTL dies.  This happens when a
-            # link entry is stale — the peer crashed and rejoined under a
-            # different code, so it bounces the message straight back.
-            # Expanding-ring recovery can escape through nodes outside
-            # the cycle, so treat the revisit as a greedy dead end.
-            if not private_inner:
-                self._privatize_inner(envelope)
-            self._start_ring_recovery(envelope)
-            return
-        self._forward(envelope, decision.next_hop, private_inner)
+        self._forward(envelope, nxt, private_inner)
 
     def _greedy_decision(self, target: Code, links: List[Tuple[str, Code]]) -> RouteDecision:
         """``next_hop(self.code, target, links)`` through the per-dimension
@@ -926,7 +897,7 @@ class OverlayNode:
             nxt,
             "route",
             envelope,
-            size_bytes=self.config.route_msg_bytes,
+            size_bytes=ROUTE_MSG_BYTES,
             tuples=envelope.get("tuples", 0),
             on_fail=on_fail,
         )
@@ -941,9 +912,9 @@ class OverlayNode:
         subtree ``target[:match_len + 1]``, so every op with that dead end
         here shares one flood.  The probes carry the subtree as their
         target, which makes the remote found-test the same for every
-        waiter.  Each waiter is flooded for ``ring_max_ttl`` rounds from
+        waiter.  Each waiter is flooded for ``RING_MAX_TTL`` rounds from
         the round it parks in, so it fails at the first round at or after
-        ``park time + ring_max_ttl * ring_step_timeout_s``, never earlier.
+        ``park time + RING_MAX_TTL * RING_STEP_TIMEOUT_S``, never earlier.
         """
         bits = envelope["target"]
         subtree = bits[: self.match_len(intern_code(bits)) + 1]
@@ -954,7 +925,7 @@ class OverlayNode:
             ring = self._rings[subtree] = _Ring(self._ring_seq)
         else:
             self.ring_waits += 1
-        ring.waiters.append((ring.rounds + self.config.ring_max_ttl, envelope))
+        ring.waiters.append((ring.rounds + RING_MAX_TTL, envelope))
         if not ring.rounds:
             self._ring_round(subtree, ring.id)
 
@@ -977,7 +948,7 @@ class OverlayNode:
                 waiting.append((last_round, envelope))
         ring.waiters = waiting
         if waiting:
-            # TTL grows to ``ring_max_ttl``, then the ring re-floods at the
+            # TTL grows to ``RING_MAX_TTL``, then the ring re-floods at the
             # maximum while anything waits.  The probe id names the round:
             # ``_ring_seen`` drops a probe whose TTL it has already seen.
             probe = {
@@ -985,12 +956,12 @@ class OverlayNode:
                 "target": subtree,
                 "best_match": self.match_len(intern_code(subtree)),
                 "origin": self.address,
-                "ttl": min(ring.rounds, self.config.ring_max_ttl),
+                "ttl": min(ring.rounds, RING_MAX_TTL),
                 "visited": [self.address],
             }
             for addr, _ in self.links():
                 self._send(addr, "ring_probe", dict(probe, visited=[self.address]))
-            self.sim.schedule(self.config.ring_step_timeout_s, self._ring_round, subtree, ring.id)
+            self.sim.schedule(RING_STEP_TIMEOUT_S, self._ring_round, subtree, ring.id)
         else:
             del self._rings[subtree]
         for envelope in arrived:
@@ -1223,7 +1194,7 @@ class OverlayNode:
         # adopt only when nothing live answers.
         self._probe_seq += 1
         op_id = ("adopt-probe", self.address, self._probe_seq)
-        backstop = (self.config.ring_max_ttl + 2) * self.config.ring_step_timeout_s
+        backstop = (RING_MAX_TTL + 2) * RING_STEP_TIMEOUT_S
         self._pending_adoptions[dead_code.bits] = self.sim.schedule(
             backstop, self._adopt_now, dead_code.bits
         )

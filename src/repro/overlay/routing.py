@@ -18,7 +18,7 @@ expanding-ring recovery implemented in :mod:`repro.overlay.node`.
 The candidate set depends on the target only through ``i``, so a node
 keeps one row of candidates per bit of its code (:func:`route_rows`) and
 a hop looks its row up (:func:`table_next_hop`); :func:`next_hop` is the
-full scan, kept for hops that must skip excluded or visited peers.
+full scan, kept for hops that must skip excluded peers.
 """
 
 from dataclasses import dataclass
@@ -57,16 +57,13 @@ def next_hop(
     target: Code,
     links: Iterable[Tuple[str, Code]],
     exclude: Iterable[str] = (),
-    visited: Iterable[str] = (),
 ) -> RouteDecision:
     """Decide the next routing step toward ``target``.
 
     ``links`` is the node's live hypercube link set (address, code) pairs;
-    ``exclude`` lists addresses already known to be unreachable for this
-    message (greedy retries after a send failure).  ``visited`` lists
-    addresses already on the message's path: they are deprioritized — but
-    not forbidden — so recovery transients and retried attempts do not
-    ping-pong between the same pair of stale-coded nodes.
+    ``exclude`` lists addresses the message must not go to: peers known to
+    be unreachable for it, and the peers already on its path.  With every
+    candidate excluded the decision is a dead end.
     """
     # This loop runs once per link on every routed hop of every operation,
     # so the prefix algebra is inlined on Code's integer mirrors
@@ -90,13 +87,10 @@ def next_hop(
     # already in hand (no Code construction per routing decision).
     req_len = my_cpl + 1
     excluded = set(exclude) if exclude else ()
-    visited_set = set(visited) if visited else ()
-    # Fresh (unvisited) candidates, and already-visited fallbacks; tracked
-    # in plain locals since this loop is the routing hot spot.
+    # The best candidate so far, in plain locals since this loop is the
+    # routing hot spot.
     best_addr = best_code = None
     best_len = -1
-    vis_addr = vis_code = None
-    vis_len = -1
     for addr, code in links:
         if addr in excluded:
             continue
@@ -111,13 +105,8 @@ def next_hop(
             cap = c_len if c_len < req_len else req_len
             if (cpl if cpl < req_len else req_len) != cap:
                 continue
-        if addr not in visited_set:
-            if cpl > best_len or (cpl == best_len and best_code is not None and code < best_code):
-                best_addr, best_code, best_len = addr, code, cpl
-        elif cpl > vis_len or (cpl == vis_len and vis_code is not None and code < vis_code):
-            vis_addr, vis_code, vis_len = addr, code, cpl
-    if best_addr is None:
-        best_addr, best_code = vis_addr, vis_code
+        if cpl > best_len or (cpl == best_len and best_code is not None and code < best_code):
+            best_addr, best_code, best_len = addr, code, cpl
     if best_addr is None:
         return _DEAD_END
     return RouteDecision(arrived=False, next_hop=best_addr, next_code=best_code)
@@ -156,7 +145,7 @@ def route_rows(my_code: Code, links: Iterable[Tuple[str, Code]]) -> List[List[Ro
 def table_next_hop(
     my_code: Code, rows: Sequence[Sequence[RouteDecision]], target: Code
 ) -> RouteDecision:
-    """:func:`next_hop` without ``exclude``/``visited``, through ``rows``
+    """:func:`next_hop` without ``exclude``, through ``rows``
     (:func:`route_rows` of ``my_code`` and the same links).
 
     The xor of the two codes gives the row; a one-candidate row is the

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.cluster import ClusterConfig, MindCluster
+from repro.core.mind_node import MindConfig
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
@@ -99,3 +100,27 @@ def test_insert_now_timeout_raises():
     with pytest.raises(TimeoutError):
         # Target a region owned by a dead node (origin still up).
         cluster.insert_now("u", Record([99.0, 86000.0]), origin="node000", timeout_s=5.0)
+
+
+def test_rebalance_keeps_the_index_code_depth():
+    cluster = MindCluster(8, ClusterConfig(seed=124, mind=MindConfig(code_depth=10)))
+    cluster.build()
+    schema = IndexSchema(
+        "d",
+        attributes=[
+            AttributeSpec("x", 0.0, 100.0),
+            AttributeSpec("timestamp", 0.0, 7 * 86400.0, is_time=True),
+        ],
+    )
+    cluster.create_index(schema)
+    rng = cluster.sim.rng("t.depth")
+    for i in range(40):
+        record = Record([rng.uniform(0, 100), rng.uniform(0, 86400.0)])
+        cluster.insert_now("d", record, origin=cluster.nodes[i % 8].address)
+    versions = cluster.nodes[0].indices["d"].versions
+    assert versions.latest().code_depth == 10
+
+    cluster.rebalance_daily("d", day_start=86400.0, granularity=(64, 64))
+
+    assert len(versions.versions) == 2
+    assert versions.latest().code_depth == 10

@@ -79,6 +79,56 @@ def test_crash_releases_ledger_entries():
     cluster.close()
 
 
+def test_crash_closes_one_open_op_of_every_kind():
+    with checks.configure(track_resources=True):
+        cluster = build()
+    ledger = cluster.sim.resources
+    # A joined node answers its own share of a whole-space query; with a
+    # sibling pointer still covering the queried day it holds that answer
+    # back behind a sibling fetch.
+    origin = next(n for n in cluster.nodes if n.sibling_pointer is not None)
+    origin.sibling_pointer.held_until["f"] = 86400.0
+    origin.query_index(RangeQuery("f", {"timestamp": (0, 86400)}))
+    assert cluster.sim.run_until_predicate(lambda: bool(origin._sibling_fetches), timeout=5.0)
+    origin.insert_record("f", Record([1.0, 2.0]))
+    origin.create_trigger(RangeQuery("f", {"x": (0, 1000)}), lambda record: None)
+    histograms = []
+    origin.collect_histogram("f", (4, 4), (0.0, 86400.0), len(cluster.nodes), histograms.append)
+    tables = (
+        origin._insert_ops,
+        origin._query_ops,
+        origin._sibling_fetches,
+        origin._trigger_regs,
+        origin._histo_collections,
+    )
+    assert all(len(table) == 1 for table in tables)
+
+    origin.crash()
+
+    assert all(table == {} for table in tables)
+    assert [row for row in ledger.snapshot() if row[0].startswith("op:")] == []
+    # Dropped, not answered, and nothing left to fire later.
+    cluster.advance(120.0)
+    assert histograms == []
+    cluster.close()
+
+
+def test_completed_histogram_collection_leaves_no_event_queued():
+    # The last reply closes the collection and cancels its deadline, so
+    # nothing of it is left to fire at the timeout.
+    cluster = build(nodes=6)
+    collector = cluster.nodes[0]
+    histograms = []
+    start = cluster.sim.now
+    collector.collect_histogram(
+        "f", (4, 4), (0.0, 86400.0), len(cluster.nodes), histograms.append, timeout_s=60.0
+    )
+    cluster.sim.run_until_idle()
+    assert len(histograms) == 1
+    assert collector._histo_collections == {}
+    assert cluster.sim.now < start + 60.0
+
+
 def test_trigger_registration_watchdog_resolves_lost_ack():
     # A registration whose final ack is lost used to strand forever: no
     # attempt timer covers trigger installs.  Simulate the lost ack by
@@ -92,7 +142,7 @@ def test_trigger_registration_watchdog_resolves_lost_ack():
         RangeQuery("f", {"x": (0, 1000)}), lambda record: None, installed=installs.append
     )
     (reg_id,) = origin._trigger_regs
-    origin._trigger_regs[reg_id]["pending"].add("PHANTOM")
+    origin._trigger_regs[reg_id].pending.add("PHANTOM")
     cluster.advance(origin.mind_config.query_timeout_s + 10.0)
     assert installs == [False]
     assert origin._trigger_regs == {}

@@ -14,8 +14,16 @@ from repro.overlay.node import OverlayConfig
 from repro.traffic.indices import index1_schema
 
 INSERTS = 500
-#: The wheel callbacks an insert op parks: its deadline and its watchdog.
-_OP_TIMERS = (MindNode._finish_insert, MindNode._insert_attempt_failed)
+
+def _insert_timer_op(fn, args):
+    """The insert op id a wheel call belongs to, if it is one of the two
+    timers an insert parks: its deadline and its attempt watchdog."""
+    func = getattr(fn, "__func__", None)
+    if func is MindNode._end and args[0] is fn.__self__._insert_ops:
+        return args[1]
+    if func is MindNode._insert_attempt_failed:
+        return args[0]
+    return None
 
 
 def test_coalescing_cluster_keeps_only_live_state():
@@ -44,8 +52,9 @@ def test_coalescing_cluster_keeps_only_live_state():
     live = finished = 0
     for batch in cluster.network._call_wheel.values():
         for fn, args in batch:
-            if getattr(fn, "__func__", None) in _OP_TIMERS:
-                if args[0] in fn.__self__._insert_ops:
+            op_id = _insert_timer_op(fn, args)
+            if op_id is not None:
+                if op_id in fn.__self__._insert_ops:
                     live += 1
                 else:
                     finished += 1

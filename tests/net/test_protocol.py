@@ -3,9 +3,13 @@
 import pytest
 
 from repro import checks
+from repro.baselines.centralized import CentralizedSystem
+from repro.core.records import Record
+from repro.core.schema import AttributeSpec, IndexSchema
 from repro.net import protocol
 from repro.net.message import Message
 from repro.net.protocol import ProtocolError, validate_wire
+from repro.net.topology import ABILENE_SITES
 
 
 def test_registry_covers_every_layer():
@@ -72,3 +76,24 @@ def test_message_construction_validates_when_enabled():
             Message("a", "b", "heartbeat", {"cod": "0"})
     with checks.configure(validate=False):
         Message("a", "b", "totally-made-up", {"whatever": 1})
+
+
+def test_dispatch_table_refuses_an_unregistered_kind():
+    def handler(msg):
+        return None
+
+    table = protocol.dispatch_table({"heartbeat": handler})
+    assert len(table) == protocol.NUM_KINDS + 1
+    assert table[protocol.KIND_IDS["heartbeat"]] is handler
+    assert table[protocol.UNKNOWN_KIND_ID] is None
+    with pytest.raises(ProtocolError, match="unregistered message kind 'mystery'"):
+        protocol.dispatch_table({"heartbeat": handler, "mystery": handler})
+
+
+def test_baseline_node_with_an_unregistered_handler_raises_at_first_delivery():
+    schema = IndexSchema("b", attributes=[AttributeSpec("x", 0.0, 1000.0)])
+    system = CentralizedSystem(ABILENE_SITES[:3], schema)
+    server = system.by_address[system.server]
+    server.handlers["mystery"] = lambda msg: None
+    with pytest.raises(ProtocolError, match="mystery"):
+        system.insert_now(Record([1.0]), origin=ABILENE_SITES[1].name)

@@ -5,7 +5,7 @@ import pytest
 from repro.net.message import Message
 from repro.overlay.code import Code
 from repro.overlay.join import PendingPrepare
-from repro.overlay.node import OverlayConfig, OverlayNode
+from repro.overlay.node import JOIN_TIMEOUT_S, OverlayNode
 
 from tests.helpers import assert_prefix_free_cover, build_overlay, wire_bootstrap
 
@@ -157,16 +157,16 @@ def test_split_done_slower_than_the_join_timeout_orphans_nothing():
     def holding_send(msg, tuples, on_fail):
         if msg.kind == "split_done" and not held:
             held.append(msg)
-            sim.schedule(4 * joiner.config.join_timeout_s, send, msg, tuples, on_fail)
+            sim.schedule(4 * JOIN_TIMEOUT_S, send, msg, tuples, on_fail)
             return msg
         return send(msg, tuples, on_fail)
 
     network.send_framed = holding_send
     joiner.start_join(nodes[0].address)
-    assert sim.run_until_predicate(joiner.in_overlay, timeout=3 * joiner.config.join_timeout_s)
+    assert sim.run_until_predicate(joiner.in_overlay, timeout=3 * JOIN_TIMEOUT_S)
     assert held, "the first split_done was not held back"
     code = joiner.code
-    sim.run_until(sim.now + 6 * joiner.config.join_timeout_s)
+    sim.run_until(sim.now + 6 * JOIN_TIMEOUT_S)
 
     assert joiner.code == code
     assert_prefix_free_cover(overlay_codes(nodes + [joiner]))

@@ -6,7 +6,7 @@ import pytest
 
 from repro import checks
 from repro.overlay.code import Code
-from repro.overlay.node import OverlayConfig, OverlayNode
+from repro.overlay.node import RING_MAX_TTL, RING_STEP_TIMEOUT_S, OverlayConfig, OverlayNode
 from repro.overlay.routing import next_hop
 
 from tests.helpers import build_overlay
@@ -53,9 +53,12 @@ def test_next_hop_picks_longest_match():
 
 
 def test_next_hop_dead_end():
-    decision = next_hop(Code("0"), Code("1101"), links=[], exclude=[])
-    assert not decision.arrived
-    assert decision.next_hop is None
+    row = [("a", Code("10")), ("b", Code("110")), ("c", Code("111"))]
+    # No candidate at all, and every candidate excluded.
+    for links, exclude in (([], []), (row, ["a", "b", "c"])):
+        decision = next_hop(Code("0"), Code("1101"), links, exclude=exclude)
+        assert not decision.arrived
+        assert decision.next_hop is None
 
 
 def test_all_pairs_routing_delivers_to_owner():
@@ -164,6 +167,16 @@ def test_stale_link_cycle_falls_back_to_ring_recovery():
     )
     assert a.ring_recoveries + c.ring_recoveries >= 1
 
+    # One step in isolation: a's only candidate toward 000 ("b", under its
+    # stale code) is already on the path, so the envelope parks on a ring
+    # instead of going back to "b".
+    recoveries, forwarded = a.ring_recoveries, a.routes_forwarded
+    a._route_step({
+        "target": "000", "inner_kind": "probe", "inner": {"stale": 2}, "op_id": "revisit",
+        "origin": "b", "hops": 1, "path": ["b", "a"], "exclude": [], "attempt": 1, "tuples": 0,
+    })
+    assert (a.ring_recoveries, a.routes_forwarded) == (recoveries + 1, forwarded)
+
 
 def test_ring_finds_an_owner_whose_code_is_shorter_than_the_best_match():
     # Regression: "o" holds a stale fallback adoption of 0010111 (the
@@ -200,8 +213,7 @@ def _dead_end_rig(codes):
 
 def test_shared_ring_keeps_each_waiters_deadline():
     sim, o = _dead_end_rig({"o": "00", "r": "01"})
-    cfg = o.config
-    budget = cfg.ring_max_ttl * cfg.ring_step_timeout_s
+    budget = RING_MAX_TTL * RING_STEP_TIMEOUT_S
     starts = {}
     for n, (delay, bits) in enumerate(((0.0, "10"), (3.0, "1011"), (5.5, "11"))):
         starts[n] = sim.now + delay
@@ -214,7 +226,7 @@ def test_shared_ring_keeps_each_waiters_deadline():
     for n, f in failed.items():
         assert f["reason"] == "ring-exhausted"
         # Never earlier than the op's own budget, at most one round later.
-        assert starts[n] + budget <= f["at"] < starts[n] + budget + cfg.ring_step_timeout_s
+        assert starts[n] + budget <= f["at"] < starts[n] + budget + RING_STEP_TIMEOUT_S
 
 
 def test_op_into_a_different_subtree_runs_its_own_ring():
@@ -270,7 +282,7 @@ def test_restored_node_never_reuses_a_ring_id_its_peers_still_dedupe():
     # and answer only the third, four seconds late.
     sim, network, nodes = _rig({"o": "00", "r": "01", "b": "11"})
     o, r, b = (nodes[k] for k in "orb")
-    step = o.config.ring_step_timeout_s
+    step = RING_STEP_TIMEOUT_S
     o.neighbors.upsert("r", Code("01"))
     o.route(Code("11"), "probe", {"n": 0}, op_id="before-crash")
     sim.run_until(sim.now + 1.5 * step)

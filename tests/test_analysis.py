@@ -185,27 +185,31 @@ def test_dispatch_table_registration_keeps_coverage_checking(tmp_path):
     # interned kind id, but the tables are built at runtime from the
     # same sources the linter reads statically: the ``self._handlers``
     # dict literal and the baselines' ``handlers["kind"] = fn``
-    # assignments (preserved by the _HandlerRegistry shim).  This
-    # fixture mirrors both idioms, runtime table build included, and
-    # proves coverage checking still sees through them: handled kinds
-    # stay clean while a sent-but-unhandled kind and a dead registry
-    # entry are still flagged.
+    # assignments, both handed to one table builder.  This fixture
+    # mirrors both idioms, runtime table build included, and proves
+    # coverage checking still sees through them: handled kinds stay
+    # clean while a sent-but-unhandled kind and a dead registry entry
+    # are still flagged.
     path = write_fixture(
         tmp_path,
         """
         KIND_IDS = {"pong": 0, "ping": 1, "lost": 2}
+
+        def dispatch_table(handlers):
+            table = [None] * (len(KIND_IDS) + 1)
+            for kind, handler in handlers.items():
+                table[KIND_IDS[kind]] = handler
+            return table
 
         class Node:
             def __init__(self):
                 self._handlers = {"pong": self._on_pong}
                 self._dispatch_table = None
 
-            def _build_dispatch_table(self):
-                table = [None] * (len(KIND_IDS) + 1)
-                for kind, handler in self._handlers.items():
-                    table[KIND_IDS[kind]] = handler
-                self._dispatch_table = table
-                return table
+            def _dispatch(self, msg):
+                if self._dispatch_table is None:
+                    self._dispatch_table = dispatch_table(self._handlers)
+                self._dispatch_table[msg.kind_id](msg)
 
             def poke(self, dst):
                 self._send(dst, "pong", {"seq": 2})
@@ -215,23 +219,16 @@ def test_dispatch_table_registration_keeps_coverage_checking(tmp_path):
             def _on_pong(self, msg):
                 return msg.payload["seq"]
 
-        class _Registry(dict):
-            def __init__(self, owner):
-                super().__init__()
-                self._owner = owner
-
-            def __setitem__(self, kind, handler):
-                super().__setitem__(kind, handler)
-                self._owner._register(kind, handler)
-
         class BaselineNode:
             def __init__(self):
-                self.handlers = _Registry(self)
-                self._dispatch_table = [None] * (len(KIND_IDS) + 1)
+                self.handlers = {}
+                self._dispatch_table = None
                 self.handlers["ping"] = self._on_ping
 
-            def _register(self, kind, handler):
-                self._dispatch_table[KIND_IDS[kind]] = handler
+            def _deliver(self, msg):
+                if self._dispatch_table is None:
+                    self._dispatch_table = dispatch_table(self.handlers)
+                self._dispatch_table[msg.kind_id](msg)
 
             def _on_ping(self, msg):
                 return msg.payload["seq"]
