@@ -16,7 +16,7 @@ that allocated them.
 
 A full-size run refuses to start from a tree with ``repro.analysis``
 findings, appends one line to ``BENCH_HISTORY.jsonl`` at the repository
-root and exits non-zero unless the run is correct and inside the gates
+root (its ``tree`` names the commit it timed; see :func:`tree`) and exits non-zero unless the run is correct and inside the gates
 derived from the median of the history's last three lines with the same
 ``sim_digest`` that kept that gate (wall <= 1.1x, messages/s >= 0.9x,
 peak RSS <= 1.1x; see :func:`gates` for a new digest).
@@ -32,11 +32,12 @@ import math
 import multiprocessing
 import os
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Callable, Dict
+from typing import Any, Callable, Dict, Optional
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(os.path.dirname(HERE))
@@ -266,6 +267,30 @@ def overheads() -> Dict[str, float]:
     }
 
 
+def _git(root: str, *args: str) -> Optional[str]:
+    """``git args`` in ``root``: its stripped output, or ``None`` when it fails."""
+    try:
+        done = subprocess.run(["git", *args], cwd=root, capture_output=True, text=True,
+                              timeout=30)
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def tree(root: str) -> Optional[str]:
+    """The commit that holds the tree a run times, for its history line.
+
+    ``HEAD`` when the worktree is clean.  When tracked files differ from
+    ``HEAD``, ``git stash create``: a commit of the worktree, made without
+    touching the worktree, the index or the stash list (``git show`` reads
+    it back until ``git gc`` prunes it as unreachable).  Untracked files are
+    not captured.  ``None`` outside git, or when git cannot write the commit."""
+    stash = _git(root, "stash", "create")
+    if stash is None:
+        return None
+    return stash or _git(root, "rev-parse", "HEAD")
+
+
 def gates(tier: Dict[str, Any], digest: str) -> Dict[str, Any]:
     """Limits derived from the history, and whether ``tier`` kept them.
 
@@ -326,6 +351,8 @@ def main(argv=None) -> int:
                   "refusing to record from a failing tree", file=sys.stderr)
             return 1
 
+    # Named before the run: the worktree may change while it runs.
+    timed_tree = None if args.smoke else tree(ROOT)
     # Before the tier: on the heap it leaves behind, a collection of its
     # objects can land in either arm of a sanitizer's timing.
     costs = overheads()
@@ -334,6 +361,7 @@ def main(argv=None) -> int:
     tier = tier_summary(result)
     line = {
         "fingerprint": harness.fingerprint(ROOT),
+        "tree": timed_tree,
         "tier": tier,
         "counts": result["counts"],
         "sim_digest": result["sim_digest"],

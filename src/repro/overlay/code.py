@@ -6,7 +6,7 @@ live nodes always form a prefix-free set that covers the whole code space;
 :class:`Code` provides the prefix algebra everything else relies on.
 """
 
-from typing import Iterator
+from typing import Dict, Iterator
 
 
 _VALID_BITS = frozenset("01")
@@ -129,20 +129,33 @@ class Code:
         return Code(self.bits[:length])
 
 
-#: Shared instances for the routing hot path.  Codes are immutable values,
-#: so per-hop reconstruction from wire bits is pure overhead.  The table is
-#: not small: it keeps one entry per distinct code ever interned, and every
-#: routed insert interns its record's point code (a query split, the
-#: region codes it addresses), so it holds up to 2^(depth+1) entries (2^17
-#: at the default depth 16) for the life of the process.  After one ``insert_steady`` replica (256 nodes, seed 1) it held
-#: 21,768 entries, about 3.65 MB (168 B each: the bit string, the ``Code``
-#: and its integer mirror).
-_INTERNED: dict = {}
+#: Shared instances for the routing hot path.  Codes are immutable values
+#: compared by bits, so sharing one is only an optimisation: per-hop
+#: reconstruction from wire bits is pure overhead.  Every routed insert
+#: interns its record's point code, so a table keeping every code would
+#: grow with the data, up to 2^17 entries at the default depth 16.  It is
+#: two generations instead: a lookup tries ``_young``, then ``_old`` (a
+#: hit there puts the code back in ``_young``), and when ``_young`` reaches
+#: ``_GENERATION`` entries it replaces ``_old``, whose codes are freed once
+#: nothing else holds them.  A point code is hot only while its insert is
+#: in flight.  On the scale tier's engine at 1000 nodes and 2 records/s per
+#: node, generations of 512 build three times as many codes as generations
+#: of 4,096, and generations of 1,024 only 12% more: the hot set fits in
+#: about 1k entries, and 4,096 leaves four times that.
+_GENERATION = 4096
+_young: Dict[str, Code] = {}
+_old: Dict[str, Code] = {}
 
 
 def intern_code(bits: str) -> Code:
     """A shared :class:`Code` for ``bits`` (validating on first sight)."""
-    code = _INTERNED.get(bits)
+    global _young, _old
+    code = _young.get(bits)
     if code is None:
-        code = _INTERNED[bits] = Code(bits)
+        code = _old.get(bits)
+        if code is None:
+            code = Code(bits)
+        _young[bits] = code
+        if len(_young) >= _GENERATION:
+            _old, _young = _young, {}
     return code

@@ -6,6 +6,7 @@ around them as ``test_mixed_faults_edge.py`` does.
 """
 
 import json
+import subprocess
 from contextlib import contextmanager
 
 import pytest
@@ -103,6 +104,34 @@ def test_gates_on_an_empty_history_measure_the_run_against_itself(monkeypatch, t
     verdict = _gates_over([], monkeypatch, tmp_path, tier, "d")
     assert verdict["baseline"] == "none"
     assert all(verdict["passed"].values())
+
+
+def test_tree_names_head_when_clean_and_a_commit_of_the_worktree_when_dirty(
+        monkeypatch, tmp_path):
+    for variable in ("AUTHOR", "COMMITTER"):
+        monkeypatch.setenv(f"GIT_{variable}_NAME", "bench")
+        monkeypatch.setenv(f"GIT_{variable}_EMAIL", "bench@example.invalid")
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+
+    def git(*args):
+        return subprocess.run(["git", *args], cwd=tmp_path, check=True,
+                              capture_output=True, text=True).stdout.strip()
+
+    assert run.tree(str(tmp_path)) is None  # not a repository
+    git("init", "-q")
+    (tmp_path / "timed.py").write_text("WORK = 1\n")
+    git("add", "timed.py")
+    git("commit", "-q", "-m", "seed")
+    head = git("rev-parse", "HEAD")
+    assert run.tree(str(tmp_path)) == head
+
+    (tmp_path / "timed.py").write_text("WORK = 2\n")
+    dirty = run.tree(str(tmp_path))
+    assert dirty not in (None, head)
+    assert git("cat-file", "-t", dirty) == "commit"
+    assert git("show", f"{dirty}:timed.py") == "WORK = 2"
+    assert git("status", "--porcelain") == "M timed.py"  # the worktree is untouched
+    assert git("stash", "list") == ""
 
 
 @pytest.mark.parametrize("variable,value", [

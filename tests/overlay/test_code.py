@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.overlay.code import Code
+from repro.overlay import code as code_module
+from repro.overlay.code import Code, intern_code
 
 bits_st = st.text(alphabet="01", max_size=24)
 
@@ -101,3 +102,43 @@ def test_common_prefix_symmetry(a, b):
 def test_comparable_iff_full_prefix_match(a, b):
     ca, cb = Code(a), Code(b)
     assert ca.comparable(cb) == (ca.common_prefix_len(cb) == min(len(a), len(b)))
+
+
+@pytest.fixture
+def small_generations(monkeypatch):
+    """An empty intern table whose generations hold four codes each."""
+    monkeypatch.setattr(code_module, "_GENERATION", 4)
+    monkeypatch.setattr(code_module, "_young", {})
+    monkeypatch.setattr(code_module, "_old", {})
+
+
+def test_intern_table_keeps_at_most_two_generations(small_generations):
+    for i in range(50):
+        intern_code(format(i, "08b"))
+        assert len(code_module._young) < 4
+        assert len(code_module._old) <= 4
+    assert set(code_module._old) | set(code_module._young) <= {
+        format(i, "08b") for i in range(40, 50)
+    }
+
+
+def test_old_generation_hit_is_shared_and_survives_the_next_turnover(small_generations):
+    held = intern_code("0")
+    for bits in ("1", "10", "11"):
+        intern_code(bits)
+    assert "0" in code_module._old and "0" not in code_module._young
+    assert intern_code("0") is held
+    for bits in ("100", "101", "110"):
+        intern_code(bits)
+    assert intern_code("0") is held  # back in the young generation, not dropped
+
+
+def test_evicted_code_is_rebuilt_equal_to_the_one_a_caller_holds(small_generations):
+    held = intern_code("0101")
+    for i in range(8):
+        intern_code(format(i, "06b"))
+    rebuilt = intern_code("0101")
+    assert rebuilt is not held
+    assert rebuilt == held and hash(rebuilt) == hash(held)
+    assert {held: "region"}[rebuilt] == "region"
+    assert held.comparable(rebuilt) and rebuilt.common_prefix_len(held) == 4

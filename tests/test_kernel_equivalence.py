@@ -26,6 +26,7 @@ from repro.core.mind_node import MindConfig
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.net.topology import synthetic_planetlab_sites
+from repro.overlay import code as code_module
 from repro.overlay.node import OverlayConfig
 from repro.traffic.indices import index1_schema
 
@@ -134,3 +135,24 @@ def test_seeded_run_matches_pre_scale_golden():
     with checks.configure(fuzz="off"):
         digest = scenario_digest()
     assert digest == GOLDEN_DIGEST
+
+
+def test_two_code_generations_of_two_leave_the_run_unchanged(monkeypatch):
+    """Interning codes is only an optimisation: with generations of two the
+    table holds at most three codes, so codes are rebuilt over and over,
+    and the transcript and every query's key set match a default run."""
+
+    def run():
+        with checks.configure(fuzz="off"):
+            cluster = run_scenario()
+        keys = [sorted(m.record_keys) for m in cluster.metrics.queries]
+        return hashlib.sha256(canonical_transcript(cluster).encode()).hexdigest(), keys
+
+    default = run()
+    monkeypatch.setattr(code_module, "_GENERATION", 2)
+    monkeypatch.setattr(code_module, "_young", {})
+    monkeypatch.setattr(code_module, "_old", {})
+    tiny = run()
+    assert 0 < len(code_module._young) + len(code_module._old) <= 3
+    assert tiny == default
+    assert tiny[0] == GOLDEN_DIGEST
