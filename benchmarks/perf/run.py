@@ -343,7 +343,7 @@ def main(argv=None) -> int:
     if not args.smoke:
         # Nondeterminism or protocol drift makes a recorded number
         # unreproducible, so a failing tree records nothing.
-        lint = analyze_paths([os.path.join(ROOT, "src", "repro")], check_coverage=True)
+        lint = analyze_paths([os.path.join(ROOT, "src", "repro")])
         if not lint.ok:
             for finding in lint.active:
                 print(finding.render(), file=sys.stderr)

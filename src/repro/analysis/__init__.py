@@ -3,12 +3,12 @@ the repo's own AST.
 
 Five linters guard the invariants the paper's protocols rest on:
 
-* the **protocol linter** (:mod:`repro.analysis.protocol_lint`)
-  cross-checks every send site and handler registration in the code
-  against the wire-protocol registry in :mod:`repro.net.protocol` —
-  kinds nobody handles, handlers nobody sends to, handlers for
-  undeclared kinds and payload keys a handler reads but the kind does
-  not declare are all analysis-time errors;
+* the **protocol linter** (:mod:`repro.analysis.protocol_lint`) checks
+  that every handler, direct or routed, reads only payload keys its
+  kind declares in the wire-protocol registry
+  (:mod:`repro.net.protocol`); which kinds exist, are sent and are
+  handled is checked by the dispatch tables, the runtime validation and
+  a tier-1 structural test instead;
 * the **determinism linter** (:mod:`repro.analysis.determinism_lint`)
   forbids hash-ordered set iteration in the simulated subsystems, so a
   single master seed reproduces an entire experiment;
@@ -21,7 +21,7 @@ Five linters guard the invariants the paper's protocols rest on:
 * the **event-ordering analyzer** (:mod:`repro.analysis.ordering_lint`,
   aka *repro-race*) flags code whose behaviour depends on the kernel's
   same-timestamp tie-break order — zero-delay read-modify-writes, float
-  equality against the clock, ``.seq`` reads, non-commuting handlers —
+  equality against the clock, non-commuting handlers —
   backstopped at runtime by the ``REPRO_SCHEDULE_FUZZ`` perturbation
   sanitizer in :mod:`repro.sim.events`;
 * the **lifecycle analyzer** (:mod:`repro.analysis.lifecycle_lint`, aka

@@ -143,8 +143,8 @@ def container_bindings(
                     yield name, kind
 
 
-def send_site(call: ast.Call) -> Optional[Tuple[Optional[ast.AST], Optional[ast.AST], bool]]:
-    """``(kind node, payload node, routed)`` if ``call`` is a send site.
+def send_site(call: ast.Call) -> Optional[Tuple[Optional[ast.AST], Optional[ast.AST]]]:
+    """``(kind node, payload node)`` if ``call`` is a send site.
 
     The repo's send shapes, written once for every lint:
     ``self._send(dst, kind, payload)``, ``self._reply(origin, kind,
@@ -158,7 +158,7 @@ def send_site(call: ast.Call) -> Optional[Tuple[Optional[ast.AST], Optional[ast.
     args = call.args
     if name == "Message":
         keywords = {kw.arg: kw.value for kw in call.keywords}
-        return keywords.get("kind"), keywords.get("payload"), False
+        return keywords.get("kind"), keywords.get("payload")
     if name in ("_send", "_reply", "route"):
         at = 1
     elif name == "_flood":
@@ -175,4 +175,4 @@ def send_site(call: ast.Call) -> Optional[Tuple[Optional[ast.AST], Optional[ast.
         return None
     if len(args) <= at:
         return None
-    return args[at], args[at + 1] if len(args) > at + 1 else None, name == "route"
+    return args[at], args[at + 1] if len(args) > at + 1 else None

@@ -5,24 +5,10 @@ from typing import Dict, List, Tuple
 
 #: Rule id -> one-line description.  The ids double as suppression tags:
 #: ``# repro-lint: ignore[det-set-iteration]``.  A rule earns its place
-#: by what it has caught in the repo's own code (DESIGN.md §7 keeps the
-#: record); one that never fires outside its fixtures is a deletion
-#: candidate.
+#: by what it has caught in the repo's own code, or by being the only
+#: check of its bug (DESIGN.md §7 keeps the record, and a tier-1 test
+#: keeps its table and this catalog the same set of rules).
 RULES = {
-    "protocol-unhandled-kind": (
-        "a message kind is sent but no handler for it is registered "
-        "anywhere in the analyzed code"
-    ),
-    "protocol-unsent-kind": (
-        "a handler is registered for a kind that nothing ever sends "
-        "(dead protocol surface)"
-    ),
-    "protocol-unregistered-handler": (
-        "a handler is registered for a kind missing from the registry"
-    ),
-    "protocol-dead-kind": (
-        "a registry entry is neither sent nor handled anywhere"
-    ),
     "protocol-undeclared-key": (
         "a handler reads a payload key the kind's declaration does not "
         "list as required or optional"
@@ -55,10 +41,6 @@ RULES = {
         "float ==/!= against the simulation clock (*.now) or an event "
         "timestamp for control flow; exact-tie tests fork behaviour on "
         "float rounding and tie order"
-    ),
-    "order-seq-dependence": (
-        "a read of .seq outside the queue internals observes event "
-        "insertion order, which the deployed WAN does not provide"
     ),
     "order-handler-commute": (
         "two handlers of the same node plain-overwrite the same self.* "

@@ -10,8 +10,8 @@ what more than one lint needs:
 * handler registrations — the ``self._handlers = {"kind": self._on_x}``
   table, ``extra_handlers`` return dicts, baseline
   ``node.handlers["kind"] = fn`` assignments (including handler
-  factories), and routed dispatch via ``inner_kind == "..."`` /
-  ``inner_kind in (...)`` comparisons;
+  factories), and the routed table ``self._routed``, whose entries pair
+  an arrival and a failure handler (``self._routed["kind"] = (a, f)``);
 * its inline ``# repro-*: ignore[...]`` comments.
 
 :class:`FunctionScoped` is the visitor base the lints share: it knows the
@@ -31,8 +31,6 @@ from repro.analysis.suppressions import inline_ignores
 @dataclass
 class SendSite:
     kind: str
-    routed: bool
-    path: str
     line: int
     payload: Optional[ast.AST]
     func: Optional[ast.FunctionDef]
@@ -43,13 +41,10 @@ class SendSite:
 class HandlerReg:
     kind: str
     routed: bool
-    path: str
-    line: int
     #: Name of the handler method/factory in the same module, if resolvable.
     func_name: Optional[str]
     #: True when ``func_name`` is a factory whose nested def is the handler.
     factory: bool
-    context: str
 
 
 @dataclass
@@ -109,22 +104,14 @@ class FunctionScoped(ast.NodeVisitor):
         )
 
 
-def _is_inner_kind_expr(node: ast.AST) -> bool:
-    """``inner_kind`` or ``<envelope>["inner_kind"]``."""
-    if isinstance(node, ast.Name) and node.id == "inner_kind":
+def _table_is_routed(node: ast.AST) -> Optional[bool]:
+    """Whether ``node`` names the routed table (``True``), a direct handler
+    table (``False``, any ``*handlers`` attribute) or neither (``None``)."""
+    name = attr_name(node)
+    if name == "_routed":
         return True
-    return isinstance(node, ast.Subscript) and const_str(node.slice) == "inner_kind"
-
-
-def guard_kind(test: ast.AST) -> Optional[str]:
-    """The kind name if ``test`` is ``inner_kind == "x"``-shaped."""
-    if (
-        isinstance(test, ast.Compare)
-        and len(test.ops) == 1
-        and isinstance(test.ops[0], ast.Eq)
-        and _is_inner_kind_expr(test.left)
-    ):
-        return const_str(test.comparators[0])
+    if name is not None and name.endswith("handlers"):
+        return False
     return None
 
 
@@ -145,101 +132,58 @@ class _Collector(FunctionScoped):
             self._handler_dict(node.value)
         self.generic_visit(node)
 
-    def _register(
-        self, kind: str, line: int, func_name: Optional[str], *, routed: bool = False,
-        factory: bool = False,
-    ) -> None:
-        self.module.handlers.append(
-            HandlerReg(
-                kind=kind,
-                routed=routed,
-                path=self.module.path,
-                line=line,
-                func_name=func_name,
-                factory=factory,
-                context=self.context(kind),
-            )
-        )
-
     # -- handler tables -------------------------------------------------
-    def _handler_dict(self, node: ast.Dict) -> None:
+    def _register(self, kind: str, value: ast.AST, routed: bool) -> None:
+        """Register the handler(s) ``value`` names for ``kind``.
+
+        A routed entry is an (arrival, failure) tuple: each is a handler.
+        """
+        for handler in value.elts if routed and isinstance(value, ast.Tuple) else (value,):
+            func_name = attr_name(handler)
+            factory = False
+            if func_name is None and isinstance(handler, ast.Call):
+                # node.handlers["kind"] = factory(...)
+                func_name = attr_name(handler.func)
+                factory = func_name is not None
+            self.module.handlers.append(HandlerReg(kind, routed, func_name, factory))
+
+    def _handler_dict(self, node: ast.Dict, routed: bool = False) -> None:
         for key, value in zip(node.keys, node.values):
             kind = const_str(key)
             if kind is not None:
-                self._register(kind, key.lineno, attr_name(value))
+                self._register(kind, value, routed)
+
+    def _table_assign(self, target: ast.AST, value: ast.AST) -> None:
+        # self._handlers = {...} / node.handlers["kind"] = fn
+        subscript = isinstance(target, ast.Subscript)
+        routed = _table_is_routed(target.value if subscript else target)
+        if routed is None:
+            return
+        if subscript:
+            kind = const_str(target.slice)
+            if kind is not None:
+                self._register(kind, value, routed)
+        elif isinstance(value, ast.Dict):
+            self._handler_dict(value, routed)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        # self._handlers: Dict[str, Handler] = {...}
-        name = attr_name(node.target)
-        if name is not None and name.endswith("handlers") and isinstance(node.value, ast.Dict):
-            self._handler_dict(node.value)
+        if node.value is not None:
+            self._table_assign(node.target, node.value)
         self.generic_visit(node)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            # self._handlers = {...}
-            name = attr_name(target)
-            if name is not None and name.endswith("handlers") and isinstance(node.value, ast.Dict):
-                self._handler_dict(node.value)
-            # node.handlers["kind"] = fn / factory(...)
-            if (
-                isinstance(target, ast.Subscript)
-                and isinstance(target.value, ast.Attribute)
-                and target.value.attr == "handlers"
-            ):
-                kind = const_str(target.slice)
-                if kind is not None:
-                    func_name = attr_name(node.value)
-                    factory = False
-                    if func_name is None and isinstance(node.value, ast.Call):
-                        func_name = attr_name(node.value.func)
-                        factory = func_name is not None
-                    self._register(kind, node.lineno, func_name, factory=factory)
-        self.generic_visit(node)
-
-    # -- routed dispatch ------------------------------------------------
-    def visit_If(self, node: ast.If) -> None:
-        test = node.test
-        if isinstance(test, ast.Compare) and _is_inner_kind_expr(test.left):
-            kinds: List[Tuple[str, int]] = []
-            for comparator in test.comparators:
-                value = const_str(comparator)
-                if value is not None:
-                    kinds.append((value, comparator.lineno))
-                elif isinstance(comparator, (ast.Tuple, ast.List, ast.Set)):
-                    kinds.extend(
-                        (k, elt.lineno)
-                        for elt in comparator.elts
-                        for k in (const_str(elt),)
-                        if k is not None
-                    )
-            # `inner_kind == "x"`: the branch body names the handler.
-            dispatch_target: Optional[str] = None
-            if len(test.ops) == 1 and isinstance(test.ops[0], ast.Eq):
-                for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.Expr)
-                        and isinstance(stmt.value, ast.Call)
-                        and attr_name(stmt.value.func) is not None
-                    ):
-                        dispatch_target = attr_name(stmt.value.func)
-                        break
-            for kind, line in kinds:
-                self._register(
-                    kind, line, dispatch_target if len(kinds) == 1 else None, routed=True
-                )
+            self._table_assign(target, node.value)
         self.generic_visit(node)
 
     # -- send sites ------------------------------------------------------
     def visit_Call(self, node: ast.Call) -> None:
-        kind_node, payload, routed = send_site(node) or (None, None, False)
+        kind_node, payload = send_site(node) or (None, None)
         kind = const_str(kind_node)
         if kind is not None:
             self.module.sends.append(
                 SendSite(
                     kind=kind,
-                    routed=routed,
-                    path=self.module.path,
                     line=node.lineno,
                     payload=payload,
                     func=self.func_stack[-1] if self.func_stack else None,

@@ -1,10 +1,10 @@
 """repro-race: static detection of event-order dependence.
 
-The kernel delivers same-timestamp events in insertion (``seq``) order,
+The kernel delivers same-timestamp events in insertion order,
 but the deployed WAN the simulation stands in for gives no such
 guarantee — and the schedule-fuzz sanitizer (``REPRO_SCHEDULE_FUZZ``)
 actively perturbs it.  Code is only correct if every same-timestamp
-interleaving produces the same semantics, so this linter flags the four
+interleaving produces the same semantics, so this linter flags three
 ways the tree can smuggle in an ordering assumption:
 
 * ``order-zero-delay`` — a ``schedule(0, ...)`` / ``schedule_at(now,
@@ -22,11 +22,6 @@ ways the tree can smuggle in an ordering assumption:
   of them is rescheduled through a float round-trip; exact-tie tests
   turn that rounding into a behavioural fork.  Ordering-safe inequality
   comparisons (``deadline <= now``) are deliberately not flagged.
-* ``order-seq-dependence`` — a read of ``.seq`` outside the queue
-  internals.  ``Event.seq`` *is* the insertion order; observing it is
-  observing the tie-break the WAN does not provide.  (The fuzzed tie
-  key deliberately lives in a separate slot, ``Event.key``, so the
-  queue itself never trips this.)
 * ``order-handler-commute`` — two message handlers of the same node
   both plain-assign the same ``self.*`` attribute.  Handlers fire in
   message-arrival order, two messages can share a timestamp, and a
@@ -37,7 +32,7 @@ ways the tree can smuggle in an ordering assumption:
 
 Scope (see :mod:`repro.analysis.runner`): the simulated subsystems,
 minus the event queue and kernel themselves — they implement the
-tie-break and legitimately touch ``seq``, ``now`` and zero delays.
+tie-break and legitimately compare times and schedule zero delays.
 """
 
 import ast
@@ -223,17 +218,6 @@ class _OrderingVisitor(FunctionScoped):
                     "race, not a state; compare with tolerance or restructure",
                     detail,
                 )
-        self.generic_visit(node)
-
-    # -- order-seq-dependence --------------------------------------------
-    def visit_Attribute(self, node: ast.Attribute) -> None:
-        if node.attr == "seq" and isinstance(node.ctx, ast.Load):
-            self.report(
-                node, "order-seq-dependence",
-                "read of .seq observes event insertion order, which the "
-                "deployed WAN does not provide; key on explicit state instead",
-                "seq",
-            )
         self.generic_visit(node)
 
 

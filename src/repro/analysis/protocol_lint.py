@@ -1,19 +1,20 @@
-"""Cross-check of the module model's sends and handlers against the wire registry.
+"""Payload-key reads inside handlers, checked against the wire registry.
 
-The send sites and handler registrations come from
-:mod:`repro.analysis.model`.  This lint adds payload reads inside
-handlers — ``msg.payload["key"]``, aliases (``payload = msg.payload``),
+The handler registrations come from :mod:`repro.analysis.model`.  This
+lint collects the payload reads inside each handler —
+``msg.payload["key"]``, aliases (``payload = msg.payload``),
 ``.get("key")`` calls, one level of helper propagation
 (``self._apply_x(msg.payload)``), and for routed handlers both the
-envelope's keys and the ``inner`` dict's keys.
+envelope's keys and the ``inner`` dict's keys — and reports
+``protocol-undeclared-key`` for a key the kind does not declare.
 
-Checks (rule ids in :mod:`repro.analysis.findings`): sent kinds with no
-handler, handled kinds nobody sends, handlers for unregistered kinds,
-dead registry entries, and undeclared payload-key reads.  What a send
-carries is checked at runtime instead: with ``REPRO_PROTOCOL_VALIDATE``
-on (suite-wide in the tests) every ``Message`` is validated against the
-registry — unknown kinds, missing required keys and undeclared keys all
-raise :class:`repro.net.protocol.ProtocolError`.
+The rest of the protocol is checked where it is cheaper to check:
+``protocol.dispatch_table`` refuses a handler for an unregistered kind,
+a tier-1 test compares the registry with the live handler tables, and
+with ``REPRO_PROTOCOL_VALIDATE`` on (suite-wide in the tests) every
+``Message`` is validated against the registry at its send.  None of
+those sees a handler read a key no sender puts in: through ``.get`` it
+silently reads ``None``.
 """
 
 import ast
@@ -22,7 +23,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.astutil import attr_name, const_str, is_msg_payload
 from repro.analysis.findings import Sink
-from repro.analysis.model import HandlerReg, Module, SendSite, guard_kind
+from repro.analysis.model import HandlerReg, Module
 from repro.net.protocol import ENVELOPE_KEYS, MessageKind
 
 _ENVELOPE_KEY_SET = frozenset(ENVELOPE_KEYS)
@@ -32,24 +33,10 @@ _ENVELOPE_KEY_SET = frozenset(ENVELOPE_KEYS)
 class _Read:
     key: str
     line: int
-    #: positive ``inner_kind == "x"`` guard in effect, if any
-    guard: Optional[str]
-    #: kinds excluded by enclosing else-branches of guarded ifs
-    excluded: Tuple[str, ...]
-
-    def applies_to(self, kind: str) -> bool:
-        if self.guard is not None and self.guard != kind:
-            return False
-        return kind not in self.excluded
 
 
 class _PayloadReads(ast.NodeVisitor):
-    """Collect constant payload-key reads within one handler function.
-
-    Reads are tagged with any enclosing ``inner_kind == "x"`` guard so a
-    shared routed-failure path (one function switching on the inner kind)
-    is checked branch-by-branch instead of every read against every kind.
-    """
+    """Collect constant payload-key reads within one handler function."""
 
     def __init__(self, payload_names: Set[str], msg_names: Set[str]) -> None:
         self.payload_names = set(payload_names)
@@ -62,27 +49,6 @@ class _PayloadReads(ast.NodeVisitor):
         self.inner_reads: List[_Read] = []
         #: helper calls receiving the payload: (callee name, line)
         self.forwards: List[Tuple[str, int]] = []
-        self._guard: Optional[str] = None
-        self._excluded: Set[str] = set()
-
-    def _read(self, key: str, line: int) -> _Read:
-        return _Read(key, line, self._guard, tuple(sorted(self._excluded)))
-
-    def visit_If(self, node: ast.If) -> None:
-        kind = guard_kind(node.test)
-        if kind is None:
-            self.generic_visit(node)
-            return
-        self.visit(node.test)
-        prev_guard = self._guard
-        self._guard = kind
-        for stmt in node.body:
-            self.visit(stmt)
-        self._guard = prev_guard
-        self._excluded.add(kind)
-        for stmt in node.orelse:
-            self.visit(stmt)
-        self._excluded.discard(kind)
 
     def _is_payload(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Name) and node.id in self.payload_names:
@@ -103,9 +69,9 @@ class _PayloadReads(ast.NodeVisitor):
         if key is None:
             return
         if self._is_payload(container):
-            self.reads.append(self._read(key, line))
+            self.reads.append(_Read(key, line))
         elif self._is_inner(container):
-            self.inner_reads.append(self._read(key, line))
+            self.inner_reads.append(_Read(key, line))
 
     def visit_Assign(self, node: ast.Assign) -> None:
         value = node.value
@@ -168,27 +134,12 @@ def lint_protocol(
     sink: Sink,
     registry: Dict[str, MessageKind],
     routed: Dict[str, MessageKind],
-    check_coverage: bool = True,
 ) -> None:
-    sent: Dict[Tuple[str, bool], SendSite] = {}
-    handled: Dict[Tuple[str, bool], HandlerReg] = {}
     for module in modules:
-        for site in module.sends:
-            sent.setdefault((site.kind, site.routed), site)
-        for reg in module.handlers:
-            handled.setdefault((reg.kind, reg.routed), reg)
-            if (routed if reg.routed else registry).get(reg.kind) is None:
-                sink.report(
-                    reg.path, reg.line, "protocol-unregistered-handler",
-                    f"handler registered for unregistered kind {reg.kind!r}",
-                    reg.context,
-                )
         for reg, fn in module.handler_functions():
             decl = (routed if reg.routed else registry).get(reg.kind)
             if decl is not None:
                 _check_handler_reads(module, reg, fn, decl, sink)
-    if check_coverage:
-        _check_coverage(sent, handled, registry, routed, sink)
 
 
 def _check_handler_reads(
@@ -196,7 +147,7 @@ def _check_handler_reads(
 ) -> None:
     def undeclared(read: _Read, message: str) -> None:
         sink.report(
-            reg.path, read.line, "protocol-undeclared-key", message, f"{fn.name}:{read.key}"
+            module.path, read.line, "protocol-undeclared-key", message, f"{fn.name}:{read.key}"
         )
 
     if not reg.routed:
@@ -212,46 +163,16 @@ def _check_handler_reads(
     # kind's payload keys.
     reads = _analyze_reads(fn, module, as_msg=False)
     for read in reads.reads:
-        if read.key not in _ENVELOPE_KEY_SET and read.applies_to(decl.name):
+        if read.key not in _ENVELOPE_KEY_SET:
             undeclared(
                 read,
                 f"routed handler for {decl.name!r} reads envelope key "
                 f"{read.key!r} not in the route envelope",
             )
     for read in reads.inner_reads:
-        if read.key not in decl.all_keys() and read.applies_to(decl.name):
+        if read.key not in decl.all_keys():
             undeclared(
                 read,
                 f"handler for routed kind {decl.name!r} reads undeclared "
                 f"payload key {read.key!r}",
             )
-
-
-def _check_coverage(
-    sent: Dict[Tuple[str, bool], SendSite],
-    handled: Dict[Tuple[str, bool], HandlerReg],
-    registry: Dict[str, MessageKind],
-    routed: Dict[str, MessageKind],
-    sink: Sink,
-) -> None:
-    for (kind, is_routed), site in sorted(sent.items(), key=lambda kv: kv[0]):
-        if kind in (routed if is_routed else registry) and (kind, is_routed) not in handled:
-            sink.report(
-                site.path, site.line, "protocol-unhandled-kind",
-                f"kind {kind!r} is sent here but has no handler anywhere", site.context,
-            )
-    for (kind, is_routed), reg in sorted(handled.items(), key=lambda kv: kv[0]):
-        if kind in (routed if is_routed else registry) and (kind, is_routed) not in sent:
-            sink.report(
-                reg.path, reg.line, "protocol-unsent-kind",
-                f"kind {kind!r} has a handler but nothing ever sends it", reg.context,
-            )
-    for table, is_routed in ((registry, False), (routed, True)):
-        for kind in sorted(table):
-            if (kind, is_routed) not in sent and (kind, is_routed) not in handled:
-                sink.report(
-                    "<registry>", 0, "protocol-dead-kind",
-                    f"registry entry {kind!r} is neither sent nor handled in the "
-                    "analyzed code",
-                    f"registry:{kind}",
-                )

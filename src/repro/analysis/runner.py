@@ -35,8 +35,8 @@ SCOPES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
     "aliasing": (("overlay", "core", "net", "baselines"), ()),
     # Event ordering (repro-race): everything that runs inside the
     # simulation, except the queue/kernel internals that implement the
-    # tie-break itself — they own ``seq``, compare times, and schedule at
-    # ``now`` by design.
+    # tie-break itself — they compare times and schedule at ``now`` by
+    # design.
     "ordering": (_SIMULATION, ("repro/sim/events.py", "repro/sim/kernel.py")),
     # Resource lifecycle (repro-leak): everything that holds per-op or
     # per-node state across events.  ``storage`` is excluded by design: a
@@ -116,17 +116,13 @@ def analyze_paths(
     paths: Sequence[str],
     registry: Optional[Dict[str, protocol.MessageKind]] = None,
     routed: Optional[Dict[str, protocol.MessageKind]] = None,
-    check_coverage: bool = True,
     baseline: Optional[Sequence[Dict[str, str]]] = None,
     lints: Optional[Sequence[str]] = None,
 ) -> AnalysisResult:
     """Run the linters over ``paths`` (files or directories).
 
     ``registry``/``routed`` default to the live wire registry; tests pass
-    miniature registries to pin down individual rules.  ``check_coverage``
-    gates the whole-protocol checks (unhandled / unsent / dead kinds),
-    which only make sense when the analyzed set covers every sender and
-    handler — leave it off when linting a single file.  ``lints`` selects
+    miniature registries to pin down individual rules.  ``lints`` selects
     a subset of :data:`LINTS` (default: all five).
     """
     registry = protocol.REGISTRY if registry is None else registry
@@ -140,7 +136,7 @@ def analyze_paths(
     modules = [load_module(filename, _rel(filename)) for filename in discover_files(paths)]
     sink = Sink()
     if "protocol" in selected:
-        lint_protocol(modules, sink, registry, routed, check_coverage=check_coverage)
+        lint_protocol(modules, sink, registry, routed)
     per_module: Dict[str, Callable[[Module, Sink], None]] = {
         "aliasing": lint_aliasing,
         "ordering": lint_ordering,
@@ -212,8 +208,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "--fail-on-new this is the only failure mode); 2 — usage error "
             "(unknown flag or --only value); 3 — stale suppressions "
             "(a baseline key or an inline ignore comment matched no finding — "
-            "trim it; checked only on full runs: every lint selected, "
-            "coverage on, no --fail-on-new)"
+            "trim it; checked on every full run: default paths, every lint "
+            "selected, no --fail-on-new)"
         ),
     )
     parser.add_argument(
@@ -227,11 +223,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--format", choices=("text", "json"), default="text",
         help="output format; json emits {findings, suppressed, accepted, ok} "
         "with rule/file/line per finding",
-    )
-    parser.add_argument(
-        "--no-coverage", action="store_true",
-        help="skip whole-protocol coverage checks (unhandled/unsent/dead "
-        "kinds); use when analyzing a subset of the code",
     )
     parser.add_argument(
         "--fail-on-new", action="store_true",
@@ -251,10 +242,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     paths = list(args.paths) or _default_paths()
     lints = None if args.only is None else (args.only,)
-    result = analyze_paths(paths, check_coverage=not args.no_coverage, lints=lints)
+    result = analyze_paths(paths, lints=lints)
     # The stale-suppression check only makes sense on full runs: with a
-    # lint subset or coverage off, entries legitimately match nothing.
-    check_stale = args.only is None and not args.no_coverage and not args.fail_on_new
+    # path or lint subset, entries legitimately match nothing.
+    check_stale = not args.paths and args.only is None and not args.fail_on_new
     stale = (
         [f"stale baseline entry (no matching finding): {key}" for key in result.stale_baseline]
         + [f"stale inline ignore (suppresses nothing): {at}" for at in result.stale_ignores]

@@ -36,8 +36,8 @@ from repro.core.query import NormRect, full_rect
 from repro.core.schema import IndexSchema
 from repro.overlay.code import Code, intern_code
 
-#: point_codes_batch packs the running tree node of each point into an
-#: int64; deeper descents fall back to the scalar per-point path.
+#: point_codes_batch packs each point's even-cut code into an int64;
+#: deeper codes fall back to the scalar per-point path.
 _MAX_BATCH_DEPTH = 62
 
 #: Even cuts halve a dimension exactly only while its cut positions are
@@ -265,56 +265,29 @@ class Embedding:
         """Codes for many raw-valued points at once.
 
         Even cuts: :meth:`point_code`'s quantise-and-interleave, as one
-        shift-or per table over the batch's int64 columns.  Balanced
-        cuts: descends the cut tree level by level: points are grouped by
-        their tree node (one stable sort per level), each group's cut is
-        fetched from the shared memo, and the per-point bit comparisons
-        run as one vectorized ``>=`` over the whole batch.
-        Agrees bit-for-bit with :meth:`point_code` on every point.
+        shift-or per table over the batch's int64 columns.  Balanced cuts,
+        and descents deeper than an int64 holds, take :meth:`point_code`
+        per point.
         """
         depth = self.code_depth if depth is None else depth
+        plan = self._plan
+        if plan is None or depth > _MAX_BATCH_DEPTH:
+            return [self.point_code(v, depth) for v in values]
         points = self.schema.normalize_batch(values)
         n = points.shape[0]
         if n == 0:
             return []
         if depth == 0:
             return [Code("") for _ in range(n)]
-        if depth > _MAX_BATCH_DEPTH:
-            return [self.point_code(v, depth) for v in values]
-        plan = self._plan
-        if plan is not None:
-            if depth != self.code_depth:
-                plan = _even_plan(self._dims, depth)
-            lead, dim_plans = plan
-            nodes = np.full(n, lead, dtype=np.int64)
-            for column, (scale, top, tables) in zip(points.T, dim_plans):
-                q = np.minimum((column * scale).astype(np.int64), top)
-                for table in tables:
-                    nodes |= np.array(table, dtype=np.int64)[q & 255]
-                    q >>= 8
-            return [Code(bin(node)[3:]) for node in nodes.tolist()]
-        dims = self._dims
-        nodes = np.ones(n, dtype=np.int64)
-        splits = np.empty(n, dtype=np.float64)
-        rects: Dict[int, NormRect] = {1: full_rect(dims)}
-        for level in range(depth):
-            dim = level % dims
-            order = np.argsort(nodes, kind="stable")
-            sorted_nodes = nodes[order]
-            run_starts = np.concatenate(
-                ([0], np.flatnonzero(np.diff(sorted_nodes)) + 1, [n])
-            )
-            next_rects: Dict[int, NormRect] = {}
-            for i in range(len(run_starts) - 1):
-                start, end = run_starts[i], run_starts[i + 1]
-                node = int(sorted_nodes[start])
-                rect = rects[node]
-                split = self._split(node, rect, dim)
-                splits[order[start:end]] = split
-                next_rects[node << 1] = self._narrow(rect, dim, split, False)
-                next_rects[(node << 1) | 1] = self._narrow(rect, dim, split, True)
-            nodes = (nodes << 1) | (points[:, dim] >= splits)
-            rects = next_rects
+        if depth != self.code_depth:
+            plan = _even_plan(self._dims, depth)
+        lead, dim_plans = plan
+        nodes = np.full(n, lead, dtype=np.int64)
+        for column, (scale, top, tables) in zip(points.T, dim_plans):
+            q = np.minimum((column * scale).astype(np.int64), top)
+            for table in tables:
+                nodes |= np.array(table, dtype=np.int64)[q & 255]
+                q >>= 8
         return [Code(bin(node)[3:]) for node in nodes.tolist()]
 
     # ------------------------------------------------------------------

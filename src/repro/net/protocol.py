@@ -11,17 +11,18 @@ the protocol a checkable artifact:
   :meth:`OverlayNode._dispatch` / ``BaselineNode._deliver``) with its
   required and optional payload keys.
 * :data:`ROUTED` declares the *routed* kinds carried inside a ``route``
-  envelope's ``inner_kind``/``inner`` fields and dispatched by
-  ``on_route_arrival``.
+  envelope's ``inner_kind``/``inner`` fields and dispatched through each
+  node's routed table (``OverlayNode._routed``); with validation on, a
+  kind the table does not hold raises :class:`ProtocolError`.
 * :func:`dispatch_table` builds each endpoint's kind-id handler table and
   refuses a handler for a kind the registry does not declare.
 * :func:`validate_wire` checks a (kind, payload) pair against the registry;
   :class:`~repro.net.message.Message` calls it at construction time when
   validation is enabled (the "debug mode" used by the test suite), so any
   drift between sender and registry fails loudly at the send site.
-* ``repro.analysis`` cross-checks the registry against the AST of the
-  whole codebase: unknown kinds, unhandled kinds, dead kinds, and
-  undeclared payload keys are all analysis-time errors.
+* A tier-1 test (``tests/net/test_protocol.py``) checks that the registry
+  holds exactly the kinds the live handler tables handle, and
+  ``repro.analysis`` checks that handlers read only declared payload keys.
 
 Validation is off by default (zero overhead on the benchmark hot paths);
 it is the ``validate`` field of :mod:`repro.checks`, armed suite-wide by
@@ -213,7 +214,7 @@ REGISTRY: Dict[str, MessageKind] = dict(
 
 
 #: Routed kinds: values of a ``route`` envelope's ``inner_kind``, with the
-#: contract of its ``inner`` payload.  Dispatched by ``on_route_arrival``.
+#: contract of its ``inner`` payload.
 ROUTED: Dict[str, MessageKind] = dict(
     (
         _kind("insert", "routed", ["index", "record", "op_id", "attempt"],
@@ -243,9 +244,6 @@ ROUTED: Dict[str, MessageKind] = dict(
 #: is fixed at import, so they are stable within a run by construction.
 KIND_IDS: Dict[str, int] = {name: i for i, name in enumerate(REGISTRY)}
 
-#: Kind names (and declarations) by dense id, for tracing and read-outs.
-KIND_BY_ID: Tuple[MessageKind, ...] = tuple(REGISTRY.values())
-
 #: Number of registered direct kinds == length of a full dispatch table.
 NUM_KINDS: int = len(REGISTRY)
 
@@ -254,9 +252,6 @@ NUM_KINDS: int = len(REGISTRY)
 #: unknown kind indexes the empty slot and takes the error path without a
 #: bounds check (``table[-1]`` would silently alias the last real kind).
 UNKNOWN_KIND_ID: int = NUM_KINDS
-
-#: Routed kinds (``route`` envelope ``inner_kind`` values), same scheme.
-ROUTED_IDS: Dict[str, int] = {name: i for i, name in enumerate(ROUTED)}
 
 
 def kind_id(kind: str) -> int:

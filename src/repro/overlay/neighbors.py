@@ -12,7 +12,7 @@ on demand, so a code change (join split, takeover shortening) never leaves
 stale structure behind.
 """
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.overlay.code import Code
 
@@ -151,20 +151,6 @@ class NeighborTable:
             ):
                 seen[addr] = code
         return list(seen.items())
-
-    def best_toward(self, target: Code, exclude: Iterable[str] = (), alive_only: bool = True) -> Optional[Tuple[str, Code]]:
-        """The known peer whose code shares the longest prefix with ``target``."""
-        excluded = set(exclude)
-        best: Optional[Tuple[str, Code]] = None
-        best_len = -1
-        for addr, code in self.entries(alive_only=alive_only):
-            if addr in excluded:
-                continue
-            cpl = code.common_prefix_len(target)
-            if cpl > best_len or (cpl == best_len and best is not None and code < best[1]):
-                best = (addr, code)
-                best_len = cpl
-        return best
 
     def prune_to_neighborhood(self, my_code: Code) -> None:
         """Forget peers that are no longer hypercube neighbors.

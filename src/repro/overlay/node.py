@@ -2,8 +2,9 @@
 
 :class:`OverlayNode` implements everything in the paper's Section 3.3 and
 3.8 — the hypercube membership protocol and its failure handling — and
-exposes hooks that :class:`repro.core.mind_node.MindNode` overrides to add
-index semantics (Sections 3.4-3.7).
+exposes hooks that :class:`repro.core.mind_node.MindNode` overrides, and
+handler tables it adds its message and routed kinds to, for index
+semantics (Sections 3.4-3.7).
 
 Processing model
 ----------------
@@ -51,6 +52,12 @@ ROUTE_TTL = 24
 #: Wire size of one routing hop, and of a control message by default.
 ROUTE_MSG_BYTES = 320
 CONTROL_MSG_BYTES = 180
+
+#: A routed kind's handlers: on arrival at a responsible node, and on a
+#: routing failure (with its reason).
+RoutedHandlers = Tuple[
+    Callable[[Dict[str, Any]], None], Callable[[Dict[str, Any], str], None]
+]
 
 
 @dataclass
@@ -222,6 +229,12 @@ class OverlayNode:
             "adopt_probe_ack": self._on_adopt_probe_ack,
             "adopt_probe_dead": self._on_adopt_probe_dead,
         }
+        #: Routed kinds (``route`` envelope ``inner_kind`` values) this node
+        #: handles, each with its arrival and failure handler; a subclass
+        #: adds its own kinds in ``__init__``.
+        self._routed: Dict[str, RoutedHandlers] = {
+            "adopt_probe": (self._arrive_adopt_probe, self._adopt_probe_unreachable),
+        }
         # Flat dispatch table indexed by ``Message.kind_id``
         # (:func:`protocol.dispatch_table`), built on the first dispatch:
         # ``extra_handlers()`` needs the subclass __init__ to have finished.
@@ -238,21 +251,33 @@ class OverlayNode:
     # Hooks for subclasses
     # ==================================================================
     def on_route_arrival(self, envelope: Dict[str, Any]) -> None:
-        """Called when a routed message reaches a responsible node.
-
-        Overlay-level routed kinds (adoption probes) are handled here;
-        subclasses must delegate kinds they don't recognise to ``super()``.
-        """
-        if envelope["inner_kind"] == "adopt_probe":
-            self._arrive_adopt_probe(envelope)
+        """Called when a routed message reaches a responsible node: runs
+        the arrival handler its routed kind has in :attr:`_routed`."""
+        handlers = self._routed_handlers(envelope)
+        if handlers is not None:
+            handlers[0](envelope)
 
     def on_route_failed(self, envelope: Dict[str, Any], reason: str) -> None:
-        """Called when routing gave up (ring recovery exhausted).
+        """Called when routing gave up (TTL, ring recovery exhausted, or
+        an application refusal): runs the failure handler of its kind."""
+        handlers = self._routed_handlers(envelope)
+        if handlers is not None:
+            handlers[1](envelope, reason)
 
-        Same delegation contract as :meth:`on_route_arrival`.
+    def _routed_handlers(self, envelope: Dict[str, Any]) -> Optional[RoutedHandlers]:
+        """The handlers of the envelope's routed kind.
+
+        A kind this node's table does not hold is a protocol error under
+        wire validation (on suite-wide in the tests).  Otherwise it is
+        dropped: mindbench's route-hop bench routes a synthetic kind
+        across plain overlay nodes.
         """
-        if envelope["inner_kind"] == "adopt_probe":
-            self._adopt_probe_unreachable(envelope)
+        handlers = self._routed.get(envelope["inner_kind"])
+        if handlers is None and checks.active.validate:
+            raise protocol.ProtocolError(
+                f"{self.address}: no handler for routed kind {envelope['inner_kind']!r}"
+            )
+        return handlers
 
     def on_split_transfer_state(self, old_code: Code, joiner_code: Code) -> Dict[str, Any]:
         """Host-side: application state handed to the joiner."""
@@ -1215,7 +1240,7 @@ class OverlayNode:
                 {"code": self.code.bits, "probe": envelope["inner"]["probe"]},
             )
 
-    def _adopt_probe_unreachable(self, envelope: Dict[str, Any]) -> None:
+    def _adopt_probe_unreachable(self, envelope: Dict[str, Any], reason: str) -> None:
         claimant = envelope["inner"]["claimant"]
         if claimant == self.address:
             self._adopt_now(envelope["inner"]["probe"])

@@ -88,21 +88,19 @@ class Event:
     user code only holds them to :meth:`cancel` a pending timer.
     """
 
-    __slots__ = ("time", "seq", "key", "callback", "args", "cancelled", "_queue")
+    __slots__ = ("time", "key", "callback", "args", "cancelled", "_queue")
 
     def __init__(
         self,
         time: float,
-        seq: int,
         key: int,
         callback: Callable[..., Any],
         args: Tuple[Any, ...],
         queue: "EventQueue",
     ) -> None:
         self.time = time
-        self.seq = seq
-        #: Tie-break key within a timestamp: ``seq`` normally, a seeded
-        #: perturbation of it under ``REPRO_SCHEDULE_FUZZ``.
+        #: Tie-break key within a timestamp: the insertion sequence number
+        #: normally, a seeded perturbation of it under ``REPRO_SCHEDULE_FUZZ``.
         self.key = key
         self.callback = callback
         self.args = args
@@ -154,7 +152,7 @@ class EventQueue:
         seq = next(self._counter)
         tie = self._tie_key
         key = seq if tie is None else tie(seq)
-        event = Event(time, seq, key, callback, args, self)
+        event = Event(time, key, callback, args, self)
         heappush(self._heap, (time, key, event))
         return event
 

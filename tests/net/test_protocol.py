@@ -4,12 +4,19 @@ import pytest
 
 from repro import checks
 from repro.baselines.centralized import CentralizedSystem
+from repro.baselines.dht import UniformHashSystem
+from repro.baselines.flooding import QueryFloodingSystem
+from repro.core.mind_node import MindNode
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
 from repro.net import protocol
 from repro.net.message import Message
 from repro.net.protocol import ProtocolError, validate_wire
 from repro.net.topology import ABILENE_SITES
+from repro.overlay.node import OverlayNode
+from repro.sim.kernel import Simulator
+
+from tests.helpers import make_network
 
 
 def test_registry_covers_every_layer():
@@ -97,3 +104,35 @@ def test_baseline_node_with_an_unregistered_handler_raises_at_first_delivery():
     server.handlers["mystery"] = lambda msg: None
     with pytest.raises(ProtocolError, match="mystery"):
         system.insert_now(Record([1.0]), origin=ABILENE_SITES[1].name)
+
+
+def test_registry_is_exactly_what_the_live_handler_tables_handle():
+    # Every declared kind has a handler somewhere and every handler's
+    # kind is declared: no kind is sent that nothing handles (validation
+    # refuses an undeclared send), and no registry entry is dead.
+    sim = Simulator(0)
+    mind = MindNode(sim, make_network(sim), "m")
+    direct = set(mind._handlers) | set(mind.extra_handlers())
+    schema = IndexSchema("b", attributes=[AttributeSpec("x", 0.0, 1000.0)])
+    for system_cls in (QueryFloodingSystem, UniformHashSystem, CentralizedSystem):
+        for node in system_cls(ABILENE_SITES[:3], schema).nodes:
+            direct |= set(node.handlers)
+    assert direct == set(protocol.REGISTRY)
+    assert set(mind._routed) == set(protocol.ROUTED)
+
+
+def test_a_routed_kind_without_a_handler_raises_under_validation():
+    # A plain overlay node handles only adoption probes; a MIND kind
+    # reaching it is a wiring bug.  Without validation (timed runs) it is
+    # dropped, as a synthetic kind routed only to time hops must be.
+    sim = Simulator(0)
+    node = OverlayNode(sim, make_network(sim), "a")
+    envelope = {"inner_kind": "insert", "inner": {}, "target": "", "origin": "a"}
+    with checks.configure(validate=True):
+        with pytest.raises(ProtocolError, match="no handler for routed kind 'insert'"):
+            node.on_route_arrival(envelope)
+        with pytest.raises(ProtocolError, match="no handler for routed kind 'insert'"):
+            node.on_route_failed(envelope, "ttl-exceeded")
+    with checks.configure(validate=False):
+        node.on_route_arrival(envelope)
+        node.on_route_failed(envelope, "ttl-exceeded")

@@ -84,17 +84,6 @@ def test_hypercube_neighbors_union():
     assert links == {"n01", "n10"}
 
 
-def test_best_toward():
-    t = table_of([("a", "00"), ("b", "010"), ("c", "011")])
-    best = t.best_toward(Code("0111"))
-    assert best[0] == "c"
-    assert t.best_toward(Code("0111"), exclude=["c"])[0] == "b"
-
-
-def test_best_toward_empty():
-    assert table_of([]).best_toward(Code("01")) is None
-
-
 def test_prune_to_neighborhood():
     t = table_of([("n01", "01"), ("n10", "10"), ("n11", "11"), ("far", "111001")])
     t.prune_to_neighborhood(Code("00"))

@@ -38,7 +38,6 @@ def analyze_aliasing(path, baseline=()):
         [str(path)],
         registry={},
         routed={},
-        check_coverage=False,
         baseline=list(baseline),
         lints=("aliasing",),
     )
@@ -487,7 +486,7 @@ def test_cli_only_selects_a_single_lint(tmp_path, capsys):
                 msg.payload["ttl"] = 0
         """,
     )
-    assert main(["--only", "determinism", "--no-coverage", str(path)]) == 0
+    assert main(["--only", "determinism", str(path)]) == 0
     capsys.readouterr()
 
 

@@ -7,6 +7,7 @@ lint-clean outside the documented baseline.
 """
 
 import ast
+import re
 import textwrap
 from pathlib import Path
 
@@ -15,6 +16,7 @@ import pytest
 from repro.analysis import RULES, analyze_paths
 from repro.analysis.astutil import container_kind
 from repro.analysis.findings import Finding, Sink
+from repro.analysis.model import load_module
 from repro.analysis.runner import main
 from repro.analysis.suppressions import inline_ignores, suppressing_line
 from repro.net.protocol import MessageKind
@@ -47,12 +49,11 @@ def line_of(path, needle):
     raise AssertionError(f"{needle!r} not found in fixture")
 
 
-def analyze_fixture(path, registry, routed=None, check_coverage=False):
+def analyze_fixture(path, registry, routed=None):
     return analyze_paths(
         [str(path)],
         registry=registry,
         routed=routed if routed is not None else {},
-        check_coverage=check_coverage,
         baseline=[],
     )
 
@@ -63,85 +64,25 @@ def analyze_fixture(path, registry, routed=None, check_coverage=False):
 def test_reply_and_flood_are_send_sites(tmp_path):
     # The send shapes live in astutil.send_site; ``_reply(origin, kind,
     # payload, apply)`` and the two-argument ``_flood(kind, payload)`` are
-    # among them, so a kind sent only through either counts as sent: the
-    # handled ones are clean, and the unhandled one is flagged at its site.
+    # among them, so the aliasing lint sees what either sends.
     path = write_fixture(
         tmp_path,
         """
         class Node:
-            def __init__(self):
-                self._handlers = {"pong": self._on_pong, "announce": self._on_announce}
-
             def answer(self, origin):
                 self._reply(origin, "pong", {"seq": 1}, self._apply_pong)
                 self._reply(origin, "ack", {"seq": 2}, self._apply_pong)
 
             def spread(self):
                 self._flood("announce", {"seq": 3})
-
-            def _on_pong(self, msg):
-                return msg.payload["seq"]
-
-            def _on_announce(self, msg):
-                return msg.payload["seq"]
         """,
     )
-    registry = {
-        name: kind(name, required=["seq"]) for name in ("pong", "announce", "ack")
-    }
-    result = analyze_fixture(path, registry, check_coverage=True)
-    assert [(f.line, f.rule) for f in result.active] == [
-        (line_of(path, '"ack"'), "protocol-unhandled-kind"),
+    sends = load_module(str(path), "fixture_mod.py").sends
+    assert [(site.kind, site.line, site.func.name) for site in sends] == [
+        ("pong", line_of(path, '"pong"'), "answer"),
+        ("ack", line_of(path, '"ack"'), "answer"),
+        ("announce", line_of(path, '"announce"'), "spread"),
     ]
-
-
-def test_unhandled_kind_is_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._handlers = {"pong": self._on_pong}
-
-            def poke(self, dst):
-                self._send(dst, "ping", {"seq": 1})
-                self._send(dst, "pong", {"seq": 2})
-
-            def _on_pong(self, msg):
-                return msg.payload["seq"]
-        """,
-    )
-    registry = {
-        "ping": kind("ping", required=["seq"]),
-        "pong": kind("pong", required=["seq"]),
-    }
-    result = analyze_fixture(path, registry, check_coverage=True)
-    assert len(result.active) == 1
-    finding = result.active[0]
-    assert finding.rule == "protocol-unhandled-kind"
-    assert finding.line == line_of(path, '"ping", {"seq": 1}')
-    assert "'ping'" in finding.message
-
-
-def test_unsent_and_dead_kinds_are_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._handlers = {"pong": self._on_pong}
-
-            def _on_pong(self, msg):
-                return msg.payload["seq"]
-        """,
-    )
-    registry = {
-        "pong": kind("pong", required=["seq"]),
-        "ghost": kind("ghost"),
-    }
-    result = analyze_fixture(path, registry, check_coverage=True)
-    rules = sorted(f.rule for f in result.active)
-    assert rules == ["protocol-dead-kind", "protocol-unsent-kind"]
 
 
 def test_undeclared_payload_key_read_is_flagged(tmp_path):
@@ -167,110 +108,43 @@ def test_undeclared_payload_key_read_is_flagged(tmp_path):
     assert "'nope'" in finding.message
 
 
-def test_unregistered_handler_is_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        def install(node):
-            node.handlers["mystery"] = lambda msg: None
-        """,
-    )
-    result = analyze_fixture(path, {})
-    assert len(result.active) == 1
-    assert result.active[0].rule == "protocol-unregistered-handler"
-
-
-def test_dispatch_table_registration_keeps_coverage_checking(tmp_path):
-    # The data plane dispatches through per-node tables indexed by
-    # interned kind id, but the tables are built at runtime from the
-    # same sources the linter reads statically: the ``self._handlers``
-    # dict literal and the baselines' ``handlers["kind"] = fn``
-    # assignments, both handed to one table builder.  This fixture
-    # mirrors both idioms, runtime table build included, and proves
-    # coverage checking still sees through them: handled kinds stay
-    # clean while a sent-but-unhandled kind and a dead registry entry
-    # are still flagged.
-    path = write_fixture(
-        tmp_path,
-        """
-        KIND_IDS = {"pong": 0, "ping": 1, "lost": 2}
-
-        def dispatch_table(handlers):
-            table = [None] * (len(KIND_IDS) + 1)
-            for kind, handler in handlers.items():
-                table[KIND_IDS[kind]] = handler
-            return table
-
-        class Node:
-            def __init__(self):
-                self._handlers = {"pong": self._on_pong}
-                self._dispatch_table = None
-
-            def _dispatch(self, msg):
-                if self._dispatch_table is None:
-                    self._dispatch_table = dispatch_table(self._handlers)
-                self._dispatch_table[msg.kind_id](msg)
-
-            def poke(self, dst):
-                self._send(dst, "pong", {"seq": 2})
-                self._send(dst, "ping", {"seq": 1})
-                self._send(dst, "lost", {"seq": 3})
-
-            def _on_pong(self, msg):
-                return msg.payload["seq"]
-
-        class BaselineNode:
-            def __init__(self):
-                self.handlers = {}
-                self._dispatch_table = None
-                self.handlers["ping"] = self._on_ping
-
-            def _deliver(self, msg):
-                if self._dispatch_table is None:
-                    self._dispatch_table = dispatch_table(self.handlers)
-                self._dispatch_table[msg.kind_id](msg)
-
-            def _on_ping(self, msg):
-                return msg.payload["seq"]
-        """,
-    )
-    registry = {
-        "pong": kind("pong", required=["seq"]),
-        "ping": kind("ping", required=["seq"]),
-        "lost": kind("lost", required=["seq"]),
-        "ghost": kind("ghost"),
-    }
-    result = analyze_fixture(path, registry, check_coverage=True)
-    rules = sorted((f.rule, f.line) for f in result.active)
-    assert rules == [
-        ("protocol-dead-kind", 0),
-        ("protocol-unhandled-kind", line_of(path, '"lost", {"seq": 3}')),
-    ]
-
-
-def test_routed_inner_kind_reads_are_branch_aware(tmp_path):
+def test_routed_table_handlers_read_only_declared_keys(tmp_path):
+    # A routed table entry pairs an arrival and a failure handler, in the
+    # table literal or added by subscript; each reads the route envelope,
+    # and its reads through ``inner`` are checked against its own kind.
     path = write_fixture(
         tmp_path,
         """
         class Node:
-            def on_route_arrival(self, envelope):
-                inner_kind = envelope["inner_kind"]
-                if inner_kind == "insert":
-                    self._arrive_insert(envelope)
+            def __init__(self):
+                self._routed = {"insert": (self._arrive_insert, self._insert_failed)}
+                self._routed["probe"] = (self._arrive_probe, self._probe_failed)
 
             def _arrive_insert(self, envelope):
                 inner = envelope["inner"]
                 good = inner["tuple"]
                 bad = inner["qid"]
                 return good, bad
+
+            def _insert_failed(self, envelope, reason):
+                return envelope["origin"], envelope["inner"]["tuple"]
+
+            def _arrive_probe(self, envelope):
+                return envelope["inner"]["qid"]
+
+            def _probe_failed(self, envelope, reason):
+                return envelope["inner"].get("tuple")
         """,
     )
-    routed = {"insert": kind("insert", required=["tuple"], layer="routed")}
+    routed = {
+        "insert": kind("insert", required=["tuple"], layer="routed"),
+        "probe": kind("probe", required=["qid"], layer="routed"),
+    }
     result = analyze_fixture(path, {}, routed=routed)
-    assert len(result.active) == 1
-    finding = result.active[0]
-    assert finding.rule == "protocol-undeclared-key"
-    assert finding.line == line_of(path, 'inner["qid"]')
+    assert [(f.rule, f.line) for f in result.active] == [
+        ("protocol-undeclared-key", line_of(path, 'bad = inner["qid"]')),
+        ("protocol-undeclared-key", line_of(path, '.get("tuple")')),
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -319,9 +193,7 @@ def test_set_attribute_is_recognised_across_modules(tmp_path):
             """
         )
     )
-    result = analyze_paths(
-        [str(decl), str(use)], registry={}, routed={}, check_coverage=False, baseline=[]
-    )
+    result = analyze_paths([str(decl), str(use)], registry={}, routed={}, baseline=[])
     assert [f.rule for f in result.active] == ["det-set-iteration"]
     assert result.active[0].path.endswith("use_mod.py")
 
@@ -337,7 +209,7 @@ def test_inline_ignore_suppresses_only_named_rule(tmp_path):
             return [a for a in set(peers)]  # repro-lint: ignore[det-set-iteration] fixture
 
         def fan_out2(peers):
-            return [a for a in set(peers)]  # repro-lint: ignore[protocol-dead-kind] wrong rule
+            return [a for a in set(peers)]  # repro-lint: ignore[protocol-undeclared-key] wrong rule
         """,
     )
     result = analyze_fixture(path, {})
@@ -388,9 +260,7 @@ def test_baseline_accepts_findings_by_stable_key(tmp_path):
     probe = analyze_fixture(path, {})
     assert len(probe.active) == 1
     entry = {"key": probe.active[0].key, "reason": "fixture"}
-    result = analyze_paths(
-        [str(path)], registry={}, routed={}, check_coverage=False, baseline=[entry]
-    )
+    result = analyze_paths([str(path)], registry={}, routed={}, baseline=[entry])
     assert result.ok
     assert len(result.accepted) == 1
 
@@ -438,12 +308,12 @@ def test_cli_exit_codes(tmp_path, capsys):
             return [addr for addr in set(peers)]
         """,
     )
-    assert main(["--no-coverage", str(dirty)]) == 1
+    assert main([str(dirty)]) == 1
     assert "det-set-iteration" in capsys.readouterr().out
 
     clean = tmp_path / "clean_mod.py"
     clean.write_text("def nothing():\n    return 0\n")
-    assert main(["--no-coverage", str(clean)]) == 0
+    assert main([str(clean)]) == 0
     assert "repro-lint: OK" in capsys.readouterr().out
 
 
@@ -454,13 +324,19 @@ def test_list_rules_prints_catalog(capsys):
         assert rule in out
 
 
+def test_rule_catalog_matches_the_design_record():
+    # DESIGN.md §7's table records what each rule has caught; a rule
+    # added or deleted in one place only leaves that record stale.
+    design = (REPRO_PKG.parents[1] / "DESIGN.md").read_text()
+    section = design.split("\n## 7.", 1)[1].split("\n## ", 1)[0]
+    assert set(re.findall(r"^\| `([a-z-]+)` \|", section, re.M)) == set(RULES)
+
+
 def test_repo_tree_is_lint_clean():
     """The tier-1 gate: the real tree has zero findings outside the baseline.
 
-    Coverage checks are on, so this also proves every registered message
-    kind sent anywhere in ``src/repro`` has a handler.  Every inline
-    ignore and baseline entry must still match a finding.
+    Every inline ignore and baseline entry must still match a finding.
     """
-    result = analyze_paths([str(REPRO_PKG)], check_coverage=True)
+    result = analyze_paths([str(REPRO_PKG)])
     assert result.ok, "\n".join(f.render() for f in result.active)
     assert result.stale_ignores == [] and result.stale_baseline == []

@@ -39,7 +39,6 @@ def analyze_lifecycle(path, baseline=()):
         [str(path)],
         registry={},
         routed={},
-        check_coverage=False,
         baseline=list(baseline),
         lints=("lifecycle",),
     )
@@ -407,7 +406,7 @@ def test_cli_only_lifecycle(tmp_path, capsys):
                 self._ops[op_id] = op
         """,
     )
-    assert main(["--only", "lifecycle", "--no-coverage", str(dirty)]) == 1
+    assert main(["--only", "lifecycle", str(dirty)]) == 1
     assert "leak-op-state" in capsys.readouterr().out
 
 
@@ -444,5 +443,5 @@ def test_cli_stale_baseline_exits_3_unless_fail_on_new(monkeypatch, capsys):
 # The gate
 # ----------------------------------------------------------------------
 def test_repo_tree_has_no_unsuppressed_lifecycle_findings():
-    result = analyze_paths([str(REPRO_PKG)], check_coverage=False, lints=("lifecycle",))
+    result = analyze_paths([str(REPRO_PKG)], lints=("lifecycle",))
     assert result.ok, "\n".join(f.render() for f in result.active)

@@ -37,7 +37,6 @@ def analyze_ordering(path):
         [str(path)],
         registry={},
         routed={},
-        check_coverage=False,
         baseline=[],
         lints=("ordering",),
     )
@@ -146,21 +145,8 @@ def test_time_equality_is_flagged_inequality_is_not(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# order-seq-dependence
+# Scope
 # ----------------------------------------------------------------------
-def test_seq_read_is_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        def tie_break(event_a, event_b):
-            return event_a.seq < event_b.seq
-        """,
-    )
-    result = analyze_ordering(path)
-    assert len(result.active) == 2
-    assert {f.rule for f in result.active} == {"order-seq-dependence"}
-
-
 def test_queue_internals_are_exempt():
     assert not in_scope("ordering", "src/repro/sim/events.py")
     assert not in_scope("ordering", "src/repro/sim/kernel.py")
@@ -239,14 +225,14 @@ def test_cli_only_ordering(tmp_path, capsys):
     dirty = write_fixture(
         tmp_path,
         """
-        def peek(event):
-            return event.seq
+        def due(event, sim):
+            return event.time == sim.now
         """,
     )
-    assert main(["--only", "ordering", "--no-coverage", str(dirty)]) == 1
-    assert "order-seq-dependence" in capsys.readouterr().out
+    assert main(["--only", "ordering", str(dirty)]) == 1
+    assert "order-float-time-eq" in capsys.readouterr().out
 
 
 def test_repo_tree_has_no_unsuppressed_ordering_findings():
-    result = analyze_paths([str(REPRO_PKG)], check_coverage=False, lints=("ordering",))
+    result = analyze_paths([str(REPRO_PKG)], lints=("ordering",))
     assert result.ok, "\n".join(f.render() for f in result.active)
