@@ -22,7 +22,10 @@ class Code:
     __slots__ = ("bits", "_num", "_len")
 
     def __init__(self, bits: str = "") -> None:
-        if not set(bits) <= _VALID_BITS:
+        # Empty exactly when every character is 0 or 1; allocates nothing
+        # for a valid code (``int(bits, 2)`` alone would accept "0_1" and
+        # surrounding whitespace).
+        if bits.strip("01"):
             raise ValueError(f"code must contain only 0/1, got {bits!r}")
         object.__setattr__(self, "bits", bits)
         # Integer mirror of the bit string: prefix comparisons reduce to

@@ -1,18 +1,9 @@
 """Raw (sampled) flow records as emitted by a monitor's NetFlow export."""
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class FlowRecord:
-    """One sampled flow observed at one monitor.
-
-    ``octets`` is the *reported* (sampled) byte count; because routers
-    sample packets (1/100 on Abilene, 1/1000 on GÉANT), the true flow may
-    be much larger — the reason the paper's 50 KB threshold is
-    "conservative enough to capture most alpha flows".
-    """
-
+class _FlowFields(NamedTuple):
     monitor: str
     start: float
     src_addr: int
@@ -22,6 +13,36 @@ class FlowRecord:
     octets: int
     packets: int
 
-    def __post_init__(self) -> None:
-        if self.octets < 0 or self.packets < 0:
+
+class FlowRecord(_FlowFields):
+    """One sampled flow observed at one monitor.
+
+    ``octets`` is the *reported* (sampled) byte count; because routers
+    sample packets (1/100 on Abilene, 1/1000 on GÉANT), the true flow may
+    be much larger — the reason the paper's 50 KB threshold is
+    "conservative enough to capture most alpha flows".
+
+    A tuple: immutable, hashable, and equal to any tuple with the same
+    fields in the same order (equality is tuple equality).  The generator
+    builds one per sampled flow, and a tuple is a third of the cost of a
+    frozen dataclass.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        monitor: str,
+        start: float,
+        src_addr: int,
+        dst_addr: int,
+        dst_port: int,
+        protocol: int,
+        octets: int,
+        packets: int,
+    ) -> "FlowRecord":
+        if octets < 0 or packets < 0:
             raise ValueError("octets/packets must be non-negative")
+        return tuple.__new__(
+            cls, (monitor, start, src_addr, dst_addr, dst_port, protocol, octets, packets)
+        )

@@ -14,12 +14,18 @@ Distributional knobs and what they reproduce:
                                       mismatch (Figure 3)
 * per-network sampling rates       -> Abilene injects more tuples than
                                       GÉANT (Figure 12's imbalance)
+
+The order in which a window draws from its stream is a contract: every
+flow, aggregate, index record and mindbench ``sim_digest`` depends on it.
+:meth:`BackboneTrafficGenerator.flows_for_window` spells the draws out
+for speed, and ``tests/traffic/test_generator_oracle.py`` pins them, flow
+for flow, to the plain one-call-per-draw loop kept in ``tests/oracles.py``.
 """
 
 import math
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.net.topology import Site
 from repro.sim.randomness import derive_seed
@@ -33,6 +39,20 @@ COMMON_PORTS = [80, 443, 25, 53, 110, 21, 22, 119, 3306, 6667, 8080, 1433]
 #: sampling rates (Abilene 1/100 vs GÉANT 1/1000) shows up directly in how
 #: many sampled flow records each monitor exports.
 NETWORK_RATE_FACTOR = {"abilene": 1.0, "geant": 0.35, "planetlab": 1.0}
+
+
+def window_index(window_start_s: float, window_s: float) -> int:
+    """The index of the window that starts at ``window_start_s``.
+
+    A start that is a grid point up to float rounding gets that point's
+    index: ``0.5 // 0.1`` is 4.0, since the double nearest 0.1 is a
+    little above it, but the window at 0.5 is window 5.  Any other start
+    falls in window ``floor(window_start_s / window_s)``.
+    """
+    nearest = round(window_start_s / window_s)
+    if abs(window_start_s - nearest * window_s) <= 1e-9 * window_s:
+        return nearest
+    return int(window_start_s // window_s)
 
 
 def poisson(rng: random.Random, lam: float) -> int:
@@ -107,6 +127,7 @@ class BackboneTrafficGenerator:
                 lo = (i * per) % len(pool)
                 self._home_slices[site.name] = list(range(lo, min(lo + per, len(pool))))
         self._sites_by_name = {site.name: site for site in self.sites}
+        self._drift: Tuple[Optional[int], float] = (None, 0.0)
 
     # ------------------------------------------------------------------
     # Rate model
@@ -118,10 +139,21 @@ class BackboneTrafficGenerator:
         diurnal = 1.0 + cfg.diurnal_amplitude * math.cos(
             2.0 * math.pi * (time_of_day_s - cfg.peak_time_s) / 86400.0
         )
-        day_rng = random.Random(derive_seed(cfg.seed, f"day.{day}"))
-        drift = 1.0 + cfg.day_jitter * (2.0 * day_rng.random() - 1.0)
         factor = NETWORK_RATE_FACTOR.get(site.network, 1.0)
-        return cfg.flows_per_second * diurnal * drift * factor
+        return cfg.flows_per_second * diurnal * self._day_drift(day) * factor
+
+    def _day_drift(self, day: int) -> float:
+        """The day's multiplicative rate drift, drawn once per day.
+
+        Generation runs day by day, so the last day's draw is all there is
+        to keep.
+        """
+        memo_day, drift = self._drift
+        if memo_day != day:
+            day_rng = random.Random(derive_seed(self.config.seed, f"day.{day}"))
+            drift = 1.0 + self.config.day_jitter * (2.0 * day_rng.random() - 1.0)
+            self._drift = (day, drift)
+        return drift
 
     # ------------------------------------------------------------------
     # Flow generation
@@ -136,55 +168,67 @@ class BackboneTrafficGenerator:
 
         ``window_start_s`` is the time-of-day of the window start; the
         absolute timestamp of emitted flows is ``day*86400 + offset``.
+
+        Per flow, the draws from the window's stream come in this order
+        (the contract of the module docstring): source prefix (home slice
+        or Zipf), destination prefix, source host, destination host, port,
+        size, start offset.  ``_randbelow`` stands in for the
+        ``randrange``/``randint``/``choice`` calls that wrap it, and the
+        ``paretovariate(1.0)`` and ``lognormvariate`` formulas are inline.
         """
         cfg = self.config
         site = self._sites_by_name[monitor]
         pool = self.pools[site.network]
-        window_index = int(window_start_s // window_s)
-        rng = self._window_rng(monitor, day, window_index)
+        rng = self._window_rng(monitor, day, window_index(window_start_s, window_s))
         lam = self.rate_at(monitor, window_start_s + window_s / 2.0, day) * window_s
         count = poisson(rng, lam)
         base_t = day * 86400.0 + window_start_s
         home = self._home_slices[monitor]
 
+        rand = rng.random
+        randbelow = rng._randbelow
+        pick_index = pool.pick_index
+        bases = pool.bases
+        spans = pool.spans
+        n_home = len(home)
+        home_bias = cfg.home_bias
+        short_fraction = cfg.short_flow_fraction
+        mu, sigma = cfg.size_mu, cfg.size_sigma
+        nv_magic = random.NV_MAGICCONST
+        last_port = len(COMMON_PORTS) - 1
         flows = []
         for _ in range(count):
-            if rng.random() < cfg.home_bias:
-                src_prefix = pool.prefixes[rng.choice(home)]
+            if rand() < home_bias:
+                src_i = home[randbelow(n_home)]
             else:
-                src_prefix = pool.pick(rng)
-            dst_prefix = pool.pick(rng)
-            src = src_prefix.random_host(rng)
-            dst = dst_prefix.random_host(rng)
-            port = self._pick_port(rng)
-            if rng.random() < cfg.short_flow_fraction:
-                octets = rng.randint(40, 1500)
+                src_i = pick_index(rand())
+            dst_i = pick_index(rand())
+            src = bases[src_i] + randbelow(spans[src_i])
+            dst = bases[dst_i] + randbelow(spans[dst_i])
+            # Zipf-ish over common ports with a tail of ephemeral high ports.
+            if rand() < 0.85:
+                port = COMMON_PORTS[min(int((1.0 - rand()) ** -1.0) - 1, last_port)]
+            else:
+                port = 1024 + randbelow(64512)
+            if rand() < short_fraction:
+                octets = 40 + randbelow(1461)
                 packets = max(1, octets // 600)
             else:
-                octets = max(40, int(rng.lognormvariate(cfg.size_mu, cfg.size_sigma)))
+                # random.normalvariate (Kinderman-Monahan), then exp.
+                while True:
+                    u1 = rand()
+                    u2 = 1.0 - rand()
+                    z = nv_magic * (u1 - 0.5) / u2
+                    if z * z / 4.0 <= -math.log(u2):
+                        break
+                octets = max(40, int(math.exp(mu + z * sigma)))
                 packets = max(1, octets // 1000)
             flows.append(
-                FlowRecord(
-                    monitor=monitor,
-                    start=base_t + rng.random() * window_s,
-                    src_addr=src,
-                    dst_addr=dst,
-                    dst_port=port,
-                    protocol=6,
-                    octets=octets,
-                    packets=packets,
-                )
+                FlowRecord(monitor, base_t + rand() * window_s, src, dst, port, 6, octets, packets)
             )
         for event in self.anomalies:
             flows.extend(event.flows_for_window(monitor, day, window_start_s, window_s, rng))
         return flows
-
-    def _pick_port(self, rng: random.Random) -> int:
-        # Zipf-ish over common ports with a tail of ephemeral high ports.
-        if rng.random() < 0.85:
-            weights_idx = min(int(rng.paretovariate(1.0)) - 1, len(COMMON_PORTS) - 1)
-            return COMMON_PORTS[weights_idx]
-        return rng.randint(1024, 65535)
 
     def generate(
         self,
@@ -194,10 +238,15 @@ class BackboneTrafficGenerator:
         window_s: float = 30.0,
         monitors: Optional[Sequence[str]] = None,
     ) -> Iterator[List[FlowRecord]]:
-        """Yield per-(window, monitor) flow batches across a time span."""
+        """Yield per-(window, monitor) flow batches across a time span.
+
+        Window ``i`` starts at ``start_s + i * window_s``: a product, not
+        a running sum, so a fractional width does not drift off its grid.
+        """
         names = list(monitors) if monitors else [s.name for s in self.sites]
-        t = start_s
-        while t < start_s + duration_s - 1e-9:
+        end = start_s + duration_s - 1e-9
+        i = 0
+        while (t := start_s + i * window_s) < end:
             for name in names:
                 yield self.flows_for_window(name, day, t, window_s)
-            t += window_s
+            i += 1

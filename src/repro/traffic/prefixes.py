@@ -8,6 +8,7 @@ recoverable with a mask.
 """
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import List, Tuple
 
@@ -76,6 +77,10 @@ class PrefixPool:
         base_octet = first_octet << 24
         for i in range(count):
             self.prefixes.append(Prefix(base_octet + (i << 16), 16))
+        #: Each prefix's base address and span, read once per draw by the
+        #: generator instead of through two properties.
+        self.bases: List[int] = [p.base for p in self.prefixes]
+        self.spans: List[int] = [p.span for p in self.prefixes]
         weights = [1.0 / (i + 1) ** zipf_s for i in range(count)]
         total = sum(weights)
         self._cumulative = []
@@ -87,14 +92,14 @@ class PrefixPool:
     def __len__(self) -> int:
         return len(self.prefixes)
 
+    def pick_index(self, x: float) -> int:
+        """The rank of the prefix a uniform draw ``x`` in [0, 1) selects.
+
+        The first prefix whose cumulative share reaches ``x``; a draw
+        above the float-rounded total selects the last prefix.
+        """
+        return min(bisect_left(self._cumulative, x), len(self._cumulative) - 1)
+
     def pick(self, rng: random.Random) -> Prefix:
         """Draw a prefix by Zipf popularity."""
-        x = rng.random()
-        lo, hi = 0, len(self._cumulative) - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cumulative[mid] < x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return self.prefixes[lo]
+        return self.prefixes[self.pick_index(rng.random())]

@@ -25,6 +25,19 @@ def test_invalid_bits_rejected():
         Code("012")
 
 
+@pytest.mark.parametrize("bits", ["0_1", " 01", "0 1", "\n", "2", "10a"])
+def test_non_binary_characters_rejected(bits):
+    # int(bits, 2) alone accepts "0_1" and surrounding whitespace.
+    with pytest.raises(ValueError):
+        Code(bits)
+
+
+@pytest.mark.parametrize("bits", ["", "0110", "1"])
+def test_valid_bits_accepted(bits):
+    assert Code(bits).bits == bits
+    assert len(Code(bits)) == len(bits)
+
+
 def test_immutable():
     c = Code("01")
     with pytest.raises(AttributeError):

@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.net.topology import ABILENE_SITES, GEANT_SITES, backbone_sites
-from repro.traffic.generator import BackboneTrafficGenerator, TrafficConfig, poisson
+from repro.traffic.generator import BackboneTrafficGenerator, TrafficConfig, poisson, window_index
 from repro.traffic.prefixes import prefix16_of
 
 import random
@@ -81,6 +81,28 @@ def test_generate_iterates_all_monitors():
     gen = make_gen()
     batches = list(gen.generate(day=0, start_s=0.0, duration_s=60.0, window_s=30.0))
     assert len(batches) == 2 * 34
+
+
+def test_fractional_windows_draw_distinct_streams():
+    # 0.5 // 0.1 is 4.0, so a floor-derived index once gave the windows at
+    # 0.4 s and 0.5 s one seed, and a running sum of 0.1 s drifted off the
+    # grid.
+    gen = make_gen(seed=3, flows_per_second=1000.0)
+    batches = list(gen.generate(0, 0.0, 1.0, 0.1, monitors=["CHIN"]))
+    assert len(batches) == 10
+    draws = [tuple((f.src_addr, f.dst_addr, f.dst_port, f.octets) for f in b) for b in batches]
+    assert all(draws)
+    assert len(set(draws)) == 10
+    assert batches == [gen.flows_for_window("CHIN", 0, i * 0.1, 0.1) for i in range(10)]
+
+
+def test_window_index_is_exact_on_the_grid():
+    assert [window_index(i * 0.1, 0.1) for i in range(2000)] == list(range(2000))
+    assert window_index(0.3, 0.1) == 3
+    assert window_index(3600.0, 30.0) == 120
+    # A start off the grid falls in the window that holds it.
+    assert window_index(3615.0, 30.0) == 120
+    assert window_index(3629.9, 30.0) == 120
 
 
 def test_day_rates_are_similar_but_not_identical():
