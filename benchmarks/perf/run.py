@@ -259,8 +259,8 @@ def overheads() -> Dict[str, float]:
             sim.run_until_idle()
 
     return {
-        "isolation_copy_us_per_msg": round(
-            1e6 * _extra_cost(clone, checks.ISOLATE_OFF, checks.ISOLATE_COPY, clones), 3),
+        "isolation_freeze_us_per_msg": round(
+            1e6 * _extra_cost(clone, checks.ISOLATE_OFF, checks.ISOLATE_FREEZE, clones), 3),
         "schedule_fuzz_ns_per_event": round(
             1e9 * _extra_cost(drain, checks.FUZZ_OFF, checks.FUZZ_SHUFFLE, events), 1),
         "resource_ledger_ns_per_msg": round(1e9 * _extra_cost(stream, False, True, sends), 1),

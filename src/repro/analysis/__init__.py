@@ -13,11 +13,10 @@ Five linters guard the invariants the paper's protocols rest on:
   forbids hash-ordered set iteration in the simulated subsystems, so a
   single master seed reproduces an entire experiment;
 * the **aliasing analyzer** (:mod:`repro.analysis.aliasing_lint`, aka
-  *repro-san*) proves message handlers never mutate, retain, or re-send
-  payload objects by reference — the cross-node aliasing the paper's
-  TCP-serialized deployment made impossible, backstopped at runtime by
-  the ``REPRO_ISOLATE_MESSAGES`` delivery sanitizer in
-  :mod:`repro.net.message`;
+  *repro-san*) flags a send of a received payload or a live container
+  by reference: the one cross-node aliasing hazard the frozen delivery
+  of ``REPRO_ISOLATE_MESSAGES`` (:mod:`repro.net.message`) cannot see,
+  because the network clones at delivery, not at send;
 * the **event-ordering analyzer** (:mod:`repro.analysis.ordering_lint`,
   aka *repro-race*) flags code whose behaviour depends on the kernel's
   same-timestamp tie-break order — zero-delay read-modify-writes, float

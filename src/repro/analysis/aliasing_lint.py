@@ -1,12 +1,13 @@
-"""repro-san: cross-node aliasing analysis of message handlers.
+"""repro-san: containers sent live across nodes.
 
 The simulated network hands :class:`~repro.net.message.Message` objects to
 receivers **by reference** (unless runtime isolation is on), while the
-paper's deployment serialized every message over TCP.  Any handler that
-mutates ``msg.payload``, retains a payload-reachable mutable into node
-state, or sends a live container as a payload is therefore sharing state
-across "wide-area" nodes in a way the real system makes physically
-impossible.  This pass proves the absence of those idioms statically.
+paper's deployment serialized every message over TCP.  A receiver that
+mutates or keeps what it was handed fails under the ``freeze`` isolation
+level the test suite runs at.  What isolation cannot see is the other
+side: the network clones at delivery, not at send, so a sender that
+ships a live container and changes it before the message lands reaches
+the receiver under ``freeze`` too.  This pass flags those send sites.
 
 Taint model
 -----------
@@ -18,30 +19,21 @@ is the taint source.  Taint flows through name bindings, subscript reads
 *reachable* from the payload — and stops at any other call: ``dict(...)``,
 ``list(...)``, ``thaw_payload(...)``, ``Record.from_wire(...)`` and every
 other constructor produce fresh objects, which is exactly the copy
-discipline the rules ask for.  Taint also propagates one level into
+discipline the rule asks for.  Taint also propagates one level into
 same-module helpers that receive a tainted argument
 (``self._apply_x(msg.payload)``), mirroring the protocol linter.
 
-Rules
------
-* ``alias-payload-mutation`` — a store, aug-assign, ``del``, or mutating
-  method call (``.append``/``.update``/``.pop``/...) whose target is
-  payload-reachable.
-* ``alias-payload-retention`` — a payload-reachable value (or a container
-  literal embedding one) stored into ``self.*`` state without a
-  ``dict(...)``/``list(...)``/copy wrap.  ``.update(...)``/``.extend(...)``
-  *into* node state are accepted: they copy elements into the receiver.
-* ``alias-send-live-state`` — a send site
-  (:func:`repro.analysis.astutil.send_site`) whose payload is the received
-  payload itself (a reflood by reference) or whose payload (value) is a
-  live mutable ``self.*`` container, without a copy wrap.
+Rule
+----
+``alias-send-live-state`` — a send site
+(:func:`repro.analysis.astutil.send_site`) whose payload is the received
+payload itself (a reflood by reference) or whose payload (value) is a
+live mutable ``self.*`` container, without a copy wrap.
 
-Known limits (each documented here so reviewers know what the pass does
-*not* prove): loop variables are not tainted (elements of payload lists
+Known limits: loop variables are not tainted (elements of payload lists
 are usually scalars; tainting them drowns the signal), callback
 indirection (``dac.submit(..., fn, payload)``) is not followed, and
-helper propagation is same-module only.  The runtime sanitizer
-(``REPRO_ISOLATE_MESSAGES``) backstops all three at test time.
+helper propagation is same-module only.
 
 Suppression: ``# repro-san: ignore[rule] reason`` on (or above) the line,
 or a justified entry in :mod:`repro.analysis.baseline`.
@@ -52,13 +44,10 @@ from typing import Dict, List, Optional, Sequence, Set
 
 from repro.analysis.astutil import (
     MUTABLE,
-    MUTATORS,
-    STORING,
     attr_name,
     container_bindings,
     describe,
     is_msg_payload,
-    root_name,
     self_attr,
     send_site,
 )
@@ -82,11 +71,9 @@ class _HandlerScope(ast.NodeVisitor):
         self.fn = fn
         self.tainted = set(payload_names)
         self.msg_names = set(msg_names)
-        self.self_aliases: Set[str] = set()
         self.depth = depth
         self.seen = seen
 
-    # -- taint predicates ----------------------------------------------
     def _is_tainted(self, node: ast.AST) -> bool:
         if isinstance(node, ast.Name):
             return node.id in self.tainted
@@ -100,135 +87,38 @@ class _HandlerScope(ast.NodeVisitor):
                 return self._is_tainted(func.value)
         return False
 
-    def _contains_tainted(self, node: ast.AST) -> bool:
-        if self._is_tainted(node):
-            return True
-        if isinstance(node, ast.Dict):
-            return any(v is not None and self._contains_tainted(v) for v in node.values)
-        if isinstance(node, (ast.List, ast.Tuple, ast.Set)):
-            return any(self._contains_tainted(elt) for elt in node.elts)
-        return False
-
-    def _is_self_rooted(self, node: ast.AST) -> bool:
-        root = root_name(node)
-        return root == "self" or root in self.self_aliases
-
-    def _finding(self, rule: str, node: ast.AST, message: str, detail: str) -> None:
-        self.lint.sink.report(
-            self.lint.module.path, node.lineno, rule, message, f"{self.fn.name}:{detail}",
-            node.col_offset,
-        )
-
-    # -- statements ----------------------------------------------------
-    def _check_store(self, target: ast.AST, value: Optional[ast.AST], node: ast.AST) -> None:
-        if isinstance(target, (ast.Subscript, ast.Attribute)) and self._is_tainted(target.value):
-            self._finding(
-                "alias-payload-mutation",
-                node,
-                f"handler stores into payload-reachable {describe(target)} "
-                "(mutates the sender's object when isolation is off)",
-                describe(target),
-            )
-            return
-        if value is None:
-            return
-        if self._is_self_rooted(target) and self._contains_tainted(value):
-            self._finding(
-                "alias-payload-retention",
-                node,
-                f"payload-reachable value retained into node state "
-                f"{describe(target)} without a copy wrap",
-                describe(target),
-            )
+    def _bind(self, target: ast.AST, value: Optional[ast.AST]) -> None:
+        """Propagate or clear taint through a plain name binding."""
+        if isinstance(target, ast.Name):
+            if value is not None and self._is_tainted(value):
+                self.tainted.add(target.id)
+            else:
+                self.tainted.discard(target.id)
 
     def visit_Assign(self, node: ast.Assign) -> None:
         for target in node.targets:
-            if isinstance(target, ast.Name):
-                # propagate / clear taint through plain name bindings
-                if self._is_tainted(node.value):
-                    self.tainted.add(target.id)
-                else:
-                    self.tainted.discard(target.id)
-                    if self_attr(node.value) is not None:
-                        self.self_aliases.add(target.id)
-                    else:
-                        self.self_aliases.discard(target.id)
-            else:
-                self._check_store(target, node.value, node)
+            self._bind(target, node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name):
-            if node.value is not None and self._is_tainted(node.value):
-                self.tainted.add(node.target.id)
-        else:
-            self._check_store(node.target, node.value, node)
-        self.generic_visit(node)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        target = node.target
-        if isinstance(target, (ast.Subscript, ast.Attribute)) and self._is_tainted(target.value):
-            self._finding(
-                "alias-payload-mutation",
-                node,
-                f"aug-assign mutates payload-reachable {describe(target)}",
-                describe(target),
-            )
-        self.generic_visit(node)
-
-    def visit_Delete(self, node: ast.Delete) -> None:
-        for target in node.targets:
-            if isinstance(target, (ast.Subscript, ast.Attribute)) and self._is_tainted(
-                target.value
-            ):
-                self._finding(
-                    "alias-payload-mutation",
-                    node,
-                    f"del mutates payload-reachable {describe(target)}",
-                    describe(target),
-                )
+        self._bind(node.target, node.value)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
-        func = node.func
-        # mutating method on a payload-reachable receiver
-        if isinstance(func, ast.Attribute) and func.attr in MUTATORS and self._is_tainted(
-            func.value
-        ):
-            self._finding(
-                "alias-payload-mutation",
-                node,
-                f".{func.attr}() mutates payload-reachable {describe(func.value)}",
-                f"{describe(func.value)}.{func.attr}",
-            )
-        # value-storing method call that retains a tainted value in self state
-        elif (
-            isinstance(func, ast.Attribute)
-            and func.attr in STORING
-            and self._is_self_rooted(func.value)
-            and any(self._contains_tainted(arg) for arg in node.args)
-        ):
-            self._finding(
-                "alias-payload-retention",
-                node,
-                f".{func.attr}() retains a payload-reachable value in node "
-                f"state {describe(func.value)} without a copy wrap",
-                f"{describe(func.value)}.{func.attr}",
-            )
         # reflood / re-send of the received payload by reference (the kind
         # need not be a literal: aliasing is about the payload object)
         site = send_site(node)
         payload_arg = site[1] if site is not None else None
         if payload_arg is not None and self._is_tainted(payload_arg):
-            self._finding(
-                "alias-send-live-state",
-                node,
+            self.lint.sink.report(
+                self.lint.module.path, node.lineno, "alias-send-live-state",
                 f"send re-uses the received payload {describe(payload_arg)} "
                 "by reference; wrap it in dict(...)/thaw_payload(...) first",
-                f"send:{describe(payload_arg)}",
+                f"{self.fn.name}:send:{describe(payload_arg)}",
+                node.col_offset,
             )
         # one level of helper propagation for tainted arguments
-        callee = attr_name(func)
+        callee = attr_name(node.func)
         if callee is not None and self.depth < 2:
             positions = [i for i, arg in enumerate(node.args) if self._is_tainted(arg)]
             if positions:
@@ -281,8 +171,8 @@ class _AliasingLint:
     def run_handlers(self) -> None:
         for reg, fn in self.module.handler_functions():
             # Routed arrival handlers receive a private envelope: the
-            # "route" handler is itself checked by the mutation rule,
-            # which forces it to thaw msg.payload before routing.
+            # "route" handler copies msg.payload before routing, or the
+            # frozen test suite raises on its first hop.
             if not reg.routed:
                 self.analyze_function(fn, as_msg=True)
 
@@ -339,7 +229,7 @@ class _AliasingLint:
 
 
 def lint_aliasing(module: Module, sink: Sink) -> None:
-    """Run the aliasing rules over one module."""
+    """Run the aliasing rule over one module."""
     lint = _AliasingLint(module, sink)
     lint.run_handlers()
     lint.run_sends()

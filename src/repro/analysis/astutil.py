@@ -28,8 +28,6 @@ MUTATORS = frozenset({
 REMOVALS = frozenset({"pop", "popitem", "remove", "discard", "clear"})
 #: mutators that lengthen a list
 GROWTH = frozenset({"append", "extend"})
-#: mutators whose argument becomes reachable from the receiver
-STORING = frozenset({"append", "add", "insert", "setdefault"})
 
 
 def describe(node: ast.AST) -> str:

@@ -5,7 +5,7 @@ Every entry names a finding by its stable ``rule:path:context`` key (see
 acceptable.  The analysis gate fails on any finding not listed here and
 not suppressed inline — and the baseline is expected to shrink, not
 grow: add an entry only when the flagged behaviour is provably safe
-(e.g. the retained value is an immutable scalar) or deliberately
+(e.g. the list is bounded by the experiment's inputs) or deliberately
 non-deterministic, and say so.
 
 Paths in keys are as reported by the runner: cwd-relative POSIX paths
@@ -17,17 +17,6 @@ from typing import Dict, List
 
 #: list of {"key": "rule:path:context", "reason": "..."} entries.
 BASELINE: List[Dict[str, str]] = [
-    {
-        # _declare_dead(addr) is reached from the suspect_dead handler
-        # with addr = msg.payload["suspect"]; the analyzer cannot see
-        # types, but an address is an immutable string, so retaining it
-        # in the _declared_dead set cannot alias sender state.
-        "key": (
-            "alias-payload-retention:src/repro/overlay/node.py:"
-            "_declare_dead:self._declared_dead.add"
-        ),
-        "reason": "retained value is an immutable address string, not a container",
-    },
     # The split two-phase protocol keeps one PendingPrepare slot; three
     # handlers write it, so order-handler-commute flags all three pairs.
     # The races are convergent: _on_split_abort and _on_split_commit_notify
@@ -57,18 +46,9 @@ BASELINE: List[Dict[str, str]] = [
         ),
         "reason": "commit clears only its own (host, round); prepare then lands cleanly",
     },
-    # Retention is the point of these two: the recall evaluation of
-    # Figure 16 compares query results against the central ground-truth
-    # copy, and the churn summary counts crash/restore events after the
-    # fact.  Both are bounded by the experiment's own inputs (workload
-    # size; churn duration), not by run-forever service state.
-    {
-        "key": (
-            "leak-op-state:src/repro/core/cluster.py:"
-            "create_index:self.ground_truth"
-        ),
-        "reason": "central reference copy for recall scoring; bounded by the workload",
-    },
+    # Retention is the point here: the churn summary counts crash/restore
+    # events after the fact, bounded by the churn duration, not by
+    # run-forever service state.
     {
         "key": (
             "leak-unbounded-growth:src/repro/net/failures.py:"

@@ -17,16 +17,6 @@ RULES = {
         "iteration over a set, whose order depends on PYTHONHASHSEED; "
         "wrap in sorted(...) or iterate a deterministic container"
     ),
-    "alias-payload-mutation": (
-        "a handler mutates msg.payload or a value reached through it; "
-        "with by-reference delivery that edits the sender's object — "
-        "work on a thaw_payload(...)/dict(...) copy instead"
-    ),
-    "alias-payload-retention": (
-        "a handler retains a payload-reachable mutable into self.* state "
-        "without a dict(...)/list(...)/copy wrap, so later sender-side "
-        "mutation leaks into this node"
-    ),
     "alias-send-live-state": (
         "a send site passes a live mutable container (node state or the "
         "received payload) as payload without copying; every receiver "
@@ -47,20 +37,10 @@ RULES = {
         "attribute; two same-timestamp messages make the final value "
         "last-writer-wins"
     ),
-    "leak-op-state": (
-        "a handler writes per-op-keyed entries into a self.* dict/set "
-        "but no method of the class ever removes them; under churn the "
-        "table grows for every op that dies mid-flight"
-    ),
     "leak-timer-unguarded": (
         "a scheduled callback writes self.* state, keeps no cancel "
         "handle, and has no staleness/liveness guard; it fires after a "
         "crash or completion and resurrects state that was torn down"
-    ),
-    "leak-node-retention": (
-        "a keyed table of a class with an unregister/teardown method "
-        "accumulates entries the teardown path never removes; entries "
-        "for departed nodes are retained forever"
     ),
     "leak-unbounded-growth": (
         "appends to a long-lived self.* list with no bound, eviction, "

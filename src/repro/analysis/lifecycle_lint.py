@@ -2,12 +2,12 @@
 
 Under churn the simulator's nodes, network, and cluster tables live for
 the whole run while the operations they track die constantly — crashed
-originators, unregistered endpoints, timed-out ops.  Any per-op or
-per-node entry without a matching removal path is a leak that grows with
-run length, and an orphaned watchdog timer resurrects state that was
-already torn down.  This pass proves the *static* half of the resource
-lifecycle discipline; the runtime ledger (``REPRO_TRACK_RESOURCES=1``,
-:mod:`repro.sim.resources`) proves the dynamic half at quiescence.
+originators, unregistered endpoints, timed-out ops.  A list that grows
+without bound is a leak that grows with run length, and an orphaned
+watchdog timer resurrects state that was already torn down.  This pass
+is the *static* half of the resource lifecycle discipline; the runtime
+ledger (``REPRO_TRACK_RESOURCES=1``, :mod:`repro.sim.resources`) is the
+dynamic half at quiescence.
 
 Model
 -----
@@ -16,32 +16,21 @@ list literal, comprehension, constructor, or mutable annotation anywhere
 in the class is a *long-lived container*.  Within each class the pass
 collects, per container:
 
-* **add sites** — keyed writes outside ``__init__``: ``self.a[k] = v``
-  with a non-constant key, ``.setdefault(...)``, or ``.add(x)`` with a
-  non-constant element.  Growth sites for lists are ``.append``/
-  ``.extend``/``+=``.
+* **growth sites** — ``.append``/``.extend``/``+=`` on a list outside
+  ``__init__``.
 * **removal evidence** — ``.pop``/``.popitem``/``.remove``/``.discard``/
   ``.clear``, ``del self.a[...]``, ``-=``, or a wholesale reassignment
-  outside ``__init__``.  Evidence counts anywhere in the class
-  (cross-handler add/remove matching) and through a one-level local
-  alias (``table = self.a; table.pop(k)``), mirroring the aliasing
-  lint's helper discipline.
+  outside ``__init__``.  Evidence counts anywhere in the class and
+  through a one-level local alias (``table = self.a; table.pop(k)``).
 
 Rules
 -----
-* ``leak-op-state`` — a keyed dict/set container with add sites and *no*
-  removal evidence anywhere in the class.
 * ``leak-timer-unguarded`` — a ``schedule``/``schedule_at``/
   ``call_in_slot``/``timer_in_slot``/``_schedule_coarse``/``_defer``/
   ``_defer_timer`` call whose handle is
   discarded, whose callback resolves locally, writes ``self.*`` state,
   and has no early-return staleness guard — so it cannot be cancelled on
   node kill and fires unconditionally into whatever state remains.
-* ``leak-node-retention`` — in a class with a teardown method
-  (``unregister``/``deregister``/``remove_node``/``teardown``), a keyed
-  container with add sites that the teardown path (including one-level
-  ``self._helper()`` callees) never removes from; entries for departed
-  nodes are retained forever.
 * ``leak-unbounded-growth`` — a list container with growth sites and no
   bound: no removal evidence, no slot-recycling subscript write, and no
   ``len(self.a)`` comparison anywhere in the class.
@@ -78,19 +67,6 @@ _SCHEDULERS = frozenset({
     "_defer_timer",
 })
 
-_TEARDOWN_NAMES = ("unregister", "deregister", "remove_node", "teardown")
-
-
-def _is_constant_key(node: ast.AST) -> bool:
-    """Constant subscripts/elements address a fixed slot, not a per-op key."""
-    if isinstance(node, ast.Constant):
-        return True
-    if isinstance(node, ast.Tuple):
-        return all(_is_constant_key(elt) for elt in node.elts)
-    if isinstance(node, ast.UnaryOp):
-        return _is_constant_key(node.operand)
-    return False
-
 
 class _MethodScan(ast.NodeVisitor):
     """One method's container events, with one-level local alias tracking."""
@@ -115,7 +91,7 @@ class _MethodScan(ast.NodeVisitor):
             if attr is not None:
                 # wholesale reassignment — also (re)classifies the slot
                 if self.fn.name != "__init__" and attr in self.cls.containers:
-                    self.cls.note_removal(attr, self.fn.name)
+                    self.cls.note_removal(attr)
                 continue
             if isinstance(target, ast.Name):
                 source = self._resolve(node.value)
@@ -126,26 +102,17 @@ class _MethodScan(ast.NodeVisitor):
                 continue
             if isinstance(target, ast.Subscript):
                 attr = self._resolve(target.value)
-                if attr is None:
-                    continue
-                if self.cls.containers.get(attr) == "list" or _is_constant_key(
-                    target.slice
-                ):
+                if self.cls.containers.get(attr) == "list":
                     # an index write cannot grow a list (slot recycling,
-                    # e.g. interned-id arrays); a constant key addresses
-                    # a fixed slot, not a per-op entry
+                    # e.g. interned-id arrays)
                     self.cls.bound_evidence.add(attr)
-                elif self.fn.name != "__init__":
-                    # construction-time population runs once per instance
-                    # and is bounded by the constructor's inputs
-                    self.cls.note_add(attr, self.fn.name, node, f"self.{attr}[...]")
         self.generic_visit(node)
 
     def visit_AugAssign(self, node: ast.AugAssign) -> None:
         attr = self_attr(node.target)
         if attr is not None and attr in self.cls.containers:
             if isinstance(node.op, ast.Sub):
-                self.cls.note_removal(attr, self.fn.name)
+                self.cls.note_removal(attr)
             elif isinstance(node.op, ast.Add) and self.fn.name != "__init__":
                 self.cls.note_growth(attr, self.fn.name, node, f"self.{attr} += ...")
         self.generic_visit(node)
@@ -155,7 +122,7 @@ class _MethodScan(ast.NodeVisitor):
             if isinstance(target, ast.Subscript):
                 attr = self._resolve(target.value)
                 if attr is not None:
-                    self.cls.note_removal(attr, self.fn.name)
+                    self.cls.note_removal(attr)
         self.generic_visit(node)
 
     def visit_Call(self, node: ast.Call) -> None:
@@ -165,18 +132,9 @@ class _MethodScan(ast.NodeVisitor):
             if attr is not None:
                 method = func.attr
                 if method in REMOVALS:
-                    self.cls.note_removal(attr, self.fn.name)
-                elif self.fn.name != "__init__":
-                    if method == "setdefault":
-                        self.cls.note_add(
-                            attr, self.fn.name, node, f"self.{attr}.setdefault"
-                        )
-                    elif method == "add" and node.args and not _is_constant_key(node.args[0]):
-                        self.cls.note_add(attr, self.fn.name, node, f"self.{attr}.add")
-                    elif method in GROWTH:
-                        self.cls.note_growth(
-                            attr, self.fn.name, node, f"self.{attr}.{method}"
-                        )
+                    self.cls.note_removal(attr)
+                elif method in GROWTH and self.fn.name != "__init__":
+                    self.cls.note_growth(attr, self.fn.name, node, f"self.{attr}.{method}")
         if (
             isinstance(func, ast.Name)
             and func.id == "len"
@@ -208,14 +166,10 @@ class _ClassScan:
             self.containers.setdefault(attr, kind)
         for attr in [a for a, kind in self.containers.items() if kind not in MUTABLE]:
             del self.containers[attr]
-        #: attr -> first (method, lineno, detail) keyed-add site
-        self.add_sites: Dict[str, Tuple[str, int, str]] = {}
-        #: methods contributing add sites per attr (teardown exemption)
-        self.add_methods: Dict[str, Set[str]] = {}
         #: attr -> first (method, lineno, detail) list-growth site
         self.growth_sites: Dict[str, Tuple[str, int, str]] = {}
-        #: attr -> methods that remove from it
-        self.removed_in: Dict[str, Set[str]] = {}
+        #: attrs some method removes from
+        self.removed: Set[str] = set()
         self.bound_evidence: Set[str] = set()
         #: discarded-handle scheduler calls: (method, call node)
         self.timer_sites: List[Tuple[ast.FunctionDef, ast.Call]] = []
@@ -227,17 +181,12 @@ class _ClassScan:
                     self._discarded_calls.add(id(stmt.value))
             _MethodScan(self, fn).visit(fn)
 
-    def note_add(self, attr: str, method: str, node: ast.AST, detail: str) -> None:
-        if self.containers.get(attr) in ("dict", "set"):
-            self.add_sites.setdefault(attr, (method, node.lineno, detail))
-            self.add_methods.setdefault(attr, set()).add(method)
-
     def note_growth(self, attr: str, method: str, node: ast.AST, detail: str) -> None:
         if self.containers.get(attr) == "list":
             self.growth_sites.setdefault(attr, (method, node.lineno, detail))
 
-    def note_removal(self, attr: str, method: str) -> None:
-        self.removed_in.setdefault(attr, set()).add(method)
+    def note_removal(self, attr: str) -> None:
+        self.removed.add(attr)
 
     # -- timers --------------------------------------------------------
     def note_scheduler_call(self, fn: ast.FunctionDef, node: ast.Call) -> None:
@@ -293,55 +242,11 @@ class _ClassScan:
         return False
 
     # -- rule evaluation -----------------------------------------------
-    def teardown_method(self) -> Optional[ast.FunctionDef]:
-        for name in _TEARDOWN_NAMES:
-            fn = self.methods.get(name)
-            if fn is not None:
-                return fn
-        return None
-
-    def _teardown_scope(self, teardown: ast.FunctionDef) -> Set[str]:
-        """The teardown method plus its one-level ``self._helper()`` callees."""
-        scope = {teardown.name}
-        for node in ast.walk(teardown):
-            if isinstance(node, ast.Call):
-                attr = self_attr(node.func)
-                if attr is not None and attr in self.methods:
-                    scope.add(attr)
-        return scope
-
     def report(self, sink: Sink) -> None:
         path = self.module.path
         cls = self.node.name
-        for attr, (method, lineno, detail) in sorted(self.add_sites.items()):
-            if attr not in self.removed_in:
-                sink.report(
-                    path, lineno, "leak-op-state",
-                    f"{cls}.{attr} gains per-key entries here ({detail}) but no "
-                    "method of the class ever removes them; ops that die "
-                    "mid-flight leak their entry",
-                    f"{method}:self.{attr}",
-                )
-
-        teardown = self.teardown_method()
-        if teardown is not None:
-            scope = self._teardown_scope(teardown)
-            for attr, (method, lineno, detail) in sorted(self.add_sites.items()):
-                removed_in = self.removed_in.get(attr)
-                if not removed_in or removed_in & scope:
-                    continue
-                if self.add_methods.get(attr, set()) <= {teardown.name}:
-                    continue
-                sink.report(
-                    path, lineno, "leak-node-retention",
-                    f"{cls}.{attr} accumulates keyed entries ({detail}) that "
-                    f"{teardown.name}() never removes; entries for departed nodes "
-                    "are retained",
-                    f"{teardown.name}:self.{attr}",
-                )
-
         for attr, (method, lineno, detail) in sorted(self.growth_sites.items()):
-            if attr in self.removed_in or attr in self.bound_evidence:
+            if attr in self.removed or attr in self.bound_evidence:
                 continue
             sink.report(
                 path, lineno, "leak-unbounded-growth",

@@ -4,8 +4,8 @@ Two escape hatches, both explicit and reviewable:
 
 * a comment that starts ``# repro-lint: ignore[rule-a,rule-b] reason``
   on the flagged line (or on the line directly above it) suppresses
-  those rules at that site; ``ignore[*]`` suppresses every rule.  The aliasing rules
-  spell the tag ``# repro-san: ignore[...]``, the event-ordering rules
+  those rules at that site; ``ignore[*]`` suppresses every rule.  The aliasing rule
+  spells the tag ``# repro-san: ignore[...]``, the event-ordering rules
   ``# repro-race: ignore[...]``, and the lifecycle rules
   ``# repro-leak: ignore[...]`` — all four spellings are accepted for
   any rule;

@@ -6,9 +6,10 @@ default because each costs time on the per-message path:
 ``validate`` (``REPRO_PROTOCOL_VALIDATE``)
     Every :class:`~repro.net.message.Message` is checked against the wire
     registry at construction (:func:`repro.net.protocol.validate_wire`).
-``isolation`` (``REPRO_ISOLATE_MESSAGES`` = ``copy`` | ``freeze``)
-    The network delivers a clone whose payload is copied (or frozen into
-    read-only views), as TCP serialization did for the real deployment.
+``isolation`` (``REPRO_ISOLATE_MESSAGES`` = ``freeze``)
+    The network delivers a clone whose payload is frozen into read-only
+    views, so a receiver can neither reach nor mutate the sender's objects,
+    as TCP serialization guaranteed the real deployment.
 ``fuzz`` / ``fuzz_seed`` (``REPRO_SCHEDULE_FUZZ`` = ``shuffle`` |
 ``reverse``, ``REPRO_SCHEDULE_FUZZ_SEED``)
     Same-timestamp events fire in a seeded perturbed order instead of
@@ -32,11 +33,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
-#: Isolation levels, weakest to strongest.
+#: Isolation levels: by-reference delivery, or read-only payload views.
 ISOLATE_OFF = "off"
-ISOLATE_COPY = "copy"
 ISOLATE_FREEZE = "freeze"
-ISOLATION_LEVELS = (ISOLATE_OFF, ISOLATE_COPY, ISOLATE_FREEZE)
+ISOLATION_LEVELS = (ISOLATE_OFF, ISOLATE_FREEZE)
 
 #: Tie-break equal-time events in scheduling (``seq``) order — the default.
 FUZZ_OFF = "off"
@@ -68,7 +68,7 @@ _ENV: Dict[str, Tuple[str, Dict[str, Any]]] = {
     "validate": ("REPRO_PROTOCOL_VALIDATE", _choices(False, True)),
     "isolation": (
         "REPRO_ISOLATE_MESSAGES",
-        _choices(ISOLATE_OFF, ISOLATE_COPY, ISOLATE_COPY, ISOLATE_FREEZE),
+        _choices(ISOLATE_OFF, ISOLATE_FREEZE, ISOLATE_FREEZE),
     ),
     "fuzz": ("REPRO_SCHEDULE_FUZZ", _choices(FUZZ_OFF, None, FUZZ_SHUFFLE, FUZZ_REVERSE)),
     "track_resources": ("REPRO_TRACK_RESOURCES", _choices(False, True)),

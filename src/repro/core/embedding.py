@@ -26,6 +26,7 @@ code bits and the query's quantised corners, all in closed form.
 
 import json
 import math
+from types import MappingProxyType
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -63,6 +64,14 @@ _KEEP_MIN_ROWS = 48
 #: Bounded FIFO: eviction only stops *sharing*, never breaks correctness.
 _WIRE_INTERN: Dict[str, "Embedding"] = {}
 _WIRE_INTERN_MAX = 256
+
+
+def _frozen_mapping(value):
+    """``json.dumps`` fallback: a wire dict delivered frozen (the ``freeze``
+    isolation level's read-only view) keys like the plain dict."""
+    if isinstance(value, MappingProxyType):
+        return dict(value)
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 #: One dimension's share of an even-cut code: the quantiser's scale
@@ -168,10 +177,9 @@ class Embedding:
             # Memo keyed by tree node, bounded by the reachable cuts of a
             # depth-capped trie; entries must never be evicted — every node
             # has to derive identical splits forever.
-            # repro-leak: ignore[leak-op-state] bounded split memo, eviction would fork cuts
             self._cuts[node] = split
             if found is not None and (rows is None or len(rows) >= _KEEP_MIN_ROWS):
-                # repro-leak: ignore[leak-op-state] at most one row set per memoised cut
+                # At most one row set per memoised cut.
                 live[node] = found
         return split
 
@@ -428,11 +436,11 @@ class Embedding:
         instance (and thus one shared, warm cut-tree memo): the cut
         positions are deterministic in the wire content, so sharing is
         observationally identical to rebuilding — minus the per-node
-        re-derivation cost.  Payload isolation levels that freeze the
-        wire dict fall back to a private instance.
+        re-derivation cost.  A wire form delivered frozen keys the same
+        instance; one that is not JSON gets a private instance.
         """
         try:
-            key = json.dumps(data, sort_keys=True)
+            key = json.dumps(data, sort_keys=True, default=_frozen_mapping)
         except TypeError:
             key = None
         if key is not None:

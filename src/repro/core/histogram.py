@@ -101,7 +101,7 @@ class MultiDimHistogram:
         if len(point) != self.dimensions:
             raise ValueError(f"expected {self.dimensions} coordinates, got {len(point)}")
         cell = tuple(self._bin_of(x, dim) for dim, x in enumerate(point))
-        # repro-leak: ignore[leak-op-state] sparse grid bounded by prod(grains)
+        # Sparse grid, bounded by prod(grains).
         self._cells[cell] = self._cells.get(cell, 0.0) + weight
         self._dirty = True
 

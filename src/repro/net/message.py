@@ -23,18 +23,19 @@ never mutate the sender's copy.  The simulation passes payloads by
 reference, which makes cross-node aliasing possible.  The *isolation*
 switch closes that gap at delivery time:
 
-* ``copy`` — the network delivers a :meth:`Message.clone` whose payload
-  containers are recursively copied, so receiver-side mutation can never
-  reach the sender's objects.
-* ``freeze`` — the clone's payload is recursively frozen
-  (:class:`types.MappingProxyType` / tuples / frozensets), so any mutation
-  attempt raises ``TypeError`` at the offending line.
-* ``off`` — by-reference delivery (the perf-run default; copying would
+* ``freeze`` — the network delivers a :meth:`Message.clone` whose payload
+  is recursively frozen (:class:`types.MappingProxyType` / tuples /
+  frozensets), so any mutation attempt raises ``TypeError`` at the
+  offending line.
+* ``off`` — by-reference delivery (the perf-run default; cloning would
   distort timing benchmarks).
 
 The level is the ``isolation`` field of :mod:`repro.checks`
 (``REPRO_ISOLATE_MESSAGES``), captured by each
-:class:`~repro.net.network.SimNetwork` at construction.
+:class:`~repro.net.network.SimNetwork` at construction.  A clone can also
+*copy* its payload (:data:`ISOLATE_COPY`): that is how
+:meth:`~repro.net.network.SimNetwork.resend` gives each retry its own
+payload, not an isolation level a check arms.
 """
 
 import itertools
@@ -42,11 +43,14 @@ from dataclasses import dataclass, field
 from types import MappingProxyType
 from typing import Any, Dict
 
-from repro.checks import ISOLATE_COPY, ISOLATE_FREEZE, ISOLATE_OFF, ISOLATION_LEVELS
+from repro.checks import ISOLATE_FREEZE, ISOLATE_OFF
 from repro.checks import active as _checks
 from repro.net import protocol
 
 _MESSAGE_IDS = itertools.count(1)
+
+#: The clone level that recursively copies the payload's containers.
+ISOLATE_COPY = "copy"
 
 #: Hot-path locals for Message construction (module-attr reads beat
 #: attribute chains in the per-message constructor).
@@ -258,7 +262,8 @@ class Message:
             payload = self.payload
         else:
             raise ValueError(
-                f"unknown isolation level: {level!r} (expected one of {ISOLATION_LEVELS})"
+                f"unknown clone level: {level!r} "
+                f"(expected one of {(ISOLATE_OFF, ISOLATE_COPY, ISOLATE_FREEZE)})"
             )
         return Message(
             src=self.src,

@@ -43,9 +43,9 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro import checks
-from repro.checks import ISOLATE_COPY, ISOLATE_OFF
+from repro.checks import ISOLATE_OFF
 from repro.net.latency import PATHOLOGY_ALPHA, LatencyModel
-from repro.net.message import HEADER_BYTES, Message
+from repro.net.message import HEADER_BYTES, ISOLATE_COPY, Message
 from repro.net.topology import Site
 from repro.sim.kernel import Simulator
 from repro.sim.resources import ResourceLedger
@@ -542,7 +542,7 @@ class SimNetwork:
             # is already scheduled when the entry is created and always
             # empties it within one window, so unregister has nothing to
             # prune (stale callbacks self-guard, per the docstring).
-            self._call_wheel[slot] = [(fn, args)]  # repro-leak: ignore[leak-node-retention] time-keyed, drains within one window
+            self._call_wheel[slot] = [(fn, args)]
             self.sim.push_at(slot * window, self._drain_calls, (slot,))
         else:
             batch.append((fn, args))

@@ -830,10 +830,9 @@ class OverlayNode:
 
         Only the ``freeze`` isolation level needs work: its read-only views
         must be thawed back into mutable containers before arrival/failure/
-        recovery code consumes them.  Under ``copy`` the delivery clone
-        already made the whole payload private to this node, and under
-        ``off`` by-reference delivery *is* the contract (the aliasing lint
-        keeps handlers copy-clean) — both skip the deep thaw, which at
+        recovery code consumes them.  Under ``off`` by-reference delivery
+        *is* the contract (the frozen test suite keeps handlers from
+        mutating what they receive), so it skips the deep thaw, which at
         terminal hops otherwise dominates routed-insert cost.
         """
         if self._frozen_delivery:
@@ -1001,7 +1000,6 @@ class OverlayNode:
         seen_key = (payload["op_id"], payload["origin"])
         if self._ring_seen.get(seen_key, 0) >= payload["ttl"]:
             return
-        # repro-san: ignore[alias-payload-retention] ttl is an int, not a container
         self._ring_seen[seen_key] = payload["ttl"]
         if len(self._ring_seen) > 4096:
             # Bounded memory: drop the oldest half (dict preserves

@@ -30,7 +30,7 @@ class RandomStreams:
         if existing is not None:
             return existing
         rng = random.Random(derive_seed(self.master_seed, name))
-        # repro-leak: ignore[leak-op-state] bounded by distinct stream names
+        # Bounded by the distinct stream names.
         self._streams[name] = rng
         return rng
 

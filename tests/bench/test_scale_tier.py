@@ -135,7 +135,7 @@ def test_tree_names_head_when_clean_and_a_commit_of_the_worktree_when_dirty(
 
 
 @pytest.mark.parametrize("variable,value", [
-    ("REPRO_ISOLATE_MESSAGES", "copy"),
+    ("REPRO_ISOLATE_MESSAGES", "freeze"),
     ("REPRO_SCHEDULE_FUZZ", "shuffle"),
     ("REPRO_TRACK_RESOURCES", "1"),
 ])

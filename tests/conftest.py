@@ -7,12 +7,10 @@ registry in :mod:`repro.net.protocol`, so payload drift fails loudly.
 Unit tests that deliberately send ad-hoc kinds opt out locally with
 ``checks.configure(validate=False)``.
 
-The suite also runs with message isolation ON (``copy`` level unless
-``REPRO_ISOLATE_MESSAGES`` picks ``freeze``): every delivery clones the
-payload, so any handler that relied on cross-node aliasing fails here
-rather than silently diverging from the paper's TCP-serialized
-deployment.  ``REPRO_ISOLATE_MESSAGES=freeze`` hardens the whole suite
-further — delivered payloads become read-only views and mutation raises.
+The suite also runs with message isolation at ``freeze``: every delivery
+hands the receiver a read-only view of the payload, so a handler that
+mutates what it received raises here rather than silently diverging from
+the paper's TCP-serialized deployment.
 
 Schedule fuzz (``REPRO_SCHEDULE_FUZZ=shuffle|reverse`` plus
 ``REPRO_SCHEDULE_FUZZ_SEED=N``) and resource tracking
@@ -34,7 +32,7 @@ def _runtime_checks():
     env = checks.from_env()
     with checks.configure(
         validate=True,
-        isolation=env.isolation if env.isolation != checks.ISOLATE_OFF else checks.ISOLATE_COPY,
+        isolation=checks.ISOLATE_FREEZE,
         fuzz=env.fuzz,
         fuzz_seed=env.fuzz_seed,
         track_resources=env.track_resources,

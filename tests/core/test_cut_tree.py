@@ -286,7 +286,7 @@ def test_cold_descents_weigh_their_own_cells_not_the_histogram():
 # ----------------------------------------------------------------------
 # One cut tree per version per process
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("isolation", [checks.ISOLATE_OFF, checks.ISOLATE_COPY])
+@pytest.mark.parametrize("isolation", [checks.ISOLATE_OFF, checks.ISOLATE_FREEZE])
 def test_a_cluster_shares_one_embedding_per_version(isolation):
     """The node that creates an index or installs a version resolves its
     own wire form through the intern table like every receiver, instead

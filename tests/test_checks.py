@@ -1,6 +1,7 @@
 """repro.checks: the environment parser, the configure scope, capture."""
 
 import dataclasses
+from types import MappingProxyType
 
 import pytest
 
@@ -9,11 +10,11 @@ from repro.checks import (
     FUZZ_OFF,
     FUZZ_REVERSE,
     FUZZ_SHUFFLE,
-    ISOLATE_COPY,
     ISOLATE_FREEZE,
     ISOLATE_OFF,
     Checks,
 )
+from repro.net.message import thaw_payload
 from repro.net.network import SimNetwork
 from repro.sim.kernel import Simulator
 
@@ -22,7 +23,7 @@ FALSEY = ["", "0", "off", "false", "no", "OFF", " No "]
 #: (variable, record field, value when off, value a bare "1" arms)
 SWITCHES = [
     ("REPRO_PROTOCOL_VALIDATE", "validate", False, True),
-    ("REPRO_ISOLATE_MESSAGES", "isolation", ISOLATE_OFF, ISOLATE_COPY),
+    ("REPRO_ISOLATE_MESSAGES", "isolation", ISOLATE_OFF, ISOLATE_FREEZE),
     ("REPRO_TRACK_RESOURCES", "track_resources", False, True),
 ]
 
@@ -51,7 +52,6 @@ def test_truthy_spellings_arm_the_check(variable, field, on, raw):
 @pytest.mark.parametrize(
     "variable,field,raw,expected",
     [
-        ("REPRO_ISOLATE_MESSAGES", "isolation", "copy", ISOLATE_COPY),
         ("REPRO_ISOLATE_MESSAGES", "isolation", "freeze", ISOLATE_FREEZE),
         ("REPRO_ISOLATE_MESSAGES", "isolation", "FREEZE", ISOLATE_FREEZE),
         ("REPRO_SCHEDULE_FUZZ", "fuzz", "shuffle", FUZZ_SHUFFLE),
@@ -70,6 +70,8 @@ def test_named_values(variable, field, raw, expected):
         ("REPRO_PROTOCOL_VALIDATE", "ture"),
         # Regression: a typo'd isolation level used to mean ``copy``.
         ("REPRO_ISOLATE_MESSAGES", "freze"),
+        # ``copy`` is no longer a level: it hid mutations ``freeze`` raises on.
+        ("REPRO_ISOLATE_MESSAGES", "copy"),
         ("REPRO_SCHEDULE_FUZZ", "random"),
         # Schedule fuzz has no default armed mode: it must be named.
         ("REPRO_SCHEDULE_FUZZ", "1"),
@@ -125,7 +127,8 @@ def test_configure_none_leaves_a_field_alone():
 
 
 @pytest.mark.parametrize(
-    "changes", [{"isolation": "bogus"}, {"isolation": True}, {"fuzz": "random"}]
+    "changes",
+    [{"isolation": "bogus"}, {"isolation": True}, {"fuzz": "random"}, {"isolation": "copy"}],
 )
 def test_configure_rejects_unknown_values(changes):
     before = dataclasses.replace(checks.active)
@@ -185,11 +188,11 @@ def test_simulator_and_network_keep_what_they_captured():
 
 def test_both_delivery_paths_honour_the_captured_isolation():
     # _deliver serves both engines (push_at uncoalesced, the slot wheel
-    # coalesced) and reads the per-network snapshot: delivery copies even
+    # coalesced) and reads the per-network snapshot: delivery freezes even
     # though the live record has gone back to ``off`` by the time the
     # messages arrive.
     for window in (0.0, 0.05):
-        with checks.configure(isolation=ISOLATE_COPY, validate=False):
+        with checks.configure(isolation=ISOLATE_FREEZE, validate=False):
             sim = Simulator(seed=2)
             net = SimNetwork(sim, {}, coalesce_window_s=window)
         with checks.configure(isolation=ISOLATE_OFF, validate=False):
@@ -199,6 +202,6 @@ def test_both_delivery_paths_honour_the_captured_isolation():
             payload = {"items": [1, 2]}
             net.send("a", "b", "ping", payload)
             sim.run_until_idle()
-        assert received[0].payload == payload
-        assert received[0].payload is not payload, f"window={window}"
+        assert isinstance(received[0].payload, MappingProxyType), f"window={window}"
+        assert thaw_payload(received[0].payload) == payload
 

@@ -18,7 +18,11 @@ behavioral change ever lands, re-capture with::
 """
 
 import hashlib
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
@@ -135,6 +139,43 @@ def test_seeded_run_matches_pre_scale_golden():
     with checks.configure(fuzz="off"):
         digest = scenario_digest()
     assert digest == GOLDEN_DIGEST
+
+
+#: Prints :func:`scenario_digest` at the default tie-break order.
+_DIGEST_CHILD = (
+    "from repro import checks\n"
+    "from tests.test_kernel_equivalence import scenario_digest\n"
+    "with checks.configure(fuzz='off'):\n"
+    "    print(scenario_digest())\n"
+)
+
+
+def test_golden_digest_holds_under_two_fixed_hash_seeds():
+    """No hash-ordered iteration reaches the transcript.
+
+    Strings and codes hash differently under each ``PYTHONHASHSEED``, so
+    a set iterated in hash order on the way to a send moves the digest.
+    The suite itself runs under a random hash seed, which makes the test
+    above catch such a bug only by chance; two children under hash seeds
+    0 and 1 make the catch deterministic.
+    """
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root)])
+    children = {
+        seed: subprocess.Popen(
+            [sys.executable, "-c", _DIGEST_CHILD],
+            cwd=root,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+        for seed in ("0", "1")
+    }
+    for seed, child in children.items():
+        out, err = child.communicate(timeout=120)
+        assert child.returncode == 0, err
+        assert out.strip() == GOLDEN_DIGEST, f"PYTHONHASHSEED={seed}"
 
 
 def test_two_code_generations_of_two_leave_the_run_unchanged(monkeypatch):

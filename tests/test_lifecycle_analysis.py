@@ -45,103 +45,6 @@ def analyze_lifecycle(path, baseline=()):
 
 
 # ----------------------------------------------------------------------
-# leak-op-state
-# ----------------------------------------------------------------------
-def test_keyed_add_without_removal_is_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._ops = {}
-
-            def start(self, op_id, op):
-                self._ops[op_id] = op
-        """,
-    )
-    result = analyze_lifecycle(path)
-    assert len(result.active) == 1
-    finding = result.active[0]
-    assert finding.rule == "leak-op-state"
-    assert finding.line == line_of(path, "self._ops[op_id] = op")
-    assert finding.context == "start:self._ops"
-    assert "ever removes" in finding.message
-
-
-def test_cross_handler_removal_is_not_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._ops = {}
-
-            def start(self, op_id, op):
-                self._ops[op_id] = op
-
-            def finish(self, op_id):
-                self._ops.pop(op_id, None)
-        """,
-    )
-    assert analyze_lifecycle(path).active == []
-
-
-def test_removal_through_local_alias_is_not_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._ops = {}
-
-            def start(self, op_id, op):
-                self._ops[op_id] = op
-
-            def finish(self, op_id):
-                table = self._ops
-                table.pop(op_id, None)
-        """,
-    )
-    assert analyze_lifecycle(path).active == []
-
-
-def test_set_add_is_flagged_constant_member_is_not(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._seen = set()
-                self._flags = set()
-
-            def mark(self, key):
-                self._seen.add(key)
-
-            def ready(self):
-                self._flags.add("ready")
-        """,
-    )
-    result = analyze_lifecycle(path)
-    assert len(result.active) == 1
-    assert result.active[0].rule == "leak-op-state"
-    assert result.active[0].line == line_of(path, "self._seen.add(key)")
-
-
-def test_constructor_population_is_not_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Pool:
-            def __init__(self, names):
-                self._pools = {}
-                for name in names:
-                    self._pools[name] = []
-        """,
-    )
-    assert analyze_lifecycle(path).active == []
-
-
-# ----------------------------------------------------------------------
 # leak-timer-unguarded
 # ----------------------------------------------------------------------
 def test_discarded_timer_writing_state_is_flagged(tmp_path):
@@ -221,69 +124,6 @@ def test_kept_handle_and_pure_callback_are_not_flagged(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# leak-node-retention
-# ----------------------------------------------------------------------
-def test_teardown_missing_a_table_is_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Registry:
-            def __init__(self):
-                self._links = {}
-                self._stats = {}
-
-            def register(self, addr, link):
-                self._links[addr] = link
-                self._stats[addr] = 0
-
-            def reset_stats(self):
-                self._stats.clear()
-
-            def unregister(self, addr):
-                self._links.pop(addr, None)
-        """,
-    )
-    result = analyze_lifecycle(path)
-    assert len(result.active) == 1
-    finding = result.active[0]
-    assert finding.rule == "leak-node-retention"
-    assert finding.line == line_of(path, "self._stats[addr] = 0")
-    assert finding.context == "unregister:self._stats"
-    assert "unregister() never removes" in finding.message
-
-
-def test_teardown_helper_removal_is_not_flagged(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Registry:
-            def __init__(self):
-                self._links = {}
-                self._stats = {}
-                self._departed = set()
-
-            def register(self, addr, link):
-                self._links[addr] = link
-                self._stats[addr] = 0
-
-            def reset(self):
-                self._departed.clear()
-
-            def unregister(self, addr):
-                self._links.pop(addr, None)
-                self._departed.add(addr)
-                self._drop_stats(addr)
-
-            def _drop_stats(self, addr):
-                self._stats.pop(addr, None)
-        """,
-    )
-    # _stats is removed through the one-level helper; _departed is only
-    # added to *by* the teardown itself, which is bookkeeping, not a leak.
-    assert analyze_lifecycle(path).active == []
-
-
-# ----------------------------------------------------------------------
 # leak-unbounded-growth
 # ----------------------------------------------------------------------
 def test_unbounded_append_is_flagged(tmp_path):
@@ -334,6 +174,57 @@ def test_len_capped_and_trimmed_lists_are_not_flagged(tmp_path):
     assert analyze_lifecycle(path).active == []
 
 
+def test_cross_handler_removal_is_not_flagged(tmp_path):
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def __init__(self):
+                self._queue = []
+
+            def push(self, item):
+                self._queue.append(item)
+
+            def drain(self):
+                self._queue.clear()
+        """,
+    )
+    assert analyze_lifecycle(path).active == []
+
+
+def test_removal_through_local_alias_is_not_flagged(tmp_path):
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def __init__(self):
+                self._queue = []
+
+            def push(self, item):
+                self._queue.append(item)
+
+            def take(self):
+                queue = self._queue
+                return queue.pop()
+        """,
+    )
+    assert analyze_lifecycle(path).active == []
+
+
+def test_constructor_population_is_not_flagged(tmp_path):
+    path = write_fixture(
+        tmp_path,
+        """
+        class Pool:
+            def __init__(self, names):
+                self._names = []
+                for name in names:
+                    self._names.append(name)
+        """,
+    )
+    assert analyze_lifecycle(path).active == []
+
+
 # ----------------------------------------------------------------------
 # Scope, suppression, baseline
 # ----------------------------------------------------------------------
@@ -350,12 +241,12 @@ def test_repro_leak_ignore_spelling_suppresses(tmp_path):
     path = write_fixture(
         tmp_path,
         """
-        class Node:
+        class Log:
             def __init__(self):
-                self._ops = {}
+                self.entries = []
 
-            def start(self, op_id, op):
-                self._ops[op_id] = op  # repro-leak: ignore[leak-op-state] fixture
+            def record(self, item):
+                self.entries.append(item)  # repro-leak: ignore[leak-unbounded-growth] fixture
         """,
     )
     result = analyze_lifecycle(path)
@@ -367,12 +258,12 @@ def test_baseline_round_trip(tmp_path):
     path = write_fixture(
         tmp_path,
         """
-        class Node:
+        class Log:
             def __init__(self):
-                self._ops = {}
+                self.entries = []
 
-            def start(self, op_id, op):
-                self._ops[op_id] = op
+            def record(self, item):
+                self.entries.append(item)
         """,
     )
     first = analyze_lifecycle(path)
@@ -385,10 +276,10 @@ def test_baseline_round_trip(tmp_path):
     assert accepted.stale_baseline == []
 
     stale = analyze_lifecycle(
-        path, baseline=[{"key": "leak-op-state:gone.py:f:self._x", "reason": "stale"}]
+        path, baseline=[{"key": "leak-unbounded-growth:gone.py:f:self._x", "reason": "stale"}]
     )
     assert len(stale.active) == 1
-    assert stale.stale_baseline == ["leak-op-state:gone.py:f:self._x"]
+    assert stale.stale_baseline == ["leak-unbounded-growth:gone.py:f:self._x"]
 
 
 # ----------------------------------------------------------------------
@@ -398,25 +289,23 @@ def test_cli_only_lifecycle(tmp_path, capsys):
     dirty = write_fixture(
         tmp_path,
         """
-        class Node:
+        class Log:
             def __init__(self):
-                self._ops = {}
+                self.entries = []
 
-            def start(self, op_id, op):
-                self._ops[op_id] = op
+            def record(self, item):
+                self.entries.append(item)
         """,
     )
     assert main(["--only", "lifecycle", str(dirty)]) == 1
-    assert "leak-op-state" in capsys.readouterr().out
+    assert "leak-unbounded-growth" in capsys.readouterr().out
 
 
 def test_cli_lists_lifecycle_rules(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
     for rule in (
-        "leak-op-state",
         "leak-timer-unguarded",
-        "leak-node-retention",
         "leak-unbounded-growth",
     ):
         assert rule in out
@@ -430,12 +319,12 @@ def test_cli_stale_baseline_exits_3_unless_fail_on_new(monkeypatch, capsys):
         baseline_mod,
         "BASELINE",
         baseline_mod.BASELINE
-        + [{"key": "leak-op-state:src/repro/gone.py:f:self._x", "reason": "stale"}],
+        + [{"key": "leak-unbounded-growth:src/repro/gone.py:f:self._x", "reason": "stale"}],
     )
     assert main([]) == 3
     err = capsys.readouterr().err
     assert "stale baseline entry" in err
-    assert "leak-op-state:src/repro/gone.py:f:self._x" in err
+    assert "leak-unbounded-growth:src/repro/gone.py:f:self._x" in err
     assert main(["--fail-on-new"]) == 0
 
 
