@@ -34,9 +34,6 @@ Known limits: loop variables are not tainted (elements of payload lists
 are usually scalars; tainting them drowns the signal), callback
 indirection (``dac.submit(..., fn, payload)``) is not followed, and
 helper propagation is same-module only.
-
-Suppression: ``# repro-san: ignore[rule] reason`` on (or above) the line,
-or a justified entry in :mod:`repro.analysis.baseline`.
 """
 
 import ast
@@ -61,14 +58,12 @@ class _HandlerScope(ast.NodeVisitor):
     def __init__(
         self,
         lint: "_AliasingLint",
-        fn: ast.FunctionDef,
         payload_names: Set[str],
         msg_names: Set[str],
         depth: int,
         seen: Set[str],
     ) -> None:
         self.lint = lint
-        self.fn = fn
         self.tainted = set(payload_names)
         self.msg_names = set(msg_names)
         self.depth = depth
@@ -114,7 +109,6 @@ class _HandlerScope(ast.NodeVisitor):
                 self.lint.module.path, node.lineno, "alias-send-live-state",
                 f"send re-uses the received payload {describe(payload_arg)} "
                 "by reference; wrap it in dict(...)/thaw_payload(...) first",
-                f"{self.fn.name}:send:{describe(payload_arg)}",
                 node.col_offset,
             )
         # one level of helper propagation for tainted arguments
@@ -158,13 +152,13 @@ class _AliasingLint:
         if not params:
             return
         if as_msg:
-            scope = _HandlerScope(self, fn, set(), {params[0]}, depth, seen)
+            scope = _HandlerScope(self, set(), {params[0]}, depth, seen)
         else:
             positions = [0] if tainted_positions is None else tainted_positions
             names = {params[i] for i in positions if i < len(params)}
             if not names:
                 return
-            scope = _HandlerScope(self, fn, names, set(), depth, seen)
+            scope = _HandlerScope(self, names, set(), depth, seen)
         for stmt in fn.body:
             scope.visit(stmt)
 
@@ -224,7 +218,6 @@ class _AliasingLint:
                     f"payload for {site.kind!r} carries the live container "
                     f"self.{attr}; send a dict(...)/list(...) copy so later local "
                     "mutation cannot leak across nodes",
-                    f"{site.context}:self.{attr}",
                 )
 
 

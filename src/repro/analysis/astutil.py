@@ -31,7 +31,7 @@ GROWTH = frozenset({"append", "extend"})
 
 
 def describe(node: ast.AST) -> str:
-    """Short stable rendering of an expression for finding contexts."""
+    """Short rendering of an expression for finding messages."""
     try:
         text = ast.unparse(node)
     except Exception:  # pragma: no cover - unparse covers all real inputs

@@ -1,14 +1,25 @@
-"""Forbid hash-ordered iteration in the simulated subsystems.
+"""Forbid hash-ordered iteration and exact float-time ties in the simulation.
 
-Every experiment must replay bit-identically from one master seed.  Bare
-iteration over a ``set`` in a ``for`` loop or list comprehension visits
-elements in an order that depends on ``PYTHONHASHSEED``, and that order
-leaks straight into message send order, so the linter asks for
-``sorted(...)``.  Set-typed *attributes* are recognised across the whole
-analyzed tree: a field declared ``Set[str]`` in one module is still
-flagged when iterated in another.  Order-insensitive reductions
-(``any``/``all``/``sum``/``len``/``min``/``max``/``sorted``/``set``/
-``frozenset``) and set comprehensions are deliberately not flagged.
+Every experiment must replay bit-identically from one master seed.  Two
+rules guard that here.
+
+``det-set-iteration``: bare iteration over a ``set`` in a ``for`` loop
+or list comprehension visits elements in an order that depends on
+``PYTHONHASHSEED``, and that order leaks straight into message send
+order, so the linter asks for ``sorted(...)``.  Set-typed *attributes*
+are recognised across the whole analyzed tree: a field declared
+``Set[str]`` in one module is still flagged when iterated in another.
+Order-insensitive reductions (``any``/``all``/``sum``/``len``/``min``/
+``max``/``sorted``/``set``/``frozenset``) and set comprehensions are
+deliberately not flagged.
+
+``order-float-time-eq``: ``==`` / ``!=`` against the simulation clock
+(``*.now``) or an event timestamp (``event.time``).  Two events "at the
+same time" are only equal until one of them is rescheduled through a
+float round-trip, so an exact-tie test turns rounding into a
+behavioural fork.  Schedule fuzz (``REPRO_SCHEDULE_FUZZ``) reorders ties
+but never perturbs float rounding, so it cannot see this.  Ordering-safe
+inequalities (``deadline <= now``) are not flagged.
 
 Ambient randomness, the wall clock and OS entropy have no rule here:
 any of them breaks the pinned run digests that tier-1 compares
@@ -22,6 +33,10 @@ from typing import Iterable, List, Optional, Set
 from repro.analysis.astutil import UNORDERED, attr_name, container_bindings, container_kind
 from repro.analysis.findings import Sink
 from repro.analysis.model import FunctionScoped, Module
+
+#: names an event object usually travels under; ``.time`` reads on these
+#: are treated as event timestamps
+_EVENT_NAMES = {"event", "ev", "evt", "entry"}
 
 
 def set_attributes(modules: Iterable[Module]) -> Set[str]:
@@ -39,7 +54,20 @@ def set_attributes(modules: Iterable[Module]) -> Set[str]:
     }
 
 
-class _SetIteration(FunctionScoped):
+def _is_time_expr(node: ast.AST) -> bool:
+    """``*.now`` or ``<event>.time``: a float simulation timestamp."""
+    if not isinstance(node, ast.Attribute):
+        return False
+    if node.attr == "now":
+        return True
+    return (
+        node.attr == "time"
+        and isinstance(node.value, ast.Name)
+        and node.value.id in _EVENT_NAMES
+    )
+
+
+class _Determinism(FunctionScoped):
     def __init__(self, module: Module, sink: Sink, set_attrs: Set[str]) -> None:
         super().__init__(module, sink)
         self.set_attrs = set_attrs
@@ -111,7 +139,6 @@ class _SetIteration(FunctionScoped):
                 iterable, "det-set-iteration",
                 f"iteration over set {detail!r}: order depends on "
                 "PYTHONHASHSEED; wrap in sorted(...)",
-                detail,
             )
 
     def visit_For(self, node: ast.For) -> None:
@@ -123,6 +150,20 @@ class _SetIteration(FunctionScoped):
             self._flag_set_iter(gen.iter)
         self.generic_visit(node)
 
+    def visit_Compare(self, node: ast.Compare) -> None:
+        operands = [node.left] + list(node.comparators)
+        for op, left, right in zip(node.ops, operands, operands[1:]):
+            if not isinstance(op, (ast.Eq, ast.NotEq)):
+                continue
+            timeish = next((x for x in (left, right) if _is_time_expr(x)), None)
+            if timeish is not None:
+                self.report(
+                    timeish, "order-float-time-eq",
+                    f"float equality against {timeish.attr!r}: same-timestamp is a "
+                    "race, not a state; compare with tolerance or restructure",
+                )
+        self.generic_visit(node)
+
 
 def lint_determinism(module: Module, sink: Sink, set_attrs: Set[str]) -> None:
-    _SetIteration(module, sink, set_attrs).visit(module.tree)
+    _Determinism(module, sink, set_attrs).visit(module.tree)

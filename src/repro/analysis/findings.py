@@ -1,7 +1,7 @@
 """Finding records, the rule catalog and the sink every lint reports to."""
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from dataclasses import dataclass
+from typing import List, Set, Tuple
 
 #: Rule id -> one-line description.  The ids double as suppression tags:
 #: ``# repro-lint: ignore[det-set-iteration]``.  A rule earns its place
@@ -22,20 +22,10 @@ RULES = {
         "received payload) as payload without copying; every receiver "
         "would alias the same object"
     ),
-    "order-zero-delay": (
-        "a zero-delay schedule/schedule_at(now) site whose callback "
-        "read-modify-writes self.* state (or cannot be resolved); the "
-        "callback's effect depends on same-timestamp tie-break order"
-    ),
     "order-float-time-eq": (
         "float ==/!= against the simulation clock (*.now) or an event "
         "timestamp for control flow; exact-tie tests fork behaviour on "
         "float rounding and tie order"
-    ),
-    "order-handler-commute": (
-        "two handlers of the same node plain-overwrite the same self.* "
-        "attribute; two same-timestamp messages make the final value "
-        "last-writer-wins"
     ),
     "leak-timer-unguarded": (
         "a scheduled callback writes self.* state, keeps no cancel "
@@ -58,14 +48,6 @@ class Finding:
     line: int
     rule: str
     message: str
-    #: Stable anchor for baseline matching: enclosing function (or
-    #: ``<module>``) plus a short detail, e.g. ``links:self.adopted``.
-    #: Line numbers churn with unrelated edits; context keys do not.
-    context: str = field(default="", compare=False)
-
-    @property
-    def key(self) -> str:
-        return f"{self.rule}:{self.path}:{self.context}"
 
     def render(self) -> str:
         return f"{self.path}:{self.line}: [{self.rule}] {self.message}"
@@ -75,19 +57,16 @@ class Sink:
     """Where every lint reports.
 
     A finding repeated at one source position — a helper reached from two
-    handlers, say — is kept once, with the first context.
+    handlers, say — is kept once.
     """
 
     def __init__(self) -> None:
-        self._findings: Dict[Tuple[Finding, int], Finding] = {}
+        self._findings: Set[Tuple[Finding, int]] = set()
 
-    def report(
-        self, path: str, line: int, rule: str, message: str, context: str, col: int = 0
-    ) -> None:
+    def report(self, path: str, line: int, rule: str, message: str, col: int = 0) -> None:
         if rule not in RULES:
             raise ValueError(f"rule {rule!r} is not in the catalog")
-        finding = Finding(path, line, rule, message, context)
-        self._findings.setdefault((finding, col), finding)
+        self._findings.add((Finding(path, line, rule, message), col))
 
     def findings(self) -> List[Finding]:
-        return sorted(self._findings.values())
+        return sorted(finding for finding, _ in self._findings)

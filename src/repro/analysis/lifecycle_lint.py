@@ -40,9 +40,6 @@ object (``other.table.pop``) is invisible, callbacks reached through
 non-``self`` receivers are not resolved, and the staleness-guard check
 accepts any early-return ``if`` — the runtime ledger backstops all of
 these at test time.
-
-Suppression: ``# repro-leak: ignore[rule] reason`` on (or above) the
-line, or a justified entry in :mod:`repro.analysis.baseline`.
 """
 
 import ast
@@ -114,7 +111,7 @@ class _MethodScan(ast.NodeVisitor):
             if isinstance(node.op, ast.Sub):
                 self.cls.note_removal(attr)
             elif isinstance(node.op, ast.Add) and self.fn.name != "__init__":
-                self.cls.note_growth(attr, self.fn.name, node, f"self.{attr} += ...")
+                self.cls.note_growth(attr, node, f"self.{attr} += ...")
         self.generic_visit(node)
 
     def visit_Delete(self, node: ast.Delete) -> None:
@@ -134,7 +131,7 @@ class _MethodScan(ast.NodeVisitor):
                 if method in REMOVALS:
                     self.cls.note_removal(attr)
                 elif method in GROWTH and self.fn.name != "__init__":
-                    self.cls.note_growth(attr, self.fn.name, node, f"self.{attr}.{method}")
+                    self.cls.note_growth(attr, node, f"self.{attr}.{method}")
         if (
             isinstance(func, ast.Name)
             and func.id == "len"
@@ -145,7 +142,7 @@ class _MethodScan(ast.NodeVisitor):
             # conservatively accept any len() of the container outside
             # __init__ as bound evidence (every real cap reads it).
             self.cls.bound_evidence.add(self._resolve(node.args[0]))
-        self.cls.note_scheduler_call(self.fn, node)
+        self.cls.note_scheduler_call(node)
         self.generic_visit(node)
 
 
@@ -166,13 +163,13 @@ class _ClassScan:
             self.containers.setdefault(attr, kind)
         for attr in [a for a, kind in self.containers.items() if kind not in MUTABLE]:
             del self.containers[attr]
-        #: attr -> first (method, lineno, detail) list-growth site
-        self.growth_sites: Dict[str, Tuple[str, int, str]] = {}
+        #: attr -> first (lineno, detail) list-growth site
+        self.growth_sites: Dict[str, Tuple[int, str]] = {}
         #: attrs some method removes from
         self.removed: Set[str] = set()
         self.bound_evidence: Set[str] = set()
-        #: discarded-handle scheduler calls: (method, call node)
-        self.timer_sites: List[Tuple[ast.FunctionDef, ast.Call]] = []
+        #: discarded-handle scheduler calls
+        self.timer_sites: List[ast.Call] = []
         self._discarded_calls: Set[int] = set()
 
         for fn in self.methods.values():
@@ -181,22 +178,22 @@ class _ClassScan:
                     self._discarded_calls.add(id(stmt.value))
             _MethodScan(self, fn).visit(fn)
 
-    def note_growth(self, attr: str, method: str, node: ast.AST, detail: str) -> None:
+    def note_growth(self, attr: str, node: ast.AST, detail: str) -> None:
         if self.containers.get(attr) == "list":
-            self.growth_sites.setdefault(attr, (method, node.lineno, detail))
+            self.growth_sites.setdefault(attr, (node.lineno, detail))
 
     def note_removal(self, attr: str) -> None:
         self.removed.add(attr)
 
     # -- timers --------------------------------------------------------
-    def note_scheduler_call(self, fn: ast.FunctionDef, node: ast.Call) -> None:
+    def note_scheduler_call(self, node: ast.Call) -> None:
         name = None
         if isinstance(node.func, ast.Attribute):
             name = node.func.attr
         elif isinstance(node.func, ast.Name):
             name = node.func.id
         if name in _SCHEDULERS and len(node.args) >= 2 and id(node) in self._discarded_calls:
-            self.timer_sites.append((fn, node))
+            self.timer_sites.append(node)
 
     def _resolve_callback(self, node: ast.AST) -> Optional[ast.AST]:
         """The local function/lambda a scheduler callback argument names."""
@@ -245,17 +242,16 @@ class _ClassScan:
     def report(self, sink: Sink) -> None:
         path = self.module.path
         cls = self.node.name
-        for attr, (method, lineno, detail) in sorted(self.growth_sites.items()):
+        for attr, (lineno, detail) in sorted(self.growth_sites.items()):
             if attr in self.removed or attr in self.bound_evidence:
                 continue
             sink.report(
                 path, lineno, "leak-unbounded-growth",
                 f"{cls}.{attr} grows here ({detail}) with no bound, eviction, or "
                 "consumption anywhere in the class; memory grows with run length",
-                f"{method}:self.{attr}",
             )
 
-        for fn, call in self.timer_sites:
+        for call in self.timer_sites:
             callback = self._resolve_callback(call.args[1])
             if (
                 callback is None
@@ -270,7 +266,6 @@ class _ClassScan:
                 "is discarded and the callback has no early-return staleness "
                 "guard; it fires after a crash or completion and resurrects "
                 "torn-down state",
-                f"{fn.name}:{cb_name}",
             )
 
 

@@ -12,11 +12,11 @@ what more than one lint needs:
   ``node.handlers["kind"] = fn`` assignments (including handler
   factories), and the routed table ``self._routed``, whose entries pair
   an arrival and a failure handler (``self._routed["kind"] = (a, f)``);
-* its inline ``# repro-*: ignore[...]`` comments.
+* its inline ``# repro-lint: ignore[...]`` comments.
 
 :class:`FunctionScoped` is the visitor base the lints share: it knows the
-enclosing function, names a finding's context after it, and reports to
-the run's :class:`~repro.analysis.findings.Sink`.
+enclosing function and reports to the run's
+:class:`~repro.analysis.findings.Sink`.
 """
 
 import ast
@@ -34,7 +34,6 @@ class SendSite:
     line: int
     payload: Optional[ast.AST]
     func: Optional[ast.FunctionDef]
-    context: str
 
 
 @dataclass
@@ -93,15 +92,9 @@ class FunctionScoped(ast.NodeVisitor):
 
     visit_AsyncFunctionDef = visit_FunctionDef  # type: ignore[assignment]
 
-    def context(self, detail: str) -> str:
-        func = self.func_stack[-1].name if self.func_stack else "<module>"
-        return f"{func}:{detail}"
-
-    def report(self, node: ast.AST, rule: str, message: str, detail: str) -> None:
+    def report(self, node: ast.AST, rule: str, message: str) -> None:
         assert self.sink is not None
-        self.sink.report(
-            self.module.path, node.lineno, rule, message, self.context(detail), node.col_offset
-        )
+        self.sink.report(self.module.path, node.lineno, rule, message, node.col_offset)
 
 
 def _table_is_routed(node: ast.AST) -> Optional[bool]:
@@ -187,7 +180,6 @@ class _Collector(FunctionScoped):
                     line=node.lineno,
                     payload=payload,
                     func=self.func_stack[-1] if self.func_stack else None,
-                    context=self.context(kind),
                 )
             )
         self.generic_visit(node)

@@ -146,9 +146,7 @@ def _check_handler_reads(
     module: Module, reg: HandlerReg, fn: ast.FunctionDef, decl: MessageKind, sink: Sink
 ) -> None:
     def undeclared(read: _Read, message: str) -> None:
-        sink.report(
-            module.path, read.line, "protocol-undeclared-key", message, f"{fn.name}:{read.key}"
-        )
+        sink.report(module.path, read.line, "protocol-undeclared-key", message)
 
     if not reg.routed:
         for read in _analyze_reads(fn, module, as_msg=True).reads:

@@ -8,41 +8,34 @@ from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis import baseline as baseline_mod
 from repro.analysis.aliasing_lint import lint_aliasing
 from repro.analysis.determinism_lint import lint_determinism, set_attributes
 from repro.analysis.findings import RULES, Finding, Sink
 from repro.analysis.lifecycle_lint import lint_lifecycle
 from repro.analysis.model import Module, load_module
-from repro.analysis.ordering_lint import lint_ordering
 from repro.analysis.protocol_lint import lint_protocol
-from repro.analysis.suppressions import split_baselined, suppressing_line
+from repro.analysis.suppressions import suppressing_line
 from repro.net import protocol
 
 #: the individual analyses ``--only`` can select
-LINTS = ("protocol", "determinism", "aliasing", "ordering", "lifecycle")
+LINTS = ("protocol", "determinism", "aliasing", "lifecycle")
 
 _SIMULATION = ("overlay", "core", "net", "sim", "baselines", "traffic", "anomaly", "storage")
 
-#: Per-file lint -> (repro subpackages it covers, files inside them it skips).
-SCOPES: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    # Code whose iteration order reaches the simulation.  ``analysis``
-    # and ``experiments`` run outside it (the linter itself, plotting
-    # and experiment scripts).
-    "determinism": (_SIMULATION, ()),
+#: Per-file lint -> the repro subpackages it covers.
+SCOPES: Dict[str, Tuple[str, ...]] = {
+    # Code whose iteration order or clock comparisons reach the
+    # simulation.  ``analysis`` and ``experiments`` run outside it (the
+    # linter itself, plotting and experiment scripts).
+    "determinism": _SIMULATION,
     # Cross-node aliasing: the code that sends or handles messages.
     # ``sim`` (kernel/RNG, no messages) and the offline packages are out.
-    "aliasing": (("overlay", "core", "net", "baselines"), ()),
-    # Event ordering (repro-race): everything that runs inside the
-    # simulation, except the queue/kernel internals that implement the
-    # tie-break itself — they compare times and schedule at ``now`` by
-    # design.
-    "ordering": (_SIMULATION, ("repro/sim/events.py", "repro/sim/kernel.py")),
-    # Resource lifecycle (repro-leak): everything that holds per-op or
-    # per-node state across events.  ``storage`` is excluded by design: a
-    # store's whole job is retention (records live until the workload
-    # deletes them), so every keyed insert there would be a false positive.
-    "lifecycle": (tuple(p for p in _SIMULATION if p != "storage"), ()),
+    "aliasing": ("overlay", "core", "net", "baselines"),
+    # Resource lifecycle: everything that holds per-op or per-node state
+    # across events.  ``storage`` is excluded by design: a store's whole
+    # job is retention (records live until the workload deletes them), so
+    # every keyed insert there would be a false positive.
+    "lifecycle": tuple(p for p in _SIMULATION if p != "storage"),
 }
 
 
@@ -52,13 +45,9 @@ class AnalysisResult:
 
     active: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    accepted: List[Finding] = field(default_factory=list)
-    #: baseline keys that matched no finding in this run — dead weight in
-    #: :mod:`repro.analysis.baseline` (only meaningful for full-repo runs
-    #: with every lint selected; subsets legitimately miss entries).
-    stale_baseline: List[str] = field(default_factory=list)
     #: ``path:line`` of inline ignore comments that suppressed nothing in
-    #: this run (the same caveat applies)
+    #: this run (only meaningful for full-repo runs with every lint
+    #: selected; subsets legitimately miss findings)
     stale_ignores: List[str] = field(default_factory=list)
 
     @property
@@ -71,12 +60,7 @@ def _posix(path: str) -> str:
 
 
 def _rel(path: str) -> str:
-    """Path as reported in findings: cwd-relative when possible.
-
-    Keys in the baseline embed this string, so it must not depend on
-    where the repo is checked out — cwd-relative achieves that for the
-    normal ``python -m repro.analysis`` invocation from the repo root.
-    """
+    """Path as reported in findings: cwd-relative when possible."""
     rel = os.path.relpath(path)
     return _posix(path if rel.startswith("..") else rel)
 
@@ -99,9 +83,6 @@ def discover_files(paths: Sequence[str]) -> List[str]:
 
 def in_scope(lint: str, rel_path: str) -> bool:
     """Whether the per-file ``lint`` applies to ``rel_path`` (see :data:`SCOPES`)."""
-    scope, exempt = SCOPES[lint]
-    if any(rel_path.endswith(path) for path in exempt):
-        return False
     marker = "repro/"
     idx = rel_path.rfind(marker)
     if idx < 0:
@@ -109,25 +90,23 @@ def in_scope(lint: str, rel_path: str) -> bool:
         # fixtures exist precisely to exercise the rules.
         return True
     remainder = rel_path[idx + len(marker):]
-    return remainder.split("/", 1)[0] in scope
+    return remainder.split("/", 1)[0] in SCOPES[lint]
 
 
 def analyze_paths(
     paths: Sequence[str],
     registry: Optional[Dict[str, protocol.MessageKind]] = None,
     routed: Optional[Dict[str, protocol.MessageKind]] = None,
-    baseline: Optional[Sequence[Dict[str, str]]] = None,
     lints: Optional[Sequence[str]] = None,
 ) -> AnalysisResult:
     """Run the linters over ``paths`` (files or directories).
 
     ``registry``/``routed`` default to the live wire registry; tests pass
     miniature registries to pin down individual rules.  ``lints`` selects
-    a subset of :data:`LINTS` (default: all five).
+    a subset of :data:`LINTS` (default: all four).
     """
     registry = protocol.REGISTRY if registry is None else registry
     routed = protocol.ROUTED if routed is None else routed
-    baseline = baseline_mod.BASELINE if baseline is None else baseline
     selected = set(LINTS if lints is None else lints)
     unknown = selected - set(LINTS)
     if unknown:
@@ -139,7 +118,6 @@ def analyze_paths(
         lint_protocol(modules, sink, registry, routed)
     per_module: Dict[str, Callable[[Module, Sink], None]] = {
         "aliasing": lint_aliasing,
-        "ordering": lint_ordering,
         "lifecycle": lint_lifecycle,
     }
     if "determinism" in selected:
@@ -151,23 +129,16 @@ def analyze_paths(
                 if in_scope(lint, module.path):
                     run(module, sink)
 
-    findings = sink.findings()
     ignores_by_path = {module.path: module.ignores for module in modules}
     result = AnalysisResult()
-    unsuppressed: List[Finding] = []
     used_ignores: Set[Tuple[str, int]] = set()
-    for finding in findings:
+    for finding in sink.findings():
         line = suppressing_line(finding, ignores_by_path.get(finding.path, {}))
         if line is None:
-            unsuppressed.append(finding)
+            result.active.append(finding)
         else:
             result.suppressed.append(finding)
             used_ignores.add((finding.path, line))
-    result.active, result.accepted = split_baselined(unsuppressed, baseline)
-    seen_keys = {finding.key for finding in findings}
-    result.stale_baseline = [
-        entry["key"] for entry in baseline if entry["key"] not in seen_keys
-    ]
     result.stale_ignores = [
         f"{module.path}:{line}"
         for module in modules
@@ -189,8 +160,6 @@ def _finding_dict(finding: Finding) -> Dict[str, object]:
         "file": finding.path,
         "line": finding.line,
         "message": finding.message,
-        "context": finding.context,
-        "key": finding.key,
     }
 
 
@@ -198,18 +167,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
         description=(
-            "repro static analysis: protocol (repro-lint), determinism "
-            "(repro-lint), cross-node aliasing (repro-san), event-ordering "
-            "races (repro-race), and resource lifecycle (repro-leak)"
+            "repro-lint static analysis: protocol keys, determinism, "
+            "cross-node aliasing (repro-san) and resource lifecycle (repro-leak)"
         ),
         epilog=(
             "exit codes: 0 — no active findings; 1 — active findings "
-            "(suppressed/baselined ones never fail the gate; with "
-            "--fail-on-new this is the only failure mode); 2 — usage error "
-            "(unknown flag or --only value); 3 — stale suppressions "
-            "(a baseline key or an inline ignore comment matched no finding — "
-            "trim it; checked on every full run: default paths, every lint "
-            "selected, no --fail-on-new)"
+            "(suppressed ones never fail the gate); 2 — usage error "
+            "(unknown flag or --only value); 3 — stale suppression "
+            "(an inline ignore comment matched no finding — trim it; "
+            "checked on every full run: default paths, every lint selected)"
         ),
     )
     parser.add_argument(
@@ -217,18 +183,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="files or directories to analyze (default: the repro package)",
     )
     parser.add_argument(
-        "--only", choices=LINTS, help="run a single analysis instead of all five"
+        "--only", choices=LINTS, help="run a single analysis instead of all four"
     )
     parser.add_argument(
         "--format", choices=("text", "json"), default="text",
-        help="output format; json emits {findings, suppressed, accepted, ok} "
-        "with rule/file/line per finding",
-    )
-    parser.add_argument(
-        "--fail-on-new", action="store_true",
-        help="gate only findings absent from analysis/baseline.py: skip the "
-        "stale-suppression check so branches that fix a suppressed finding "
-        "don't fail before the suppression is trimmed",
+        help="output format; json emits {findings, suppressed, stale_ignores, ok} "
+        "with rule/file/line/message per finding",
     )
     parser.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
@@ -245,13 +205,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     result = analyze_paths(paths, lints=lints)
     # The stale-suppression check only makes sense on full runs: with a
     # path or lint subset, entries legitimately match nothing.
-    check_stale = not args.paths and args.only is None and not args.fail_on_new
-    stale = (
-        [f"stale baseline entry (no matching finding): {key}" for key in result.stale_baseline]
-        + [f"stale inline ignore (suppresses nothing): {at}" for at in result.stale_ignores]
-        if check_stale
-        else []
-    )
+    check_stale = not args.paths and args.only is None
+    stale = result.stale_ignores if check_stale else []
 
     if args.format == "json":
         print(
@@ -259,9 +214,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 {
                     "findings": [_finding_dict(f) for f in result.active],
                     "suppressed": len(result.suppressed),
-                    "accepted": len(result.accepted),
-                    "stale_baseline": result.stale_baseline if check_stale else [],
-                    "stale_ignores": result.stale_ignores if check_stale else [],
+                    "stale_ignores": stale,
                     "ok": result.ok and not stale,
                 },
                 indent=2,
@@ -273,17 +226,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     for finding in result.active:
         print(finding.render())
-    tail = (
-        f"{len(result.active)} finding(s), "
-        f"{len(result.suppressed)} suppressed inline, "
-        f"{len(result.accepted)} accepted by baseline"
-    )
+    tail = f"{len(result.active)} finding(s), {len(result.suppressed)} suppressed inline"
     if result.active:
         print(f"repro-lint: FAIL — {tail}", file=sys.stderr)
         return 1
     if stale:
-        for line in stale:
-            print(line, file=sys.stderr)
+        for at in stale:
+            print(f"stale inline ignore (suppresses nothing): {at}", file=sys.stderr)
         print(f"repro-lint: STALE SUPPRESSION — {tail}", file=sys.stderr)
         return 3
     print(f"repro-lint: OK — {tail}")

@@ -123,6 +123,7 @@ class FailureInjector:
         if not self.network.is_node_up(address):
             return
         self.network.set_node_up(address, False)
+        # repro-lint: ignore[leak-unbounded-growth] experiment log for churn summaries, bounded by the churn duration
         self.crash_log.append((self.sim.now, address, "crash"))
         if self.on_crash is not None:
             self.on_crash(address)

@@ -619,4 +619,4 @@ class SimNetwork:
         # originating op's own retry/failover continuation and touches only
         # that op's state; its order against other same-instant events is
         # exercised by the schedule-fuzz equivalence suite.
-        self.sim.schedule(delay, on_fail, msg, reason)  # repro-race: ignore[order-zero-delay]
+        self.sim.schedule(delay, on_fail, msg, reason)

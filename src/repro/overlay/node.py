@@ -816,37 +816,21 @@ class OverlayNode:
         # mutable members — path and exclude — instead of a generic deep
         # thaw of the whole envelope.  ``dict()``/``list()`` also accept
         # the frozen views the message isolation sanitizer substitutes at
-        # the ``freeze`` level.  The application ``inner`` payload is the
-        # expensive part of a deep copy and routing never touches it, so
-        # its thaw is deferred to the terminal hop (``private_inner``):
-        # intermediate hops forward it by reference.
+        # the ``freeze`` level.  The application ``inner`` payload is thawed
+        # here too, at that level only: arrival, failure and ring recovery
+        # hand it to non-routing code, and a frozen view would raise there.
+        # Under ``off`` by-reference delivery *is* the contract (the frozen
+        # test suite keeps handlers from mutating what they receive), so
+        # the deep thaw, which would dominate routed-insert cost, is skipped.
         envelope = dict(msg.payload)
         envelope["path"] = list(envelope["path"])
         envelope["exclude"] = list(envelope["exclude"])
-        self._route_step(envelope, private_inner=False)
-
-    def _privatize_inner(self, envelope: Dict[str, Any]) -> None:
-        """Make a still-aliased ``envelope['inner']`` safe for non-routing code.
-
-        Only the ``freeze`` isolation level needs work: its read-only views
-        must be thawed back into mutable containers before arrival/failure/
-        recovery code consumes them.  Under ``off`` by-reference delivery
-        *is* the contract (the frozen test suite keeps handlers from
-        mutating what they receive), so it skips the deep thaw, which at
-        terminal hops otherwise dominates routed-insert cost.
-        """
         if self._frozen_delivery:
             envelope["inner"] = thaw_payload(envelope["inner"])
+        self._route_step(envelope)
 
-    def _route_step(self, envelope: Dict[str, Any], private_inner: bool = True) -> None:
-        """Advance one routing step.
-
-        ``private_inner`` records whether ``envelope['inner']`` is already
-        a private (or origin-owned) object; when ``False`` it still aliases
-        the in-flight message payload and must be privatized before
-        anything retains or consumes it — arrival, failure reporting, and
-        ring recovery below, each of which hands it to non-routing code.
-        """
+    def _route_step(self, envelope: Dict[str, Any]) -> None:
+        """Advance one routing step."""
         if not self.in_overlay():
             return
         target = intern_code(envelope["target"])
@@ -864,13 +848,9 @@ class OverlayNode:
                 (code._num >> (c_len - m)) ^ (target._num >> (t_len - m))
             ) == 0
         if arrived:
-            if not private_inner:
-                self._privatize_inner(envelope)
             self.on_route_arrival(envelope)
             return
         if envelope["hops"] >= ROUTE_TTL:
-            if not private_inner:
-                self._privatize_inner(envelope)
             self.on_route_failed(envelope, "ttl-exceeded")
             return
         links = self.links()
@@ -888,11 +868,9 @@ class OverlayNode:
         if nxt is None:
             # Greedy dead end: expanding-ring recovery can escape through
             # nodes outside the excluded set.
-            if not private_inner:
-                self._privatize_inner(envelope)
             self._start_ring_recovery(envelope)
             return
-        self._forward(envelope, nxt, private_inner)
+        self._forward(envelope, nxt)
 
     def _greedy_decision(self, target: Code, links: List[Tuple[str, Code]]) -> RouteDecision:
         """``next_hop(self.code, target, links)`` through the per-dimension
@@ -902,12 +880,12 @@ class OverlayNode:
             self._route_links = links
         return table_next_hop(self.code, self._route_rows, target)
 
-    def _forward(self, envelope: Dict[str, Any], nxt: str, private_inner: bool = True) -> None:
+    def _forward(self, envelope: Dict[str, Any], nxt: str) -> None:
         envelope["hops"] += 1
         envelope["path"].append(nxt)
         self.routes_forwarded += 1
 
-        def on_fail(msg: Message, reason: str, _nxt=nxt, _env=envelope, _priv=private_inner) -> None:
+        def on_fail(msg: Message, reason: str, _nxt=nxt, _env=envelope) -> None:
             # The link (or peer) is unreachable: exclude it and try an
             # alternate route from here, as Section 3.8 describes.
             if not self.in_overlay():
@@ -915,7 +893,7 @@ class OverlayNode:
             _env["hops"] -= 1
             _env["path"].pop()
             _env["exclude"].append(_nxt)
-            self._route_step(_env, private_inner=_priv)
+            self._route_step(_env)
 
         self._send(
             nxt,

@@ -19,8 +19,8 @@ Two things keep the per-event constant small enough for ~10^7-event runs:
   least half of the stored entries are dead the queue rebuilds itself,
   dropping them in one O(n) pass instead of paying O(dead) on every pop.
 
-Schedule fuzzing (the repro-race runtime sanitizer)
----------------------------------------------------
+Schedule fuzzing (the tie-order sanitizer)
+------------------------------------------
 FIFO tie-breaking among same-timestamp events is a *simulator* guarantee,
 not one the deployed WAN makes: concurrent messages arrive in arbitrary
 order.  ``REPRO_SCHEDULE_FUZZ=shuffle`` (or ``reverse``) replaces the
@@ -29,8 +29,8 @@ bijective mix of ``seq`` under ``shuffle``, ``-seq`` under ``reverse`` —
 so equal-time events fire in a perturbed but fully deterministic order.
 Events at distinct times are unaffected, and ``REPRO_SCHEDULE_FUZZ_SEED``
 selects among shuffle orders.  Handlers whose outcome changes under fuzz
-depend on insertion order — exactly the latent races the ordering lint
-hunts statically.  The mode and seed are the ``fuzz``/``fuzz_seed``
+depend on insertion order; no static rule looks for that, so this is
+the only check of it.  The mode and seed are the ``fuzz``/``fuzz_seed``
 fields of :mod:`repro.checks`, captured per :class:`EventQueue` at
 construction; tests wrap simulator construction in
 ``checks.configure(fuzz=..., fuzz_seed=...)``.

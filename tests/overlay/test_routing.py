@@ -275,6 +275,37 @@ def test_takeover_at_the_origin_delivers_every_waiter_locally():
     assert o.failures == []
 
 
+@pytest.mark.parametrize("outcome", ["arrives", "fails"])
+def test_ring_parked_at_a_relay_hands_a_plain_inner_to_the_handler(outcome):
+    # "s" forwards the op to "o" by message, so at the freeze level "o"
+    # receives a read-only envelope.  "o" dead-ends (its only link into
+    # subtree 01 is the dead "d") and parks the op on a ring; it then
+    # either takes d's region over and delivers locally, or exhausts the
+    # ring.  Either way the handler must get a thawed, mutable inner.
+    with checks.configure(isolation="freeze"):
+        sim, network, nodes = _rig({"s": "1", "o": "00", "d": "01"})
+    s, o = nodes["s"], nodes["o"]
+    network.set_node_up("d", False)
+    s.neighbors.upsert("o", Code("00"))
+    o.neighbors.upsert("s", Code("1"))
+    o.neighbors.upsert("d", Code("01"), alive=False)
+
+    s.route(Code("010"), "probe", {"n": 0, "tags": [1, 2]}, op_id="relay-ring")
+    if outcome == "arrives":
+        sim.schedule(3.0, o._declare_dead, "d")  # o is d's sibling: takeover
+    sim.run_until(sim.now + 60.0)
+
+    assert o.ring_recoveries == 1 and s.ring_recoveries == 0
+    if outcome == "arrives":
+        assert o.failures == [] and len(o.arrivals) == 1
+        inner = o.arrivals[0]["inner"]
+    else:
+        assert o.arrivals == [] and [f["reason"] for f in o.failures] == ["ring-exhausted"]
+        inner = o.failures[0]["envelope"]["inner"]
+    assert type(inner) is dict and type(inner["tags"]) is list
+    inner["tags"].append(3)
+
+
 def test_restored_node_never_reuses_a_ring_id_its_peers_still_dedupe():
     # "r" dedupes probes by (probe id, origin).  Before the crash it saw
     # rounds 1 and 2 of o's first ring; had the restored "o" numbered its

@@ -1,8 +1,8 @@
 """Schedule fuzz: seeded perturbation of same-timestamp event ordering.
 
-The runtime half of repro-race: ``REPRO_SCHEDULE_FUZZ=shuffle|reverse``
-replaces the FIFO tie-break among equal-time events with a seeded
-pseudo-random (or reversed) one.  These tests pin the contract: the
+The only check that no code depends on the FIFO tie-break:
+``REPRO_SCHEDULE_FUZZ=shuffle|reverse`` replaces it among equal-time
+events with a seeded pseudo-random (or reversed) one.  These tests pin the contract: the
 perturbation is deterministic per seed, touches *only* ties, and loses
 no event.
 """

@@ -2,8 +2,7 @@
 
 Mirrors ``tests/test_analysis.py``: tiny modules written to ``tmp_path``,
 analyzed with only the aliasing lint selected, each finding pinned to an
-exact line.  Ends with the suppression and baseline round trips and the
-CLI selectors (``--only``, ``--format=json``).
+exact line.  Ends with the CLI selectors (``--only``, ``--format=json``).
 """
 
 import json
@@ -33,14 +32,8 @@ def line_of(path, needle):
     raise AssertionError(f"{needle!r} not found in fixture")
 
 
-def analyze_aliasing(path, baseline=()):
-    return analyze_paths(
-        [str(path)],
-        registry={},
-        routed={},
-        baseline=list(baseline),
-        lints=("aliasing",),
-    )
+def analyze_aliasing(path):
+    return analyze_paths([str(path)], registry={}, routed={}, lints=("aliasing",))
 
 
 # ----------------------------------------------------------------------
@@ -233,49 +226,6 @@ def test_removing_the_thaw_reintroduces_the_finding(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Suppression and baseline round trips
-# ----------------------------------------------------------------------
-def test_repro_san_inline_suppression(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._handlers = {"probe": self._on_probe}
-
-            def _on_probe(self, msg):
-                # repro-san: ignore[alias-send-live-state] nothing mutates it
-                self._send(msg.src, "probe_ack", msg.payload)
-        """,
-    )
-    result = analyze_aliasing(path)
-    assert result.active == []
-    assert [f.rule for f in result.suppressed] == ["alias-send-live-state"]
-
-
-def test_baseline_round_trip(tmp_path):
-    path = write_fixture(
-        tmp_path,
-        """
-        class Node:
-            def __init__(self):
-                self._handlers = {"probe": self._on_probe}
-
-            def _on_probe(self, msg):
-                self._send(msg.src, "probe_ack", msg.payload)
-        """,
-    )
-    first = analyze_aliasing(path)
-    assert len(first.active) == 1
-    entry = {"key": first.active[0].key, "reason": "nothing mutates the payload"}
-
-    second = analyze_aliasing(path, baseline=[entry])
-    assert second.ok
-    assert second.active == []
-    assert [f.key for f in second.accepted] == [entry["key"]]
-
-
-# ----------------------------------------------------------------------
 # CLI selectors
 # ----------------------------------------------------------------------
 def test_cli_only_aliasing_json_output(tmp_path, capsys):
@@ -298,7 +248,7 @@ def test_cli_only_aliasing_json_output(tmp_path, capsys):
     finding = out["findings"][0]
     assert finding["line"] == line_of(path, 'self._send(msg.src, "probe_ack"')
     assert finding["file"].endswith("fixture_mod.py")
-    assert set(finding) >= {"rule", "file", "line", "message", "context", "key"}
+    assert set(finding) == {"rule", "file", "line", "message"}
 
 
 def test_cli_only_selects_a_single_lint(tmp_path, capsys):

@@ -3,7 +3,7 @@
 Fixtures are tiny modules written to ``tmp_path`` and analyzed against
 miniature registries, so each test pins down one rule with an exact line
 number.  The final test is the tier-1 gate itself: the real tree must be
-lint-clean outside the documented baseline.
+lint-clean outside its inline ignore comments.
 """
 
 import ast
@@ -13,11 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import RULES, analyze_paths
+from repro.analysis import RULES, analyze_paths, runner
 from repro.analysis.astutil import container_kind
 from repro.analysis.findings import Finding, Sink
 from repro.analysis.model import load_module
-from repro.analysis.runner import main
+from repro.analysis.runner import in_scope, main
 from repro.analysis.suppressions import inline_ignores, suppressing_line
 from repro.net.protocol import MessageKind
 
@@ -54,7 +54,6 @@ def analyze_fixture(path, registry, routed=None):
         [str(path)],
         registry=registry,
         routed=routed if routed is not None else {},
-        baseline=[],
     )
 
 
@@ -193,13 +192,52 @@ def test_set_attribute_is_recognised_across_modules(tmp_path):
             """
         )
     )
-    result = analyze_paths([str(decl), str(use)], registry={}, routed={}, baseline=[])
+    result = analyze_paths([str(decl), str(use)], registry={}, routed={})
     assert [f.rule for f in result.active] == ["det-set-iteration"]
     assert result.active[0].path.endswith("use_mod.py")
 
 
+def test_time_equality_is_flagged_inequality_is_not(tmp_path):
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def due(self, deadline):
+                if deadline == self.sim.now:
+                    return True
+                return deadline <= self.sim.now
+
+            def same_instant(self, event):
+                return event.time != self.started_at
+        """,
+    )
+    result = analyze_fixture(path, {})
+    assert [f.rule for f in result.active] == ["order-float-time-eq"] * 2
+    lines = sorted(f.line for f in result.active)
+    assert lines == [
+        line_of(path, "deadline == self.sim.now"),
+        line_of(path, "event.time != self.started_at"),
+    ]
+
+
+def test_float_time_rule_covers_the_kernel():
+    # The determinism scope is the whole simulation, the event queue and
+    # kernel included; neither compares a clock reading with ==/!=.
+    kernel = [REPRO_PKG / "sim" / "events.py", REPRO_PKG / "sim" / "kernel.py"]
+    for path in kernel:
+        assert in_scope("determinism", str(path))
+    result = analyze_paths([str(path) for path in kernel], lints=("determinism",))
+    assert result.active == [] and result.suppressed == []
+
+
+def test_repo_tree_has_no_float_time_equality():
+    result = analyze_paths([str(REPRO_PKG)], lints=("determinism",))
+    flagged = [f for f in result.active if f.rule == "order-float-time-eq"]
+    assert flagged == [], "\n".join(f.render() for f in flagged)
+
+
 # ----------------------------------------------------------------------
-# Suppressions and baseline
+# Suppressions
 # ----------------------------------------------------------------------
 def test_inline_ignore_suppresses_only_named_rule(tmp_path):
     path = write_fixture(
@@ -249,20 +287,21 @@ def test_ignore_comment_that_suppresses_nothing_is_stale(tmp_path):
     assert result.stale_ignores == [f"{path}:{line_of(path, 'nothing here')}"]
 
 
-def test_baseline_accepts_findings_by_stable_key(tmp_path):
+@pytest.mark.parametrize("alias", ["repro-san", "repro-race", "repro-leak"])
+def test_retired_ignore_spelling_does_not_suppress(alias, tmp_path):
+    # Each lint once had its own ignore spelling; only repro-lint is left.
     path = write_fixture(
         tmp_path,
-        """
+        f"""
         def fan_out(peers):
-            return [addr for addr in set(peers)]
+            a = [p for p in set(peers)]  # {alias}: ignore[det-set-iteration] old alias
+            b = [p for p in set(peers)]  # repro-lint: ignore[det-set-iteration] the spelling
+            return a + b
         """,
     )
-    probe = analyze_fixture(path, {})
-    assert len(probe.active) == 1
-    entry = {"key": probe.active[0].key, "reason": "fixture"}
-    result = analyze_paths([str(path)], registry={}, routed={}, baseline=[entry])
-    assert result.ok
-    assert len(result.accepted) == 1
+    result = analyze_fixture(path, {})
+    assert [f.line for f in result.active] == [line_of(path, f"{alias}:")]
+    assert [f.line for f in result.suppressed] == [line_of(path, "repro-lint:")]
 
 
 # ----------------------------------------------------------------------
@@ -271,10 +310,10 @@ def test_baseline_accepts_findings_by_stable_key(tmp_path):
 def test_sink_keeps_one_finding_per_position_and_refuses_unknown_rules():
     sink = Sink()
     for col in (4, 4, 20):
-        sink.report("f.py", 3, "det-set-iteration", "m", "f:x", col)
+        sink.report("f.py", 3, "det-set-iteration", "m", col)
     assert len(sink.findings()) == 2
     with pytest.raises(ValueError, match="not in the catalog"):
-        sink.report("f.py", 3, "det-wall-clock", "m", "f:x")
+        sink.report("f.py", 3, "order-zero-delay", "m")
 
 
 @pytest.mark.parametrize(
@@ -317,6 +356,32 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "repro-lint: OK" in capsys.readouterr().out
 
 
+def test_cli_stale_inline_ignore_exits_3_on_a_full_run(tmp_path, monkeypatch, capsys):
+    # Only a full run (default paths, every lint) checks staleness: a
+    # subset of paths or lints legitimately leaves ignores unmatched.
+    write_fixture(
+        tmp_path,
+        """
+        def total(peers):
+            return sum(peers)  # repro-lint: ignore[det-set-iteration] nothing here
+        """,
+    )
+    monkeypatch.setattr(runner, "_default_paths", lambda: [str(tmp_path)])
+    assert main([]) == 3
+    assert "stale inline ignore" in capsys.readouterr().err
+    assert main(["--only", "determinism"]) == 0
+    assert main([str(tmp_path)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv", [["--only", "ordering"], ["--fail-on-new"]], ids=["only-ordering", "fail-on-new"]
+)
+def test_cli_rejects_removed_options(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_list_rules_prints_catalog(capsys):
     assert main(["--list-rules"]) == 0
     out = capsys.readouterr().out
@@ -333,10 +398,9 @@ def test_rule_catalog_matches_the_design_record():
 
 
 def test_repo_tree_is_lint_clean():
-    """The tier-1 gate: the real tree has zero findings outside the baseline.
-
-    Every inline ignore and baseline entry must still match a finding.
+    """The tier-1 gate: the real tree has zero findings outside its
+    inline ignores, and every inline ignore still matches a finding.
     """
     result = analyze_paths([str(REPRO_PKG)])
     assert result.ok, "\n".join(f.render() for f in result.active)
-    assert result.stale_ignores == [] and result.stale_baseline == []
+    assert result.stale_ignores == []

@@ -18,6 +18,7 @@ behavioral change ever lands, re-capture with::
 """
 
 import hashlib
+import json
 import os
 import random
 import subprocess
@@ -176,6 +177,69 @@ def test_golden_digest_holds_under_two_fixed_hash_seeds():
         out, err = child.communicate(timeout=120)
         assert child.returncode == 0, err
         assert out.strip() == GOLDEN_DIGEST, f"PYTHONHASHSEED={seed}"
+
+
+#: Builds, directly, the three states no seeded scenario reaches: a node
+#: with six adopted regions (``links()``), a split abort with five awaiting
+#: and five acked peers (``_abort_split``'s fan-out) and four adopted
+#: regions tied on length and match (``MindNode._owned_region_for``).
+_SET_ORDER_CHILD = """
+import json
+from types import SimpleNamespace
+from repro.core.mind_node import MindNode
+from repro.overlay.code import Code
+from repro.overlay.join import HostJoinState
+from repro.overlay.node import OverlayNode
+from repro.sim.kernel import Simulator
+from tests.helpers import make_network
+
+sim = Simulator(1)
+node = OverlayNode(sim, make_network(sim), "h")
+node._set_code(Code("0000"))
+for bits in ("0011", "0101", "0110", "1001", "1010", "1100"):
+    node.adopted.add(Code(bits))
+for n in range(16):
+    bits = format(n, "04b")
+    node.neighbors.upsert("p" + bits, Code(bits))
+links = [addr for addr, _ in node.links()]
+
+sent = []
+node._send = lambda addr, kind, payload, **kw: sent.append(addr)
+node._host_join = HostJoinState(
+    joiner="j", host_code=node.code, round_id=1,
+    awaiting_acks={"w%d" % i for i in range(5)}, acked={"a%d" % i for i in range(5)},
+)
+node._abort_split(None)
+
+owner = SimpleNamespace(
+    code=Code("1"), adopted={Code(b) for b in ("0100", "0101", "0110", "0111")}
+)
+owned = MindNode._owned_region_for(owner, Code("01")).bits
+print(json.dumps({"links": links, "split_abort": sent, "owned": owned}))
+"""
+
+
+def test_set_order_sites_no_scenario_reaches_hold_under_two_hash_seeds():
+    """``det-set-iteration``'s runtime twin for the three sorted-set sites
+    that the golden scenario never reaches: each orders its output the
+    same way under ``PYTHONHASHSEED`` 0 and 1."""
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), str(root)])
+    outputs = {}
+    for seed in ("0", "1"):
+        child = subprocess.run(
+            [sys.executable, "-c", _SET_ORDER_CHILD],
+            cwd=root,
+            env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=path),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert child.returncode == 0, child.stderr
+        outputs[seed] = json.loads(child.stdout)
+    assert len(outputs["0"]["split_abort"]) == 10
+    for site in ("links", "split_abort", "owned"):
+        assert outputs["0"][site] == outputs["1"][site], site
 
 
 def test_two_code_generations_of_two_leave_the_run_unchanged(monkeypatch):
