@@ -33,6 +33,7 @@ from repro.core.versioning import VersionedEmbedding
 from repro.net.message import Message
 from repro.overlay.code import Code, intern_code
 from repro.overlay.node import CONTROL_MSG_BYTES, OverlayConfig, OverlayNode
+from repro.overlay.recovery import remember
 from repro.storage.dac import DacConfig, DataAccessController
 from repro.storage.memtable import TimePartitionedStore
 
@@ -339,16 +340,14 @@ class MindNode(OverlayNode):
         self._sibling_fetches: Dict[str, _SiblingFetch] = {}
         self._histo_collections: Dict[str, _HistoCollection] = {}
         self._trigger_regs: Dict[str, _TriggerReg] = {}
-        #: Flood dedupe keys, insertion-ordered so the eviction in
-        #: :meth:`_flood` can drop the oldest half at the cap (a dict
-        #: used as an ordered set, like the overlay's ``_ring_seen``).
+        #: Flood dedupe keys, a bounded table (:func:`remember`) used as an
+        #: ordered set.
         self._seen_floods: Dict[Tuple, None] = {}
         self.trigger_table = TriggerTable()
         self._trigger_subs: Dict[str, Callable[[Record], None]] = {}
         self.records_stored = 0
         self.replicas_stored = 0
         self.sibling_fetches = 0
-        self.triggers_fired = 0
         #: Replica destination memo: the addresses depend only on the
         #: link set, own code, and replication degree — not on the record
         #: — so the per-stored-record scan is cached on the links() key.
@@ -408,15 +407,10 @@ class MindNode(OverlayNode):
         key = (kind, payload[_FLOOD_ID_KEY[kind]])
         if key in self._seen_floods:
             return False
-        self._seen_floods[key] = None
-        if len(self._seen_floods) > 4096:
-            # Bounded memory under long churn runs: drop the oldest half
-            # (dict preserves insertion order).  A re-flood of an evicted
-            # key re-sends one round of control messages and stops at
-            # neighbors that still remember it — duplicate-delivery safe,
-            # since every flood handler is idempotent.
-            for old in list(self._seen_floods)[:2048]:
-                del self._seen_floods[old]
+        # A re-flood of a key the bound evicted re-sends one round of
+        # control messages and stops at neighbors that still remember it:
+        # duplicate-delivery safe, since every flood handler is idempotent.
+        remember(self._seen_floods, key)
         for addr, _ in self.links():
             self._send(addr, kind, payload, size_bytes=CONTROL_MSG_BYTES * 2)
         return True
@@ -1412,7 +1406,6 @@ class MindNode(OverlayNode):
             state.schema.name, state.schema, record, self.sim.now
         )
         for trigger in matches:
-            self.triggers_fired += 1
             payload = {
                 "trigger_id": trigger.trigger_id,
                 "index": state.schema.name,

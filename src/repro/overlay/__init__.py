@@ -11,10 +11,10 @@ invariant:
 * the Adler-style randomized join splits the shallowest node found in a
   random neighborhood, keeping the trie balanced with high probability,
   with a deadlock-free serialization of concurrent joins (``join``),
-* heartbeats detect failed peers and a probe over the overlay distinguishes
-  a dead peer from a broken direct link (``liveness``), and
-* a failed node's sibling takes over its half of the code space by
-  shortening its own code (``recovery``).
+* heartbeats detect failed peers, a probe over the overlay distinguishes
+  a dead peer from a broken direct link, and a failed node's sibling takes
+  over its half of the code space by shortening its own code
+  (``recovery``).
 """
 
 from repro.overlay.code import Code

@@ -1,10 +1,11 @@
-"""The overlay node: message dispatch, join, routing, liveness, recovery.
+"""The overlay node: message dispatch, join and routing.
 
-:class:`OverlayNode` implements everything in the paper's Section 3.3 and
-3.8 — the hypercube membership protocol and its failure handling — and
-exposes hooks that :class:`repro.core.mind_node.MindNode` overrides, and
-handler tables it adds its message and routed kinds to, for index
-semantics (Sections 3.4-3.7).
+:class:`OverlayNode` implements the paper's Section 3.3 — the hypercube
+membership protocol and greedy routing — and hands its failure handling
+(Section 3.8) to a :class:`repro.overlay.recovery.Recovery`.  It exposes
+hooks that :class:`repro.core.mind_node.MindNode` overrides, and handler
+tables it adds its message and routed kinds to, for index semantics
+(Sections 3.4-3.7).
 
 Processing model
 ----------------
@@ -16,7 +17,7 @@ behind the paper's long latency tails (Figures 7, 8, 11).  Per-node
 """
 
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro import checks
@@ -35,6 +36,7 @@ from repro.overlay.join import (
 )
 from repro.overlay.routing import RouteDecision, next_hop, route_rows, table_next_hop
 from repro.overlay.neighbors import NeighborTable
+from repro.overlay.recovery import Recovery
 from repro.sim.kernel import Simulator
 
 #: A joiner (or a host waiting on split acks) gives up on a join round
@@ -42,10 +44,6 @@ from repro.sim.kernel import Simulator
 #: its next round.
 JOIN_TIMEOUT_S = 8.0
 JOIN_BACKOFF_S = 1.0
-#: Expanding-ring recovery: probe floods grow one hop per round up to
-#: ``RING_MAX_TTL``, one round every ``RING_STEP_TIMEOUT_S``.
-RING_MAX_TTL = 6
-RING_STEP_TIMEOUT_S = 2.0
 #: Routed messages die after this many hops (covers pathological
 #: bouncing between stale-coded nodes during recovery transients).
 ROUTE_TTL = 24
@@ -87,19 +85,6 @@ class OverlayConfig:
     #: meant for stable-topology runs (the scale perf tier), not churn.
     hb_suppress_s: Optional[float] = None
     adoption_delay_s: float = 5.0
-
-
-@dataclass
-class _Ring:
-    """One expanding-ring search for a live way into an unreachable subtree.
-
-    ``rounds`` counts floods sent so far.  ``waiters`` holds the parked
-    envelopes, each with the last round it is flooded for.
-    """
-
-    id: int
-    rounds: int = 0
-    waiters: List[Tuple[int, Dict[str, Any]]] = field(default_factory=list)
 
 
 class OverlayNode:
@@ -149,26 +134,6 @@ class OverlayNode:
         self._joiner_state: Optional[JoinerState] = None
         self._join_round = 0
         self._cpu_busy_until = 0.0
-        self._last_heard: Dict[str, float] = {}
-        self._last_sent: Dict[str, float] = {}
-        self._hb_event = None
-        #: Expanding-ring searches in flight, keyed by the bits of the
-        #: subtree no live link enters: every op that dead-ends on the same
-        #: subtree here parks on the same ring.
-        self._rings: Dict[str, _Ring] = {}
-        #: Ring ids stay monotonic across crash()/restore(), as
-        #: ``_probe_seq`` does: remote ``_ring_seen`` entries outlive a crash.
-        self._ring_seq = 0
-        #: Per-node suppression of ring-probe floods: (op_id, origin) ->
-        #: highest TTL already processed.  Without this an expanding-ring
-        #: broadcast branches exponentially in the node degree.
-        self._ring_seen: Dict[Any, int] = {}
-        self._declared_dead: Set[str] = set()
-        #: Fallback adoptions awaiting a reachability probe: region bits ->
-        #: the backstop timer that adopts if neither an ack nor an explicit
-        #: unreachable report arrives.
-        self._pending_adoptions: Dict[str, Any] = {}
-        self._probe_seq = 0
         #: ``links()`` memo: key -> computed link list.  ``links()`` is
         #: called on every routed hop and recomputes hypercube neighbors
         #: from codes; at 1k nodes that recomputation dominates the whole
@@ -178,11 +143,10 @@ class OverlayNode:
         self._links_memo: List[Tuple[str, Code]] = []
 
         self.bootstrap_provider: Optional[Callable[[str], Optional[str]]] = None
-        self.on_joined_callbacks: List[Callable[["OverlayNode"], None]] = []
 
-        self.messages_processed = 0
         self.routes_forwarded = 0
-        #: Rings started, and ops that parked on a ring already in flight.
+        #: Kept by the recovery: rings started, ops that parked on a ring
+        #: already in flight, and takeovers plus fallback adoptions.
         self.ring_recoveries = 0
         self.ring_waits = 0
         self.takeovers = 0
@@ -204,12 +168,18 @@ class OverlayNode:
 
             self._np_service = _np.random.default_rng(self._rng.randrange(2**63))
             self._jitter_buf = array("d")
+        self.recovery = Recovery(self)
+        # The liveness tables are the recovery's, aliased here: every
+        # delivery and send touches one, and the alias saves a hop.
+        self._last_heard = self.recovery.last_heard
+        self._last_sent = self.recovery.last_sent
+        self._declared_dead = self.recovery.declared_dead
         self._handlers: Dict[str, Callable[[Message], None]] = {
             "join_lookup": self._on_join_lookup,
             "join_neighborhood": self._on_join_neighborhood,
-            "join_lookup_fail": self._on_join_lookup_fail,
+            "join_lookup_fail": self._on_join_refused,
             "join_request": self._on_join_request,
-            "join_reject": self._on_join_reject,
+            "join_reject": self._on_join_refused,
             "join_cancel": self._on_join_cancel,
             "split_prepare": self._on_split_prepare,
             "split_ack": self._on_split_ack,
@@ -217,24 +187,12 @@ class OverlayNode:
             "split_abort": self._on_split_abort,
             "split_commit_notify": self._on_split_commit_notify,
             "split_done": self._on_split_done,
-            "code_update": self._on_code_update,
-            "heartbeat": self._on_heartbeat,
-            "liveness_probe": self._on_liveness_probe,
-            "liveness_report": self._on_liveness_report,
-            "witness_ping": self._on_witness_ping,
-            "witness_pong": self._on_witness_pong,
             "route": self._on_route,
-            "ring_probe": self._on_ring_probe,
-            "ring_found": self._on_ring_found,
-            "adopt_probe_ack": self._on_adopt_probe_ack,
-            "adopt_probe_dead": self._on_adopt_probe_dead,
         }
         #: Routed kinds (``route`` envelope ``inner_kind`` values) this node
         #: handles, each with its arrival and failure handler; a subclass
         #: adds its own kinds in ``__init__``.
-        self._routed: Dict[str, RoutedHandlers] = {
-            "adopt_probe": (self._arrive_adopt_probe, self._adopt_probe_unreachable),
-        }
+        self._routed: Dict[str, RoutedHandlers] = dict(self.recovery._routed)
         # Flat dispatch table indexed by ``Message.kind_id``
         # (:func:`protocol.dispatch_table`), built on the first dispatch:
         # ``extra_handlers()`` needs the subclass __init__ to have finished.
@@ -286,12 +244,6 @@ class OverlayNode:
     def on_split_received_state(self, state: Dict[str, Any]) -> None:
         """Joiner-side: install application state from the host."""
 
-    def on_code_changed(self, old_code: Optional[Code], new_code: Code) -> None:
-        """Called after any code change (split, takeover)."""
-
-    def on_peer_dead(self, address: str, code: Optional[Code]) -> None:
-        """Called once when a peer is declared dead."""
-
     def extra_handlers(self) -> Dict[str, Callable[[Message], None]]:
         """Subclasses add message kinds by overriding this."""
         return {}
@@ -304,9 +256,8 @@ class OverlayNode:
         if self.code is not None:
             raise RuntimeError(f"{self.address} is already in an overlay")
         self.active = True
-        self._set_code(Code(""))
-        self._notify_joined()
-        self._start_heartbeats()
+        self.code = Code("")
+        self.recovery.start_heartbeats()
 
     def start_join(self, bootstrap: str) -> None:
         """Begin joining an existing overlay via the given live node."""
@@ -334,16 +285,7 @@ class OverlayNode:
         self._handed_over = None
         self._pending_prepare = None
         self._joiner_state = None
-        self._last_heard = {}
-        self._last_sent = {}
-        self._rings = {}
-        self._declared_dead = set()
-        for event in self._pending_adoptions.values():
-            event.cancel()
-        self._pending_adoptions = {}
-        if self._hb_event is not None:
-            self._hb_event.cancel()
-            self._hb_event = None
+        self.recovery.reset()
 
     def restore(self) -> None:
         """Come back after a crash and rejoin through the bootstrap provider."""
@@ -475,7 +417,6 @@ class OverlayNode:
     def _dispatch(self, msg: Message) -> None:
         if not self.active:
             return
-        self.messages_processed += 1
         self._last_heard[msg.src] = self.sim.now
         if self._declared_dead and msg.src in self._declared_dead:
             # A peer we wrote off is talking again (it restarted or the
@@ -484,7 +425,7 @@ class OverlayNode:
         table = self._dispatch_table
         if table is None:
             table = self._dispatch_table = protocol.dispatch_table(
-                {**self._handlers, **self.extra_handlers()}
+                {**self._handlers, **self.recovery.handlers, **self.extra_handlers()}
             )
         handler = table[msg.kind_id]
         if handler is None:
@@ -545,7 +486,8 @@ class OverlayNode:
         neighborhood.extend((addr, code.bits) for addr, code in self.links())
         self._send(joiner, "join_neighborhood", {"neighborhood": neighborhood})
 
-    def _on_join_lookup_fail(self, msg: Message) -> None:
+    def _on_join_refused(self, msg: Message) -> None:
+        """The bootstrap is not in the overlay, or the host refused: retry."""
         if self._joiner_state is not None and self.code is None:
             self._retry_join()
 
@@ -562,10 +504,6 @@ class OverlayNode:
         self._send(host, "join_request", {"joiner": self.address})
         self._arm_join_timeout()
 
-    def _on_join_reject(self, msg: Message) -> None:
-        if self._joiner_state is not None and self.code is None:
-            self._retry_join()
-
     def _on_split_done(self, msg: Message) -> None:
         state = self._joiner_state
         if state is None or self.code is not None or msg.src != state.host:
@@ -573,15 +511,14 @@ class OverlayNode:
         state.clear_timeout()
         self._joiner_state = None
         payload = msg.payload
-        self._set_code(Code(payload["code"]))
+        self.code = Code(payload["code"])
         for addr, bits in payload["neighbors"]:
             if addr != self.address:
                 self.neighbors.upsert(addr, Code(bits))
         self.neighbors.prune_to_neighborhood(self.code)
         self.sibling_pointer = SiblingPointer(sibling=msg.src)
         self.on_split_received_state(payload.get("state", {}))
-        self._notify_joined()
-        self._start_heartbeats()
+        self.recovery.start_heartbeats()
 
     # ==================================================================
     # Join protocol — host side
@@ -638,7 +575,7 @@ class OverlayNode:
                 for addr, bits in handed[1]:
                     if addr not in self.neighbors:
                         self.neighbors.upsert(addr, Code(bits))
-            self._declare_dead(joiner)
+            self.recovery.declare_dead(joiner)
 
     def _abort_split(self, reason: Optional[str]) -> None:
         """Drop the in-flight split; ``reason`` is sent to the joiner unless
@@ -693,7 +630,7 @@ class OverlayNode:
         table = [(self.address, new_code.bits)]
         table.extend((addr, code.bits) for addr, code in self.neighbors.entries(alive_only=True))
         self._handed_over = (state.joiner, table[1:])
-        self._set_code(new_code, old_code=old_code)
+        self.code = new_code
         self.neighbors.upsert(state.joiner, joiner_code)
         self.neighbors.prune_to_neighborhood(self.code)
         self._send(
@@ -764,13 +701,6 @@ class OverlayNode:
         if self.code is not None:
             self.neighbors.prune_to_neighborhood(self.code)
 
-    def _on_code_update(self, msg: Message) -> None:
-        payload = msg.payload
-        code = Code(payload["code"])
-        self.neighbors.upsert(payload["address"], code)
-        if payload["address"] != self.address:
-            self._cede_adoptions_to(code)
-
     # ==================================================================
     # Routing
     # ==================================================================
@@ -810,7 +740,7 @@ class OverlayNode:
 
     def _on_route(self, msg: Message) -> None:
         # Copy-on-receive: the envelope advances (hops/path/exclude) at
-        # every hop and may be parked on a ring in ``_rings``, so routing must
+        # every hop and may be parked on a recovery ring, so routing must
         # work on a private copy, never the sender's object.  The envelope
         # schema is closed (built only in route()), so copy exactly its
         # mutable members — path and exclude — instead of a generic deep
@@ -868,7 +798,7 @@ class OverlayNode:
         if nxt is None:
             # Greedy dead end: expanding-ring recovery can escape through
             # nodes outside the excluded set.
-            self._start_ring_recovery(envelope)
+            self.recovery.park(envelope)
             return
         self._forward(envelope, nxt)
 
@@ -903,378 +833,3 @@ class OverlayNode:
             tuples=envelope.get("tuples", 0),
             on_fail=on_fail,
         )
-
-    # ==================================================================
-    # Expanding-ring recovery
-    # ==================================================================
-    def _start_ring_recovery(self, envelope: Dict[str, Any]) -> None:
-        """Park a dead-ended envelope on the ring for its unreachable subtree.
-
-        Greedy routing dead-ends exactly when no live link enters the
-        subtree ``target[:match_len + 1]``, so every op with that dead end
-        here shares one flood.  The probes carry the subtree as their
-        target, which makes the remote found-test the same for every
-        waiter.  Each waiter is flooded for ``RING_MAX_TTL`` rounds from
-        the round it parks in, so it fails at the first round at or after
-        ``park time + RING_MAX_TTL * RING_STEP_TIMEOUT_S``, never earlier.
-        """
-        bits = envelope["target"]
-        subtree = bits[: self.match_len(intern_code(bits)) + 1]
-        ring = self._rings.get(subtree)
-        if ring is None:
-            self._ring_seq += 1
-            self.ring_recoveries += 1
-            ring = self._rings[subtree] = _Ring(self._ring_seq)
-        else:
-            self.ring_waits += 1
-        ring.waiters.append((ring.rounds + RING_MAX_TTL, envelope))
-        if not ring.rounds:
-            self._ring_round(subtree, ring.id)
-
-    def _ring_round(self, subtree: str, ring_id: int) -> None:
-        ring = self._rings.get(subtree)
-        if ring is None or ring.id != ring_id:
-            return  # answered, drained, or lost in a crash
-        ring.rounds += 1
-        arrived, exhausted, waiting = [], [], []
-        for last_round, envelope in ring.waiters:
-            if self.covers(intern_code(envelope["target"])):
-                # A takeover or adoption since the last round made *us* the
-                # responsible node (a recovery transient, e.g. we are the
-                # dead target's sibling and declared it dead mid-ring):
-                # deliver locally instead of failing.
-                arrived.append(envelope)
-            elif ring.rounds > last_round:
-                exhausted.append(envelope)
-            else:
-                waiting.append((last_round, envelope))
-        ring.waiters = waiting
-        if waiting:
-            # TTL grows to ``RING_MAX_TTL``, then the ring re-floods at the
-            # maximum while anything waits.  The probe id names the round:
-            # ``_ring_seen`` drops a probe whose TTL it has already seen.
-            probe = {
-                "op_id": (ring.id, ring.rounds),
-                "target": subtree,
-                "best_match": self.match_len(intern_code(subtree)),
-                "origin": self.address,
-                "ttl": min(ring.rounds, RING_MAX_TTL),
-                "visited": [self.address],
-            }
-            for addr, _ in self.links():
-                self._send(addr, "ring_probe", dict(probe, visited=[self.address]))
-            self.sim.schedule(RING_STEP_TIMEOUT_S, self._ring_round, subtree, ring.id)
-        else:
-            del self._rings[subtree]
-        for envelope in arrived:
-            self.on_route_arrival(envelope)
-        for envelope in exhausted:
-            self.on_route_failed(envelope, "ring-exhausted")
-
-    def _on_ring_probe(self, msg: Message) -> None:
-        if not self.in_overlay():
-            return
-        payload = msg.payload
-        seen_key = (payload["op_id"], payload["origin"])
-        if self._ring_seen.get(seen_key, 0) >= payload["ttl"]:
-            return
-        self._ring_seen[seen_key] = payload["ttl"]
-        if len(self._ring_seen) > 4096:
-            # Bounded memory: drop the oldest half (dict preserves
-            # insertion order).
-            for key in list(self._ring_seen)[:2048]:
-                del self._ring_seen[key]
-        target = intern_code(payload["target"])
-        my_match = self.match_len(target)
-        # A node inside the subtree answers even when its code is shorter
-        # than the origin's best match (which a stale adoption can inflate):
-        # it owns the target.
-        found = self.covers(target) or (
-            my_match >= payload["best_match"]
-            and self._greedy_decision(target, self.links()).next_hop is not None
-        )
-        if found and self.address != payload["origin"]:
-            self._send(payload["origin"], "ring_found", {"op_id": payload["op_id"], "match": my_match})
-            return
-        if payload["ttl"] > 1:
-            visited = set(payload["visited"]) | {self.address}
-            fwd = dict(payload, ttl=payload["ttl"] - 1, visited=list(visited))
-            for addr, _ in self.links():
-                if addr not in visited:
-                    self._send(addr, "ring_probe", dict(fwd, visited=list(fwd["visited"])))
-
-    def _on_ring_found(self, msg: Message) -> None:
-        """A live node can make progress into the subtree: forward every
-        waiter to it, with ``exclude`` cleared."""
-        ring_id = msg.payload["op_id"][0]
-        for subtree, ring in self._rings.items():
-            if ring.id == ring_id:
-                break
-        else:
-            return  # answered already, drained, or lost in a crash
-        del self._rings[subtree]
-        for _, envelope in ring.waiters:
-            envelope["exclude"] = []
-            self._forward(envelope, msg.src)
-
-    # ==================================================================
-    # Liveness and takeover
-    # ==================================================================
-    def _start_heartbeats(self) -> None:
-        if not self.config.liveness_enabled or self._hb_event is not None:
-            return
-        jitter = self._rng.random() * self.config.hb_interval_s
-        self._hb_event = self.sim.schedule(jitter, self._heartbeat_tick)
-
-    def _heartbeat_tick(self) -> None:
-        self._hb_event = None
-        if not self.in_overlay():
-            return
-        now = self.sim.now
-        suppress = self.config.hb_suppress_s
-        if suppress is not None:
-            # An entry this old no longer suppresses anything, which is
-            # exactly what a missing one does: drop it, so the table holds
-            # the peers sent to within one window, not every peer ever.
-            self._last_sent = {
-                addr: sent for addr, sent in self._last_sent.items() if now - sent < suppress
-            }
-        for addr, code in self.links():
-            if suppress is None or now - self._last_sent.get(addr, -1e18) >= suppress:
-                # ``peer_code`` echoes what *we* think the receiver's code
-                # is, so a peer we know under a stale code (it crashed and
-                # rejoined elsewhere in the tree) can correct us: without
-                # the echo a one-directional link never heals — the peer
-                # does not have us in its new link set, so its own
-                # heartbeats never reach us, and witness probes only attest
-                # that the *address* is alive, keeping the stale code
-                # forever.  Greedy routing through such an entry loops.
-                self._send(
-                    addr,
-                    "heartbeat",
-                    {"code": self.code.bits, "peer_code": code.bits},
-                    size_bytes=96,
-                )
-            last = self._last_heard.get(addr)
-            if last is not None and now - last > self.config.hb_timeout_s:
-                self._suspect(addr, code)
-        self._hb_event = self.sim.schedule(self.config.hb_interval_s, self._heartbeat_tick)
-
-    def _on_heartbeat(self, msg: Message) -> None:
-        bits = msg.payload["code"]
-        if self.neighbors.confirm_alive(msg.src, bits):
-            # Steady state: the peer is known, alive, and unchanged.
-            if self.adopted or self._pending_adoptions:
-                self._cede_adoptions_to(intern_code(bits))
-        else:
-            code = Code(bits)
-            self.neighbors.upsert(msg.src, code)
-            self.neighbors.mark_alive(msg.src)
-            if self.adopted or self._pending_adoptions:
-                self._cede_adoptions_to(code)
-        believed = msg.payload.get("peer_code")
-        if (
-            believed is not None
-            and self.code is not None
-            and believed != self.code.bits
-        ):
-            # The sender's entry for us is stale.  Answer with a corrective
-            # beacon carrying our real code; the echo we attach is the code
-            # the sender just told us, so the exchange converges in one
-            # round trip instead of ping-ponging.
-            self._send(
-                msg.src,
-                "heartbeat",
-                {"code": self.code.bits, "peer_code": bits},
-                size_bytes=96,
-            )
-
-    def _suspect(self, addr: str, code: Code) -> None:
-        if addr in self._declared_dead:
-            return
-        # Ask another neighbor whether it has heard from the suspect; this
-        # distinguishes "my link to the peer broke" from "the peer died".
-        witnesses = [a for a, _ in self.links() if a != addr]
-        if not witnesses:
-            self._declare_dead(addr)
-            return
-        witness = self._rng.choice(sorted(witnesses))
-        self._send(witness, "liveness_probe", {"suspect": addr})
-
-    def _on_liveness_probe(self, msg: Message) -> None:
-        """A peer asks us to attest whether ``suspect`` is alive.
-
-        If we heard from the suspect recently we attest directly; otherwise
-        we ping it over *our own* link — a path independent of the
-        requester's possibly-broken one, which is the point of the probe
-        (Section 3.8: distinguish a dead peer from a dead link).
-        """
-        suspect = msg.payload["suspect"]
-        last = self._last_heard.get(suspect)
-        if last is not None and (self.sim.now - last) <= self.config.hb_timeout_s:
-            self._send(msg.src, "liveness_report", {"suspect": suspect, "alive": True})
-            return
-        requester = msg.src
-
-        def ping_failed(failed_msg, reason, _s=suspect, _r=requester):
-            if self.active:
-                self._send(_r, "liveness_report", {"suspect": _s, "alive": False})
-
-        self._send(
-            suspect,
-            "witness_ping",
-            {"on_behalf": requester},
-            size_bytes=96,
-            on_fail=ping_failed,
-        )
-
-    def _on_witness_ping(self, msg: Message) -> None:
-        self._send(msg.src, "witness_pong", {"on_behalf": msg.payload["on_behalf"]}, size_bytes=96)
-
-    def _on_witness_pong(self, msg: Message) -> None:
-        self._send(
-            msg.payload["on_behalf"],
-            "liveness_report",
-            {"suspect": msg.src, "alive": True},
-        )
-
-    def _on_liveness_report(self, msg: Message) -> None:
-        if msg.payload["alive"]:
-            return
-        suspect = msg.payload["suspect"]
-        last = self._last_heard.get(suspect)
-        if last is not None and (self.sim.now - last) <= self.config.hb_timeout_s:
-            return
-        self._declare_dead(suspect)
-
-    def _declare_dead(self, addr: str) -> None:
-        if addr in self._declared_dead:
-            return
-        self._declared_dead.add(addr)
-        dead_code = self.neighbors.code_of(addr)
-        self.neighbors.mark_dead(addr)
-        self.on_peer_dead(addr, dead_code)
-        if dead_code is None or self.code is None:
-            return
-        if self.code == dead_code.sibling():
-            self._takeover(dead_code)
-        else:
-            # Staggered fallback adoption: deeper/further candidates wait
-            # longer, so the sibling (or the closest survivor) wins the race.
-            distance = len(dead_code) - self.code.common_prefix_len(dead_code)
-            delay = self.config.adoption_delay_s * (1 + distance) * (1.0 + self._rng.random())
-            self.sim.schedule(delay, self._maybe_adopt, dead_code, addr)
-
-    def _takeover(self, dead_code: Code) -> None:
-        """Sibling takeover: shorten my code to cover the dead region."""
-        old_code = self.code
-        new_code = dead_code.shorten()
-        self.takeovers += 1
-        self.adopted = {r for r in self.adopted if not new_code.is_prefix_of(r)}
-        self._set_code(new_code, old_code=old_code)
-        self._announce_code()
-
-    def _maybe_adopt(self, dead_code: Code, dead_addr: str) -> None:
-        if not self.in_overlay():
-            return
-        if self.covers(dead_code) or dead_code.bits in self._pending_adoptions:
-            return
-        # Someone else may have taken over already; check our view.
-        sibling = dead_code.sibling()
-        for peer, code in self.neighbors.entries(alive_only=True):
-            if peer != dead_addr and (code.comparable(dead_code) or code == sibling):
-                # Taken over (or about to be: the exact sibling takes over
-                # the moment it declares the death itself).
-                return
-        # Our pruned neighborhood cannot see every candidate — the true
-        # sibling usually is *not* in it, and with replication >= 1 it
-        # holds the dead region's replicas while we hold nothing.
-        # Adopting over a live takeover would shadow the replica holder
-        # with a dataless copy of the region and queries would silently
-        # lose records, so probe the region through routing first and
-        # adopt only when nothing live answers.
-        self._probe_seq += 1
-        op_id = ("adopt-probe", self.address, self._probe_seq)
-        backstop = (RING_MAX_TTL + 2) * RING_STEP_TIMEOUT_S
-        self._pending_adoptions[dead_code.bits] = self.sim.schedule(
-            backstop, self._adopt_now, dead_code.bits
-        )
-        self.route(
-            dead_code,
-            "adopt_probe",
-            {"claimant": self.address, "probe": dead_code.bits},
-            op_id,
-            exclude=[dead_addr],
-        )
-
-    def _arrive_adopt_probe(self, envelope: Dict[str, Any]) -> None:
-        claimant = envelope["inner"]["claimant"]
-        if claimant != self.address:
-            self._send(
-                claimant,
-                "adopt_probe_ack",
-                {"code": self.code.bits, "probe": envelope["inner"]["probe"]},
-            )
-
-    def _adopt_probe_unreachable(self, envelope: Dict[str, Any], reason: str) -> None:
-        claimant = envelope["inner"]["claimant"]
-        if claimant == self.address:
-            self._adopt_now(envelope["inner"]["probe"])
-        else:
-            self._send(claimant, "adopt_probe_dead", {"probe": envelope["inner"]["probe"]})
-
-    def _on_adopt_probe_ack(self, msg: Message) -> None:
-        code = Code(msg.payload["code"])
-        self.neighbors.upsert(msg.src, code)
-        event = self._pending_adoptions.pop(msg.payload["probe"], None)
-        if event is not None:
-            event.cancel()
-        self._cede_adoptions_to(code)
-
-    def _on_adopt_probe_dead(self, msg: Message) -> None:
-        self._adopt_now(msg.payload["probe"])
-
-    def _adopt_now(self, bits: str) -> None:
-        event = self._pending_adoptions.pop(bits, None)
-        if event is not None:
-            event.cancel()
-        if not self.in_overlay():
-            return
-        dead_code = Code(bits)
-        if self.covers(dead_code):
-            return
-        for _, code in self.neighbors.entries(alive_only=True):
-            if code.comparable(dead_code):
-                return
-        self.takeovers += 1
-        self.adopted.add(dead_code)
-        self._announce_code()
-        self.on_code_changed(self.code, self.code)
-
-    def _cede_adoptions_to(self, code: Code) -> None:
-        """A live peer claims ``code``: any adopted region it covers is a
-        stale fallback adoption (ours is dataless; a takeover holds the
-        region's replicas), so cede it and drop pending probes for it.
-        Only primary codes are announced, so another fallback adopter can
-        never trigger this — just real owners after a takeover."""
-        stale = {region for region in self.adopted if code.comparable(region)}
-        if stale:
-            self.adopted -= stale
-        for bits in [b for b in self._pending_adoptions if code.comparable(Code(b))]:
-            self._pending_adoptions.pop(bits).cancel()
-
-    def _announce_code(self) -> None:
-        update = {"address": self.address, "code": self.code.bits}
-        for addr, _ in self.links():
-            self._send(addr, "code_update", update)
-
-    # ==================================================================
-    # Internals
-    # ==================================================================
-    def _set_code(self, new_code: Code, old_code: Optional[Code] = None) -> None:
-        self.code = new_code
-        self.on_code_changed(old_code, new_code)
-
-    def _notify_joined(self) -> None:
-        for callback in self.on_joined_callbacks:
-            callback(self)

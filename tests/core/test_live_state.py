@@ -82,7 +82,7 @@ def test_heartbeat_suppression_table_holds_one_window():
     ticks = []
 
     def watch(node):
-        tick = node._heartbeat_tick
+        tick = node.recovery._heartbeat_tick
 
         def checked():
             tick()
@@ -90,7 +90,7 @@ def test_heartbeat_suppression_table_holds_one_window():
             assert all(now - sent < suppress for sent in node._last_sent.values())
             ticks.append(node.address)
 
-        node._heartbeat_tick = checked
+        node.recovery._heartbeat_tick = checked
 
     for node in cluster.nodes:
         watch(node)

@@ -112,7 +112,7 @@ def test_registry_is_exactly_what_the_live_handler_tables_handle():
     # refuses an undeclared send), and no registry entry is dead.
     sim = Simulator(0)
     mind = MindNode(sim, make_network(sim), "m")
-    direct = set(mind._handlers) | set(mind.extra_handlers())
+    direct = set(mind._handlers) | set(mind.recovery.handlers) | set(mind.extra_handlers())
     schema = IndexSchema("b", attributes=[AttributeSpec("x", 0.0, 1000.0)])
     for system_cls in (QueryFloodingSystem, UniformHashSystem, CentralizedSystem):
         for node in system_cls(ABILENE_SITES[:3], schema).nodes:

@@ -111,14 +111,14 @@ def test_stale_neighbor_code_heals_via_heartbeat_echo():
     # mismatch triggers a corrective beacon that heals the entry.
     sim, network, nodes = build_overlay(8, seed=138, config=live_cfg())
     s = nodes[1]
-    x_addr, x_old = s.links()[0]
+    x_addr, _ = s.links()[0]
     x = next(n for n in nodes if n.address == x_addr)
     # Relocate x to the bitwise complement of s's code: provably not
     # adjacent to s in either direction, so no regular heartbeat from x
     # will ever reach s — exactly the one-directional staleness the
     # shuffle run produced via crash + rejoin.
     relocated = Code("".join("1" if b == "0" else "0" for b in s.code.bits))
-    x._set_code(relocated, old_code=x_old)
+    x.code = relocated
     assert all(addr != s.address for addr, _ in x.links())
     sim.run_until(sim.now + 4 * 2.0)
     assert s.neighbors.code_of(x_addr) == relocated, (
@@ -133,10 +133,10 @@ def test_heartbeat_echo_converges_without_ping_pong():
     # (off-schedule) heartbeats x sends back to s.
     sim, network, nodes = build_overlay(8, seed=139, config=live_cfg())
     s = nodes[2]
-    x_addr, x_old = s.links()[0]
+    x_addr, _ = s.links()[0]
     x = next(n for n in nodes if n.address == x_addr)
     relocated = Code("".join("1" if b == "0" else "0" for b in s.code.bits))
-    x._set_code(relocated, old_code=x_old)
+    x.code = relocated
     beats = []
     orig_send = network.send_framed
 

@@ -6,7 +6,8 @@ import pytest
 
 from repro import checks
 from repro.overlay.code import Code
-from repro.overlay.node import RING_MAX_TTL, RING_STEP_TIMEOUT_S, OverlayConfig, OverlayNode
+from repro.overlay.node import OverlayConfig, OverlayNode
+from repro.overlay.recovery import RING_MAX_TTL, RING_STEP_TIMEOUT_S
 from repro.overlay.routing import next_hop
 
 from tests.helpers import build_overlay
@@ -128,7 +129,7 @@ def _rig(codes):
     for addr, bits in codes.items():
         node = RecordingNode(sim, network, addr, config=OverlayConfig())
         node.active = True
-        node._set_code(Code(bits))
+        node.code = Code(bits)
         nodes[addr] = node
     return sim, network, nodes
 
@@ -266,7 +267,7 @@ def test_takeover_at_the_origin_delivers_every_waiter_locally():
 
     for n, bits in enumerate(("010", "0111")):
         o.route(Code(bits), "probe", {"n": n}, op_id=f"local-{n}")
-    sim.schedule(3.0, o._declare_dead, "d")  # o is d's sibling: takeover
+    sim.schedule(3.0, o.recovery.declare_dead, "d")  # o is d's sibling: takeover
     sim.run_until(sim.now + 30.0)
 
     assert o.code == Code("0")
@@ -292,7 +293,7 @@ def test_ring_parked_at_a_relay_hands_a_plain_inner_to_the_handler(outcome):
 
     s.route(Code("010"), "probe", {"n": 0, "tags": [1, 2]}, op_id="relay-ring")
     if outcome == "arrives":
-        sim.schedule(3.0, o._declare_dead, "d")  # o is d's sibling: takeover
+        sim.schedule(3.0, o.recovery.declare_dead, "d")  # o is d's sibling: takeover
     sim.run_until(sim.now + 60.0)
 
     assert o.ring_recoveries == 1 and s.ring_recoveries == 0
@@ -321,7 +322,7 @@ def test_restored_node_never_reuses_a_ring_id_its_peers_still_dedupe():
     # Back under the same code (the rig has no join protocol); "r" can now
     # make progress into subtree 1.
     o.active = True
-    o._set_code(Code("00"))
+    o.code = Code("00")
     o.neighbors.upsert("r", Code("01"))
     r.neighbors.upsert("b", Code("11"))
 

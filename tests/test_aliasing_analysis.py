@@ -269,8 +269,20 @@ def test_cli_only_selects_a_single_lint(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_json_clean_tree_exits_zero(capsys):
-    exit_code = main(["--only", "aliasing", "--format", "json", str(REPRO_PKG)])
+def test_cli_json_clean_tree_exits_zero(tmp_path, capsys):
+    # The handler ships a copy of what it received: nothing to report.
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def __init__(self):
+                self._handlers = {"probe": self._on_probe}
+
+            def _on_probe(self, msg):
+                self._send(msg.src, "probe_ack", dict(msg.payload))
+        """,
+    )
+    exit_code = main(["--only", "aliasing", "--format", "json", str(path)])
     out = json.loads(capsys.readouterr().out)
     assert exit_code == 0
     assert out["ok"] is True

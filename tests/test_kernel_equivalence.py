@@ -195,7 +195,7 @@ from tests.helpers import make_network
 
 sim = Simulator(1)
 node = OverlayNode(sim, make_network(sim), "h")
-node._set_code(Code("0000"))
+node.code = Code("0000")
 for bits in ("0011", "0101", "0110", "1001", "1010", "1100"):
     node.adopted.add(Code(bits))
 for n in range(16):

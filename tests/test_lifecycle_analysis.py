@@ -2,12 +2,12 @@
 
 Same shape as ``tests/test_aliasing_analysis.py``: tiny modules written to
 ``tmp_path``, analyzed with just the lifecycle lint selected, pinning
-exact lines.  The last test is the gate: the real tree has zero
-unsuppressed lifecycle findings.
+exact lines.  The real tree is gated by
+``tests/test_analysis.py::test_repo_tree_is_lint_clean``, which runs this
+lint with the others.
 """
 
 import textwrap
-from pathlib import Path
 
 import pytest
 
@@ -15,8 +15,6 @@ from repro.analysis import analyze_paths
 from repro.analysis.runner import in_scope, main
 
 pytestmark = pytest.mark.lint
-
-REPRO_PKG = Path(__file__).resolve().parents[1] / "src" / "repro"
 
 
 def write_fixture(tmp_path, source):
@@ -257,10 +255,3 @@ def test_cli_lists_lifecycle_rules(capsys):
     ):
         assert rule in out
 
-
-# ----------------------------------------------------------------------
-# The gate
-# ----------------------------------------------------------------------
-def test_repo_tree_has_no_unsuppressed_lifecycle_findings():
-    result = analyze_paths([str(REPRO_PKG)], lints=("lifecycle",))
-    assert result.ok, "\n".join(f.render() for f in result.active)
