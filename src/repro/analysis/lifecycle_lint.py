@@ -2,7 +2,7 @@
 
 Under churn the simulator's nodes, network, and cluster tables live for
 the whole run while the operations they track die constantly — crashed
-originators, unregistered endpoints, timed-out ops.  A list that grows
+originators, crashed endpoints, timed-out ops.  A list that grows
 without bound is a leak that grows with run length, and an orphaned
 watchdog timer resurrects state that was already torn down.  This pass
 is the *static* half of the resource lifecycle discipline; the runtime
@@ -26,11 +26,13 @@ collects, per container:
 Rules
 -----
 * ``leak-timer-unguarded`` — a ``schedule``/``schedule_at``/
-  ``call_in_slot``/``timer_in_slot``/``_schedule_coarse``/``_defer``/
-  ``_defer_timer`` call whose handle is
-  discarded, whose callback resolves locally, writes ``self.*`` state,
-  and has no early-return staleness guard — so it cannot be cancelled on
-  node kill and fires unconditionally into whatever state remains.
+  ``call_in_slot``/``_defer`` call whose handle is discarded, whose
+  callback resolves locally, writes ``self.*`` state, and has no
+  early-return staleness guard — so it cannot be cancelled on node kill
+  and fires unconditionally into whatever state remains.  Op timers are
+  kernel events (``schedule``); the slot-wheel schedulers
+  (``call_in_slot``, ``_defer``) park deliveries and dispatches and
+  return no handle, so their callbacks always need the guard.
 * ``leak-unbounded-growth`` — a list container with growth sites and no
   bound: no removal evidence, no slot-recycling subscript write, and no
   ``len(self.a)`` comparison anywhere in the class.
@@ -59,10 +61,7 @@ from repro.analysis.findings import Sink
 from repro.analysis.model import Module
 
 #: scheduler entry points whose second positional argument is a callback
-_SCHEDULERS = frozenset({
-    "schedule", "schedule_at", "call_in_slot", "timer_in_slot", "_schedule_coarse", "_defer",
-    "_defer_timer",
-})
+_SCHEDULERS = frozenset({"schedule", "schedule_at", "call_in_slot", "_defer"})
 
 
 class _MethodScan(ast.NodeVisitor):

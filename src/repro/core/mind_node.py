@@ -693,7 +693,7 @@ class MindNode(OverlayNode):
             replication=state.replication,
             ladder=_RetryLadder(metric, code),
         )
-        deadline = self._schedule_coarse(
+        deadline = self.sim.schedule(
             self.mind_config.insert_timeout_s, self._end, self._insert_ops, op_id
         )
         self._open(self._insert_ops, op_id, op, deadline)
@@ -705,7 +705,7 @@ class MindNode(OverlayNode):
         if op is None:
             return
         stamp = op.ladder.open_attempt(
-            self._schedule_coarse,
+            self.sim.schedule,
             self.mind_config.attempt_timeout_s,
             self._insert_attempt_failed,
             op_id,
@@ -1156,7 +1156,7 @@ class MindNode(OverlayNode):
             # the overlay) before replying sends neither data nor a
             # failure, so without it the sub-query response never goes
             # out.  It answers with the local matches we already have.
-            deadline = self._schedule_coarse(
+            deadline = self.sim.schedule(
                 self.mind_config.attempt_timeout_s, self._answer_sibling_fetch, fetch_id
             )
             self._open(self._sibling_fetches, fetch_id, fetch, deadline)

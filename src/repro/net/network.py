@@ -29,12 +29,6 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
   that are registered *and* up, so the no-failure path does a single dict
   probe per side instead of separate registration and liveness checks,
   and the link-down check short-circuits on the (empty) outage table.
-* **Churn hygiene.**  :meth:`unregister` prunes every per-link entry
-  touching the departed address (busy state, outage state, accounting),
-  so long churn runs don't accumulate state for dead links.  In-flight
-  messages are keyed by delivery time, never by link id, so there is
-  nothing of theirs to prune: each resolves against the endpoint table
-  when it comes due.
 """
 
 from array import array
@@ -90,42 +84,6 @@ def decimate_step(
             phase = 0 if last_kept else stride
             stride *= 2
     return stride, (phase + 1) % stride
-
-
-def _cancelled() -> None:
-    """What a cancelled wheel call runs: nothing."""
-
-
-#: The one entry every cancelled wheel call leaves in its slot, so the
-#: call's function and arguments are freed at cancel time.
-_CANCELLED = (_cancelled, ())
-
-
-class SlotCall:
-    """Cancel handle of one call parked on the slot wheel (:meth:`SimNetwork.timer_in_slot`)."""
-
-    __slots__ = ("_network", "_slot", "_index", "_entry")
-
-    def __init__(self, network: "SimNetwork", slot: int, index: int, entry: Tuple[Any, ...]) -> None:
-        self._network = network
-        self._slot = slot
-        self._index = index
-        self._entry: Optional[Tuple[Any, ...]] = entry
-
-    def cancel(self) -> None:
-        """Swap the call for the shared no-op entry.  Does nothing once its
-        slot has started draining: the call then runs, and its own
-        staleness guard absorbs it."""
-        entry = self._entry
-        batch = self._network._call_wheel.get(self._slot)
-        index = self._index
-        if batch is None or index >= len(batch) or batch[index] is not entry:
-            return
-        batch[index] = _CANCELLED
-        self._entry = None
-        res = self._network._res
-        if res is not None:
-            res.release("net:call-wheel", getattr(entry[0], "__qualname__", "fn"))
 
 
 @dataclass
@@ -248,8 +206,9 @@ class SimNetwork:
         self.link_delay_sample_cap = link_delay_sample_cap
         self.coalesce_window_s = coalesce_window_s
         #: Window index -> deferred ``fn(*args)`` calls (``call_in_slot``):
-        #: coalesced deliveries, and the post-service dispatches and
-        #: watchdogs nodes park here.  The whole window shares ONE drain
+        #: coalesced deliveries, and the post-service dispatches nodes
+        #: park here (op timers are kernel events, so nothing parked here
+        #: is ever cancelled).  The whole window shares ONE drain
         #: event: at monitoring rates most links and nodes see at most one
         #: message per window, so an event per link or per node would
         #: re-create the one-kernel-event-per-message regime the wheel
@@ -264,16 +223,15 @@ class SimNetwork:
 
         # Typed per-link columns, indexed by interned link id.
         self._link_ids: Dict[str, Dict[str, int]] = {}
-        self._free_ids: List[int] = []
         self._lk_busy_until = array("d")
         self._lk_messages = array("q")
         self._lk_bytes = array("q")
         self._lk_tuples = array("q")
         #: Deterministic latency class per link id: propagation seconds
         #: for a WAN pair, -1.0 for the LAN fallback, -2.0 unclassified.
-        #: A link's class never changes while its id is bound (sites are
-        #: fixed at construction), so the per-message site lookups and
-        #: pair-key hashing collapse to one float read.
+        #: A link's class never changes (sites are fixed at construction),
+        #: so the per-message site lookups and pair-key hashing collapse to
+        #: one float read.
         self._lk_prop = array("d")
         #: Link id -> ``[samples, stride, phase]`` of its delay sampler
         #: (:func:`decimate_step`); only with ``record_link_delays``.
@@ -314,28 +272,6 @@ class SimNetwork:
         self._endpoints[address] = deliver
         self._up_endpoints[address] = deliver
 
-    def unregister(self, address: str) -> None:
-        """Detach an endpoint and prune its per-link state.
-
-        Every link touching ``address`` (either direction) releases its
-        outage state, busy-until state and traffic accounting.  Without
-        pruning, 1k-node churn accumulates link state for every pairing a
-        departed node ever had — unbounded over a long run.  Messages
-        still in flight to or from ``address`` hold no link id: they
-        resolve in :meth:`_deliver` against whoever is registered then.
-        """
-        self._endpoints.pop(address, None)
-        self._up_endpoints.pop(address, None)
-        if self._link_down_until:
-            stale = [key for key in self._link_down_until if address in key]
-            for key in stale:
-                del self._link_down_until[key]
-        for link_id in self._link_ids.pop(address, {}).values():
-            self._release_link(link_id)
-        for by_dst in self._link_ids.values():
-            if address in by_dst:
-                self._release_link(by_dst.pop(address))
-
     def set_node_up(self, address: str, up: bool) -> None:
         if address not in self._endpoints:
             raise KeyError(f"unknown address: {address}")
@@ -368,26 +304,14 @@ class SimNetwork:
             by_dst = self._link_ids[src] = {}
         link_id = by_dst.get(dst)
         if link_id is None:
-            if self._free_ids:
-                link_id = self._free_ids.pop()
-            else:
-                link_id = len(self._lk_busy_until)
-                self._lk_busy_until.append(0.0)
-                self._lk_messages.append(0)
-                self._lk_bytes.append(0)
-                self._lk_tuples.append(0)
-                self._lk_prop.append(-2.0)
+            link_id = len(self._lk_busy_until)
+            self._lk_busy_until.append(0.0)
+            self._lk_messages.append(0)
+            self._lk_bytes.append(0)
+            self._lk_tuples.append(0)
+            self._lk_prop.append(-2.0)
             by_dst[dst] = link_id
         return link_id
-
-    def _release_link(self, link_id: int) -> None:
-        self._lk_busy_until[link_id] = 0.0
-        self._lk_messages[link_id] = 0
-        self._lk_bytes[link_id] = 0
-        self._lk_tuples[link_id] = 0
-        self._lk_prop[link_id] = -2.0
-        self._lk_sampler.pop(link_id, None)
-        self._free_ids.append(link_id)
 
     @property
     def link_stats(self) -> "LinkStatsView":
@@ -520,18 +444,15 @@ class SimNetwork:
     #: Callers pass ``(msg, tuples, on_fail)``.
     send_framed = _transmit
 
-    def call_in_slot(self, time: float, fn: Callable[..., None], args: Tuple[Any, ...]) -> int:
+    def call_in_slot(self, time: float, fn: Callable[..., None], args: Tuple[Any, ...]) -> None:
         """Run ``fn(*args)`` at ``time`` rounded up to the next window boundary.
 
-        The one slot wheel: coalesced deliveries (``_transmit``), nodes'
-        post-service dispatches and their self-guarding watchdog timers
-        all park here, so one kernel event drains a whole window's worth
-        of callbacks instead of costing one event each.  The call is
-        deferred by strictly less than one window, never runs early, and
-        everything sharing a slot runs in the order it was scheduled.
-        Returns the index of the slot the call was parked in: deliveries
-        and dispatches never cancel and ignore it, and :meth:`timer_in_slot`
-        builds its cancel handle from it, so the slot rule lives here only.
+        The one slot wheel: coalesced deliveries (``_transmit``) and nodes'
+        post-service dispatches park here, so one kernel event drains a
+        whole window's worth of callbacks instead of costing one event
+        each.  The call is deferred by strictly less than one window,
+        never runs early, and everything sharing a slot runs in the order
+        it was scheduled.
         Callers must only use this when ``coalesce_window_s`` is non-zero.
         """
         window = self.coalesce_window_s
@@ -540,28 +461,18 @@ class SimNetwork:
         if batch is None:
             # Keyed by window index, not node id: the slot's drain event
             # is already scheduled when the entry is created and always
-            # empties it within one window, so unregister has nothing to
-            # prune (stale callbacks self-guard, per the docstring).
+            # empties it within one window (stale callbacks self-guard).
             self._call_wheel[slot] = [(fn, args)]
             self.sim.push_at(slot * window, self._drain_calls, (slot,))
         else:
             batch.append((fn, args))
         if self._res is not None:
             self._res.register("net:call-wheel", getattr(fn, "__qualname__", "fn"))
-        return slot
-
-    def timer_in_slot(self, time: float, fn: Callable[..., None], args: Tuple[Any, ...]) -> SlotCall:
-        """:meth:`call_in_slot` for a timer that usually dies first: returns
-        a :class:`SlotCall` whose ``cancel()`` frees the entry at once.  The
-        slot keeps its drain event either way."""
-        slot = self.call_in_slot(time, fn, args)
-        batch = self._call_wheel[slot]
-        return SlotCall(self, slot, len(batch) - 1, batch[-1])
 
     def _drain_calls(self, slot: int) -> None:
         res = self._res
         for fn, args in self._call_wheel.pop(slot):
-            if res is not None and fn is not _cancelled:
+            if res is not None:
                 res.release("net:call-wheel", getattr(fn, "__qualname__", "fn"))
             fn(*args)
 

@@ -111,14 +111,10 @@ class OverlayNode:
         #: must be thawed before non-routing code consumes them.  Captured
         #: at construction, as the network captures its delivery level.
         self._frozen_delivery = checks.active.isolation == ISOLATE_FREEZE
-        #: ``(time, fn, args)`` schedulers, chosen once: the network's slot
-        #: wheel when it coalesces, else exact kernel events.  ``_defer``
-        #: parks dispatches; ``_defer_timer`` parks coarse watchdogs and
-        #: returns a cancel handle (a ``SlotCall`` or the kernel ``Event``).
-        if network.coalesce_window_s:
-            self._defer, self._defer_timer = network.call_in_slot, network.timer_in_slot
-        else:
-            self._defer = self._defer_timer = sim.push_at
+        #: ``(time, fn, args)`` dispatch scheduler, chosen once: the
+        #: network's slot wheel when it coalesces, else exact kernel events.
+        #: Timers are always kernel events (``sim.schedule``).
+        self._defer = network.call_in_slot if network.coalesce_window_s else sim.push_at
 
         self.code: Optional[Code] = None
         self.active = False
@@ -390,20 +386,6 @@ class OverlayNode:
         self._cpu_busy_until = start + self._service_scale * jitter
         # Per-node FIFO holds on the wheel too: busy times increase.
         self._defer(self._cpu_busy_until, self._dispatch, (msg,))
-
-    def _schedule_coarse(self, delay: float, fn: Callable[..., None], *args: Any):
-        """Schedule a *self-guarding* callback, coarsely when coalescing is on.
-
-        For per-operation watchdogs that are almost always cancelled: with
-        coalescing enabled the callback rides the network call wheel — no
-        kernel event of its own, up to one window late — and returns a
-        ``SlotCall`` whose ``cancel()`` frees the entry.  Without
-        coalescing this is an exact kernel timer and returns its Event.
-        Either way a cancel can lose the race with the firing (a wheel
-        call whose slot is already draining runs), so the callback keeps
-        its own staleness guard.
-        """
-        return self._defer_timer(self.sim.now + delay, fn, args)
 
     def _refill_service_jitter(self) -> float:
         """Refill the empty jitter buffer with a block; draws pop from its end."""

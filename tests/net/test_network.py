@@ -422,59 +422,14 @@ def test_coalesced_link_stats_match_per_message_accounting():
 
 
 # ----------------------------------------------------------------------
-# unregister() link-state pruning
-# ----------------------------------------------------------------------
-
-
-def test_unregister_prunes_link_state():
-    # Regression: unregister used to leave _link_busy_until,
-    # _link_down_until and link_stats entries behind for every link the
-    # departed node ever touched — unbounded growth under 1k-node churn.
-    sim, net = make_net()
-    net.register("a", lambda m: None)
-    net.register("b", lambda m: None)
-    net.send("a", "b", "ping")
-    net.send("b", "a", "ping")
-    sim.run_until_idle()
-    assert ("a", "b") in net.link_stats and ("b", "a") in net.link_stats
-    net.set_link_down("a", "b", duration_s=60.0)
-
-    net.unregister("b")
-
-    assert all("b" not in key for key in net.link_stats)
-    assert all("b" not in key for key in net._link_down_until)
-    assert "b" not in net._link_ids
-    assert all("b" not in by_dst for by_dst in net._link_ids.values())
-    # The interned slots go back on the free list for new links to reuse.
-    assert len(net._free_ids) == 2
-
-
-def test_unregister_freed_link_ids_are_reused():
-    sim, net = make_net()
-    for name in ("a", "b", "c"):
-        net.register(name, lambda m: None)
-    net.send("a", "b", "ping")
-    sim.run_until_idle()
-    net.unregister("b")
-    freed = len(net._free_ids)
-    assert freed == 1
-    net.send("a", "c", "ping")
-    sim.run_until_idle()
-    assert not net._free_ids, "a fresh link should reuse the freed slot"
-    assert net.link_stats[("a", "c")].messages == 1
-
-
-# ----------------------------------------------------------------------
-# unregister() vs pending coalesced state
+# Coalesced deliveries vs endpoint liveness
 # ----------------------------------------------------------------------
 
 
 def test_unregister_flushes_pending_coalesced_batches():
-    # Regression, from when pending deliveries were batched under
-    # (link id, window) keys that unregister freed.  Pending deliveries now
-    # sit on the time-keyed call wheel and hold no link id, so there is
-    # nothing to re-home; what must still hold is the outcome: each message
-    # resolves individually at the same drain boundary.
+    # A node that leaves with traffic still coalesced: each parked message
+    # resolves on its own at the drain boundary.  Deliveries to it fail
+    # peer-down; traffic sent *from* it before it went down still lands.
     sim, net = make_net(coalesce_window_s=0.05)
     delivered = []
     failures = []
@@ -483,74 +438,47 @@ def test_unregister_flushes_pending_coalesced_batches():
     net.send("a", "b", "to-b", on_fail=lambda m, r: failures.append((m.kind, r)))
     net.send("b", "a", "from-b")
 
-    net.unregister("b")
+    net.set_node_up("b", False)
 
     sim.run_until_idle()
     assert sim.now == pytest.approx(0.05)
-    assert delivered == ["from-b"]  # in-flight traffic *from* b still lands
+    assert delivered == ["from-b"]
     assert failures == [("to-b", "peer-down")]
-    assert net.messages_delivered == 1
-    assert net.messages_failed == 1
-
-
-def test_reinterned_link_does_not_inherit_stale_batches():
-    # Regression: a freed link id re-interned by a new (src, dst) pair in
-    # the same window used to find the dead link's batch under its own
-    # (link_id, slot) key and merge into it.  That hazard cannot be
-    # expressed any more (a pending delivery carries its Message, not a
-    # link id); the observable half stays: the dead link's message fails,
-    # the re-interned link's is delivered.
-    sim, net = make_net(coalesce_window_s=0.05)
-    delivered = []
-    failures = []
-    net.register("a", lambda m: None)
-    net.register("b", lambda m: None)
-    net.send("a", "b", "stale", on_fail=lambda m, r: failures.append((m.kind, r)))
-    net.unregister("b")
-    net.register("d", lambda m: delivered.append(m.kind))
-    net.send("a", "d", "fresh")  # (a, d) reuses the freed id, same window
-    assert net._link_ids["a"] == {"d": 0}
-
-    sim.run_until_idle()
-    assert delivered == ["fresh"]
-    assert failures == [("stale", "peer-down")]
     assert net.messages_delivered == 1
     assert net.messages_failed == 1
 
 
 def test_coalesced_delivery_resolves_against_the_endpoint_at_the_boundary():
     # Liveness is decided when the slot drains, not when the message was
-    # sent: gone by then -> peer-down; gone and back -> the new endpoint.
+    # sent: down by then -> peer-down; down and back -> delivered.
     sim, net = make_net(coalesce_window_s=0.05)
-    old, new, failures = [], [], []
-    net.register("a", lambda m: None)
-    net.register("b", old.append)
-    net.register("c", old.append)
+    delivered, failures = [], []
+    for name in ("a", "b", "c"):
+        net.register(name, lambda m, _n=name: delivered.append((_n, m.kind)))
 
     def fail(m, reason):
         failures.append((m.kind, reason))
 
     net.send("a", "b", "to-b", on_fail=fail)
     net.send("a", "c", "to-c", on_fail=fail)
-    net.unregister("b")
-    net.unregister("c")
-    net.register("c", new.append)
+    net.set_node_up("b", False)
+    net.set_node_up("c", False)
+    net.set_node_up("c", True)
     sim.run_until_idle()
-    assert old == []
-    assert [m.kind for m in new] == ["to-c"]
+    assert delivered == [("c", "to-c")]
     assert failures == [("to-b", "peer-down")]
     assert (net.messages_delivered, net.messages_failed) == (1, 1)
 
 
 def test_call_wheel_drains_after_unregister():
     # call_in_slot entries are time-keyed, not node-keyed: a callback
-    # scheduled before its node unregistered still fires (stale callbacks
+    # scheduled before its node went down still fires (stale callbacks
     # self-guard), and the wheel is empty at idle.
     sim, net = make_net(coalesce_window_s=0.05)
     fired = []
     net.register("a", lambda m: None)
     net.call_in_slot(0.02, fired.append, ("tick",))
-    net.unregister("a")
+    net.set_node_up("a", False)
     sim.run_until_idle()
     assert fired == ["tick"]
     assert net._call_wheel == {}
@@ -558,8 +486,8 @@ def test_call_wheel_drains_after_unregister():
 
 def test_resource_ledger_drains_through_unregister():
     # With tracking on, parked deliveries release their ledger slots when
-    # they resolve — run_until_idle's quiescence check passes even when an
-    # endpoint unregisters with traffic still coalesced.
+    # they resolve, failed or not: run_until_idle's quiescence check passes
+    # even when an endpoint goes down with traffic still coalesced.
     with checks.configure(track_resources=True, validate=False):
         sim = Simulator(seed=1)
         net = SimNetwork(sim, {}, coalesce_window_s=0.05)
@@ -567,33 +495,12 @@ def test_resource_ledger_drains_through_unregister():
         net.register("b", lambda m: None)
         net.send("a", "b", "ping")
         net.send("b", "a", "pong")
-        assert sim.resources.live() == 2  # both parked deliveries registered
-        net.unregister("b")
+        net.call_in_slot(0.02, lambda: None, ())
+        assert sim.resources.live() == 3  # two parked deliveries, one call
+        net.set_node_up("b", False)
         sim.run_until_idle()  # would raise ResourceLeakError on residue
         assert sim.resources.live() == 0
-
-
-def test_cancelled_wheel_call_never_runs_and_leaves_the_ledger_balanced():
-    # A timer_in_slot handle's cancel() frees its entry at once: the call
-    # never runs, its ledger slot is released at cancel (not at the drain),
-    # and the slot's other calls still run in order.  A second cancel, or
-    # one after the slot drained, is a no-op.
-    with checks.configure(track_resources=True, validate=False):
-        sim = Simulator(seed=1)
-        net = SimNetwork(sim, {}, coalesce_window_s=0.05)
-        fired = []
-        net.call_in_slot(0.01, fired.append, ("before",))
-        handle = net.timer_in_slot(0.02, fired.append, ("cancelled",))
-        kept = net.timer_in_slot(0.03, fired.append, ("kept",))
-        assert sim.resources.live() == 3
-        handle.cancel()
-        assert sim.resources.live() == 2
-        handle.cancel()
-        assert sim.resources.live() == 2
-        sim.run_until_idle()  # would raise ResourceLeakError on residue
-        kept.cancel()
-        assert fired == ["before", "kept"]
-        assert sim.resources.live() == 0
+        assert (net.messages_delivered, net.messages_failed) == (1, 1)
         assert net._call_wheel == {}
 
 

@@ -230,10 +230,28 @@ def test_float_time_rule_covers_the_kernel():
     assert result.active == [] and result.suppressed == []
 
 
-def test_repo_tree_has_no_float_time_equality():
-    result = analyze_paths([str(REPRO_PKG)], lints=("determinism",))
-    flagged = [f for f in result.active if f.rule == "order-float-time-eq"]
-    assert flagged == [], "\n".join(f.render() for f in flagged)
+def test_float_time_rule_passes_ordering_comparisons(tmp_path):
+    # The forms the tree compares clock readings in stay unflagged:
+    # ordering against ``*.now`` and ``event.time``, and ``==`` on a
+    # ``.time`` that is not an event's.  (The tree itself is covered by
+    # test_repo_tree_is_lint_clean.)
+    path = write_fixture(
+        tmp_path,
+        """
+        class Node:
+            def expired(self, event, last, timeout):
+                if event.time < self.sim.now:
+                    return True
+                if last is not None and self.sim.now - last <= timeout:
+                    return False
+                return self.deadline is None or self.deadline <= self.sim.now
+
+            def same_bucket(self, record, other):
+                return record.time == other.time
+        """,
+    )
+    result = analyze_paths([str(path)], lints=("determinism",))
+    assert result.active == [] and result.suppressed == []
 
 
 # ----------------------------------------------------------------------
