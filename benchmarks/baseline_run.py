@@ -105,7 +105,7 @@ def get_baseline_run() -> BaselineRun:
     if _CACHE:
         return _CACHE[0]
 
-    config = planetlab_calibration(seed=700, record_link_delays=True)
+    config = planetlab_calibration(seed=700, record_links=True)
     cluster = MindCluster(backbone_sites(), config)
     cluster.build()
 

@@ -23,6 +23,7 @@ from repro.core.cluster import MindCluster
 from repro.core.query import RangeQuery
 from repro.core.records import Record
 from repro.core.schema import AttributeSpec, IndexSchema
+from repro.net.network import ALL_LINKS
 from repro.net.topology import backbone_sites
 
 RECORDS = 500
@@ -67,8 +68,10 @@ def drive(system, records, queries, origin_seq, sim, link_stats):
     ins = [m.latency for m in system.metrics.inserts if m.latency is not None]
     qlat = [m.latency for m in system.metrics.queries if m.latency is not None]
     qcost = [m.cost for m in system.metrics.queries if m.end is not None]
+    links = link_stats()
+    assert ALL_LINKS not in links, "max_node_ingress needs per-link recording"
     ingress = {}
-    for (src, dst), stats in link_stats().items():
+    for (src, dst), stats in links.items():
         ingress[dst] = ingress.get(dst, 0) + stats.messages
     return {
         "insert_median": summarize(ins)["median"] if ins else 0.0,
@@ -85,8 +88,9 @@ def experiment():
     records, queries, origin_seq = workload(760)
     results = {}
 
-    # MIND
-    cluster = MindCluster(backbone_sites(), planetlab_calibration(seed=761))
+    # MIND.  Every system records per-link counters: ingress per node is
+    # summed from them.
+    cluster = MindCluster(backbone_sites(), planetlab_calibration(seed=761, record_links=True))
     cluster.build()
     cluster.create_index(schema)
     mind_adapter = _MindAdapter(cluster)
@@ -102,6 +106,7 @@ def experiment():
         ("uniform DHT", UniformHashSystem),
     ):
         system = cls(backbone_sites(), schema, seed=762)
+        system.network.record_links = True  # before any traffic
         results[name] = drive(
             system, records, queries, origin_seq,
             system.sim,

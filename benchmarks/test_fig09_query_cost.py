@@ -31,20 +31,3 @@ def test_fig09_query_cost(benchmark):
     assert frac_le4 >= 0.8, f"locality should keep most queries cheap, got {frac_le4:.2f} <= 4 nodes"
     assert max(costs) <= 34, "cost can never exceed the overlay size"
 
-
-def test_fig09_small_queries_cost_less(benchmark):
-    run = run_once(benchmark, get_baseline_run)
-    # Queries that matched nothing tend to be small volumes; compare their
-    # cost against queries that returned records.
-    finished = [m for m in run.all_queries if m.end is not None and m.complete]
-    empty = [m.cost for m in finished if m.records == 0]
-    nonempty = [m.cost for m in finished if m.records > 0]
-    assert finished
-    if not empty or not nonempty:
-        print("\n(skipping empty-vs-nonempty comparison: one bucket empty)")
-        return
-    avg_empty = sum(empty) / len(empty)
-    avg_nonempty = sum(nonempty) / len(nonempty)
-    print(f"\navg cost: empty-result queries {avg_empty:.2f} nodes, "
-          f"record-returning queries {avg_nonempty:.2f} nodes")
-    assert avg_empty <= avg_nonempty + 1.0

@@ -116,10 +116,9 @@ def test_fig14_large_scale(benchmark):
     if queries:
         costs = [m.cost for m in queries]
         print(f"queries: {len(queries)} issued, max nodes visited {max(costs)}")
-        # Routing tie-breaks vary with the process hash seed, so the exact
-        # worst case moves a little between runs; it stays a small
-        # fraction of the 102-node overlay.
-        assert max(costs) <= 35
+        # Paper §4.3: at most ~12 nodes.  We measure 25 (EXPERIMENTS.md,
+        # Known deviations); the bound holds the measured worst case.
+        assert max(costs) <= 25
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,9 @@ class ClusterConfig:
     overlay: OverlayConfig = field(default_factory=OverlayConfig)
     mind: MindConfig = field(default_factory=MindConfig)
     latency: LatencyModel = field(default_factory=LatencyModel)
-    record_link_delays: bool = False
+    #: Keep per-link counters and delay samples (``SimNetwork``'s
+    #: ``record_links``); off, the network keeps network-wide totals only.
+    record_links: bool = False
     #: Per-link bound on retained delay samples (None = unbounded).
     link_delay_sample_cap: Optional[int] = 8192
     #: Block size for vectorized network-latency jitter draws (0 = exact
@@ -76,7 +78,7 @@ class MindCluster:
             self.sim,
             self.sites,
             latency_model=self.config.latency,
-            record_link_delays=self.config.record_link_delays,
+            record_links=self.config.record_links,
             link_delay_sample_cap=self.config.link_delay_sample_cap,
             draw_block=self.config.latency_draw_block,
             coalesce_window_s=self.config.coalesce_window_s,

@@ -15,6 +15,8 @@ experimental nature of the PlanetLab testbed").
 
 import math
 import random
+from math import asin, sin, sqrt
+from typing import Dict, Mapping, Tuple
 
 from repro.net.topology import Site
 
@@ -29,14 +31,34 @@ ROUTE_FACTOR = 1.6
 PATHOLOGY_ALPHA = 1.5
 
 
+#: A site's haversine terms: latitude and longitude in radians, and the
+#: cosine of the latitude.
+SiteTerms = Tuple[float, float, float]
+
+
+def _terms(site: Site) -> SiteTerms:
+    """The per-site half of the haversine, computed once per site."""
+    lat = math.radians(site.latitude)
+    return (lat, math.radians(site.longitude), math.cos(lat))
+
+
+def _haversine_km(a: SiteTerms, b: SiteTerms) -> float:
+    """Great-circle distance in kilometres between two sites' terms.
+
+    The one haversine: :func:`great_circle_km` and the network's
+    per-message latency class both go through it, so they agree bit for
+    bit.
+    """
+    lat1, lon1, cos1 = a
+    lat2, lon2, cos2 = b
+    h = sin((lat2 - lat1) / 2.0) ** 2 + cos1 * cos2 * sin((lon2 - lon1) / 2.0) ** 2
+    root = sqrt(h)
+    return 2.0 * EARTH_RADIUS_KM * asin(root if root < 1.0 else 1.0)
+
+
 def great_circle_km(a: Site, b: Site) -> float:
     """Great-circle distance between two sites in kilometres (haversine)."""
-    lat1, lon1 = math.radians(a.latitude), math.radians(a.longitude)
-    lat2, lon2 = math.radians(b.latitude), math.radians(b.longitude)
-    dlat = lat2 - lat1
-    dlon = lon2 - lon1
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+    return _haversine_km(_terms(a), _terms(b))
 
 
 class LatencyModel:
@@ -71,13 +93,27 @@ class LatencyModel:
         self.pathology_prob = pathology_prob
         self.pathology_scale_s = pathology_scale_s
 
-    def propagation_s(self, src: Site, dst: Site) -> float:
-        """Deterministic propagation component of the one-way delay.
+    def site_terms(self, sites: Mapping[str, Site]) -> Dict[str, SiteTerms]:
+        """Each address's :data:`SiteTerms`, computed once per site.
 
-        Not memoised: the network computes it once per link and keeps it
-        with the link (``SimNetwork._lk_prop``).
+        Addresses that share one :class:`Site` object share one tuple, so
+        a caller tells co-located endpoints (the LAN case) apart by
+        identity, as it would the sites themselves.
         """
-        return great_circle_km(src, dst) * ROUTE_FACTOR / FIBER_KM_PER_S
+        by_site = {id(site): _terms(site) for site in sites.values()}
+        return {address: by_site[id(site)] for address, site in sites.items()}
+
+    def wan_propagation_s(self, src: SiteTerms, dst: SiteTerms) -> float:
+        """Deterministic propagation component between two sites' terms.
+
+        The network calls this once per WAN message rather than keeping a
+        value per link, so its state grows with sites, not with pairs.
+        """
+        return _haversine_km(src, dst) * ROUTE_FACTOR / FIBER_KM_PER_S
+
+    def propagation_s(self, src: Site, dst: Site) -> float:
+        """Deterministic propagation component of the one-way delay."""
+        return self.wan_propagation_s(_terms(src), _terms(dst))
 
     def one_way_s(self, src: Site, dst: Site, rng: random.Random) -> float:
         """Sample a one-way delay for a message from ``src`` to ``dst``."""

@@ -15,16 +15,17 @@ Scaling design
 ``_transmit``/``_deliver`` are the hottest per-message functions of every
 experiment, so the bookkeeping is laid out for the 1k-node regime:
 
-* **Array-backed link accounting.**  Each directed link is interned once
-  into an integer id (``src -> dst -> id`` nested dicts, no per-send tuple
-  key allocation).  Busy-until and the latency class live in
-  ``array('d')`` columns and the message/byte/tuple counters in
-  ``array('q')`` columns indexed by that id: 40 bytes a link beside its
-  id-map entry, with no boxed number and no ``(src, dst)`` key tuple.
-  Delay samples, when recorded, sit in a dict by id.  The public
-  :attr:`link_stats` mapping is a read-only view over the nested id
-  map that builds a :class:`LinkStats` for each link it is asked for —
-  experiment read-out, not the send path.
+* **No per-pair table.**  A directed link has state only while it is
+  busy: its FIFO ``busy_until`` sits in a dict keyed by ``(src, dst)``
+  from the send that queues on it until the delivery that finds the
+  link idle, which drops it (an entry whose ``busy_until`` has passed
+  behaves exactly like a missing one).  The latency class is recomputed
+  per message from per-site haversine terms
+  (:meth:`LatencyModel.site_terms`), and the counters are network-wide
+  totals.  So memory grows with sites and in-flight traffic, not with
+  the pairs that ever talked.  Per-link counters and delay samples are
+  kept only with ``record_links``; without it :attr:`link_stats` is
+  one ``("*", "*")`` row carrying the totals.
 * **One-lookup liveness.**  ``_up_endpoints`` holds exactly the endpoints
   that are registered *and* up, so the no-failure path does a single dict
   probe per side instead of separate registration and liveness checks,
@@ -32,9 +33,9 @@ experiment, so the bookkeeping is laid out for the 1k-node regime:
 """
 
 from array import array
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from types import MappingProxyType
+from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro import checks
 from repro.checks import ISOLATE_OFF
@@ -49,6 +50,11 @@ FailFn = Callable[[Message, str], None]
 
 #: Time for a sender to learn that a connection attempt failed.
 FAIL_DETECT_S = 1.0
+#: Busy-until of a link with no entry, as ``_deliver`` reads it: never idle,
+#: so there is nothing to drop.
+_NEVER = float("inf")
+#: The one :attr:`SimNetwork.link_stats` key when per-link recording is off.
+ALL_LINKS = ("*", "*")
 
 
 def decimate_step(
@@ -88,58 +94,22 @@ def decimate_step(
 
 @dataclass
 class LinkStats:
-    """Counters and samples for one directed link (``src -> dst``)."""
+    """Counters and samples for one directed link (``src -> dst``), or for
+    the whole network in the :data:`ALL_LINKS` row."""
 
     tuples: int = 0
     messages: int = 0
     bytes: int = 0
     #: (send_time, total_delay_seconds) samples; populated only when the
-    #: network was created with ``record_link_delays=True``.  Bounded by
-    #: the network's ``link_delay_sample_cap`` via stride decimation.
+    #: network was created with ``record_links=True``.  Bounded by the
+    #: network's ``link_delay_sample_cap`` via stride decimation.
     delay_samples: List[Tuple[float, float]] = field(default_factory=list)
     #: Every ``delay_sample_stride``-th send is sampled; starts at 1 and
     #: doubles whenever the buffer hits the cap (half the samples are
     #: dropped), so long runs keep a bounded, evenly thinned time series.
     delay_sample_stride: int = 1
-
-
-class LinkStatsView(Mapping):
-    """A network's per-link accounting as a read-only mapping.
-
-    Keys are the directed ``(src, dst)`` links in the network's id map;
-    a value is a :class:`LinkStats` snapshot built when it is read, so
-    indexing one link costs one snapshot, not one per link.  Snapshots
-    share the live ``delay_samples`` list, so one taken mid-run sees
-    samples accumulate.  Experiment read-out, not the send path.
-    """
-
-    __slots__ = ("_net",)
-
-    def __init__(self, net: "SimNetwork") -> None:
-        self._net = net
-
-    def __getitem__(self, key: Tuple[str, str]) -> LinkStats:
-        net = self._net
-        by_dst = net._link_ids.get(key[0]) if isinstance(key, tuple) and len(key) == 2 else None
-        if by_dst is None or key[1] not in by_dst:
-            raise KeyError(key)
-        link_id = by_dst[key[1]]
-        samples, stride, _ = net._lk_sampler.get(link_id, ([], 1, 0))
-        return LinkStats(
-            tuples=net._lk_tuples[link_id],
-            messages=net._lk_messages[link_id],
-            bytes=net._lk_bytes[link_id],
-            delay_samples=samples,
-            delay_sample_stride=stride,
-        )
-
-    def __iter__(self) -> Iterator[Tuple[str, str]]:
-        for src, by_dst in self._net._link_ids.items():
-            for dst in by_dst:
-                yield (src, dst)
-
-    def __len__(self) -> int:
-        return sum(map(len, self._net._link_ids.values()))
+    #: Sends left until the next sample (:func:`decimate_step`'s phase).
+    delay_sample_phase: int = 0
 
 
 class SimNetwork:
@@ -157,8 +127,12 @@ class SimNetwork:
     bandwidth_bps:
         Per-directed-link bandwidth for transmission-time serialization.
         PlanetLab slices in 2004 were commonly capped around 10 Mbit/s.
-    record_link_delays:
-        Keep (time, delay) samples per link (Figure 8 / 12 benches).
+    record_links:
+        Keep counters and (time, delay) samples per directed link
+        (Figures 8 and 12, the architecture ablation).  Off, the network
+        keeps only network-wide totals and :attr:`link_stats` is their one
+        :data:`ALL_LINKS` row.  Read on every send, so set it before the
+        traffic it should see.
     link_delay_sample_cap:
         Per-link bound on retained delay samples; when a link reaches the
         cap its series is thinned to every other sample and the sampling
@@ -185,7 +159,7 @@ class SimNetwork:
         sites: Dict[str, Site],
         latency_model: Optional[LatencyModel] = None,
         bandwidth_bps: float = 10e6,
-        record_link_delays: bool = False,
+        record_links: bool = False,
         link_delay_sample_cap: Optional[int] = 8192,
         draw_block: int = 0,
         coalesce_window_s: float = 0.0,
@@ -199,10 +173,12 @@ class SimNetwork:
         if coalesce_window_s < 0:
             raise ValueError("coalesce_window_s must be >= 0")
         self.sim = sim
-        self.sites = dict(sites)
         self.latency = latency_model or LatencyModel()
+        #: Address -> haversine terms of its site; an address without a
+        #: site, or two sharing one ``Site``, talk at LAN latency.
+        self._site_terms = self.latency.site_terms(sites)
         self.bandwidth_bps = bandwidth_bps
-        self.record_link_delays = record_link_delays
+        self.record_links = record_links
         self.link_delay_sample_cap = link_delay_sample_cap
         self.coalesce_window_s = coalesce_window_s
         #: Window index -> deferred ``fn(*args)`` calls (``call_in_slot``):
@@ -221,21 +197,13 @@ class SimNetwork:
         self._up_endpoints: Dict[str, DeliverFn] = {}
         self._link_down_until: Dict[Tuple[str, str], float] = {}
 
-        # Typed per-link columns, indexed by interned link id.
-        self._link_ids: Dict[str, Dict[str, int]] = {}
-        self._lk_busy_until = array("d")
-        self._lk_messages = array("q")
-        self._lk_bytes = array("q")
-        self._lk_tuples = array("q")
-        #: Deterministic latency class per link id: propagation seconds
-        #: for a WAN pair, -1.0 for the LAN fallback, -2.0 unclassified.
-        #: A link's class never changes (sites are fixed at construction),
-        #: so the per-message site lookups and pair-key hashing collapse to
-        #: one float read.
-        self._lk_prop = array("d")
-        #: Link id -> ``[samples, stride, phase]`` of its delay sampler
-        #: (:func:`decimate_step`); only with ``record_link_delays``.
-        self._lk_sampler: Dict[int, List[Any]] = {}
+        #: ``(src, dst)`` -> the link's FIFO busy-until, only from a send
+        #: until the delivery that finds the link idle (``_deliver``).
+        self._busy_until: Dict[Tuple[str, str], float] = {}
+        #: Network-wide totals over every transmitted message.
+        self._totals = LinkStats()
+        #: ``(src, dst)`` -> that link's counters; only with ``record_links``.
+        self._links: Dict[Tuple[str, str], LinkStats] = {}
 
         #: Resource ledger (repro-leak quiescence sanitizer); ``None``
         #: when tracking is off, leaving one identity test per guard.
@@ -295,29 +263,15 @@ class SimNetwork:
     def is_link_up(self, src: str, dst: str) -> bool:
         return self._link_down_until.get((src, dst), 0.0) <= self.sim.now
 
-    # ------------------------------------------------------------------
-    # Link interning
-    # ------------------------------------------------------------------
-    def _link_id(self, src: str, dst: str) -> int:
-        by_dst = self._link_ids.get(src)
-        if by_dst is None:
-            by_dst = self._link_ids[src] = {}
-        link_id = by_dst.get(dst)
-        if link_id is None:
-            link_id = len(self._lk_busy_until)
-            self._lk_busy_until.append(0.0)
-            self._lk_messages.append(0)
-            self._lk_bytes.append(0)
-            self._lk_tuples.append(0)
-            self._lk_prop.append(-2.0)
-            by_dst[dst] = link_id
-        return link_id
-
     @property
-    def link_stats(self) -> "LinkStatsView":
-        """Per-link traffic accounting: a read-only ``(src, dst) ->``
-        :class:`LinkStats` mapping over the array-backed columns."""
-        return LinkStatsView(self)
+    def link_stats(self) -> Mapping[Tuple[str, str], LinkStats]:
+        """Traffic accounting as a read-only ``(src, dst) ->`` :class:`LinkStats`
+        mapping: one row per link used with ``record_links``, else the
+        single :data:`ALL_LINKS` row (a snapshot of the totals)."""
+        if self.record_links:
+            return MappingProxyType(self._links)
+        totals = self._totals
+        return MappingProxyType({ALL_LINKS: LinkStats(totals.tuples, totals.messages, totals.bytes)})
 
     # ------------------------------------------------------------------
     # Sending
@@ -381,39 +335,39 @@ class SimNetwork:
             self._fail(msg, "link-down", on_fail)
             return msg
 
-        by_dst = self._link_ids.get(src)
-        link_id = by_dst.get(dst) if by_dst is not None else None
-        if link_id is None:
-            link_id = self._link_id(src, dst)
+        link = (src, dst)
         now = self.sim.now
         wire = msg.size_bytes + HEADER_BYTES
         transmission = wire * 8.0 / self.bandwidth_bps
-        busy = self._lk_busy_until
-        start = busy[link_id]
+        busy = self._busy_until
+        start = busy.get(link, now)
         if start < now:
             start = now
-        busy[link_id] = start + transmission
-        # The link's latency class is interned with its id, leaving only
-        # the per-message jitter draws (same arithmetic, same RNG draw
-        # order as LatencyModel.one_way_s).
-        prop = self._lk_prop[link_id]
-        if prop == -2.0:
-            prop = self._lk_prop[link_id] = self._classify_link(src, dst)
+        busy[link] = start + transmission
+        # The latency class from the two sites' precomputed terms, then the
+        # per-message jitter draws (same arithmetic, same RNG draw order as
+        # LatencyModel.one_way_s).
+        terms = self._site_terms
+        src_terms = terms.get(src)
+        dst_terms = terms.get(dst)
+        wan = src_terms is not None and dst_terms is not None and src_terms is not dst_terms
         rng = self._rng
         if self._draw_block:
             ubuf = self._uni_buf
             u = ubuf.pop() if ubuf else self._refill_uniform()
-            if prop >= 0.0:
+            if wan:
                 model = self.latency
                 jbuf = self._jit_buf
                 jitter = jbuf.pop() if jbuf else self._refill_jitter()
+                prop = model.wan_propagation_s(src_terms, dst_terms)
                 latency = model.base_s + prop * jitter
                 if u < model.pathology_prob:
                     latency += model.pathology_scale_s * rng.paretovariate(PATHOLOGY_ALPHA)
             else:
                 latency = 0.0005 + u * 0.0005
-        elif prop >= 0.0:
+        elif wan:
             model = self.latency
+            prop = model.wan_propagation_s(src_terms, dst_terms)
             latency = model.base_s + prop * rng.lognormvariate(0.0, model.jitter_sigma)
             if rng.random() < model.pathology_prob:
                 latency += model.pathology_scale_s * rng.paretovariate(PATHOLOGY_ALPHA)
@@ -421,21 +375,30 @@ class SimNetwork:
             latency = 0.0005 + rng.random() * 0.0005
         delivery_time = start + transmission + latency
 
-        self._lk_messages[link_id] += 1
-        self._lk_bytes[link_id] += wire
-        self._lk_tuples[link_id] += tuples
-        if self.record_link_delays:
-            sampler = self._lk_sampler.get(link_id)
-            if sampler is None:
-                sampler = self._lk_sampler[link_id] = [[], 1, 0]
-            sampler[1], sampler[2] = decimate_step(
-                sampler[0], sampler[1], sampler[2], self.link_delay_sample_cap, now, delivery_time - now
+        totals = self._totals
+        totals.messages += 1
+        totals.bytes += wire
+        totals.tuples += tuples
+        if self.record_links:
+            stats = self._links.get(link)
+            if stats is None:
+                stats = self._links[link] = LinkStats()
+            stats.messages += 1
+            stats.bytes += wire
+            stats.tuples += tuples
+            stats.delay_sample_stride, stats.delay_sample_phase = decimate_step(
+                stats.delay_samples,
+                stats.delay_sample_stride,
+                stats.delay_sample_phase,
+                self.link_delay_sample_cap,
+                now,
+                delivery_time - now,
             )
 
         if self.coalesce_window_s == 0.0:
-            self.sim.push_at(delivery_time, self._deliver, (msg, on_fail))
+            self.sim.push_at(delivery_time, self._deliver, (msg, on_fail, link))
         else:
-            self.call_in_slot(delivery_time, self._deliver, (msg, on_fail))
+            self.call_in_slot(delivery_time, self._deliver, (msg, on_fail, link))
         return msg
 
     #: Hot-path entry for senders that already framed their Message (the
@@ -490,21 +453,13 @@ class SimNetwork:
         self._uni_buf.frombytes(self._np_gen.random(self._draw_block).tobytes())
         return self._uni_buf.pop()
 
-    def _classify_link(self, src: str, dst: str) -> float:
-        """Deterministic latency class of a directed link (memoized per id).
-
-        Returns the WAN propagation delay in seconds, or -1.0 for the
-        co-located/LAN fallback (small fixed-range delay per message).
-        """
-        sites = self.sites
-        if sites:
-            site_a = sites.get(src)
-            site_b = sites.get(dst)
-            if site_a is not None and site_b is not None and site_a is not site_b:
-                return self.latency.propagation_s(site_a, site_b)
-        return -1.0
-
-    def _deliver(self, msg: Message, on_fail: Optional[FailFn]) -> None:
+    def _deliver(self, msg: Message, on_fail: Optional[FailFn], link: Tuple[str, str]) -> None:
+        # Delivery never precedes the end of the message's own
+        # transmission, so the link's last delivery always finds it idle
+        # and drops its entry.
+        busy = self._busy_until
+        if busy.get(link, _NEVER) <= self.sim.now:
+            del busy[link]
         deliver = self._up_endpoints.get(msg.dst)
         if deliver is None:
             self._fail(msg, "peer-down", on_fail, immediate=True)

@@ -1,10 +1,22 @@
 """Unit tests for sites, distances and the latency model."""
 
+import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from repro.net.latency import LatencyModel, great_circle_km
+from repro.checks import configure
+from repro.net.latency import (
+    EARTH_RADIUS_KM,
+    FIBER_KM_PER_S,
+    ROUTE_FACTOR,
+    LatencyModel,
+    great_circle_km,
+)
+from repro.net.message import HEADER_BYTES
+from repro.net.network import SimNetwork
 from repro.net.topology import (
     ABILENE_SITES,
     GEANT_SITES,
@@ -13,6 +25,7 @@ from repro.net.topology import (
     sites_by_name,
     synthetic_planetlab_sites,
 )
+from repro.sim.kernel import Simulator
 
 
 def site(name, lat, lon, network="test"):
@@ -93,3 +106,91 @@ def test_synthetic_sites():
 def test_synthetic_sites_negative_count():
     with pytest.raises(ValueError):
         synthetic_planetlab_sites(-1, random.Random(0))
+
+
+# ----------------------------------------------------------------------
+# The per-site latency class is bit-identical to the per-pair formula
+# ----------------------------------------------------------------------
+
+
+def _pairwise_km(a, b):
+    """The haversine as it read when each link computed its own class
+    from two Site objects: the reference the per-site terms must match."""
+    lat1, lon1 = math.radians(a.latitude), math.radians(a.longitude)
+    lat2, lon2 = math.radians(b.latitude), math.radians(b.longitude)
+    h = math.sin((lat2 - lat1) / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(
+        (lon2 - lon1) / 2.0
+    ) ** 2
+    return 2.0 * EARTH_RADIUS_KM * math.asin(min(1.0, math.sqrt(h)))
+
+
+def _assert_per_site_path_exact(sites):
+    model = LatencyModel()
+    terms = model.site_terms({s.name: s for s in sites})
+    for a in sites:
+        for b in sites:
+            expected = _pairwise_km(a, b) * ROUTE_FACTOR / FIBER_KM_PER_S
+            got = model.wan_propagation_s(terms[a.name], terms[b.name])
+            assert got == expected, (a, b, got, expected)
+            assert great_circle_km(a, b) * ROUTE_FACTOR / FIBER_KM_PER_S == expected
+
+
+def test_per_site_propagation_exact_on_every_planetlab_pair():
+    _assert_per_site_path_exact(synthetic_planetlab_sites(256, random.Random(1)))
+
+
+def test_per_site_propagation_exact_on_every_backbone_pair():
+    _assert_per_site_path_exact(backbone_sites())
+
+
+_LAT = st.one_of(st.sampled_from([-90.0, 90.0, 0.0]), st.floats(-90.0, 90.0))
+_LON = st.one_of(st.sampled_from([-180.0, 180.0, 179.999, -179.999, 0.0]), st.floats(-180.0, 180.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(lat1=_LAT, lon1=_LON, lat2=_LAT, lon2=_LON, same=st.booleans())
+@example(lat1=90.0, lon1=0.0, lat2=-90.0, lon2=0.0, same=False)  # pole to pole
+@example(lat1=10.0, lon1=179.9, lat2=10.0, lon2=-179.9, same=False)  # antimeridian
+@example(lat1=45.0, lon1=-180.0, lat2=45.0, lon2=180.0, same=False)  # one meridian, two names
+def test_per_site_propagation_exact_anywhere(lat1, lon1, lat2, lon2, same):
+    if same:
+        lat2, lon2 = lat1, lon1
+    _assert_per_site_path_exact([site("A", lat1, lon1), site("B", lat2, lon2)])
+
+
+def _first_delay(sites, src, dst, model):
+    """Total delay of the first message on ``src -> dst`` (an idle link)."""
+    with configure(validate=False):
+        sim = Simulator(seed=4)
+        net = SimNetwork(sim, sites, latency_model=model, record_links=True)
+        for address in {src, dst}:
+            net.register(address, lambda m: None)
+        net.send(src, dst, "x", size_bytes=100)
+        sim.run_until_idle()
+    return net.link_stats[(src, dst)].delay_samples[0][1]
+
+
+def test_network_delay_uses_the_per_site_class():
+    # Jitter sigma 0 draws exactly 1.0, so the WAN delay is transmission
+    # plus base plus the propagation term, to the bit.
+    model = LatencyModel(jitter_sigma=0.0, pathology_prob=0.0)
+    sites = {s.name: s for s in backbone_sites()}
+    transmission = (100 + HEADER_BYTES) * 8.0 / 10e6
+    for src, dst in (("ATLA", "CHIN"), ("CHIN", "ATLA"), ("NYCM", "UK-London")):
+        expected = transmission + (model.base_s + model.propagation_s(sites[src], sites[dst]) * 1.0)
+        assert _first_delay(sites, src, dst, model) == expected
+
+
+def test_lan_fallback_for_missing_or_shared_sites():
+    model = LatencyModel(pathology_prob=0.0)
+    here, there = site("H", 40.0, -74.0), site("T", 51.5, -0.1)
+    lan = (0.0005, 0.0015)  # LAN draw plus this message's transmission
+    # A site missing on either side.
+    for sites in ({"a": here}, {"b": here}, {}):
+        assert lan[0] <= _first_delay(sites, "a", "b", model) < lan[1]
+    # One Site object shared by two addresses is one machine room.
+    assert lan[0] <= _first_delay({"a": here, "b": here}, "a", "b", model) < lan[1]
+    # Two distinct Site objects, even at one point, are a WAN pair.
+    twin = site("H2", 40.0, -74.0)
+    assert _first_delay({"a": here, "b": twin}, "a", "b", model) >= model.base_s
+    assert _first_delay({"a": here, "b": there}, "a", "b", model) > 0.02

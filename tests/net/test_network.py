@@ -1,14 +1,14 @@
 """Unit tests for the simulated network layer."""
 
 import dataclasses
+import random
 
 import pytest
 
 from repro import checks
 from repro.net.message import HEADER_BYTES, Message
-from repro.net import network
 from repro.net.network import LinkStats, SimNetwork, decimate_step
-from repro.net.topology import Site
+from repro.net.topology import Site, synthetic_planetlab_sites
 from repro.sim.kernel import Simulator
 
 
@@ -146,7 +146,7 @@ def test_bandwidth_serializes_transmissions():
 
 
 def test_link_stats_accumulate():
-    sim, net = make_net(record_link_delays=True)
+    sim, net = make_net(record_links=True)
     net.register("a", lambda m: None)
     net.register("b", lambda m: None)
     net.send("a", "b", "x", tuples=3, size_bytes=100)
@@ -159,51 +159,30 @@ def test_link_stats_accumulate():
     assert len(stats.delay_samples) == 2
 
 
-def _materialized_link_stats(net):
-    """Every link's snapshot at once: what ``link_stats`` used to rebuild
-    on each access."""
-    out = {}
-    for src, by_dst in net._link_ids.items():
-        for dst, link_id in by_dst.items():
-            samples, stride, _ = net._lk_sampler.get(link_id, ([], 1, 0))
-            out[(src, dst)] = LinkStats(
-                tuples=net._lk_tuples[link_id],
-                messages=net._lk_messages[link_id],
-                bytes=net._lk_bytes[link_id],
-                delay_samples=samples,
-                delay_sample_stride=stride,
-            )
-    return out
-
-
-def test_link_stats_view_reads_like_the_materialized_dict(monkeypatch):
-    sim, net = make_net(record_link_delays=True)
+def test_link_stats_view_reads_like_the_materialized_dict():
+    sim, net = make_net(record_links=True)
     for name in "abc":
         net.register(name, lambda m: None)
     for src, dst in ("ab", "ba", "ac", "ab", "cb"):
         net.send(src, dst, "x", tuples=2, size_bytes=50)
     sim.run_until_idle()
     view = net.link_stats
-    expected = _materialized_link_stats(net)
-    assert dict(view) == expected and list(view) == list(expected)
-    assert view == expected and len(view) == 4
-    assert [stats.messages for stats in view.values()] == [2, 1, 1, 1]
+    wire = 50 + HEADER_BYTES
+    expected = {
+        (src, dst): LinkStats(tuples=2 * n, messages=n, bytes=n * wire)
+        for (src, dst), n in ((("a", "b"), 2), (("b", "a"), 1), (("a", "c"), 1), (("c", "b"), 1))
+    }
+    # Links in first-use order; samples are compared apart from counters.
+    assert list(view) == list(expected) and len(view) == 4
+    assert {k: (s.tuples, s.messages, s.bytes) for k, s in view.items()} == {
+        k: (s.tuples, s.messages, s.bytes) for k, s in expected.items()
+    }
+    assert all(len(s.delay_samples) == s.messages for s in view.values())
     assert ("a", "b") in view and ("b", "c") not in view and "ab" not in view
     with pytest.raises(KeyError):
         view[("a", "z")]
     with pytest.raises(TypeError):
         view[("a", "b")] = LinkStats()
-
-    built = []
-
-    class CountingStats(LinkStats):
-        def __init__(self, **fields):
-            built.append(fields)
-            super().__init__(**fields)
-
-    monkeypatch.setattr(network, "LinkStats", CountingStats)
-    assert view[("a", "b")].messages == 2
-    assert len(built) == 1
 
 
 def test_colocated_nodes_lan_latency():
@@ -238,7 +217,7 @@ def test_draw_block_wan_delays_stay_in_model_support():
     sim = Simulator(seed=3)
     net = SimNetwork(
         sim, {"NY": ny, "LDN": ldn},
-        draw_block=8, record_link_delays=True, link_delay_sample_cap=None,
+        draw_block=8, record_links=True, link_delay_sample_cap=None,
     )
     net.register("NY", lambda m: None)
     net.register("LDN", lambda m: None)
@@ -252,7 +231,7 @@ def test_draw_block_wan_delays_stay_in_model_support():
 
 def test_draw_block_lan_delays_stay_in_model_support():
     sim, net = make_net(
-        draw_block=8, record_link_delays=True, link_delay_sample_cap=None
+        draw_block=8, record_links=True, link_delay_sample_cap=None
     )
     net.register("a", lambda m: None)
     net.register("b", lambda m: None)
@@ -274,7 +253,7 @@ def test_draw_block_validated():
 
 
 def test_link_delay_samples_bounded_by_cap():
-    sim, net = make_net(record_link_delays=True, link_delay_sample_cap=16)
+    sim, net = make_net(record_links=True, link_delay_sample_cap=16)
     net.register("a", lambda msg: None)
     net.register("b", lambda msg: None)
     for _ in range(500):
@@ -289,7 +268,7 @@ def test_link_delay_samples_bounded_by_cap():
 
 
 def test_link_delay_samples_unbounded_when_cap_disabled():
-    sim, net = make_net(record_link_delays=True, link_delay_sample_cap=None)
+    sim, net = make_net(record_links=True, link_delay_sample_cap=None)
     net.register("a", lambda msg: None)
     net.register("b", lambda msg: None)
     for _ in range(300):
@@ -301,7 +280,7 @@ def test_link_delay_samples_unbounded_when_cap_disabled():
 
 def test_link_delay_sample_cap_validated():
     with pytest.raises(ValueError):
-        make_net(record_link_delays=True, link_delay_sample_cap=1)
+        make_net(record_links=True, link_delay_sample_cap=1)
 
 
 # ----------------------------------------------------------------------
@@ -408,7 +387,7 @@ def test_coalesced_drain_fails_exactly_the_undelivered_messages():
 
 
 def test_coalesced_link_stats_match_per_message_accounting():
-    sim, net = make_net(coalesce_window_s=0.05, record_link_delays=True)
+    sim, net = make_net(coalesce_window_s=0.05, record_links=True)
     net.register("a", lambda m: None)
     net.register("b", lambda m: None)
     for _ in range(4):
@@ -545,3 +524,109 @@ def test_decimation_spacing_property():
             assert times[0] == 0.0
 
     check()
+
+
+# ----------------------------------------------------------------------
+# Per-pair state: a link holds state only while it is busy
+# ----------------------------------------------------------------------
+
+PAIR_NODES = 64  # 4,032 ordered pairs
+
+
+def _all_pairs_net(window, record_links):
+    sites = {s.name: s for s in synthetic_planetlab_sites(PAIR_NODES, random.Random(5))}
+    sim, net = make_net(sites, coalesce_window_s=window, record_links=record_links)
+    names = sorted(sites)
+    for name in names:
+        net.register(name, lambda m: None)
+    sent = {}
+    for i, src in enumerate(names):
+        for j, dst in enumerate(names):
+            if src != dst:
+                tuples = (i + j) % 3
+                net.send(src, dst, "x", size_bytes=100 + j, tuples=tuples)
+                sent[(src, dst)] = (tuples, 100 + j + HEADER_BYTES)
+    sim.run_until_idle()
+    return net, names, sent
+
+
+def _pair_keyed_entries(net, names):
+    """Entries of any container on the network keyed by a node pair, as a
+    ``(src, dst)`` tuple or nested as ``src -> dst -> ...``."""
+    addresses = set(names)
+    found = []
+    for attr, value in vars(net).items():
+        if not isinstance(value, dict):
+            continue
+        for key, inner in value.items():
+            if isinstance(key, tuple) and len(key) == 2 and set(key) <= addresses:
+                found.append((attr, key))
+            elif key in addresses and isinstance(inner, dict) and addresses & set(inner):
+                found.append((attr, key))
+    return found
+
+
+@pytest.mark.parametrize("window", [0.0, 0.001])
+def test_idle_network_keeps_no_per_pair_state(window):
+    net, names, sent = _all_pairs_net(window, record_links=False)
+    assert net.messages_delivered == len(sent) == PAIR_NODES * (PAIR_NODES - 1)
+    assert _pair_keyed_entries(net, names) == []
+    # Nothing the network holds grows with pairs: every container is at
+    # most one entry per node (endpoints, site terms).
+    sizes = {
+        attr: len(value)
+        for attr, value in vars(net).items()
+        if hasattr(value, "__len__") and not isinstance(value, str)
+    }
+    assert max(sizes.values()) <= PAIR_NODES, sizes
+    assert net._busy_until == {}
+
+
+@pytest.mark.parametrize("window", [0.0, 0.001])
+def test_recorded_link_stats_list_exactly_the_pairs_used(window):
+    net, names, sent = _all_pairs_net(window, record_links=True)
+    stats = net.link_stats
+    assert set(stats) == set(sent)
+    for link, (tuples, wire) in sent.items():
+        assert (stats[link].messages, stats[link].tuples, stats[link].bytes) == (1, tuples, wire)
+        assert len(stats[link].delay_samples) == 1
+    # The per-link rows and the network-wide totals are one accounting.
+    assert sum(s.messages for s in stats.values()) == net._totals.messages == len(sent)
+    assert sum(s.bytes for s in stats.values()) == net._totals.bytes
+    assert sum(s.tuples for s in stats.values()) == net._totals.tuples
+    # Recording keeps counters, not FIFO state.
+    assert net._busy_until == {}
+
+
+@pytest.mark.parametrize("window", [0.0, 0.001])
+def test_unrecorded_link_stats_is_one_row_of_totals(window):
+    net, names, sent = _all_pairs_net(window, record_links=False)
+    stats = net.link_stats
+    assert list(stats) == [("*", "*")]
+    row = stats[("*", "*")]
+    assert row.messages == len(sent)
+    assert row.tuples == sum(t for t, _ in sent.values())
+    assert row.bytes == sum(w for _, w in sent.values())
+    assert row.delay_samples == []
+    with pytest.raises(KeyError):
+        stats[(names[0], names[1])]
+    # A snapshot: reading it cannot move the network's counters.
+    row.messages = 0
+    assert net.link_stats[("*", "*")].messages == len(sent)
+
+
+def test_busy_entry_lives_only_while_the_link_is_queued():
+    # Two back-to-back sends queue FIFO on one link; the entry outlives the
+    # first delivery (the link is still transmitting the second) and goes
+    # with the last.
+    sim, net = make_net()
+    got = []
+    net.register("a", lambda m: None)
+    net.register("b", lambda m: got.append((sim.now, dict(net._busy_until))))
+    net.send("a", "b", "x", size_bytes=10_000 - HEADER_BYTES)  # 8 ms on the wire
+    net.send("a", "b", "y", size_bytes=10_000 - HEADER_BYTES)
+    assert net._busy_until == {("a", "b"): pytest.approx(0.016)}
+    sim.run_until_idle()
+    assert [busy for _, busy in got] == [{("a", "b"): pytest.approx(0.016)}, {}]
+    assert net._busy_until == {}
+

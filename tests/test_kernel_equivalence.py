@@ -1,7 +1,7 @@
 """Seeded end-to-end equivalence of the scaled event/delivery path.
 
-The scale work (tuple-backed heap with compaction, array-backed link
-accounting, transmit/deliver fast paths) must not change *any*
+The scale work (tuple-backed heap with compaction, link state kept only
+while a link is busy, transmit/deliver fast paths) must not change *any*
 observable simulation output: same seeds in, byte-identical metrics out.
 A golden digest, captured from the pre-scale implementation (plain binary
 heap, per-link ``LinkStats`` objects) on the same seeded scenario, pins
@@ -58,7 +58,7 @@ def run_scenario():
             adoption_delay_s=2.0,
         ),
         mind=MindConfig(code_depth=10),
-        record_link_delays=True,
+        record_links=True,
         link_delay_sample_cap=None,
         slow_node_fraction=0.1,
         slow_factor=3.0,
