@@ -41,7 +41,7 @@ def main() -> None:
     alerts = []
     installed = []
     console = cluster.by_address[CONSOLE]
-    console.create_trigger(
+    console.triggers.create(
         RangeQuery("index1", {"fanout": (1500.0, None)}),
         callback=lambda record: alerts.append((cluster.sim.now, record)),
         installed=installed.append,

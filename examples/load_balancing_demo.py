@@ -54,7 +54,7 @@ def main() -> None:
     print("\ncollecting day-0 histogram across the overlay ...")
     collector = cluster.nodes[0]
     merged = []
-    collector.collect_histogram(
+    collector.histograms.collect(
         "index2",
         # /16-resolution bins on the destination prefix, fine bins on the
         # timestamp (so a 15-minute trace slice is resolved), coarse bins

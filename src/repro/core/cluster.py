@@ -208,7 +208,7 @@ class MindCluster:
         schema = node.indices[index].schema
         grains = tuple(granularity) if granularity else recommended_granularity(schema)
         merged = []
-        node.collect_histogram(
+        node.histograms.collect(
             index,
             granularity=grains,
             time_range=(day_start - 86400.0, day_start),

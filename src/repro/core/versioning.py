@@ -8,7 +8,7 @@ must consult — "the relevant index versions ... will be evident from the
 query itself".
 """
 
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.core.embedding import Embedding
 
@@ -75,6 +75,39 @@ class VersionedEmbedding:
             if vf == valid_from:
                 return embedding
         return self.for_time(valid_from)
+
+    def segments(
+        self, t_lo: Optional[float], t_hi: Optional[float]
+    ) -> Iterator[Tuple[float, Embedding, Optional[float], Optional[float]]]:
+        """``(valid_from, embedding, lo, hi)`` for each version a query's
+        time interval meets, ``None`` for an open end.
+
+        An index without a time dimension is queried under its latest
+        version, and an empty interval under the version in force at
+        ``t_lo``.  Queries name a version by ``valid_from``: list positions
+        diverge across nodes once :meth:`retire_before` has run anywhere.
+        """
+        versions = self._versions
+        if versions[-1][1].schema.time_dimension() is None:
+            yield (*versions[-1], t_lo, t_hi)
+            return
+        lo = float("-inf") if t_lo is None else t_lo
+        hi = float("inf") if t_hi is None else t_hi
+        met = False
+        for i, (valid_from, embedding) in enumerate(versions):
+            valid_to = versions[i + 1][0] if i + 1 < len(versions) else float("inf")
+            seg_lo = max(lo, valid_from)
+            seg_hi = min(hi, valid_to)
+            if seg_lo < seg_hi:
+                met = True
+                yield (
+                    valid_from,
+                    embedding,
+                    None if seg_lo == float("-inf") else seg_lo,
+                    None if seg_hi == float("inf") else seg_hi,
+                )
+        if not met:
+            yield (*versions[self.version_index_for_time(lo)], t_lo, t_hi)
 
     def latest(self) -> Embedding:
         return self._versions[-1][1]

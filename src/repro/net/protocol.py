@@ -220,8 +220,8 @@ ROUTED: Dict[str, MessageKind] = dict(
         _kind("insert", "routed", ["index", "record", "op_id", "attempt"],
               doc="Store a record at the owner of its embedded code."),
         _kind("subquery", "routed",
-              ["index", "qid", "rect", "version", "time_range"],
-              optional=["attempt", "failover", "failover_for"],
+              ["index", "qid", "rect", "version", "time_range", "attempt"],
+              optional=["failover", "failover_for"],
               doc="Evaluate one region's share of a range query."),
         _kind("trigger_install", "routed",
               ["index", "reg_id", "rect", "version", "trigger"],

@@ -342,6 +342,19 @@ class OverlayNode:
             return False
         return any(region.comparable(target) for region in adopted)
 
+    def _owned_region_for(self, region: Code) -> Optional[Code]:
+        """The owned region code comparable with ``region``, if any."""
+        own = self.code if self.code is not None and self.code.comparable(region) else None
+        if not self.adopted:
+            return own
+        candidates = [] if own is None else [own]
+        for adopted in sorted(self.adopted):
+            if adopted.comparable(region):
+                candidates.append(adopted)
+        if not candidates:
+            return None
+        return max(candidates, key=lambda c: (c.common_prefix_len(region), -len(c)))
+
     def match_len(self, target: Code) -> int:
         """Longest common prefix between the target and any owned region."""
         if self.code is None:

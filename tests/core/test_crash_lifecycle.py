@@ -5,9 +5,10 @@ originator-side op state machines survived ``crash()`` — insert retry
 timers churned against the dead node, completion callbacks fired minutes
 late (or never), and trigger registrations stranded forever.  These
 tests pin the contract: crashing resolves every in-flight op *failed*,
-immediately, and leaves the per-op tables (and the resource ledger)
-empty.
+immediately, and leaves the op table (and the resource ledger) empty.
 """
+
+from collections import Counter
 
 from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
@@ -27,6 +28,11 @@ def make_schema():
     )
 
 
+def open_tags(node):
+    """How many ops of each kind ``node`` has open."""
+    return dict(Counter(op.tag for op in node.ops.values()))
+
+
 def build(seed=7, nodes=12):
     overlay = OverlayConfig(liveness_enabled=False)
     cluster = MindCluster(nodes, ClusterConfig(seed=seed, overlay=overlay, slow_node_fraction=0.0))
@@ -43,17 +49,15 @@ def test_crash_fails_inflight_ops_immediately():
     installs = []
     origin.insert_record("f", Record([1.0, 2.0]), callback=inserts.append)
     origin.query_index(RangeQuery("f", {"timestamp": (0, 86400)}), callback=queries.append)
-    origin.create_trigger(
+    origin.triggers.create(
         RangeQuery("f", {"x": (0, 1000)}), lambda record: None, installed=installs.append
     )
-    assert origin._insert_ops and origin._query_ops and origin._trigger_regs
+    assert {"op:insert", "op:query", "op:trigger-reg"} <= set(open_tags(origin))
 
     origin.crash()
 
     # Every op resolved failed at the crash instant — no sim time needed.
-    assert origin._insert_ops == {}
-    assert origin._query_ops == {}
-    assert origin._trigger_regs == {}
+    assert origin.ops == {}
     assert len(inserts) == 1 and inserts[0].success is False
     assert len(queries) == 1 and queries[0].complete is False
     assert installs == [False]
@@ -89,23 +93,19 @@ def test_crash_closes_one_open_op_of_every_kind():
     origin = next(n for n in cluster.nodes if n.sibling_pointer is not None)
     origin.sibling_pointer.held_until["f"] = 86400.0
     origin.query_index(RangeQuery("f", {"timestamp": (0, 86400)}))
-    assert cluster.sim.run_until_predicate(lambda: bool(origin._sibling_fetches), timeout=5.0)
-    origin.insert_record("f", Record([1.0, 2.0]))
-    origin.create_trigger(RangeQuery("f", {"x": (0, 1000)}), lambda record: None)
-    histograms = []
-    origin.collect_histogram("f", (4, 4), (0.0, 86400.0), len(cluster.nodes), histograms.append)
-    tables = (
-        origin._insert_ops,
-        origin._query_ops,
-        origin._sibling_fetches,
-        origin._trigger_regs,
-        origin._histo_collections,
+    assert cluster.sim.run_until_predicate(
+        lambda: "op:sibling" in open_tags(origin), timeout=5.0
     )
-    assert all(len(table) == 1 for table in tables)
+    origin.insert_record("f", Record([1.0, 2.0]))
+    origin.triggers.create(RangeQuery("f", {"x": (0, 1000)}), lambda record: None)
+    histograms = []
+    origin.histograms.collect("f", (4, 4), (0.0, 86400.0), len(cluster.nodes), histograms.append)
+    kinds = ("op:insert", "op:query", "op:sibling", "op:trigger-reg", "op:histo")
+    assert open_tags(origin) == {kind: 1 for kind in kinds}
 
     origin.crash()
 
-    assert all(table == {} for table in tables)
+    assert origin.ops == {}
     assert [row for row in ledger.snapshot() if row[0].startswith("op:")] == []
     # Dropped, not answered, and nothing left to fire later.
     cluster.advance(120.0)
@@ -120,12 +120,12 @@ def test_completed_histogram_collection_leaves_no_event_queued():
     collector = cluster.nodes[0]
     histograms = []
     start = cluster.sim.now
-    collector.collect_histogram(
+    collector.histograms.collect(
         "f", (4, 4), (0.0, 86400.0), len(cluster.nodes), histograms.append, timeout_s=60.0
     )
     cluster.sim.run_until_idle()
     assert len(histograms) == 1
-    assert collector._histo_collections == {}
+    assert collector.ops == {}
     assert cluster.sim.now < start + 60.0
 
 
@@ -138,14 +138,14 @@ def test_trigger_registration_watchdog_resolves_lost_ack():
     cluster = build()
     origin = cluster.nodes[0]
     installs = []
-    origin.create_trigger(
+    origin.triggers.create(
         RangeQuery("f", {"x": (0, 1000)}), lambda record: None, installed=installs.append
     )
-    (reg_id,) = origin._trigger_regs
-    origin._trigger_regs[reg_id].pending.add("PHANTOM")
+    (reg_id,) = origin.ops
+    origin.ops[reg_id].pending.add("PHANTOM")
     cluster.advance(origin.mind_config.query_timeout_s + 10.0)
     assert installs == [False]
-    assert origin._trigger_regs == {}
+    assert origin.ops == {}
 
 
 def test_flood_dedupe_set_is_bounded():

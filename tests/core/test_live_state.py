@@ -10,7 +10,8 @@ import random
 
 from repro import checks
 from repro.core.cluster import ClusterConfig, MindCluster
-from repro.core.mind_node import MindNode
+from repro.core.insertion import Insertion
+from repro.core.ops import OpTable
 from repro.core.records import Record
 from repro.net.network import SimNetwork
 from repro.overlay.node import OverlayConfig, OverlayNode
@@ -19,13 +20,14 @@ from repro.traffic.indices import index1_schema
 INSERTS = 500
 
 def _insert_timer_op(fn, args):
-    """The insert op id a kernel event belongs to, if it is one of the two
-    timers an insert arms: its deadline and its attempt watchdog."""
+    """The op table and insert op id a kernel event belongs to, if it is one
+    of the two timers an insert arms: its deadline and its attempt watchdog
+    (the only ops this cluster opens are inserts)."""
     func = getattr(fn, "__func__", None)
-    if func is MindNode._end and args[0] is fn.__self__._insert_ops:
-        return args[1]
-    if func is MindNode._insert_attempt_failed:
-        return args[0]
+    if func is OpTable.end:
+        return fn.__self__, args[0]
+    if func is Insertion.attempt_failed:
+        return fn.__self__.ops, args[0]
     return None
 
 
@@ -54,9 +56,10 @@ def test_coalescing_cluster_keeps_only_live_state():
 
     live = finished = 0
     for _, _, event in cluster.sim._queue._heap:
-        op_id = None if event.cancelled else _insert_timer_op(event.callback, event.args)
-        if op_id is not None:
-            if op_id in event.callback.__self__._insert_ops:
+        timer = None if event.cancelled else _insert_timer_op(event.callback, event.args)
+        if timer is not None:
+            table, op_id = timer
+            if op_id in table:
                 live += 1
             else:
                 finished += 1
@@ -88,7 +91,7 @@ def test_cancelled_insert_watchdog_never_runs_and_leaves_the_ledger_balanced():
         cluster.sim.run_until_idle()
         fired = []
         for node in cluster.nodes:
-            node._insert_attempt_failed = lambda *args: fired.append(args)
+            node.insertion.attempt_failed = lambda *args: fired.append(args)
         timers = []
         schedule = cluster.sim.schedule
 

@@ -138,7 +138,7 @@ def test_online_histogram_collection():
     cluster.advance(15.0)
 
     merged = []
-    cluster.nodes[0].collect_histogram(
+    cluster.nodes[0].histograms.collect(
         "p", granularity=8, time_range=(0.0, 86400.0),
         expected_replies=8, callback=merged.append,
     )
@@ -153,7 +153,7 @@ def test_histogram_collection_timeout_partial():
     merged = []
     # Expect more replies than nodes exist: the timeout fires with the
     # partial aggregate instead of hanging.
-    cluster.nodes[0].collect_histogram(
+    cluster.nodes[0].histograms.collect(
         "p", granularity=4, time_range=(0.0, 86400.0),
         expected_replies=99, callback=merged.append, timeout_s=30.0,
     )

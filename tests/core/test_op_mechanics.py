@@ -1,8 +1,9 @@
-"""MindNode's shared op mechanics, each driven in isolation.
+"""The op mechanics MIND's protocols share, each driven in isolation.
 
-The retry ladder runs here without a network, a simulator or a MindNode:
-a fake scheduler stands in for both timers and a Hypothesis script plays
-the failures.  The query split is called directly on one node of a small
+The retry ladder (``repro.core.ops``) runs here without a network, a
+simulator or a MindNode: a fake scheduler stands in for both timers and a
+Hypothesis script plays the failures.  The query split
+(``repro.core.querying``) is called directly on one node of a small
 cluster with ``route`` stubbed out.
 """
 
@@ -17,8 +18,10 @@ from repro.core.balance import histogram_from_records
 from repro.core.cluster import ClusterConfig, MindCluster
 from repro.core.cuts import BalancedCuts, EvenCuts
 from repro.core.embedding import Embedding
-from repro.core.mind_node import MindConfig, MindNode, _RetryLadder
+from repro.core.mind_node import MindConfig
+from repro.core.ops import _RetryLadder
 from repro.core.query import rect_intersection
+from repro.core.querying import _split_to_complement
 from repro.core.records import Record
 from repro.core.replication import FULL_REPLICATION, failover_targets
 from repro.core.schema import AttributeSpec, IndexSchema
@@ -53,19 +56,26 @@ class LadderOwner:
     def __init__(self, primary, replication, depth, cfg, seed):
         self.cfg, self.replication, self.depth = cfg, replication, depth
         self.metric = SimpleNamespace(retries=0, failovers=0)
-        self.ladder = _RetryLadder(self.metric, primary)
         self.rng = random.Random(seed)
+        self.ladder = self.make_ladder(primary)
         self.timers = []
         self.launched = []  # (target, stamp) per attempt, in order
         self.backoffs = []  # (attempts on the target so far, delay)
         self.exhausted = False
+
+    def make_ladder(self, primary, stamp=0):
+        return _RetryLadder(
+            self.metric, primary, self.schedule, self.cfg, self.rng, self.launch,
+            self.attempt_failed, ("op",), stamp,
+        )
 
     def schedule(self, delay, fn, *args):
         self.timers.append(FakeTimer(delay, fn, args))
         return self.timers[-1]
 
     def launch(self, key):
-        stamp = self.ladder.open_attempt(self.schedule, WATCHDOG_S, self.attempt_failed, key)
+        assert key == "op"
+        stamp = self.ladder.open_attempt()
         self.launched.append((self.ladder.target, stamp))
 
     def attempt_failed(self, key, stamp):
@@ -74,7 +84,7 @@ class LadderOwner:
         if not ladder.current(stamp):
             return
         attempts = ladder.attempts
-        if ladder.retry(self.cfg, self.rng, self.schedule, self.launch, key):
+        if ladder.retry():
             self.backoffs.append((attempts, ladder.backoff_event.delay))
         elif ladder.fail_over(self.replication, self.depth):
             self.launch(key)
@@ -104,7 +114,8 @@ class LadderOwner:
 def test_ladder_walk(bits, replication, depth, max_attempts, backoff, seed, script):
     base_s, max_s = backoff
     cfg = MindConfig(
-        retry_max_attempts=max_attempts, retry_backoff_base_s=base_s, retry_backoff_max_s=max_s
+        retry_max_attempts=max_attempts, retry_backoff_base_s=base_s, retry_backoff_max_s=max_s,
+        attempt_timeout_s=WATCHDOG_S,
     )
     primary = Code(bits)
     owner = LadderOwner(primary, replication, depth, cfg, seed)
@@ -169,10 +180,12 @@ def test_ladder_walk(bits, replication, depth, max_attempts, backoff, seed, scri
 def test_adopted_attempt_counts_as_the_first():
     # A responder-spawned sub-query: somebody else routed attempt ``stamp``;
     # the originator only watches it, then owns the retries.
-    owner = LadderOwner(Code("0110"), 0, 4, MindConfig(retry_max_attempts=2), seed=1)
-    owner.ladder = ladder = _RetryLadder(owner.metric, Code("0110"), stamp=3)
+    cfg = MindConfig(retry_max_attempts=2, attempt_timeout_s=WATCHDOG_S)
+    owner = LadderOwner(Code("0110"), 0, 4, cfg, seed=1)
+    owner.ladder = ladder = owner.make_ladder(Code("0110"), stamp=3)
     assert ladder.current(3) and not ladder.current(2)
-    ladder.watch(owner.schedule, WATCHDOG_S, owner.attempt_failed, "op")
+    ladder.watch()
+    assert ladder.attempt_timer.delay == WATCHDOG_S
     ladder.attempt_timer.fire()
     assert owner.backoffs and owner.backoffs[0][0] == 1
     ladder.backoff_event.fire()
@@ -205,7 +218,7 @@ def test_split_is_one_mechanism_for_subqueries_and_trigger_installs():
             "origin": "elsewhere", "attempt": 3,
         }
         del routed[:]
-        spawned = node._split_to_complement(envelope, state, rect, lambda bits: (kind, bits))
+        spawned = _split_to_complement(node, envelope, state, rect, lambda bits: (kind, bits))
         assert [bits for bits, _, _, _ in routed] == spawned
         for bits, routed_kind, routed_inner, kw in routed:
             assert routed_kind == kind
@@ -276,7 +289,7 @@ def test_split_drops_the_cells_the_query_only_touches(balanced):
 
 
 def split_alone(emb, own, start, qrect):
-    """``MindNode._split_to_complement`` on a node that owns ``own``,
+    """``_split_to_complement`` on a node that owns ``own``,
     for a sub-query addressed to ``own``'s first ``start`` bits; returns
     the spawned bits after checking they were routed, in order."""
     routed = []
@@ -289,6 +302,6 @@ def split_alone(emb, own, start, qrect):
         "target": own.bits[:start], "inner_kind": "subquery", "inner": {"version": 0.0},
         "origin": "elsewhere", "attempt": 1,
     }
-    spawned = MindNode._split_to_complement(node, envelope, state, qrect, lambda bits: bits)
+    spawned = _split_to_complement(node, envelope, state, qrect, lambda bits: bits)
     assert spawned == routed
     return spawned

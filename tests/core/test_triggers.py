@@ -33,7 +33,7 @@ def register(cluster, origin, query, **kwargs):
     fired = []
     done = []
     node = cluster.by_address[origin]
-    trigger_id = node.create_trigger(query, fired.append, installed=done.append, **kwargs)
+    trigger_id = node.triggers.create(query, fired.append, installed=done.append, **kwargs)
     ok = cluster.sim.run_until_predicate(lambda: bool(done), timeout=120.0)
     assert ok and done[0] is True
     return trigger_id, fired
@@ -128,12 +128,12 @@ def test_trigger_expires(cluster):
 def test_drop_trigger(cluster):
     query = RangeQuery("t", {})
     trigger_id, fired = register(cluster, "HSTN", query)
-    cluster.by_address["HSTN"].drop_trigger("t", trigger_id)
+    cluster.by_address["HSTN"].triggers.drop("t", trigger_id)
     cluster.advance(10.0)
     cluster.insert_now("t", Record([3.0, 3.0, 3.0]), origin="KSCY")
     cluster.advance(10.0)
     assert fired == []
-    assert all(n.trigger_table.count("t") == 0 for n in cluster.nodes)
+    assert all(n.triggers.table.count("t") == 0 for n in cluster.nodes)
 
 
 def test_multiple_triggers_one_insert(cluster):

@@ -1,5 +1,9 @@
 """Liveness mechanics: heartbeats, witness probes, false-positive safety."""
 
+from fractions import Fraction
+
+import pytest
+
 from repro.overlay.code import Code
 from repro.overlay.node import OverlayConfig
 
@@ -165,3 +169,55 @@ def test_cover_restored_after_death():
     covered = sum(2.0 ** -len(n.code) for n in live)
     covered += sum(2.0 ** -len(r) for n in live for r in n.adopted)
     assert covered >= 1.0 - 1e-9, "the dead region must be re-homed"
+
+
+def kraft_sum_after_crash(seed, victim, restore_after_s=None):
+    """Crash ``victim`` in a 16-node overlay, optionally restore it
+    ``restore_after_s`` later, run 60 s, and sum ``2^-len`` over the
+    primary and adopted codes of the live nodes: exactly 1 when every
+    region has exactly one owner."""
+    sim, network, nodes = build_overlay(16, seed, live_cfg())
+    node = next(n for n in nodes if n.address == victim)
+    network.set_node_up(victim, False)
+    node.crash()
+    if restore_after_s is not None:
+        sim.run_until(sim.now + restore_after_s)
+        network.set_node_up(victim, True)
+        node.restore()
+    sim.run_until(sim.now + 60.0)
+    return sum(
+        Fraction(1, 2 ** len(code))
+        for n in nodes
+        if network.is_node_up(n.address) and n.in_overlay()
+        for code in (n.code, *n.adopted)
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 1(a): a node restored before it is declared dead rejoins "
+    "under a fresh code, and nobody takes its old region over",
+)
+def test_early_restore_leaves_no_orphan_region():
+    sums = {
+        (seed, victim): kraft_sum_after_crash(seed, victim, restore_after_s=3.0)
+        for seed in (201, 202, 203)
+        for victim in ("n3", "n7", "n11")
+    }
+    assert {case: total for case, total in sums.items() if total != 1} == {}
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="ROADMAP 1(c): two non-sibling neighbors can both adopt a dead "
+    "region, and neither cedes it to the other",
+)
+def test_a_dead_region_gets_one_adopter():
+    sums = {
+        (seed, victim): kraft_sum_after_crash(seed, victim)
+        for seed in range(201, 213)
+        for victim in (f"n{i}" for i in range(1, 16, 2))
+    }
+    assert {case: total for case, total in sums.items() if total != 1} == {}

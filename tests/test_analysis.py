@@ -19,6 +19,7 @@ from repro.analysis.findings import Finding, Sink
 from repro.analysis.model import load_module
 from repro.analysis.runner import in_scope, main
 from repro.analysis.suppressions import inline_ignores, suppressing_line
+from repro.net import protocol
 from repro.net.protocol import MessageKind
 
 pytestmark = pytest.mark.lint
@@ -422,3 +423,16 @@ def test_repo_tree_is_lint_clean():
     result = analyze_paths([str(REPRO_PKG)])
     assert result.ok, "\n".join(f.render() for f in result.active)
     assert result.stale_ignores == []
+
+
+def test_every_registered_kind_has_a_handler_the_model_resolves():
+    """``Module.handler_functions`` skips a registration whose handler it
+    cannot find in the registering module, and the protocol-key and
+    aliasing lints then never see that handler.  So every kind the wire
+    registry declares must resolve somewhere under ``src/repro``."""
+    resolved = {False: set(), True: set()}
+    for path in sorted(REPRO_PKG.rglob("*.py")):
+        for reg, _ in load_module(str(path), path.name).handler_functions():
+            resolved[reg.routed].add(reg.kind)
+    assert set(protocol.REGISTRY) - resolved[False] == set()
+    assert set(protocol.ROUTED) - resolved[True] == set()
